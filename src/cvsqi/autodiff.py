@@ -5,6 +5,11 @@ output gradient to parent gradients.  backward() runs a topological sweep from
 a scalar loss.  The op set is exactly what the models here need: dense layers,
 1D (transposed) convolution with width-1/3 kernels, 2-to-1 max pooling, the
 elementwise activations, and the reductions used by the losses.
+
+The convolution is an im2col GEMM: k strided slices of the zero-padded input
+form an (N * L_out, k * C_in) matrix that meets the kernel in one 2-D matrix
+product.  The transposed convolution is its adjoint: one GEMM yields every
+tap's contribution, and k strided slice-adds place them, with no scatter.
 """
 from __future__ import annotations
 
@@ -213,8 +218,37 @@ def _conv_geometry(length: int, k: int, stride: int):
     return out_len, pad // 2, pad
 
 
+def _im2col(a: np.ndarray, k: int, stride: int, out_len: int, pl: int,
+            pad: int) -> np.ndarray:
+    """(N, L, C) -> (N * out_len, k * C): row o holds the k taps from o * stride
+    of `a` zero-padded by pl on the left and pad - pl on the right."""
+    n, length, c = a.shape
+    ap = np.zeros((n, length + pad, c))
+    ap[:, pl:pl + length, :] = a
+    span = (out_len - 1) * stride + 1
+    cols = np.empty((n, out_len, k, c))
+    for t in range(k):
+        cols[:, :, t, :] = ap[:, t:t + span:stride, :]
+    return cols.reshape(n * out_len, k * c)
+
+
+def _col2im(cols: np.ndarray, stride: int, length: int, pl: int,
+            pad: int) -> np.ndarray:
+    """Adjoint of _im2col: (N, out_len, k, C) taps summed back onto (N, L, C).
+
+    Taps are added from t = k - 1 down to 0, so every position receives its
+    terms in increasing o, the order an index-array scatter would use.
+    """
+    n, out_len, k, c = cols.shape
+    ap = np.zeros((n, length + pad, c))
+    span = (out_len - 1) * stride + 1
+    for t in range(k - 1, -1, -1):
+        ap[:, t:t + span:stride, :] += cols[:, :, t, :]
+    return ap[:, pl:pl + length, :]
+
+
 def conv1d(x, kern, b, stride: int = 1) -> Var:
-    """Cross-correlation with same-style zero padding.
+    """Cross-correlation with same-style zero padding, as one im2col GEMM.
 
     x: (N, L, C_in); kern: (k, C_in, C_out); output length ceil(L / stride).
     """
@@ -228,18 +262,15 @@ def conv1d(x, kern, b, stride: int = 1) -> Var:
     if b.value.shape != (cout,):
         raise ShapeMismatch("conv1d: bias shape mismatch")
     out_len, pl, pad = _conv_geometry(length, k, stride)
-    xp = np.pad(x.value, ((0, 0), (pl, pad - pl), (0, 0)))
-    idx = np.arange(out_len)[:, None] * stride + np.arange(k)[None, :]
-    cols = xp[:, idx, :].reshape(n, out_len, k * cin)
+    cols = _im2col(x.value, k, stride, out_len, pl, pad)   # (N*Lo, k*Cin)
     kmat = kern.value.reshape(k * cin, cout)
-    out = cols @ kmat + b.value
+    out = (cols @ kmat + b.value).reshape(n, out_len, cout)
 
     def bwd(g):
-        dcols = (g @ kmat.T).reshape(n, out_len, k, cin)
-        dxp = np.zeros_like(xp)
-        np.add.at(dxp, (slice(None), idx, slice(None)), dcols)
-        dx = dxp[:, pl:pl + length, :]
-        dk = (cols.reshape(-1, k * cin).T @ g.reshape(-1, cout)).reshape(k, cin, cout)
+        g2 = g.reshape(-1, cout)
+        dcols = (g2 @ kmat.T).reshape(n, out_len, k, cin)
+        dx = _col2im(dcols, stride, length, pl, pad)
+        dk = (cols.T @ g2).reshape(k, cin, cout)
         return dx, dk, g.sum(axis=(0, 1))
     return Var(out, (x, kern, b), bwd)
 
@@ -247,6 +278,7 @@ def conv1d(x, kern, b, stride: int = 1) -> Var:
 def conv_transpose1d(x, kern, b, stride: int, out_len: int) -> Var:
     """Adjoint of conv1d: maps length ceil(out_len / stride) back to out_len.
 
+    One GEMM gives every tap's contribution; k strided slice-adds place them.
     x: (N, L_small, C_in); kern: (k, C_in, C_out).
     """
     x, kern, b = _as_var(x), _as_var(kern), _as_var(b)
@@ -261,18 +293,15 @@ def conv_transpose1d(x, kern, b, stride: int, out_len: int) -> Var:
         raise ShapeMismatch(
             f"conv_transpose1d: input length {l_small} inconsistent with "
             f"out_len {out_len} at stride {stride}")
-    idx = np.arange(l_small)[:, None] * stride + np.arange(k)[None, :]
-    # scatter x through the conv index map
-    tmp = np.tensordot(x.value, kern.value, axes=([2], [1]))   # (N, Ls, k, Cout)
-    outp = np.zeros((n, out_len + pad, cout))
-    np.add.at(outp, (slice(None), idx, slice(None)), tmp)
-    out = outp[:, pl:pl + out_len, :] + b.value
+    x2 = x.value.reshape(-1, cin)
+    kmat = kern.value.transpose(1, 0, 2).reshape(cin, k * cout)
+    taps = (x2 @ kmat).reshape(n, l_small, k, cout)
+    out = _col2im(taps, stride, out_len, pl, pad) + b.value
 
     def bwd(g):
-        gp = np.pad(g, ((0, 0), (pl, pad - pl), (0, 0)))
-        gcols = gp[:, idx, :]                                   # (N, Ls, k, Cout)
-        dx = np.einsum("notc,tic->noi", gcols, kern.value)
-        dk = np.einsum("noi,notc->tic", x.value, gcols)
+        gcols = _im2col(g, k, stride, l_small, pl, pad)     # (N*Ls, k*Cout)
+        dx = (gcols @ kmat.T).reshape(n, l_small, cin)
+        dk = (x2.T @ gcols).reshape(cin, k, cout).transpose(1, 0, 2)
         return dx, dk, g.sum(axis=(0, 1))
     return Var(out, (x, kern, b), bwd)
 

@@ -49,11 +49,12 @@ def write_stream(stream, path: str, channels: bool = False) -> None:
     for (a, _b), label in zip(zip(stream.r_peaks[:-1], stream.r_peaks[1:]),
                               stream.cycle_labels):
         first_sample_label[int(a)] = label.code
+    peaks = set(int(p) for p in stream.r_peaks)
 
     def lines():
         for i in range(stream.n_samples):
             t = int(stream.t_ms[i])
-            flag = 1 if t in set(int(p) for p in stream.r_peaks) else 0
+            flag = 1 if t in peaks else 0
             code = first_sample_label.get(t, -1)
             if channels:
                 gs = ",".join(_fmt(v) for v in stream.g[i] - stream.baseline)

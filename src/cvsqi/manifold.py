@@ -284,12 +284,13 @@ def select_threshold(scores: np.ndarray, eval_labels: np.ndarray) -> tuple[float
     low = distinct[0] / 2.0 if distinct[0] > 0 else -np.inf
     candidates = np.concatenate([[low], mids, distinct[-1:], [np.inf]])
 
+    # accepted positives / rejected negatives at every candidate, by counting
+    tp = np.searchsorted(np.sort(r[y == 1]), candidates, side="right")
+    tn = n_neg - np.searchsorted(np.sort(r[y == 0]), candidates, side="right")
+    js = tp / n_pos + tn / n_neg - 1.0
+
     best_d, best_j = candidates[0], -np.inf
-    for d in candidates:
-        accept = r <= d
-        tp = int(np.sum(accept & (y == 1)))
-        tn = int(np.sum(~accept & (y == 0)))
-        j = tp / n_pos + tn / n_neg - 1.0
+    for d, j in zip(candidates.tolist(), js.tolist()):
         if j > best_j + 1e-15:
             best_j, best_d = j, d
     return float(max(best_d, 0.0)), float(best_j)

@@ -159,14 +159,22 @@ class TestConv1d:
         out = ad.conv1d(Var(x), Var(np.zeros((3, 3, 2))), Var(np.zeros(2))).value
         assert np.all(out == 0.0)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_matches_nested_loop_oracle(self, seed, stride):
+    @staticmethod
+    def check_oracle(seed, k, stride):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(2, 11, 3))
-        kern = rng.normal(size=(3, 3, 4))
+        kern = rng.normal(size=(k, 3, 4))
         b = rng.normal(size=4)
         out = ad.conv1d(Var(x), Var(kern), Var(b), stride=stride).value
         assert np.max(np.abs(out - conv_oracle(x, kern, b, stride))) < 1e-12
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_nested_loop_oracle(self, seed, stride):
+        self.check_oracle(seed, 3, stride)
+
+    @pytest.mark.parametrize("k,stride", [(1, 1), (1, 2), (1, 3), (3, 3)])
+    def test_matches_nested_loop_oracle_k1_and_stride3(self, seed, k, stride):
+        self.check_oracle(seed, k, stride)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 60))
@@ -175,11 +183,11 @@ class TestConv1d:
         out = ad.conv1d(Var(x), Var(np.zeros((3, 2, 1))), Var(np.zeros(1))).value
         assert out.shape == (1, length, 1)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_gradients(self, seed, stride):
+    @staticmethod
+    def check_gradients(seed, k, stride):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(2, 8, 2))
-        kern = rng.normal(size=(3, 2, 3))
+        kern = rng.normal(size=(k, 2, 3))
         b = rng.normal(size=3)
 
         for arr, pick in ((x, 0), (kern, 1), (b, 2)):
@@ -189,8 +197,46 @@ class TestConv1d:
                 return ad.sum_(ad.square(ad.conv1d(*args, stride=stride)))
             check_grad(build, arr)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_gradients(self, seed, stride):
+        self.check_gradients(seed, 3, stride)
+
+    @pytest.mark.parametrize("k,stride", [(1, 1), (1, 2), (1, 3), (3, 3)])
+    def test_gradients_k1_and_stride3(self, seed, k, stride):
+        self.check_gradients(seed, k, stride)
+
+
+def conv_transpose_oracle(x, kern, b, out_len, stride):
+    """Nested-loop scatter: each input sample adds k kernel taps to the output."""
+    n, l_small, cin = x.shape
+    k, _, cout = kern.shape
+    pad = max((l_small - 1) * stride + k - out_len, 0)
+    pl = pad // 2
+    outp = np.zeros((n, out_len + pad, cout))
+    for ni in range(n):
+        for o in range(l_small):
+            for t in range(k):
+                for ci in range(cin):
+                    for co in range(cout):
+                        outp[ni, o * stride + t, co] += x[ni, o, ci] * kern[t, ci, co]
+    return outp[:, pl:pl + out_len, :] + b
+
 
 class TestConvTranspose1d:
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_nested_loop_oracle(self, seed, stride, k, batch):
+        rng = np.random.default_rng(seed)
+        out_len = 11
+        x = rng.normal(size=(batch, -(-out_len // stride), 3))
+        kern = rng.normal(size=(k, 3, 4))
+        b = rng.normal(size=4)
+        out = ad.conv_transpose1d(Var(x), Var(kern), Var(b), stride=stride,
+                                  out_len=out_len).value
+        expected = conv_transpose_oracle(x, kern, b, out_len, stride)
+        assert np.max(np.abs(out - expected)) < 1e-12
+
     def test_adjoint_of_conv(self, seed):
         # <conv(x), y> == <x, conv_transpose(y)> with zero biases
         rng = np.random.default_rng(seed)
@@ -211,10 +257,11 @@ class TestConvTranspose1d:
             ad.conv_transpose1d(Var(x), Var(kern), Var(np.zeros(1)),
                                 stride=2, out_len=31)
 
-    def test_gradients(self, seed):
+    @staticmethod
+    def check_gradients(seed, k, stride):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(2, 5, 2))
-        kern = rng.normal(size=(3, 2, 3))
+        x = rng.normal(size=(2, -(-10 // stride), 2))
+        kern = rng.normal(size=(k, 2, 3))
         b = rng.normal(size=3)
 
         for arr, pick in ((x, 0), (kern, 1), (b, 2)):
@@ -222,8 +269,15 @@ class TestConvTranspose1d:
                 args = [Var(x), Var(kern), Var(b)]
                 args[pick] = v
                 return ad.sum_(ad.square(
-                    ad.conv_transpose1d(*args, stride=2, out_len=10)))
+                    ad.conv_transpose1d(*args, stride=stride, out_len=10)))
             check_grad(build, arr)
+
+    def test_gradients(self, seed):
+        self.check_gradients(seed, 3, 2)
+
+    @pytest.mark.parametrize("k,stride", [(1, 1), (1, 2), (1, 3), (3, 1), (3, 3)])
+    def test_gradients_k1_and_stride3(self, seed, k, stride):
+        self.check_gradients(seed, k, stride)
 
 
 class TestMaxPool:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cvsqi import manifold as mf
 from cvsqi.autodiff import Var
@@ -273,7 +275,36 @@ def threshold_grid_oracle(r, y, n_grid=100_000):
     return best
 
 
+def threshold_loop_oracle(r, y):
+    """Candidate-by-candidate Youden search: four full-array reductions each."""
+    n_pos = int(np.sum(y == 1))
+    n_neg = int(np.sum(y == 0))
+    distinct = np.unique(r)
+    mids = (distinct[:-1] + distinct[1:]) / 2.0
+    low = distinct[0] / 2.0 if distinct[0] > 0 else -np.inf
+    candidates = np.concatenate([[low], mids, distinct[-1:], [np.inf]])
+    best_d, best_j = candidates[0], -np.inf
+    for d in candidates:
+        accept = r <= d
+        tp = int(np.sum(accept & (y == 1)))
+        tn = int(np.sum(~accept & (y == 0)))
+        j = tp / n_pos + tn / n_neg - 1.0
+        if j > best_j + 1e-15:
+            best_j, best_d = j, d
+    return float(max(best_d, 0.0)), float(best_j)
+
+
 class TestSelectThreshold:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 1)),
+                    min_size=2, max_size=60),
+           st.sampled_from([0.25, 0.3, 1.0 / 3.0]))
+    def test_matches_loop_oracle_exactly_under_ties(self, pairs, step):
+        r = np.array([v * step for v, _ in pairs])
+        y = np.array([c for _, c in pairs])
+        assume(0 < y.sum() < len(y))
+        assert mf.select_threshold(r, y) == threshold_loop_oracle(r, y)
+
     def test_perfect_separation_midpoint(self):
         r = np.array([0.1, 0.2, 0.9])
         y = np.array([1, 1, 0])
