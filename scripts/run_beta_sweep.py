@@ -2,7 +2,7 @@
 import argparse
 import json
 
-from cvsqi import experiment
+from cvsqi import experiment, manifold
 
 BETAS = (1 / 3, 1 / 2, 1.0, 2.0, 3.0)
 
@@ -11,8 +11,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--subjects", type=int, default=20)
-    ap.add_argument("--kind", choices=("vae", "bvae", "cvae", "bcvae"),
-                    default="bcvae")
+    ap.add_argument("--kind", choices=manifold.VAE_KINDS, default="bcvae")
     ap.add_argument("--epochs", type=int, default=40)
     ap.add_argument("--betas", type=float, nargs="*", default=list(BETAS))
     ap.add_argument("--out", help="write the sweep log as JSON")

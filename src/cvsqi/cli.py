@@ -1,4 +1,4 @@
-"""Command-line workflows: generate, preprocess, split, train, threshold,
+"""Command-line workflows: gen, split, train, train-manifold, threshold,
 evaluate, assess, bench.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.  A JSON config file
@@ -11,39 +11,24 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dataio, discriminative, experiment, manifold, model_io
-from .errors import (CvsqiError, InvalidScenario, IoError, MissingCalibration,
-                     ValidationError)
-from .evaluation import confusion, metrics, roc_auc, split_by_subject
+from .errors import CvsqiError, IoError, MissingCalibration, ValidationError
+from .evaluation import split_by_subject
+from .experiment import evaluate_scores, score
 from .forward import MotionEvent, SynthScenario, synthesize_stream
 from .labels import QualityLabel
-from .preprocess import (CALIBRATION_SAMPLES, SAMPLE_MS, CalibrationWindow,
-                         naive_scale_factor, normalize_cycle, segment_cycles,
-                         subject_scale_factor)
+from .preprocess import (CALIBRATION_MS, CALIBRATION_SAMPLES, SAMPLE_MS,
+                         SCALE_MODES, SCHEMES, CalibrationWindow,
+                         normalize_cycle, normalize_dataset, segment_cycles,
+                         subject_scale_factor, to_arrays)
 
 CONFIG_ENV = "CVSQI_CONFIG"
 
 # flag defaults that a config file may override
 _CONFIG_KEYS = ("seed", "norm", "scale", "epochs", "lr", "arch", "kind", "beta")
-
-
-@dataclass
-class PipelineConfig:
-    """Defaults shared across commands, loadable from a JSON file."""
-
-    norm: str = "interp"
-    scale: str = "subject"
-    arch: str = "vgg3"
-    kind: str = "bcvae"
-    beta: float | None = None
-    seed: int = 0
-    epochs: int = 25
-    lr: float = 1e-3
-    paths: dict = field(default_factory=dict)
 
 
 def _load_config() -> dict:
@@ -77,34 +62,6 @@ def scenario_from_file(path: str) -> SynthScenario:
         return SynthScenario(motion_events=events, **doc)
     except TypeError as exc:
         raise ValidationError(f"{path}: bad scenario field: {exc}") from exc
-
-
-# --- preprocessing shared by train/threshold/evaluate/assess ---
-
-def _normalized_arrays(cycles, scheme: str, scale_mode: str, calibrations):
-    factors = {}
-    if scale_mode == "subject":
-        if not calibrations:
-            raise ValidationError("subject scaling requires --calib")
-        factors = {sid: subject_scale_factor(c) for sid, c in calibrations.items()}
-    rows, y_train, y_eval = [], [], []
-    for c in cycles:
-        if scale_mode == "subject":
-            if c.subject_id not in factors:
-                raise ValidationError(f"no calibration for subject {c.subject_id!r}")
-            scale = factors[c.subject_id]
-        elif scale_mode == "naive":
-            scale = naive_scale_factor(c)
-        elif scale_mode == "none":
-            scale = None
-        else:
-            raise ValidationError(f"unknown scale mode {scale_mode!r}")
-        rows.append(normalize_cycle(c, scheme, scale).values)
-        y_train.append(c.label.train_value)
-        y_eval.append(c.label.eval_value)
-    if not rows:
-        raise ValidationError("empty cycle dataset")
-    return np.stack(rows), np.asarray(y_train), np.asarray(y_eval, dtype=np.int64)
 
 
 def _load_calibrations(path: str | None):
@@ -147,30 +104,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_preprocess(args) -> int:
-    cycles = dataio.read_cycles(args.cycles)
-    calibrations = _load_calibrations(args.calib)
-    factors = {}
-    if args.scale == "subject":
-        if not calibrations:
-            raise ValidationError("subject scaling requires --calib")
-        factors = {sid: subject_scale_factor(c) for sid, c in calibrations.items()}
-    out = []
-    for c in cycles:
-        if args.scale == "subject":
-            if c.subject_id not in factors:
-                raise ValidationError(f"no calibration for subject {c.subject_id!r}")
-            scale = factors[c.subject_id]
-        elif args.scale == "naive":
-            scale = naive_scale_factor(c)
-        else:
-            scale = None
-        out.append(normalize_cycle(c, args.norm, scale))
-    dataio.write_normalized(out, args.out)
-    print(f"normalized {len(out)} cycles -> {args.out}")
-    return 0
-
-
 def cmd_split(args) -> int:
     cycles = dataio.read_cycles(args.cycles)
     train, val, test = split_by_subject(cycles, seed=args.seed)
@@ -187,10 +120,10 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     calibrations = _load_calibrations(args.calib)
-    x_tr, y_tr, _ = _normalized_arrays(dataio.read_cycles(args.train),
-                                       args.norm, args.scale, calibrations)
-    x_va, _, yev_va = _normalized_arrays(dataio.read_cycles(args.val),
-                                         args.norm, args.scale, calibrations)
+    x_tr, y_tr, _ = to_arrays(normalize_dataset(dataio.read_cycles(args.train),
+                                                args.norm, args.scale, calibrations))
+    x_va, _, yev_va = to_arrays(normalize_dataset(dataio.read_cycles(args.val),
+                                                  args.norm, args.scale, calibrations))
     model = discriminative.build(args.arch, seed=args.seed)
     history = discriminative.train(model, x_tr, y_tr, x_va, yev_va,
                                    epochs=args.epochs, lr=args.lr, seed=args.seed)
@@ -204,14 +137,16 @@ def cmd_train(args) -> int:
 def cmd_train_manifold(args) -> int:
     calibrations = _load_calibrations(args.calib)
     cycles = dataio.read_cycles(args.pos_train)
-    x_pos, _, yev = _normalized_arrays(cycles, args.norm, args.scale, calibrations)
+    x_pos, _, yev = to_arrays(normalize_dataset(cycles, args.norm, args.scale,
+                                                calibrations))
+    manifold.require_positives(yev)
     x_val = None
     if args.val:
         val_cycles = [c for c in dataio.read_cycles(args.val)
                       if c.label is QualityLabel.NORMAL]
         if val_cycles:
-            x_val, _, _ = _normalized_arrays(val_cycles, args.norm, args.scale,
-                                             calibrations)
+            x_val, _, _ = to_arrays(normalize_dataset(val_cycles, args.norm,
+                                                      args.scale, calibrations))
     if args.kind == "pca":
         model = manifold.pca_fit(x_pos)
         model.training_meta = {"n_train": int(x_pos.shape[0])}
@@ -231,8 +166,8 @@ def cmd_threshold(args) -> int:
         raise ValidationError("threshold selection applies to manifold models only")
     calibrations = _load_calibrations(args.calib)
     cycles = dataio.read_cycles(args.scored)
-    x, _, yev = _normalized_arrays(cycles, prep["norm_scheme"], prep["scale_mode"],
-                                  calibrations)
+    x, _, yev = to_arrays(normalize_dataset(cycles, prep["norm_scheme"],
+                                            prep["scale_mode"], calibrations))
     r = manifold.residuals(model, x)
     d, j = manifold.select_threshold(r, yev)
     model.threshold_d = d
@@ -242,40 +177,27 @@ def cmd_threshold(args) -> int:
     return 0
 
 
-def _model_scores(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(score, verdict) per cycle; higher score means more likely normal."""
-    if isinstance(model, discriminative.DiscriminativeModel):
-        p = discriminative.forward(model, x)
-        return p, (p >= 0.5).astype(int)
-    r = manifold.residuals(model, x)
-    if model.threshold_d is None:
-        raise ValidationError("manifold model has no threshold; run `threshold` first")
-    return -r, (r <= model.threshold_d).astype(int)
-
-
 def cmd_evaluate(args) -> int:
     model, prep = model_io.load_model(args.model)
     calibrations = _load_calibrations(args.calib)
     cycles = dataio.read_cycles(args.test)
-    x, _, yev = _normalized_arrays(cycles, prep["norm_scheme"], prep["scale_mode"],
-                                  calibrations)
-    scores, preds = _model_scores(model, x)
-    _, auc = roc_auc(scores, yev)
-    m = metrics(confusion(preds, yev))
+    x, _, yev = to_arrays(normalize_dataset(cycles, prep["norm_scheme"],
+                                            prep["scale_mode"], calibrations))
+    report = evaluate_scores(*score(model, x), yev)
 
     name = getattr(model, "architecture", getattr(model, "kind", "model"))
     cols = ("accuracy", "ppv", "npv", "sensitivity", "specificity", "auc")
-    values = {**m.values, "auc": auc}
+    values = {c: report[c] for c in cols}
     print(f"{'model':<10}" + "".join(f"{c:>13}" for c in cols))
     row = "".join(f"{values[c]:>13.4f}" if values[c] is not None else f"{'n/a':>13}"
                   for c in cols)
     print(f"{name:<10}" + row)
-    if m.undefined:
-        print(f"undefined metrics (zero denominator): {', '.join(m.undefined)}")
+    if report["undefined"]:
+        print(f"undefined metrics (zero denominator): {', '.join(report['undefined'])}")
 
     if args.out:
         record = {"model": name, "n_test": len(cycles), "metrics": values,
-                  "undefined": m.undefined, "preprocessing": prep}
+                  "undefined": report["undefined"], "preprocessing": prep}
         dataio.atomic_write(args.out, [json.dumps(record, indent=1)])
     return 0
 
@@ -288,30 +210,24 @@ def cmd_assess(args) -> int:
     scale_mode = prep.get("scale_mode", "subject")
 
     t_ms, x, r_peaks, label_codes = dataio.read_stream(args.stream)
+    calibrations = None
     if scale_mode == "subject":
         if t_ms.size < CALIBRATION_SAMPLES:
             raise MissingCalibration(
                 f"stream holds {t_ms.size * SAMPLE_MS / 1000:.1f} s; subject "
-                f"scaling needs the first {CALIBRATION_SAMPLES * SAMPLE_MS / 1000:.0f} s")
-        cal = CalibrationWindow(subject_id="stream",
-                                samples=x[:CALIBRATION_SAMPLES])
-        scale = subject_scale_factor(cal)
+                f"scaling needs the first {CALIBRATION_MS / 1000:.0f} s")
+        calibrations = {"stream": CalibrationWindow(subject_id="stream",
+                                                    samples=x[:CALIBRATION_SAMPLES])}
 
     cycles = segment_cycles(list(zip(t_ms.tolist(), x.tolist())), r_peaks,
                             subject_id="stream",
                             labels=label_codes if len(label_codes) == len(r_peaks) - 1
                             else None)
     lines = []
-    for c in cycles:   # strictly in stream order
-        if scale_mode == "naive":
-            s = naive_scale_factor(c)
-        elif scale_mode == "none":
-            s = None
-        else:
-            s = scale
-        vec = normalize_cycle(c, scheme, s).values
-        score, verdict = _model_scores(model, vec[None, :])
-        lines.append(f"{c.t_start_ms},{int(verdict[0])},{repr(float(score[0]))}")
+    normalized = normalize_dataset(cycles, scheme, scale_mode, calibrations)
+    for c, n in zip(cycles, normalized):   # strictly in stream order
+        scores, verdicts = score(model, n.values[None, :])
+        lines.append(f"{c.t_start_ms},{int(verdicts[0])},{repr(float(scores[0]))}")
     if args.out:
         dataio.atomic_write(args.out, lines)
     else:
@@ -332,14 +248,14 @@ def bench_models(named_models, cycles, repeats: int = 1) -> list[dict]:
     for name, model in named_models:
         # warm start: one full pass outside timing
         for c, s, scheme in cycles[:10]:
-            _model_scores(model, normalize_cycle(c, scheme, s).values[None, :])
+            score(model, normalize_cycle(c, scheme, s).values[None, :])
         times = np.empty(len(cycles) * repeats)
         i = 0
         for _ in range(repeats):
             for c, s, scheme in cycles:
                 t0 = time.perf_counter()
                 vec = normalize_cycle(c, scheme, s).values
-                _model_scores(model, vec[None, :])
+                score(model, vec[None, :])
                 times[i] = time.perf_counter() - t0
                 i += 1
         us = times * 1e6
@@ -381,7 +297,7 @@ def cmd_bench(args) -> int:
     else:
         for arch in discriminative.ARCHITECTURES:
             named.append((arch, discriminative.build(arch, seed=args.seed)))
-        for kind in ("vae", "bvae", "cvae", "bcvae"):
+        for kind in manifold.VAE_KINDS:
             m = manifold.build_vae(kind, seed=args.seed)
             m.threshold_d = 1.0
             named.append((kind, m))
@@ -401,15 +317,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvsqi",
         description="Per-cardiac-cycle signal quality indexing for EIT volume signals")
-    subparsers = []
-    _sub = parser.add_subparsers(dest="command", required=True)
-
-    class _Sub:
-        def add_parser(self, *a, **kw):
-            p = _sub.add_parser(*a, **kw)
-            subparsers.append(p)
-            return p
-    sub = _Sub()
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic cycle dataset")
     p.add_argument("--scenario", help="JSON scenario file for one subject")
@@ -423,14 +331,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                    help="write the 208-channel stream form")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("preprocess", help="scale- and size-normalize a cycle dataset")
-    p.add_argument("--cycles", required=True)
-    p.add_argument("--norm", choices=("interp", "pad"), default="interp")
-    p.add_argument("--scale", choices=("naive", "subject", "none"), default="subject")
-    p.add_argument("--calib")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_preprocess)
-
     p = sub.add_parser("split", help="subject-disjoint 80/10/10 split")
     p.add_argument("--cycles", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -441,8 +341,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a discriminative classifier")
     p.add_argument("--arch", choices=discriminative.ARCHITECTURES, default="vgg3")
-    p.add_argument("--norm", choices=("interp", "pad"), default="interp")
-    p.add_argument("--scale", choices=("naive", "subject", "none"), default="subject")
+    p.add_argument("--norm", choices=SCHEMES, default="interp")
+    p.add_argument("--scale", choices=SCALE_MODES, default="subject")
     p.add_argument("--calib")
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
@@ -455,8 +355,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("train-manifold", help="train a manifold model on positives")
     p.add_argument("--kind", choices=manifold.MANIFOLD_KINDS, default="bcvae")
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--norm", choices=("interp", "pad"), default="interp")
-    p.add_argument("--scale", choices=("naive", "subject", "none"), default="subject")
+    p.add_argument("--norm", choices=SCHEMES, default="interp")
+    p.add_argument("--scale", choices=SCALE_MODES, default="subject")
     p.add_argument("--calib")
     p.add_argument("--pos-train", required=True)
     p.add_argument("--val")
@@ -483,7 +383,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("assess", help="per-cycle verdict stream for a CVS recording")
     p.add_argument("--model", required=True)
     p.add_argument("--stream", required=True)
-    p.add_argument("--norm", choices=("interp", "pad"), default=None,
+    p.add_argument("--norm", choices=SCHEMES, default=None,
                    help="must match the scheme recorded in the model file")
     p.add_argument("--out")
     p.set_defaults(func=cmd_assess)
@@ -496,7 +396,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     if defaults:
-        for p in subparsers:
+        for p in sub.choices.values():
             known = {k: v for k, v in defaults.items()
                      if any(a.dest == k for a in p._actions)}
             p.set_defaults(**known)
@@ -508,15 +408,9 @@ def main(argv=None) -> int:
         parser = build_parser(_load_config())
         args = parser.parse_args(argv)
         return args.func(args)
-    except (FileNotFoundError, PermissionError) as exc:
+    except (FileNotFoundError, PermissionError, IoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CvsqiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

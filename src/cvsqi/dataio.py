@@ -1,4 +1,4 @@
-"""Line-oriented file formats: streams, cycle datasets, normalized datasets, calibration.
+"""Line-oriented file formats: streams, cycle datasets, calibration.
 
 All files are comma-separated UTF-8 with LF line endings.  Writes go through a
 temp-file-then-rename so readers never observe partial files.
@@ -6,7 +6,6 @@ temp-file-then-rename so readers never observe partial files.
   stream:      t_ms, x_t, r_peak_flag, label_code        (label on the cycle's
                first sample, -1 elsewhere; optional 208-channel variant)
   cycles:      subject_id, t_start_ms, label_code, v, x_0, ..., x_{v-1}
-  normalized:  subject_id, t_start_ms, label_code, 150 values, scheme
   calibration: subject_id, 2000 values
 """
 from __future__ import annotations
@@ -18,8 +17,7 @@ import numpy as np
 
 from .errors import IoError, ValidationError
 from .labels import QualityLabel
-from .preprocess import (CALIBRATION_SAMPLES, TARGET_LEN, CalibrationWindow,
-                         CvsCycle, NormalizedCycle)
+from .preprocess import CALIBRATION_SAMPLES, CalibrationWindow, CvsCycle
 
 
 def _fmt(x: float) -> str:
@@ -109,32 +107,6 @@ def read_cycles(path: str) -> list[CvsCycle]:
             out.append(CvsCycle(subject_id=sid, t_start_ms=t_start,
                                 samples=np.asarray(values),
                                 label=QualityLabel.from_code(code)))
-    return out
-
-
-# --- normalized datasets ---
-
-def write_normalized(cycles, path: str) -> None:
-    def lines():
-        for c in cycles:
-            xs = ",".join(_fmt(v) for v in c.values)
-            yield f"{c.subject_id},{c.t_start_ms},{c.label.code},{xs},{c.scheme}"
-    atomic_write(path, lines())
-
-
-def read_normalized(path: str) -> list[NormalizedCycle]:
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 3 + TARGET_LEN + 1:
-                raise ValidationError(f"{path}:{ln}: malformed normalized record")
-            sid, t_start, code = parts[0], int(parts[1]), int(parts[2])
-            values = [float(p) for p in parts[3:3 + TARGET_LEN]]
-            scheme = parts[-1]
-            out.append(NormalizedCycle(values=np.asarray(values), subject_id=sid,
-                                       t_start_ms=t_start, scheme=scheme,
-                                       label=QualityLabel.from_code(code)))
     return out
 
 

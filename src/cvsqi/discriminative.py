@@ -19,8 +19,8 @@ from .errors import (EmptySplit, NotConvolutional, ShapeMismatch,
 from .evaluation import roc_auc
 from .nn import (ParamSet, adam_step, forward_layers, init_params,
                  receptive_field, shape_trace)
+from .preprocess import TARGET_LEN
 
-INPUT_LEN = 150
 CLIP_EPS = 1e-12
 
 ARCHITECTURES = ("lr", "mlp1", "mlp2", "vgg3", "vgg4", "vgg5")
@@ -40,7 +40,7 @@ def _mlp_descriptor(dims: list[int]) -> list[dict]:
 def _vgg_descriptor(n_blocks: int) -> list[dict]:
     layers: list[dict] = []
     cin = 1
-    length = INPUT_LEN
+    length = TARGET_LEN
     for b in range(min(n_blocks, 4)):
         cout = _VGG_BLOCK_CHANNELS[b]
         layers.append({"type": "conv", "k": 3, "cin": cin, "cout": cout, "act": "relu"})
@@ -62,7 +62,7 @@ def _vgg_descriptor(n_blocks: int) -> list[dict]:
 
 def architecture_descriptor(name: str) -> list[dict]:
     if name == "lr":
-        return [{"type": "dense", "in": INPUT_LEN, "out": 1, "act": "sigmoid"}]
+        return [{"type": "dense", "in": TARGET_LEN, "out": 1, "act": "sigmoid"}]
     if name == "mlp1":
         return _mlp_descriptor([150, 150, 300, 300, 150, 150, 150, 1])
     if name == "mlp2":
@@ -93,11 +93,11 @@ def build(architecture: str, seed: int) -> DiscriminativeModel:
 
 def _forward_var(model: DiscriminativeModel, x: np.ndarray,
                  params: dict[str, Var]) -> Var:
-    if x.ndim != 2 or x.shape[1] != INPUT_LEN:
-        raise ShapeMismatch(f"expected (N, {INPUT_LEN}) input, got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != TARGET_LEN:
+        raise ShapeMismatch(f"expected (N, {TARGET_LEN}) input, got {x.shape}")
     xv = Var(x)
     if model.is_convolutional:
-        xv = ad.reshape(xv, (x.shape[0], INPUT_LEN, 1))
+        xv = ad.reshape(xv, (x.shape[0], TARGET_LEN, 1))
     out = forward_layers(model.descriptor, params, xv)
     return ad.reshape(out, (x.shape[0],))
 
@@ -160,7 +160,7 @@ def compute_receptive_field(architecture: str) -> int:
 
 def architecture_shape_trace(architecture: str) -> list[tuple]:
     desc = architecture_descriptor(architecture)
-    start = (INPUT_LEN, 1) if any(l["type"] == "conv" for l in desc) else (INPUT_LEN,)
+    start = (TARGET_LEN, 1) if any(l["type"] == "conv" for l in desc) else (TARGET_LEN,)
     return shape_trace(desc, start)
 
 

@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discriminative, manifold
+from .errors import ThresholdUnset
 from .evaluation import confusion, metrics, roc_auc, split_by_subject
-from .forward import SAMPLE_MS, MotionEvent, SynthScenario, synthesize_stream
+from .forward import MotionEvent, SynthScenario, synthesize_stream
 from .labels import QualityLabel
-from .preprocess import (CALIBRATION_SAMPLES, CalibrationWindow, CvsCycle,
-                         normalize_dataset, segment_cycles)
-
-CALIBRATION_MS = CALIBRATION_SAMPLES * SAMPLE_MS
+from .preprocess import (CALIBRATION_MS, CALIBRATION_SAMPLES, CalibrationWindow,
+                         CvsCycle, normalize_dataset, segment_cycles, to_arrays)
 
 
 def _subject_seed(seed: int, index: int) -> int:
@@ -107,13 +106,6 @@ def generate_dataset(seed: int, n_subjects: int = 20,
     return SyntheticDataset(cycles=cycles, calibrations=calibrations, streams=streams)
 
 
-def _arrays(normalized):
-    x = np.stack([c.values for c in normalized])
-    y_train = np.asarray([c.label.train_value for c in normalized])
-    y_eval = np.asarray([c.label.eval_value for c in normalized])
-    return x, y_train, y_eval
-
-
 def prepare_splits(dataset: SyntheticDataset, scheme: str, scale_mode: str,
                    seed: int):
     """Subject-disjoint 80/10/10 split, each normalized under one configuration."""
@@ -122,8 +114,23 @@ def prepare_splits(dataset: SyntheticDataset, scheme: str, scale_mode: str,
     for part in (train, val, test):
         normalized = normalize_dataset(part, scheme=scheme, scale_mode=scale_mode,
                                        calibrations=dataset.calibrations)
-        out.append(_arrays(normalized))
+        out.append(to_arrays(normalized))
     return out
+
+
+def score(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(score, verdict) per cycle; higher score means more likely normal.
+
+    A discriminative model accepts at probability >= 0.5, a manifold model
+    at residual <= its selected threshold.
+    """
+    if isinstance(model, discriminative.DiscriminativeModel):
+        p = discriminative.forward(model, x)
+        return p, (p >= 0.5).astype(int)
+    if model.threshold_d is None:
+        raise ThresholdUnset("manifold model has no threshold; run `threshold` first")
+    r = manifold.residuals(model, x)
+    return -r, (r <= model.threshold_d).astype(int)
 
 
 def evaluate_scores(scores: np.ndarray, preds: np.ndarray,
@@ -140,9 +147,7 @@ def run_discriminative(splits, arch: str = "vgg3", epochs: int = 25,
     model = discriminative.build(arch, seed=seed)
     history = discriminative.train(model, x_tr, y_tr, x_va, yev_va,
                                    epochs=epochs, lr=lr, seed=seed)
-    scores = discriminative.forward(model, x_te)
-    preds = (scores >= 0.5).astype(int)
-    report = evaluate_scores(scores, preds, yev_te)
+    report = evaluate_scores(*score(model, x_te), yev_te)
     report["history"] = history
     return model, report
 
@@ -169,9 +174,7 @@ def run_manifold(splits, kind: str = "bcvae", beta: float | None = None,
     d, j = manifold.select_threshold(r_pool, pool_y)
     model.threshold_d = d
 
-    r_test = manifold.residuals(model, x_te)
-    preds = (r_test <= d).astype(int)
-    report = evaluate_scores(-r_test, preds, yev_te)
+    report = evaluate_scores(*score(model, x_te), yev_te)
     report.update({"threshold": d, "youden_j_trainval": j, "history": history})
     return model, report
 

@@ -16,11 +16,12 @@ from .errors import (ContainsNegativeSamples, EmptySplit, InsufficientSamples,
                      NonPositiveSigma, NotFitted, ShapeMismatch,
                      SingleClassDataset, ThresholdUnset)
 from .nn import ParamSet, adam_step, forward_layers, init_params
+from .preprocess import TARGET_LEN
 
-INPUT_LEN = 150
 LATENT_DIM = 10
 
-MANIFOLD_KINDS = ("pca", "vae", "bvae", "cvae", "bcvae")
+VAE_KINDS = ("vae", "bvae", "cvae", "bcvae")
+MANIFOLD_KINDS = ("pca",) + VAE_KINDS
 DEFAULT_BETA = {"vae": 1.0, "bvae": 0.5, "cvae": 1.0, "bcvae": 0.5}
 
 
@@ -138,7 +139,7 @@ def build_vae(kind: str, seed: int, beta: float | None = None) -> VaeModel:
 def _encode(model: VaeModel, x: np.ndarray, params: dict[str, Var]) -> tuple[Var, Var]:
     xv = Var(x)
     if model.is_convolutional:
-        xv = ad.reshape(xv, (x.shape[0], INPUT_LEN, 1))
+        xv = ad.reshape(xv, (x.shape[0], TARGET_LEN, 1))
     h = forward_layers(model.enc, params, xv, prefix="enc.")
     return ad.slice_cols(h, 0, LATENT_DIM), ad.slice_cols(h, LATENT_DIM, 2 * LATENT_DIM)
 
@@ -153,8 +154,8 @@ def vae_forward(model: VaeModel, x: np.ndarray, noise: np.ndarray | None = None)
     The sigma head is parameterized as exp(log sigma) so sigma stays positive.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != INPUT_LEN:
-        raise ShapeMismatch(f"expected (N, {INPUT_LEN}), got {x.shape}")
+    if x.shape[1] != TARGET_LEN:
+        raise ShapeMismatch(f"expected (N, {TARGET_LEN}), got {x.shape}")
     params = model.params.as_vars()
     mu, log_sigma = _encode(model, x, params)
     sigma = np.exp(log_sigma.value)
@@ -191,6 +192,14 @@ def _vae_loss(model: VaeModel, x: np.ndarray, params: dict[str, Var],
     return ad.scale(ad.add(sq, ad.scale(kl, model.beta)), 1.0 / n)
 
 
+def require_positives(eval_labels: np.ndarray) -> None:
+    """Manifold models learn from normal cycles only; anything else is an error."""
+    n_neg = int(np.sum(np.asarray(eval_labels) != 1))
+    if n_neg:
+        raise ContainsNegativeSamples(
+            f"{n_neg} non-positive samples in manifold training set")
+
+
 def vae_train(model: VaeModel, x_pos: np.ndarray, eval_labels: np.ndarray,
               epochs: int, lr: float, seed: int = 0, batch_size: int = 64,
               x_val_pos: np.ndarray | None = None) -> dict:
@@ -206,9 +215,7 @@ def vae_train(model: VaeModel, x_pos: np.ndarray, eval_labels: np.ndarray,
         raise EmptySplit("no positive training samples")
     if labels.shape[0] != x_pos.shape[0]:
         raise ShapeMismatch("labels must align with training samples")
-    if np.any(labels != 1):
-        raise ContainsNegativeSamples(
-            f"{int(np.sum(labels != 1))} non-positive samples in manifold training set")
+    require_positives(labels)
 
     rng = np.random.default_rng(seed)
     n = x_pos.shape[0]

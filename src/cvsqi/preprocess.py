@@ -15,11 +15,12 @@ import numpy as np
 
 from .errors import (AllZeroCycle, AllZeroWindow, CycleLongerThanTarget,
                      NonPositiveScale, PeakOffGrid, TooShortCycle, ValidationError)
+from .forward import SAMPLE_MS
 from .labels import QualityLabel
 
-SAMPLE_MS = 10
-TARGET_LEN = 150          # embedding dimension, larger than any legal cycle
+TARGET_LEN = 150          # embedding dimension; "pad" rejects longer cycles (RR > 1490 ms)
 CALIBRATION_SAMPLES = 2000  # 20 s at 100 Hz
+CALIBRATION_MS = CALIBRATION_SAMPLES * SAMPLE_MS
 HEADROOM = 10.0           # sanity bound on normalized values
 
 SCHEMES = ("interp", "pad")
@@ -189,11 +190,12 @@ def normalize_dataset(cycles, scheme: str, scale_mode: str,
     (ablation harness).
     """
     if scale_mode not in SCALE_MODES:
-        raise ValidationError(f"scale mode must be one of {SCALE_MODES}")
+        raise ValidationError(
+            f"unknown scale mode {scale_mode!r}, expected one of {SCALE_MODES}")
     factors: dict[str, float] = {}
     if scale_mode == "subject":
         if not calibrations:
-            raise ValidationError("subject scaling requires calibration windows")
+            raise ValidationError("subject scaling requires calibration windows (--calib)")
         factors = {sid: subject_scale_factor(cal) for sid, cal in calibrations.items()}
     out = []
     for c in cycles:
@@ -207,3 +209,13 @@ def normalize_dataset(cycles, scheme: str, scale_mode: str,
             scale = None
         out.append(normalize_cycle(c, scheme, scale))
     return out
+
+
+def to_arrays(normalized) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y_train, y_eval) from a list of normalized cycles."""
+    if not normalized:
+        raise ValidationError("empty cycle dataset")
+    x = np.stack([c.values for c in normalized])
+    y_train = np.asarray([c.label.train_value for c in normalized])
+    y_eval = np.asarray([c.label.eval_value for c in normalized], dtype=np.int64)
+    return x, y_train, y_eval

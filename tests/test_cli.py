@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cvsqi import cli, dataio, experiment, manifold, model_io
+from cvsqi import cli, dataio, experiment, manifold, model_io, preprocess
 from cvsqi.labels import QualityLabel
 from cvsqi.preprocess import (CALIBRATION_SAMPLES, normalize_cycle,
                               subject_scale_factor)
@@ -72,8 +72,8 @@ class TestExitCodes:
     def test_validation_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("s0,0,1,2,1.0\n")   # declares 2 samples, holds 1
-        assert run(["preprocess", "--cycles", bad, "--scale", "none",
-                    "--out", tmp_path / "out.csv"]) == 2
+        assert run(["split", "--cycles", bad, "--out-train", tmp_path / "a",
+                    "--out-val", tmp_path / "b", "--out-test", tmp_path / "c"]) == 2
 
 
 class TestSplitAndTrain:
@@ -104,6 +104,55 @@ class TestSplitAndTrain:
             report = json.load(f)
         assert set(report["metrics"]) == {"accuracy", "ppv", "npv",
                                           "sensitivity", "specificity", "auc"}
+
+
+class TestTrainManifold:
+    @pytest.mark.parametrize("kind", ["pca", "vae"])
+    def test_negatives_in_pos_train_exit_2(self, workspace, tmp_path, capsys, kind):
+        cycles = dataio.read_cycles(str(workspace["cycles"]))
+        n_neg = sum(c.label is not QualityLabel.NORMAL for c in cycles)
+        assert n_neg > 0
+        out = tmp_path / "m.json"
+        assert run(["train-manifold", "--kind", kind, "--epochs", 1,
+                    "--pos-train", workspace["cycles"], "--calib", workspace["calib"],
+                    "--out", out]) == 2
+        assert f"{n_neg} non-positive samples" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSharedScoring:
+    @pytest.mark.parametrize("arch", ["pca", "lr"])
+    def test_evaluate_report_matches_library_scoring(self, workspace, tmp_path, arch):
+        model_path = workspace["model"]
+        if arch == "lr":
+            model_path = tmp_path / "lr.json"
+            assert run(["train", "--arch", "lr", "--epochs", 2,
+                        "--train", workspace["cycles"], "--val", workspace["cycles"],
+                        "--calib", workspace["calib"], "--out", model_path]) == 0
+        out = tmp_path / "report.json"
+        assert run(["evaluate", "--model", model_path, "--test", workspace["cycles"],
+                    "--calib", workspace["calib"], "--out", out]) == 0
+        report = json.loads(out.read_text())
+
+        model, prep = model_io.load_model(str(model_path))
+        x, _, y_eval = preprocess.to_arrays(preprocess.normalize_dataset(
+            dataio.read_cycles(str(workspace["cycles"])), prep["norm_scheme"],
+            prep["scale_mode"], dataio.read_calibrations(str(workspace["calib"]))))
+        expected = experiment.evaluate_scores(*experiment.score(model, x), y_eval)
+        assert report["metrics"] == {k: expected[k] for k in report["metrics"]}
+        assert report["undefined"] == expected["undefined"]
+
+    def test_unknown_scale_mode_exits_2_in_evaluate_and_assess(self, workspace,
+                                                               assess_stream,
+                                                               tmp_path):
+        model, prep = model_io.load_model(str(workspace["model"]))
+        bogus = tmp_path / "bogus.json"
+        model_io.save_model(model, str(bogus), norm_scheme=prep["norm_scheme"],
+                            scale_mode="bogus")   # checksum recomputed
+        assert run(["evaluate", "--model", bogus, "--test", workspace["cycles"],
+                    "--calib", workspace["calib"]]) == 2
+        assert run(["assess", "--model", bogus,
+                    "--stream", assess_stream["path"]]) == 2
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +246,8 @@ class TestConfigEnv:
         parser = cli.build_parser(cli._load_config())
         args = parser.parse_args(["gen", "--out-cycles", "x.csv"])
         assert args.seed == 5
-        args = parser.parse_args(["preprocess", "--cycles", "c", "--out", "o"])
+        args = parser.parse_args(["train", "--train", "t", "--val", "v",
+                                  "--out", "o"])
         assert args.norm == "pad"
 
     def test_bad_config_exits_2(self, tmp_path, monkeypatch):

@@ -7,8 +7,7 @@ from cvsqi import dataio
 from cvsqi.errors import ValidationError
 from cvsqi.forward import SynthScenario, synthesize_stream
 from cvsqi.labels import QualityLabel
-from cvsqi.preprocess import (CALIBRATION_SAMPLES, CalibrationWindow, CvsCycle,
-                              NormalizedCycle)
+from cvsqi.preprocess import CALIBRATION_SAMPLES, CalibrationWindow, CvsCycle
 
 
 def make_cycles(rng, n=5):
@@ -40,28 +39,6 @@ class TestCycleFiles:
         path.write_text("s0,0,1,3,1.0,2.0\n")
         with pytest.raises(ValidationError):
             dataio.read_cycles(str(path))
-
-
-class TestNormalizedFiles:
-    def test_round_trip(self, tmp_path, seed):
-        rng = np.random.default_rng(seed)
-        cycles = [NormalizedCycle(values=rng.uniform(-1, 1, 150),
-                                  subject_id="a", t_start_ms=100 * i,
-                                  scheme="interp" if i % 2 else "pad",
-                                  label=QualityLabel.NORMAL)
-                  for i in range(4)]
-        path = str(tmp_path / "norm.csv")
-        dataio.write_normalized(cycles, path)
-        back = dataio.read_normalized(path)
-        for a, b in zip(cycles, back):
-            assert a.scheme == b.scheme
-            assert np.array_equal(a.values, b.values)
-
-    def test_malformed_record(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,0,1,0.5,interp\n")
-        with pytest.raises(ValidationError):
-            dataio.read_normalized(str(path))
 
 
 class TestCalibrationFiles:
