@@ -14,11 +14,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .errors import (EmptySplit, NotConvolutional, ShapeMismatch,
-                     SingleClassDataset)
+from .errors import EmptySplit, ShapeMismatch, SingleClassDataset
 from .evaluation import roc_auc
-from .nn import (ParamSet, adam_step, forward_layers, init_params,
-                 receptive_field, shape_trace)
+from .nn import (ParamSet, fit, forward_layers, init_params, receptive_field,
+                 shape_trace)
 from .preprocess import TARGET_LEN
 
 CLIP_EPS = 1e-12
@@ -80,10 +79,6 @@ class DiscriminativeModel:
     seed: int
     training_meta: dict = field(default_factory=dict)
 
-    @property
-    def is_convolutional(self) -> bool:
-        return any(l["type"] == "conv" for l in self.descriptor)
-
 
 def build(architecture: str, seed: int) -> DiscriminativeModel:
     desc = architecture_descriptor(architecture)
@@ -95,10 +90,7 @@ def _forward_var(model: DiscriminativeModel, x: np.ndarray,
                  params: dict[str, Var]) -> Var:
     if x.ndim != 2 or x.shape[1] != TARGET_LEN:
         raise ShapeMismatch(f"expected (N, {TARGET_LEN}) input, got {x.shape}")
-    xv = Var(x)
-    if model.is_convolutional:
-        xv = ad.reshape(xv, (x.shape[0], TARGET_LEN, 1))
-    out = forward_layers(model.descriptor, params, xv)
+    out = forward_layers(model.descriptor, params, Var(x))
     return ad.reshape(out, (x.shape[0],))
 
 
@@ -152,10 +144,7 @@ def compute_class_weights(train_values: np.ndarray) -> ClassWeights:
 
 
 def compute_receptive_field(architecture: str) -> int:
-    desc = architecture_descriptor(architecture)
-    if not any(l["type"] == "conv" for l in desc):
-        raise NotConvolutional(f"{architecture} has no convolutional layers")
-    return receptive_field(desc)
+    return receptive_field(architecture_descriptor(architecture))
 
 
 def architecture_shape_trace(architecture: str) -> list[tuple]:
@@ -179,37 +168,20 @@ def train(model: DiscriminativeModel, x_train: np.ndarray, y_train: np.ndarray,
         raise EmptySplit("train and validation sets must be non-empty")
     if weights is None:
         weights = compute_class_weights(y_train)
-    rng = np.random.default_rng(seed)
-    n = x_train.shape[0]
-    history = {"train_loss": [], "val_auc": []}
-    best_auc, best_values = -np.inf, model.params.copy_values()
 
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            pvars = model.params.as_vars()
-            pred = _forward_var(model, x_train[idx], pvars)
-            loss = _weighted_ce_loss(pred, y_train[idx], weights)
-            ad.backward(loss)
-            grads = {k: v.grad for k, v in pvars.items() if v.grad is not None}
-            adam_step(model.params, grads, lr)
-            epoch_loss += float(loss.value) * idx.size
-        history["train_loss"].append(epoch_loss / n)
+    def batch_loss(idx, pvars, rng):
+        return _weighted_ce_loss(_forward_var(model, x_train[idx], pvars),
+                                 y_train[idx], weights)
 
-        scores = forward(model, x_val)
+    def val_loss():
         try:
-            _, auc = roc_auc(scores, y_val_eval)
+            return -roc_auc(forward(model, x_val), y_val_eval)[1]
         except SingleClassDataset:
-            auc = 0.5
-        history["val_auc"].append(auc)
-        if auc > best_auc:
-            best_auc = auc
-            best_values = model.params.copy_values()
+            return -0.5
 
-    model.params.load_values(best_values)
+    train_loss, neg_aucs, best = fit(model.params, x_train.shape[0], batch_loss,
+                                     epochs, lr, seed, batch_size, val_loss)
     model.training_meta = {"epochs": epochs, "lr": lr, "batch_size": batch_size,
-                           "seed": seed, "best_val_auc": best_auc,
+                           "seed": seed, "best_val_auc": -best,
                            "zeta_pos": weights.zeta_pos, "zeta_neg": weights.zeta_neg}
-    return history
+    return {"train_loss": train_loss, "val_auc": [-v for v in neg_aucs]}

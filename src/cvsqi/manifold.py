@@ -15,7 +15,7 @@ from .autodiff import Var
 from .errors import (ContainsNegativeSamples, EmptySplit, InsufficientSamples,
                      NonPositiveSigma, NotFitted, ShapeMismatch,
                      SingleClassDataset, ThresholdUnset)
-from .nn import ParamSet, adam_step, forward_layers, init_params
+from .nn import ParamSet, fit, forward_layers, init_params
 from .preprocess import TARGET_LEN
 
 LATENT_DIM = 10
@@ -123,10 +123,6 @@ class VaeModel:
     training_meta: dict = field(default_factory=dict)
     train_audit: dict = field(default_factory=dict)
 
-    @property
-    def is_convolutional(self) -> bool:
-        return self.kind in ("cvae", "bcvae")
-
 
 def build_vae(kind: str, seed: int, beta: float | None = None) -> VaeModel:
     enc, dec = vae_descriptors(kind)
@@ -137,10 +133,7 @@ def build_vae(kind: str, seed: int, beta: float | None = None) -> VaeModel:
 
 
 def _encode(model: VaeModel, x: np.ndarray, params: dict[str, Var]) -> tuple[Var, Var]:
-    xv = Var(x)
-    if model.is_convolutional:
-        xv = ad.reshape(xv, (x.shape[0], TARGET_LEN, 1))
-    h = forward_layers(model.enc, params, xv, prefix="enc.")
+    h = forward_layers(model.enc, params, Var(x), prefix="enc.")
     return ad.slice_cols(h, 0, LATENT_DIM), ad.slice_cols(h, LATENT_DIM, 2 * LATENT_DIM)
 
 
@@ -217,44 +210,26 @@ def vae_train(model: VaeModel, x_pos: np.ndarray, eval_labels: np.ndarray,
         raise ShapeMismatch("labels must align with training samples")
     require_positives(labels)
 
-    rng = np.random.default_rng(seed)
-    n = x_pos.shape[0]
-    history = {"train_loss": [], "val_recon": []}
     audit = {"negatives_in_updates": 0, "updates": 0, "samples_seen": 0}
-    best_val, best_values = np.inf, model.params.copy_values()
 
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            batch = x_pos[idx]
-            noise = rng.standard_normal((idx.size, LATENT_DIM))
-            pvars = model.params.as_vars()
-            loss = _vae_loss(model, batch, pvars, noise)
-            ad.backward(loss)
-            grads = {k: v.grad for k, v in pvars.items() if v.grad is not None}
-            adam_step(model.params, grads, lr)
-            epoch_loss += float(loss.value) * idx.size
-            audit["updates"] += 1
-            audit["samples_seen"] += int(idx.size)
-            audit["negatives_in_updates"] += int(np.sum(labels[idx] != 1))
-        history["train_loss"].append(epoch_loss / n)
+    def batch_loss(idx, pvars, rng):
+        noise = rng.standard_normal((idx.size, LATENT_DIM))
+        audit["updates"] += 1
+        audit["samples_seen"] += int(idx.size)
+        audit["negatives_in_updates"] += int(np.sum(labels[idx] != 1))
+        return _vae_loss(model, x_pos[idx], pvars, noise)
 
-        if x_val_pos is not None and len(x_val_pos):
-            recon, _, _, _ = vae_forward(model, x_val_pos)
-            val = float(np.mean(np.sum((recon - x_val_pos) ** 2, axis=1)))
-            history["val_recon"].append(val)
-            if val < best_val:
-                best_val = val
-                best_values = model.params.copy_values()
+    def val_loss():
+        recon, _, _, _ = vae_forward(model, x_val_pos)
+        return float(np.mean(np.sum((recon - x_val_pos) ** 2, axis=1)))
 
-    if x_val_pos is not None and len(x_val_pos):
-        model.params.load_values(best_values)
+    train_loss, val_recon, _ = fit(
+        model.params, x_pos.shape[0], batch_loss, epochs, lr, seed, batch_size,
+        val_loss if x_val_pos is not None and len(x_val_pos) else None)
     model.train_audit = audit
     model.training_meta = {"epochs": epochs, "lr": lr, "batch_size": batch_size,
                            "seed": seed, "beta": model.beta}
-    return history
+    return {"train_loss": train_loss, "val_recon": val_recon}
 
 
 # --- scoring ---

@@ -1,12 +1,15 @@
-"""Parameter containers, seeded initialization, Adam, and descriptor-driven forward.
+"""Parameter containers, seeded initialization, Adam, the training loop, and
+descriptor-driven forward.
 
 Architectures are plain JSON-able descriptors: a list of layer dicts consumed
 both by the initializer (which allocates glorot-uniform weights and zero
-biases) and by forward_layers (which builds the autodiff graph).
+biases) and by forward_layers (which builds the autodiff graph).  fit is the
+one minibatch Adam loop; every model family trains through it.
 """
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -56,6 +59,44 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float,
         params.values[name] = params.values[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def fit(params: ParamSet, n: int,
+        batch_loss: Callable[[np.ndarray, dict[str, Var], np.random.Generator], Var],
+        epochs: int, lr: float, seed: int, batch_size: int,
+        val_loss: Callable[[], float] | None = None
+        ) -> tuple[list[float], list[float], float]:
+    """Minibatch Adam over n samples; returns (train losses, val losses, best val).
+
+    Each epoch draws a permutation from the seeded rng and steps once per
+    batch of indices; batch_loss(idx, pvars, rng) builds the batch's mean loss
+    and may draw further numbers from the same rng.  With val_loss, the
+    parameters of the epoch with the lowest validation loss are restored;
+    without it the last epoch's are kept.
+    """
+    rng = np.random.default_rng(seed)
+    train_losses, val_losses = [], []
+    best_val, best_values = np.inf, params.copy_values()
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            pvars = params.as_vars()
+            loss = batch_loss(idx, pvars, rng)
+            ad.backward(loss)
+            adam_step(params, {k: v.grad for k, v in pvars.items()
+                               if v.grad is not None}, lr)
+            epoch_loss += float(loss.value) * idx.size
+        train_losses.append(epoch_loss / n)
+        if val_loss is not None:
+            val = val_loss()
+            val_losses.append(val)
+            if val < best_val:
+                best_val, best_values = val, params.copy_values()
+    if val_loss is not None:
+        params.load_values(best_values)
+    return train_losses, val_losses, best_val
+
+
 def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
     bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
@@ -89,6 +130,8 @@ def forward_layers(layers: list[dict], params: dict[str, Var], x: Var,
         if kind == "dense":
             h = ad.dense(h, params[f"{name}.W"], params[f"{name}.b"])
         elif kind == "conv":
+            if h.value.ndim == 2:   # an (N, L) signal is one channel
+                h = ad.reshape(h, (*h.value.shape, 1))
             h = ad.conv1d(h, params[f"{name}.W"], params[f"{name}.b"],
                           stride=layer.get("stride", 1))
         elif kind == "deconv":

@@ -59,6 +59,11 @@ class CalibrationWindow:
             raise ValidationError(
                 f"calibration window must hold {CALIBRATION_SAMPLES} samples, "
                 f"got {self.samples.shape}")
+        bad = np.flatnonzero(~np.isfinite(self.samples))
+        if bad.size:
+            raise ValidationError(
+                f"calibration window of subject {self.subject_id!r} holds a "
+                f"non-finite sample ({self.samples[bad[0]]}) at index {bad[0]}")
 
 
 @dataclass

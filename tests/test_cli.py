@@ -192,6 +192,18 @@ class TestAssess:
         assert run(["assess", "--model", workspace["model"],
                     "--stream", path]) == 2
 
+    def test_nan_in_calibration_seconds_exits_2(self, workspace, assess_stream,
+                                                tmp_path, capsys):
+        lines = assess_stream["path"].read_text().split("\n")
+        fields = lines[50].split(",")
+        fields[1] = "nan"
+        lines[50] = ",".join(fields)
+        path = tmp_path / "nan.csv"
+        path.write_text("\n".join(lines))
+        assert run(["assess", "--model", workspace["model"], "--stream", path]) == 2
+        assert ("subject 'stream' holds a non-finite sample (nan) at index 50"
+                in capsys.readouterr().err)
+
     def test_scheme_mismatch_rejected(self, workspace, assess_stream):
         assert run(["assess", "--model", workspace["model"],
                     "--stream", assess_stream["path"], "--norm", "pad"]) == 2

@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from cvsqi import autodiff as ad
+from cvsqi import discriminative, manifold
+from cvsqi.autodiff import Var
 from cvsqi.errors import NotConvolutional, ShapeMismatch
-from cvsqi.nn import (ParamSet, adam_step, init_params, receptive_field,
+from cvsqi.evaluation import roc_auc
+from cvsqi.nn import (ParamSet, adam_step, fit, init_params, receptive_field,
                       shape_trace)
 
 SIMPLE_LAYERS = [
@@ -168,3 +174,81 @@ class TestParamSet:
         ps = ParamSet({"w": np.zeros(3)})
         with pytest.raises(ShapeMismatch):
             ps.load_values({"w": np.zeros(4)})
+
+
+class TestFit:
+    """The one minibatch Adam loop: step count, sample order and keep-best."""
+
+    TARGETS = np.arange(30.0).reshape(10, 3)
+
+    def batch_loss(self, idx, pvars, rng):
+        # pulls w toward the mean target of the batch; different batches differ
+        return ad.sum_(ad.square(ad.sub(pvars["w"],
+                                         Var(self.TARGETS[idx].mean(axis=0)))))
+
+    def recording_run(self, val_seq):
+        params = ParamSet({"w": np.zeros(3)})
+        snapshots = []
+
+        def val_loss():
+            snapshots.append(params.copy_values())
+            return val_seq[len(snapshots) - 1]
+
+        out = fit(params, 10, self.batch_loss, len(val_seq), 0.1, 0, 4, val_loss)
+        return params, snapshots, out
+
+    def test_restores_epoch_with_lowest_val_loss(self):
+        # ties keep the earlier epoch
+        params, snapshots, (train, val, best) = self.recording_run([3.0, 1.0, 1.0, 5.0])
+        assert val == [3.0, 1.0, 1.0, 5.0] and best == 1.0 and len(train) == 4
+        assert not np.array_equal(snapshots[1]["w"], snapshots[3]["w"])
+        assert np.array_equal(params.values["w"], snapshots[1]["w"])
+
+    def test_without_val_loss_keeps_last_epoch(self):
+        _, snapshots, _ = self.recording_run([4.0, 3.0, 2.0, 1.5])
+        params = ParamSet({"w": np.zeros(3)})
+        train, val, best = fit(params, 10, self.batch_loss, 4, 0.1, 0, 4)
+        assert val == [] and best == np.inf and len(train) == 4
+        assert np.array_equal(params.values["w"], snapshots[-1]["w"])
+
+    @pytest.mark.parametrize("n,batch_size,epochs", [(10, 4, 3), (8, 4, 2), (5, 64, 2)])
+    def test_one_adam_step_per_batch(self, n, batch_size, epochs):
+        params = ParamSet({"w": np.zeros(3)})
+        batches = []
+
+        def batch_loss(idx, pvars, rng):
+            batches.append(idx.copy())
+            return self.batch_loss(idx % 10, pvars, rng)
+
+        fit(params, n, batch_loss, epochs, 0.1, 0, batch_size)
+        per_epoch = math.ceil(n / batch_size)
+        assert params.t == len(batches) == per_epoch * epochs
+        for e in range(epochs):   # every epoch visits each sample once
+            seen = np.concatenate(batches[e * per_epoch:(e + 1) * per_epoch])
+            assert sorted(seen.tolist()) == list(range(n))
+
+    def test_discriminative_meta_reports_best_val_auc(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(60, 150))
+        y = (x[:, :10].sum(axis=1) > 0).astype(float)
+        model = discriminative.build("lr", seed=seed)
+        history = discriminative.train(model, x[:40], y[:40], x[40:],
+                                       y[40:].astype(int), epochs=5, lr=3e-2,
+                                       batch_size=16, seed=seed)
+        assert len(history["val_auc"]) == 5
+        assert model.training_meta["best_val_auc"] == max(history["val_auc"])
+        _, auc = roc_auc(discriminative.forward(model, x[40:]), y[40:].astype(int))
+        assert auc == max(history["val_auc"])
+
+    def test_vae_restores_best_val_recon(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(48, 150))
+        x_val = rng.normal(size=(12, 150))
+        model = manifold.build_vae("vae", seed=seed)
+        history = manifold.vae_train(model, x, np.ones(48, dtype=int), epochs=4,
+                                     lr=1e-2, seed=seed, batch_size=16,
+                                     x_val_pos=x_val)
+        recon, _, _, _ = manifold.vae_forward(model, x_val)
+        val = float(np.mean(np.sum((recon - x_val) ** 2, axis=1)))
+        assert len(history["val_recon"]) == 4
+        assert val == min(history["val_recon"])

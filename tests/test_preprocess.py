@@ -97,6 +97,15 @@ class TestScaleFactors:
         assert np.max(np.abs(samples / s)) == pytest.approx(1.0, rel=1e-12)
 
 
+class TestCalibrationWindow:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        w = np.full(CALIBRATION_SAMPLES, 0.1)
+        w[[137, 900]] = bad
+        with pytest.raises(ValidationError, match=r"subject 'p7'.* at index 137"):
+            cal(w, sid="p7")
+
+
 class TestScaleNormalize:
     def test_unit_scale_identity(self):
         c = cyc([1.0, -2.0, 0.5])
