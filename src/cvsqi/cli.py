@@ -224,10 +224,12 @@ def cmd_assess(args) -> int:
                             labels=label_codes if len(label_codes) == len(r_peaks) - 1
                             else None)
     lines = []
-    normalized = normalize_dataset(cycles, scheme, scale_mode, calibrations)
-    for c, n in zip(cycles, normalized):   # strictly in stream order
-        scores, verdicts = score(model, n.values[None, :])
-        lines.append(f"{c.t_start_ms},{int(verdicts[0])},{repr(float(scores[0]))}")
+    if cycles:   # the whole recording as one batch, rows in stream order
+        vectors, _, _ = to_arrays(normalize_dataset(cycles, scheme, scale_mode,
+                                                    calibrations))
+        scores, verdicts = score(model, vectors)
+        lines = [f"{c.t_start_ms},{v},{s!r}" for c, v, s
+                 in zip(cycles, verdicts.tolist(), scores.tolist())]
     if args.out:
         dataio.atomic_write(args.out, lines)
     else:

@@ -4,7 +4,8 @@ All files are comma-separated UTF-8 with LF line endings.  Writes go through a
 temp-file-then-rename so readers never observe partial files.
 
   stream:      t_ms, x_t, r_peak_flag, label_code        (label on the cycle's
-               first sample, -1 elsewhere; optional 208-channel variant)
+               first sample, -1 elsewhere).  write_stream can also export a
+               208-channel variant; it is write-only, read_stream rejects it
   cycles:      subject_id, t_start_ms, label_code, v, x_0, ..., x_{v-1}
   calibration: subject_id, 2000 values
 """
@@ -62,24 +63,50 @@ def write_stream(stream, path: str, channels: bool = False) -> None:
     atomic_write(path, lines())
 
 
+_STREAM_ROW = np.dtype([("t_ms", np.int64), ("x", np.float64),
+                        ("peak", np.int64), ("code", np.int64)])
+_LABEL_CODES = (-1,) + tuple(lab.code for lab in QualityLabel)
+
+
+def _stream_row_error(path: str, lines: list[str]) -> ValidationError:
+    """The first malformed row of a stream file, named by path:line."""
+    for ln, line in enumerate(lines, 1):
+        parts = line.split(",")
+        if len(parts) != 4:
+            return ValidationError(f"{path}:{ln}: expected 4 fields, got {len(parts)}")
+        for name, text in zip(_STREAM_ROW.names, parts):
+            try:
+                value = _STREAM_ROW[name].type(text)
+            except (ValueError, OverflowError):
+                return ValidationError(f"{path}:{ln}: bad {name} field {text!r}")
+        if value not in _LABEL_CODES:
+            return ValidationError(f"{path}:{ln}: unknown label code {value}")
+    return ValidationError(f"{path}: unreadable stream file")
+
+
 def read_stream(path: str):
-    """Returns (t_ms, x, r_peaks, cycle_labels) from a scalar stream file."""
-    t_list, x_list, peaks, label_codes = [], [], [], []
+    """Returns (t_ms, x, r_peaks, cycle_labels) from a scalar stream file.
+
+    The rows are parsed in one vectorized pass; a malformed row raises a
+    ValidationError naming path:line.
+    """
     with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 4:
-                raise ValidationError(f"{path}:{ln}: expected 4 fields, got {len(parts)}")
-            t = int(parts[0])
-            t_list.append(t)
-            x_list.append(float(parts[1]))
-            if int(parts[2]) == 1:
-                peaks.append(t)
-            code = int(parts[3])
-            if code != -1:
-                label_codes.append(QualityLabel.from_code(code))
-    return (np.asarray(t_list, dtype=np.int64), np.asarray(x_list),
-            np.asarray(peaks, dtype=np.int64), label_codes)
+        lines = f.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    rows = np.empty(0, dtype=_STREAM_ROW)
+    if lines:
+        try:
+            rows = np.loadtxt(lines, dtype=_STREAM_ROW, delimiter=",",
+                              comments=None, ndmin=1)
+        except ValueError:
+            raise _stream_row_error(path, lines) from None
+    # loadtxt skips blank lines, which this format does not allow
+    if rows.size != len(lines) or not np.isin(rows["code"], _LABEL_CODES).all():
+        raise _stream_row_error(path, lines)
+    t_ms, codes = rows["t_ms"].copy(), rows["code"]
+    labels = [QualityLabel.from_code(c) for c in codes[codes != -1].tolist()]
+    return t_ms, rows["x"].copy(), t_ms[rows["peak"] == 1], labels
 
 
 # --- cycle datasets ---

@@ -86,18 +86,27 @@ def build(architecture: str, seed: int) -> DiscriminativeModel:
                                params=ParamSet(init_params(desc, seed)), seed=seed)
 
 
-def _forward_var(model: DiscriminativeModel, x: np.ndarray,
-                 params: dict[str, Var]) -> Var:
+def _require_cycles(x: np.ndarray) -> None:
     if x.ndim != 2 or x.shape[1] != TARGET_LEN:
         raise ShapeMismatch(f"expected (N, {TARGET_LEN}) input, got {x.shape}")
+
+
+def _forward_var(model: DiscriminativeModel, x: np.ndarray,
+                 params: dict[str, Var]) -> Var:
+    """The taped forward pass that training differentiates."""
+    _require_cycles(x)
     out = forward_layers(model.descriptor, params, Var(x))
     return ad.reshape(out, (x.shape[0],))
 
 
 def forward(model: DiscriminativeModel, x: np.ndarray) -> np.ndarray:
-    """Probabilities in (0, 1) for a batch of normalized cycles (N, 150)."""
+    """Probabilities in (0, 1) for a batch of normalized cycles (N, 150).
+
+    Inference runs the numpy kernels and records no tape.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return _forward_var(model, x, model.params.as_vars()).value
+    _require_cycles(x)
+    return forward_layers(model.descriptor, model.params.values, x).reshape(x.shape[0])
 
 
 @dataclass(frozen=True)

@@ -132,32 +132,19 @@ def build_vae(kind: str, seed: int, beta: float | None = None) -> VaeModel:
                     enc=enc, dec=dec, params=ParamSet(values), seed=seed)
 
 
-def _encode(model: VaeModel, x: np.ndarray, params: dict[str, Var]) -> tuple[Var, Var]:
-    h = forward_layers(model.enc, params, Var(x), prefix="enc.")
-    return ad.slice_cols(h, 0, LATENT_DIM), ad.slice_cols(h, LATENT_DIM, 2 * LATENT_DIM)
-
-
-def _decode(model: VaeModel, z: Var, params: dict[str, Var]) -> Var:
-    return forward_layers(model.dec, params, z, prefix="dec.")
-
-
-def vae_forward(model: VaeModel, x: np.ndarray, noise: np.ndarray | None = None):
-    """Reconstruction plus (mu, sigma, z).  Deterministic (z = mu) unless noise given.
+def vae_forward(model: VaeModel, x: np.ndarray):
+    """Reconstruction plus (mu, sigma, z) with z = mu, computed with no tape.
 
     The sigma head is parameterized as exp(log sigma) so sigma stays positive.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != TARGET_LEN:
         raise ShapeMismatch(f"expected (N, {TARGET_LEN}), got {x.shape}")
-    params = model.params.as_vars()
-    mu, log_sigma = _encode(model, x, params)
-    sigma = np.exp(log_sigma.value)
-    if noise is None:
-        z = mu
-    else:
-        z = ad.add(mu, ad.mul(ad.exp(log_sigma), Var(noise)))
-    recon = _decode(model, z, params)
-    return recon.value, mu.value, sigma, z.value
+    params = model.params.values
+    h = forward_layers(model.enc, params, x, prefix="enc.")
+    mu, log_sigma = h[:, :LATENT_DIM], h[:, LATENT_DIM:2 * LATENT_DIM]
+    recon = forward_layers(model.dec, params, mu, prefix="dec.")
+    return recon, mu, np.exp(log_sigma), mu
 
 
 def kl_term(mu: np.ndarray, sigma: np.ndarray) -> float:
@@ -173,9 +160,11 @@ def _vae_loss(model: VaeModel, x: np.ndarray, params: dict[str, Var],
               noise: np.ndarray) -> Var:
     """Mean over the batch of squared reconstruction norm + beta * KL."""
     n = x.shape[0]
-    mu, log_sigma = _encode(model, x, params)
+    h = forward_layers(model.enc, params, Var(x), prefix="enc.")
+    mu = ad.slice_cols(h, 0, LATENT_DIM)
+    log_sigma = ad.slice_cols(h, LATENT_DIM, 2 * LATENT_DIM)
     z = ad.add(mu, ad.mul(ad.exp(log_sigma), Var(noise)))
-    recon = _decode(model, z, params)
+    recon = forward_layers(model.dec, params, z, prefix="dec.")
     sq = ad.sum_(ad.square(ad.sub(recon, Var(x))))
     # KL with sigma^2 = exp(2 log sigma)
     kl = ad.scale(ad.sum_(ad.add(ad.sub(ad.add(ad.square(mu),

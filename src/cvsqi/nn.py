@@ -3,7 +3,8 @@ descriptor-driven forward.
 
 Architectures are plain JSON-able descriptors: a list of layer dicts consumed
 both by the initializer (which allocates glorot-uniform weights and zero
-biases) and by forward_layers (which builds the autodiff graph).  fit is the
+biases) and by forward_layers (which runs the numpy kernels on arrays for
+inference, or builds the autodiff graph on Vars for training).  fit is the
 one minibatch Adam loop; every model family trains through it.
 """
 from __future__ import annotations
@@ -14,10 +15,11 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
 from .autodiff import Var
 from .errors import NotConvolutional, ShapeMismatch
 
-ACTIVATIONS = {"relu": ad.relu, "sigmoid": ad.sigmoid, None: None}
+ACTIVATIONS = ("relu", "sigmoid")   # named alike in autodiff and kernels
 
 
 class ParamSet:
@@ -120,37 +122,43 @@ def init_params(layers: list[dict], seed: int, prefix: str = "") -> dict[str, np
     return values
 
 
-def forward_layers(layers: list[dict], params: dict[str, Var], x: Var,
-                   prefix: str = "") -> Var:
-    """Run the descriptor's layer stack on x, building the autodiff graph."""
+def forward_layers(layers: list[dict], params: dict, x: np.ndarray | Var,
+                   prefix: str = "") -> np.ndarray | Var:
+    """Run the descriptor's layer stack on x.
+
+    An ndarray x with ndarray params runs the numpy kernels and returns an
+    array (inference, no tape); a Var x with Var params builds the autodiff
+    graph and returns a Var.  Both routes compute identical values.
+    """
+    ops = ad if isinstance(x, Var) else kernels
     h = x
     for i, layer in enumerate(layers):
         kind = layer["type"]
         name = f"{prefix}layer{i}"
         if kind == "dense":
-            h = ad.dense(h, params[f"{name}.W"], params[f"{name}.b"])
+            h = ops.dense(h, params[f"{name}.W"], params[f"{name}.b"])
         elif kind == "conv":
-            if h.value.ndim == 2:   # an (N, L) signal is one channel
-                h = ad.reshape(h, (*h.value.shape, 1))
-            h = ad.conv1d(h, params[f"{name}.W"], params[f"{name}.b"],
-                          stride=layer.get("stride", 1))
+            if len(h.shape) == 2:   # an (N, L) signal is one channel
+                h = ops.reshape(h, (*h.shape, 1))
+            h = ops.conv1d(h, params[f"{name}.W"], params[f"{name}.b"],
+                           stride=layer.get("stride", 1))
         elif kind == "deconv":
-            h = ad.conv_transpose1d(h, params[f"{name}.W"], params[f"{name}.b"],
-                                    stride=layer.get("stride", 2),
-                                    out_len=layer["out_len"])
+            h = ops.conv_transpose1d(h, params[f"{name}.W"], params[f"{name}.b"],
+                                     stride=layer.get("stride", 2),
+                                     out_len=layer["out_len"])
         elif kind == "pool":
-            h = ad.maxpool1d(h)
+            h = ops.maxpool1d(h)
         elif kind == "flatten":
-            n = h.value.shape[0]
-            h = ad.reshape(h, (n, -1))
+            h = ops.reshape(h, (h.shape[0], -1))
         elif kind == "reshape":
-            n = h.value.shape[0]
-            h = ad.reshape(h, (n, layer["len"], layer["ch"]))
+            h = ops.reshape(h, (h.shape[0], layer["len"], layer["ch"]))
         else:
             raise ShapeMismatch(f"unknown layer type {kind!r}")
-        act = ACTIVATIONS[layer.get("act")]
+        act = layer.get("act")
         if act is not None:
-            h = act(h)
+            if act not in ACTIVATIONS:
+                raise ShapeMismatch(f"unknown activation {act!r}")
+            h = getattr(ops, act)(h)
     return h
 
 

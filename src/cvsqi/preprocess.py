@@ -9,6 +9,7 @@ into a fixed 150-vector by linear resampling or constant padding.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,7 @@ class NormalizedCycle:
             raise ValidationError(f"normalized cycle must have {TARGET_LEN} values")
         if self.scheme not in SCHEMES:
             raise ValidationError(f"scheme must be one of {SCHEMES}")
-        peak = float(np.max(np.abs(self.values)))
+        peak = float(np.abs(self.values).max())
         if peak > HEADROOM:
             raise ValidationError(
                 f"normalized cycle peak {peak:.3g} exceeds headroom bound {HEADROOM}")
@@ -138,51 +139,63 @@ def subject_scale_factor(cal: CalibrationWindow) -> float:
     return s
 
 
-def scale_normalize(cycle: CvsCycle, s: float) -> CvsCycle:
-    """Divide every sample by s, preserving label and timing."""
+def _check_scale(s: float) -> None:
     if not s > 0:
         raise NonPositiveScale(f"scale factor must be positive, got {s}")
+
+
+def scale_normalize(cycle: CvsCycle, s: float) -> CvsCycle:
+    """Divide every sample by s, preserving label and timing."""
+    _check_scale(s)
     return CvsCycle(subject_id=cycle.subject_id, t_start_ms=cycle.t_start_ms,
                     samples=cycle.samples / s, label=cycle.label)
 
 
-def resample_linear(cycle: CvsCycle, target_len: int = TARGET_LEN) -> NormalizedCycle:
-    """Resample to target_len points by linear interpolation over [0, 1].
+@functools.lru_cache(maxsize=256)
+def _unit_grid(n: int) -> np.ndarray:
+    """np.linspace(0, 1, n), built once per n and shared read-only."""
+    grid = np.linspace(0.0, 1.0, n)
+    grid.flags.writeable = False
+    return grid
 
-    Endpoints are preserved exactly; grid point j maps to j / (target_len - 1).
+
+def resample_linear(cycle: CvsCycle) -> NormalizedCycle:
+    """Resample to TARGET_LEN points by linear interpolation over [0, 1].
+
+    Endpoints are preserved exactly; grid point j maps to j / (TARGET_LEN - 1).
     """
-    if cycle.v < 2:
-        raise TooShortCycle("need at least 2 samples to interpolate")
-    src = np.linspace(0.0, 1.0, cycle.v)
-    dst = np.linspace(0.0, 1.0, target_len)
-    values = np.interp(dst, src, cycle.samples)
-    values[0] = cycle.samples[0]
-    values[-1] = cycle.samples[-1]
-    return NormalizedCycle(values=values, subject_id=cycle.subject_id,
-                           t_start_ms=cycle.t_start_ms, scheme="interp",
-                           label=cycle.label)
+    return normalize_cycle(cycle, "interp", None)
 
 
-def pad_constant(cycle: CvsCycle, target_len: int = TARGET_LEN) -> NormalizedCycle:
-    """Extend the cycle to target_len by repeating its last sample."""
-    if cycle.v > target_len:
-        raise CycleLongerThanTarget(
-            f"cycle of {cycle.v} samples exceeds target length {target_len}")
-    values = np.concatenate([cycle.samples,
-                             np.full(target_len - cycle.v, cycle.samples[-1])])
-    return NormalizedCycle(values=values, subject_id=cycle.subject_id,
-                           t_start_ms=cycle.t_start_ms, scheme="pad",
-                           label=cycle.label)
+def pad_constant(cycle: CvsCycle) -> NormalizedCycle:
+    """Extend the cycle to TARGET_LEN by repeating its last sample."""
+    return normalize_cycle(cycle, "pad", None)
 
 
 def normalize_cycle(cycle: CvsCycle, scheme: str, scale: float | None) -> NormalizedCycle:
-    """Scale (unless scale is None) then size-normalize one cycle."""
-    scaled = cycle if scale is None else scale_normalize(cycle, scale)
+    """Scale (unless scale is None) then size-normalize one cycle.
+
+    "interp" resamples linearly as resample_linear describes; "pad" repeats
+    the last sample up to TARGET_LEN.
+    """
+    samples = cycle.samples
+    if scale is not None:
+        _check_scale(scale)
+        samples = samples / scale
     if scheme == "interp":
-        return resample_linear(scaled)
-    if scheme == "pad":
-        return pad_constant(scaled)
-    raise ValidationError(f"unknown size-normalization scheme {scheme!r}")
+        values = np.interp(_unit_grid(TARGET_LEN), _unit_grid(samples.size), samples)
+        values[0] = samples[0]
+        values[-1] = samples[-1]
+    elif scheme == "pad":
+        if samples.size > TARGET_LEN:
+            raise CycleLongerThanTarget(
+                f"cycle of {samples.size} samples exceeds target length {TARGET_LEN}")
+        values = np.concatenate([samples, np.full(TARGET_LEN - samples.size, samples[-1])])
+    else:
+        raise ValidationError(f"unknown size-normalization scheme {scheme!r}")
+    return NormalizedCycle(values=values, subject_id=cycle.subject_id,
+                           t_start_ms=cycle.t_start_ms, scheme=scheme,
+                           label=cycle.label)
 
 
 def normalize_dataset(cycles, scheme: str, scale_mode: str,

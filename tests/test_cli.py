@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from cvsqi import cli, dataio, experiment, manifold, model_io, preprocess
+from cvsqi import (cli, dataio, discriminative, experiment, manifold,
+                   model_io, preprocess)
 from cvsqi.labels import QualityLabel
 from cvsqi.preprocess import (CALIBRATION_SAMPLES, normalize_cycle,
                               subject_scale_factor)
@@ -241,13 +242,40 @@ class TestAssess:
         h2 = [hashlib.sha256(n.values.tobytes()).hexdigest() for n in batch]
         assert h1 == h2
 
-        expected = np.array([manifold.residual(model, v) for v in vectors])
+        expected = manifold.residuals(model, np.stack(vectors))
         out = assess_stream["root"] / "parity.csv"
         run(["assess", "--model", workspace["model"],
              "--stream", assess_stream["path"], "--out", out])
         got = np.array([-float(l.split(",")[2])
                         for l in out.read_text().strip().split("\n")])
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("arch", discriminative.ARCHITECTURES + manifold.MANIFOLD_KINDS)
+    def test_file_rows_match_per_cycle_scores(self, assess_stream, tmp_path, arch):
+        # the file is scored as one batch; each cycle scored alone must agree
+        stream = assess_stream["stream"]
+        cycles = experiment.cycles_from_stream(stream, skip_calibration=False)
+        s = subject_scale_factor(experiment.calibration_from_stream(stream))
+        vectors = np.stack([normalize_cycle(c, "interp", s).values for c in cycles])
+        if arch in manifold.MANIFOLD_KINDS:
+            model = (manifold.pca_fit(vectors) if arch == "pca"
+                     else manifold.build_vae(arch, seed=0))
+            r = np.sort(manifold.residuals(model, vectors))
+            model.threshold_d = float(r[len(r) // 2 - 1: len(r) // 2 + 1].mean())
+        else:
+            model = discriminative.build(arch, seed=0)
+        path = tmp_path / "model.json"
+        model_io.save_model(model, str(path), norm_scheme="interp", scale_mode="subject")
+        out = tmp_path / "verdicts.csv"
+        assert run(["assess", "--model", path, "--stream", assess_stream["path"],
+                    "--out", out]) == 0
+        rows = np.loadtxt(out, delimiter=",", ndmin=2)
+        model = model_io.load_model(str(path))[0]
+        alone = [experiment.score(model, v[None]) for v in vectors]
+        assert np.array_equal(rows[:, 0], [c.t_start_ms for c in cycles])
+        assert np.array_equal(rows[:, 1], [int(v[0]) for _, v in alone])
+        assert np.allclose(rows[:, 2], [float(sc[0]) for sc, _ in alone],
+                           rtol=1e-12, atol=0)
 
 
 class TestConfigEnv:

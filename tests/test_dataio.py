@@ -84,10 +84,13 @@ class TestStreamFiles:
             first = f.readline().rstrip("\n").split(",")
         assert len(first) == 1 + 208 + 2
 
-    def test_malformed_row(self, tmp_path):
+    @pytest.mark.parametrize("row", ["20,1.0,0", "20,1.0,0,-1,7", "2x,1.0,0,-1",
+                                     "20,1.0,1.0,-1"],
+                             ids=["3-fields", "5-fields", "t_ms-not-int", "flag-not-int"])
+    def test_malformed_row(self, tmp_path, row):
         path = tmp_path / "bad.csv"
-        path.write_text("0,1.0,0\n")
-        with pytest.raises(ValidationError):
+        path.write_text(f"0,0.5,1,1\n10,0.7,0,-1\n{row}\n30,0.2,1,-1\n")
+        with pytest.raises(ValidationError, match=f"{path}:3:"):
             dataio.read_stream(str(path))
 
 

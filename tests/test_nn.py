@@ -8,8 +8,8 @@ from cvsqi import discriminative, manifold
 from cvsqi.autodiff import Var
 from cvsqi.errors import NotConvolutional, ShapeMismatch
 from cvsqi.evaluation import roc_auc
-from cvsqi.nn import (ParamSet, adam_step, fit, init_params, receptive_field,
-                      shape_trace)
+from cvsqi.nn import (ParamSet, adam_step, fit, forward_layers, init_params,
+                      receptive_field, shape_trace)
 
 SIMPLE_LAYERS = [
     {"type": "dense", "in": 6, "out": 4, "act": "relu"},
@@ -252,3 +252,34 @@ class TestFit:
         val = float(np.mean(np.sum((recon - x_val) ** 2, axis=1)))
         assert len(history["val_recon"]) == 4
         assert val == min(history["val_recon"])
+
+
+class TestTapeFreeForward:
+    """Inference on arrays computes exactly what the taped graph's .value holds."""
+
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("arch", discriminative.ARCHITECTURES)
+    def test_classifier_matches_taped_value(self, arch, batch):
+        model = discriminative.build(arch, seed=3)
+        x = np.random.default_rng(batch).normal(size=(batch, 150))
+        taped = discriminative._forward_var(model, x, model.params.as_vars())
+        free = discriminative.forward(model, x)
+        assert type(free) is np.ndarray
+        assert np.array_equal(free, taped.value)
+
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("kind", manifold.VAE_KINDS)
+    def test_vae_matches_taped_value(self, kind, batch):
+        model = manifold.build_vae(kind, seed=3)
+        x = np.random.default_rng(batch).normal(size=(batch, 150))
+        pvars = model.params.as_vars()
+        h = forward_layers(model.enc, pvars, Var(x), prefix="enc.")
+        mu = ad.slice_cols(h, 0, manifold.LATENT_DIM)
+        log_sigma = ad.slice_cols(h, manifold.LATENT_DIM, 2 * manifold.LATENT_DIM)
+        recon = forward_layers(model.dec, pvars, mu, prefix="dec.")
+        free_recon, free_mu, free_sigma, free_z = manifold.vae_forward(model, x)
+        assert np.array_equal(free_recon, recon.value)
+        assert np.array_equal(free_mu, mu.value) and np.array_equal(free_z, mu.value)
+        assert np.array_equal(free_sigma, np.exp(log_sigma.value))
+        assert np.array_equal(manifold.residuals(model, x),
+                              np.linalg.norm(x - recon.value, axis=1))
