@@ -91,8 +91,7 @@ def cmd_gen(args) -> int:
     if args.out_stream:
         for sid, stream in sorted(streams.items()):
             suffix = f".{sid}" if len(streams) > 1 else ""
-            dataio.write_stream(stream, args.out_stream + suffix,
-                                channels=args.channels)
+            dataio.write_stream(stream, args.out_stream + suffix)
 
     counts = {lab: 0 for lab in QualityLabel}
     for c in cycles:
@@ -219,7 +218,7 @@ def cmd_assess(args) -> int:
         calibrations = {"stream": CalibrationWindow(subject_id="stream",
                                                     samples=x[:CALIBRATION_SAMPLES])}
 
-    cycles = segment_cycles(list(zip(t_ms.tolist(), x.tolist())), r_peaks,
+    cycles = segment_cycles(np.column_stack((t_ms, x)), r_peaks,
                             subject_id="stream",
                             labels=label_codes if len(label_codes) == len(r_peaks) - 1
                             else None)
@@ -329,8 +328,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--out-cycles", required=True)
     p.add_argument("--out-calib")
     p.add_argument("--out-stream")
-    p.add_argument("--channels", action="store_true",
-                   help="write the 208-channel stream form")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("split", help="subject-disjoint 80/10/10 split")

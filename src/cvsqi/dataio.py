@@ -4,8 +4,7 @@ All files are comma-separated UTF-8 with LF line endings.  Writes go through a
 temp-file-then-rename so readers never observe partial files.
 
   stream:      t_ms, x_t, r_peak_flag, label_code        (label on the cycle's
-               first sample, -1 elsewhere).  write_stream can also export a
-               208-channel variant; it is write-only, read_stream rejects it
+               first sample, -1 elsewhere)
   cycles:      subject_id, t_start_ms, label_code, v, x_0, ..., x_{v-1}
   calibration: subject_id, 2000 values
 """
@@ -19,10 +18,6 @@ import numpy as np
 from .errors import IoError, ValidationError
 from .labels import QualityLabel
 from .preprocess import CALIBRATION_SAMPLES, CalibrationWindow, CvsCycle
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def atomic_write(path: str, lines) -> None:
@@ -42,25 +37,22 @@ def atomic_write(path: str, lines) -> None:
 
 # --- stream files ---
 
-def write_stream(stream, path: str, channels: bool = False) -> None:
-    """Export a synthetic stream; set channels=True for the 208-channel form."""
-    first_sample_label = {}
-    for (a, _b), label in zip(zip(stream.r_peaks[:-1], stream.r_peaks[1:]),
-                              stream.cycle_labels):
-        first_sample_label[int(a)] = label.code
-    peaks = set(int(p) for p in stream.r_peaks)
+def write_stream(stream, path: str) -> None:
+    """Export a synthetic stream's CVS with its R-peak flags and label codes.
 
-    def lines():
-        for i in range(stream.n_samples):
-            t = int(stream.t_ms[i])
-            flag = 1 if t in peaks else 0
-            code = first_sample_label.get(t, -1)
-            if channels:
-                gs = ",".join(_fmt(v) for v in stream.g[i] - stream.baseline)
-                yield f"{t},{gs},{flag},{code}"
-            else:
-                yield f"{t},{_fmt(stream.cvs[i])},{flag},{code}"
-    atomic_write(path, lines())
+    A cycle's label code goes on the sample of its first R-peak; an R-peak
+    that is not a sample time gets neither a flag nor a code.
+    """
+    t_ms = stream.t_ms
+    starts = stream.r_peaks[:-1][:len(stream.cycle_labels)]
+    label_codes = np.asarray([lab.code for lab in stream.cycle_labels[:starts.size]],
+                             dtype=np.int64)
+    flags = np.isin(t_ms, stream.r_peaks).astype(np.int64)
+    codes = np.full(t_ms.size, -1, dtype=np.int64)
+    # t_ms and the R-peaks both increase, so the matches pair up in order
+    codes[np.isin(t_ms, starts)] = label_codes[np.isin(starts, t_ms)]
+    atomic_write(path, (f"{t},{x!r},{p},{c}" for t, x, p, c in zip(
+        t_ms.tolist(), stream.cvs.tolist(), flags.tolist(), codes.tolist())))
 
 
 _STREAM_ROW = np.dtype([("t_ms", np.int64), ("x", np.float64),
@@ -114,7 +106,7 @@ def read_stream(path: str):
 def write_cycles(cycles, path: str) -> None:
     def lines():
         for c in cycles:
-            xs = ",".join(_fmt(v) for v in c.samples)
+            xs = ",".join(map(repr, c.samples.tolist()))
             yield f"{c.subject_id},{c.t_start_ms},{c.label.code},{c.v},{xs}"
     atomic_write(path, lines())
 
@@ -142,7 +134,7 @@ def read_cycles(path: str) -> list[CvsCycle]:
 def write_calibrations(calibrations: dict[str, CalibrationWindow], path: str) -> None:
     def lines():
         for sid in sorted(calibrations):
-            xs = ",".join(_fmt(v) for v in calibrations[sid].samples)
+            xs = ",".join(map(repr, calibrations[sid].samples.tolist()))
             yield f"{sid},{xs}"
     atomic_write(path, lines())
 

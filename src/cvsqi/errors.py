@@ -16,13 +16,7 @@ class IoError(CvsqiError):
     pass
 
 
-# --- signal synthesis / transconductance ---
-
-class ZeroRealPart(ValidationError):
-    def __init__(self, index: int):
-        super().__init__(f"voltage channel {index} has zero real part")
-        self.index = index
-
+# --- signal synthesis ---
 
 class InvalidScenario(ValidationError):
     pass

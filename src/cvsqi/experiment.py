@@ -75,8 +75,7 @@ class SyntheticDataset:
 
 
 def cycles_from_stream(stream, skip_calibration: bool = True) -> list[CvsCycle]:
-    pairs = list(zip(stream.t_ms.tolist(), stream.cvs.tolist()))
-    cycles = segment_cycles(pairs, stream.r_peaks,
+    cycles = segment_cycles(np.column_stack((stream.t_ms, stream.cvs)), stream.r_peaks,
                             subject_id=stream.scenario.subject_id,
                             labels=stream.cycle_labels)
     if skip_calibration:

@@ -1,10 +1,11 @@
-"""Voltage -> transconductance -> CVS math and the parametric synthetic generator.
+"""The parametric synthetic generator of transconductance and CVS streams.
 
-The 16-electrode system yields 208 retained voltage channels (16 injections x 13
-adjacent-pair measurements after dropping the three pairs touching the injecting
-electrodes).  Transconductance is the per-channel reciprocal of the real voltage
-part scaled by the injected current.  A scalar cardiac volume signal (CVS) is the
-inner product of a leadforming vector with the time-difference transconductance.
+The 16-electrode system yields 208 retained transconductance channels (16
+injections x 13 adjacent-pair measurements after dropping the three pairs
+touching the injecting electrodes).  A scalar cardiac volume signal (CVS) is the
+inner product of a leadforming vector with the transconductance's deviation
+from its per-subject baseline (`LeadformVector.project`).  Synthesis works on whole (samples, 208) arrays;
+there is no per-frame voltage or transconductance type.
 
 Synthesis is additive by construction: the deviation of the transconductance from
 its per-subject baseline is the exact sum of a cardiogenic component, a
@@ -15,53 +16,17 @@ quality-indexing task depends on.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidScenario, ShapeMismatch, ZeroRealPart
+from .errors import InvalidScenario, ShapeMismatch
 from .labels import QualityLabel
 
 N_CHANNELS = 208
 SAMPLE_MS = 10
 
 MOTION_SHAPES = ("step", "ramp", "burst", "sway")
-
-
-@dataclass(frozen=True)
-class VoltageFrame:
-    """One 208-channel complex voltage measurement at time t (ms, 10 ms grid)."""
-
-    t_ms: int
-    values: np.ndarray           # complex128, shape (208,)
-    current_ma: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != (N_CHANNELS,):
-            raise ShapeMismatch(f"expected {N_CHANNELS} voltage channels, got {v.shape}")
-        if self.current_ma <= 0:
-            raise InvalidScenario("current amplitude must be positive")
-        if self.t_ms % SAMPLE_MS != 0:
-            raise InvalidScenario("frame time must be a multiple of 10 ms")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass
-class TransconductanceFrame:
-    """208-vector of transconductances, optionally with its additive breakdown."""
-
-    t_ms: int
-    g: np.ndarray                # float64, shape (208,)
-    g_air: np.ndarray | None = None
-    g_blood: np.ndarray | None = None
-    g_motion: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=np.float64)
-        if self.g.shape != (N_CHANNELS,):
-            raise ShapeMismatch(f"expected {N_CHANNELS} channels, got {self.g.shape}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +42,13 @@ class LeadformVector:
         if not np.any(w):
             raise InvalidScenario("leadform vector must not be all-zero")
         object.__setattr__(self, "w", w)
+
+    def project(self, dg: np.ndarray) -> np.ndarray | float:
+        """CVS of a transconductance deviation, one (208,) row or an (n, 208) array."""
+        dg = np.asarray(dg, dtype=np.float64)
+        if dg.shape[-1:] != (N_CHANNELS,):
+            raise ShapeMismatch(f"leadform ({N_CHANNELS},) vs transconductance {dg.shape}")
+        return dg @ self.w
 
 
 @dataclass(frozen=True)
@@ -110,7 +82,7 @@ class SynthScenario:
     gain: float = 1.0                         # subject-specific cardiogenic amplitude
     ambiguous_band: tuple[float, float] = (0.5, 1.5)
     baseline_g: float = 50.0                  # mS, keeps g positive and invertible
-    current_ma: float = 1.0
+    current_ma: float = 1.0                   # not used by synthesis; scenario files may set it
     subject_id: str = "s0"
 
     def __post_init__(self):
@@ -135,29 +107,6 @@ class SynthScenario:
             raise InvalidScenario("respiration period must be positive")
         object.__setattr__(self, "rr_intervals_ms", tuple(int(rr) for rr in self.rr_intervals_ms))
         object.__setattr__(self, "motion_events", tuple(self.motion_events))
-
-
-def transconductance_from_voltages(frame: VoltageFrame) -> TransconductanceFrame:
-    """g[m] = I / Re(V[m]); the imaginary part is discarded."""
-    re = frame.values.real
-    zero = np.flatnonzero(re == 0.0)
-    if zero.size:
-        raise ZeroRealPart(int(zero[0]))
-    return TransconductanceFrame(t_ms=frame.t_ms, g=frame.current_ma / re)
-
-
-def time_difference(g_t: TransconductanceFrame, g_ref: TransconductanceFrame) -> np.ndarray:
-    """Componentwise difference against the reference frame."""
-    return g_t.g - g_ref.g
-
-
-def extract_cvs(gdot: np.ndarray, w: LeadformVector | np.ndarray) -> float:
-    """CVS sample: inner product of the leadform vector with a transconductance difference."""
-    wv = w.w if isinstance(w, LeadformVector) else np.asarray(w, dtype=np.float64)
-    gv = np.asarray(gdot, dtype=np.float64)
-    if wv.shape != gv.shape:
-        raise ShapeMismatch(f"leadform {wv.shape} vs transconductance {gv.shape}")
-    return float(wv @ gv)
 
 
 def cardiac_template(phase: np.ndarray) -> np.ndarray:
@@ -212,25 +161,10 @@ class SynthStream:
     cvs: np.ndarray                  # (n,) w^T (g - baseline)
     r_peaks: np.ndarray              # (m,) ms timestamps on the 10 ms grid
     cycle_labels: list[QualityLabel] # length m - 1
-    imag_parts: np.ndarray = field(repr=False, default=None)  # (n, 208)
 
     @property
     def n_samples(self) -> int:
         return self.t_ms.size
-
-    def gdot(self, i: int) -> np.ndarray:
-        return self.g[i] - self.baseline
-
-    def frame(self, i: int) -> TransconductanceFrame:
-        return TransconductanceFrame(
-            t_ms=int(self.t_ms[i]), g=self.g[i],
-            g_air=self.g_air[i], g_blood=self.g_blood[i], g_motion=self.g_motion[i],
-        )
-
-    def voltage_frame(self, i: int) -> VoltageFrame:
-        values = self.scenario.current_ma / self.g[i] + 1j * self.imag_parts[i]
-        return VoltageFrame(t_ms=int(self.t_ms[i]), values=values,
-                            current_ma=self.scenario.current_ma)
 
 
 def _r_peak_times(scenario: SynthScenario) -> np.ndarray:
@@ -276,7 +210,6 @@ def synthesize_stream(scenario: SynthScenario) -> SynthStream:
 
     # R-peaks and the cardiac phase.
     r_peaks = _r_peak_times(scenario)
-    phase = np.empty(n, dtype=np.float64)
     bounds = np.concatenate([r_peaks, [r_peaks[-1] + scenario.rr_intervals_ms[
         (len(r_peaks) - 1) % len(scenario.rr_intervals_ms)]]])
     seg = np.searchsorted(bounds, t_ms, side="right") - 1
@@ -291,7 +224,7 @@ def synthesize_stream(scenario: SynthScenario) -> SynthStream:
     if scenario.noise_std > 0:
         wnorm = np.linalg.norm(w)
         chan_std = scenario.noise_std * scenario.gain / wnorm
-        g_air = g_air + rng.normal(scale=chan_std, size=(n, N_CHANNELS))
+        g_air += rng.normal(scale=chan_std, size=(n, N_CHANNELS))
 
     g_motion = np.zeros((n, N_CHANNELS))
     for ev in scenario.motion_events:
@@ -303,19 +236,23 @@ def synthesize_stream(scenario: SynthScenario) -> SynthStream:
             u /= np.linalg.norm(u)
             pu = w @ u
         mixing = u / pu         # w^T mixing = 1 exactly
-        prof = _event_profile(ev, t_ms, cardiac_phase=phase)
-        g_motion += (scenario.gain * ev.amplitude * prof)[:, None] * mixing[None, :]
+        # the event touches only the samples of [start_ms, end_ms)
+        rows = slice(ev.start_ms // SAMPLE_MS, -(-ev.end_ms // SAMPLE_MS))
+        prof = _event_profile(ev, t_ms[rows], cardiac_phase=phase[rows])
+        g_motion[rows] += (scenario.gain * ev.amplitude * prof)[:, None] * mixing[None, :]
 
-    g = baseline[None, :] + g_air + g_blood + g_motion
+    g = baseline[None, :] + g_air
+    g += g_blood
+    g += g_motion
     if np.any(g <= 0):
         raise InvalidScenario("transconductance left the positive range; "
                               "reduce amplitudes or raise baseline_g")
 
-    cvs = (g - baseline[None, :]) @ w
+    cvs = leadform.project(g - baseline[None, :])
 
     # Cycle labels from the realized motion amplitude relative to the
     # cardiogenic peak (gain); band edges come from the scenario.
-    x_motion = g_motion @ w
+    x_motion = leadform.project(g_motion)
     lo, hi = scenario.ambiguous_band
     labels: list[QualityLabel] = []
     for a, b in zip(r_peaks[:-1], r_peaks[1:]):
@@ -328,10 +265,9 @@ def synthesize_stream(scenario: SynthScenario) -> SynthStream:
         else:
             labels.append(QualityLabel.NORMAL)
 
-    imag = rng.normal(scale=0.01, size=(n, N_CHANNELS))
     return SynthStream(
         scenario=scenario, t_ms=t_ms, baseline=baseline, g=g,
         g_air=g_air, g_blood=g_blood, g_motion=g_motion,
         leadform=leadform, cvs=cvs, r_peaks=r_peaks,
-        cycle_labels=labels, imag_parts=imag,
+        cycle_labels=labels,
     )

@@ -89,13 +89,18 @@ class NormalizedCycle:
 
 def segment_cycles(cvs_stream, r_peaks, subject_id: str = "",
                    labels=None) -> list[CvsCycle]:
-    """Split a (t, x) stream into cycles delimited by R-peak timestamps.
+    """Split a stream of (t_ms, x) rows into cycles delimited by R-peak timestamps.
 
-    Cycle i spans [r_i, r_{i+1}] inclusive; consecutive cycles share the
-    boundary sample.  Optional per-cycle labels must align with the output.
+    The stream is any (n, 2) array-like, such as np.column_stack((t_ms, x))
+    or a list of pairs.  Cycle i spans [r_i, r_{i+1}] inclusive; consecutive
+    cycles share the boundary sample.  Optional per-cycle labels must align
+    with the output.
     """
-    t_ms = np.asarray([p[0] for p in cvs_stream], dtype=np.int64)
-    x = np.asarray([p[1] for p in cvs_stream], dtype=np.float64)
+    rows = np.asarray(cvs_stream, dtype=np.float64)
+    if rows.size and (rows.ndim != 2 or rows.shape[1] != 2):
+        raise ValidationError(f"CVS stream must be (n, 2) rows of (t_ms, x), got {rows.shape}")
+    rows = rows.reshape(-1, 2)
+    t_ms, x = rows[:, 0].astype(np.int64), rows[:, 1]
     peaks = np.asarray(list(r_peaks), dtype=np.int64)
     if peaks.size < 2:
         return []

@@ -1,4 +1,5 @@
 import os
+import types
 
 import numpy as np
 import pytest
@@ -18,6 +19,73 @@ def make_cycles(rng, n=5):
                             samples=rng.normal(size=v),
                             label=list(QualityLabel)[i % 3]))
     return out
+
+
+def ref_fmt(v) -> str:
+    """Reference float formatting: the repr of a Python float."""
+    return repr(float(v))
+
+
+# signed zero, the smallest subnormal, huge, inexact sums and integral floats
+SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e-300, 0.1 + 0.2, 1.0,
+                    -7.0, 2.0 ** 53, 1e16, 123456789.0, 1 / 3])
+
+
+def ref_stream_lines(stream):
+    """Reference stream rows, one sample at a time."""
+    codes = {int(a): lab.code for a, lab in zip(stream.r_peaks[:-1], stream.cycle_labels)}
+    peaks = {int(p) for p in stream.r_peaks}
+    return [f"{int(t)},{ref_fmt(x)},{1 if int(t) in peaks else 0},{codes.get(int(t), -1)}"
+            for t, x in zip(stream.t_ms, stream.cvs)]
+
+
+def read_lines(path):
+    with open(path, encoding="utf-8", newline="") as f:
+        text = f.read()
+    assert text.endswith("\n") or text == ""
+    return text.split("\n")[:-1]
+
+
+class TestWriterFormatting:
+    def test_cycles_byte_identical_to_reference(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        cycles = make_cycles(rng) + [CvsCycle("s9", 80, SPECIAL, QualityLabel.MOTION)]
+        path = str(tmp_path / "cycles.csv")
+        dataio.write_cycles(cycles, path)
+        assert read_lines(path) == [
+            f"{c.subject_id},{c.t_start_ms},{c.label.code},{c.v},"
+            + ",".join(ref_fmt(v) for v in c.samples) for c in cycles]
+
+    def test_calibrations_byte_identical_to_reference(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(size=CALIBRATION_SAMPLES)
+        samples[:SPECIAL.size] = SPECIAL
+        cals = {sid: CalibrationWindow(subject_id=sid, samples=rng.permutation(samples))
+                for sid in ("s2", "s0", "s1")}
+        path = str(tmp_path / "calib.csv")
+        dataio.write_calibrations(cals, path)
+        assert read_lines(path) == [
+            f"{sid}," + ",".join(ref_fmt(v) for v in cals[sid].samples) for sid in sorted(cals)]
+
+    @pytest.mark.parametrize("n_labels", [0, 3, 4, 5])
+    def test_stream_byte_identical_to_reference(self, tmp_path, n_labels):
+        # 55 and 200 are R-peaks but not sample times: no flag and no code
+        t_ms = np.arange(15, dtype=np.int64) * 10
+        labels = [QualityLabel.MOTION, QualityLabel.NORMAL, QualityLabel.AMBIGUOUS,
+                  QualityLabel.NORMAL, QualityLabel.MOTION][:n_labels]
+        stream = types.SimpleNamespace(t_ms=t_ms, cvs=np.concatenate([SPECIAL, [-1.5, 2.25]]),
+                                       r_peaks=np.array([0, 30, 55, 80, 120, 200]),
+                                       cycle_labels=labels)
+        path = str(tmp_path / "stream.csv")
+        dataio.write_stream(stream, path)
+        assert read_lines(path) == ref_stream_lines(stream)
+
+    def test_synthetic_stream_byte_identical_to_reference(self, tmp_path, seed):
+        stream = synthesize_stream(SynthScenario(subject_seed=seed, duration_ms=6_000,
+                                                 rr_intervals_ms=(730, 810)))
+        path = str(tmp_path / "stream.csv")
+        dataio.write_stream(stream, path)
+        assert read_lines(path) == ref_stream_lines(stream)
 
 
 class TestCycleFiles:
@@ -73,16 +141,6 @@ class TestStreamFiles:
         assert np.array_equal(x, stream.cvs)
         assert np.array_equal(peaks, stream.r_peaks)
         assert labels == stream.cycle_labels
-
-    def test_channel_variant_field_count(self, tmp_path):
-        scenario = SynthScenario(subject_seed=1, duration_ms=1_000,
-                                 rr_intervals_ms=(800,))
-        stream = synthesize_stream(scenario)
-        path = str(tmp_path / "chan.csv")
-        dataio.write_stream(stream, path, channels=True)
-        with open(path) as f:
-            first = f.readline().rstrip("\n").split(",")
-        assert len(first) == 1 + 208 + 2
 
     @pytest.mark.parametrize("row", ["20,1.0,0", "20,1.0,0,-1,7", "2x,1.0,0,-1",
                                      "20,1.0,1.0,-1"],

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cvsqi.errors import (AllZeroCycle, AllZeroWindow, CycleLongerThanTarget,
                           NonPositiveScale, PeakOffGrid, TooShortCycle,
                           ValidationError)
+from cvsqi.labels import QualityLabel
 from cvsqi.preprocess import (CALIBRATION_SAMPLES, TARGET_LEN, CalibrationWindow,
                               CvsCycle, naive_scale_factor, normalize_cycle,
                               normalize_dataset, pad_constant, resample_linear,
@@ -55,6 +56,30 @@ class TestSegmentCycles:
         glued = np.concatenate([cycles[0].samples]
                                + [c.samples[1:] for c in cycles[1:]])
         assert np.array_equal(glued, x)
+
+    def test_array_and_pair_list_agree(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=120)
+        t_ms = 500 + 10 * np.arange(x.size)
+        peaks, labels = [500, 800, 1310, 1690], list(QualityLabel)
+        from_array = segment_cycles(np.column_stack((t_ms, x)), peaks, "s", labels)
+        from_pairs = segment_cycles(make_stream(x, t0=500), peaks, "s", labels)
+        starts = [(c.t_start_ms, c.label) for c in from_array]
+        assert starts == [(c.t_start_ms, c.label) for c in from_pairs]
+        assert starts == [(500, labels[0]), (800, labels[1]), (1310, labels[2])]
+        for a, b in zip(from_array, from_pairs):
+            assert np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("stream", [[], np.empty((0, 2))], ids=["list", "array"])
+    def test_empty_stream_rejected(self, stream):
+        with pytest.raises(ValidationError, match="empty CVS stream"):
+            segment_cycles(stream, [0, 10])
+
+    @pytest.mark.parametrize("stream", [np.zeros((4, 3)), np.zeros(8), [(0, 1.0, 2.0)]],
+                             ids=["three-columns", "flat", "triples"])
+    def test_non_pair_rows_rejected(self, stream):
+        with pytest.raises(ValidationError, match=r"\(n, 2\) rows"):
+            segment_cycles(stream, [0, 10])
 
 
 class TestScaleFactors:
