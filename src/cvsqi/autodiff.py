@@ -255,7 +255,3 @@ def maxpool1d(x) -> Var:
         dx[:, :half * 2, :] = dwin.reshape(n, half * 2, c)
         return (dx,)
     return Var(out, (x,), bwd)
-
-
-def maxpool_output_length(length: int) -> int:
-    return length // 2

@@ -20,10 +20,9 @@ from .evaluation import split_by_subject
 from .experiment import evaluate_scores, score
 from .forward import MotionEvent, SynthScenario, synthesize_stream
 from .labels import QualityLabel
-from .preprocess import (CALIBRATION_MS, CALIBRATION_SAMPLES, SAMPLE_MS,
-                         SCALE_MODES, SCHEMES, CalibrationWindow,
-                         normalize_cycle, normalize_dataset, segment_cycles,
-                         subject_scale_factor, to_arrays)
+from .preprocess import (SCALE_MODES, SCHEMES, calibration_from_stream,
+                         cycles_from_stream, normalize_cycle, normalize_dataset,
+                         subject_scale_factor)
 
 CONFIG_ENV = "CVSQI_CONFIG"
 
@@ -73,12 +72,14 @@ def _load_calibrations(path: str | None):
 def cmd_gen(args) -> int:
     if args.scenario:
         scenario = scenario_from_file(args.scenario)
+        sid = scenario.subject_id
         stream = synthesize_stream(scenario)
-        cycles = experiment.cycles_from_stream(stream, skip_calibration=False)
-        calibrations = {}
-        if stream.n_samples >= CALIBRATION_SAMPLES:
-            calibrations[scenario.subject_id] = experiment.calibration_from_stream(stream)
-        streams = {scenario.subject_id: stream}
+        cycles = cycles_from_stream(stream, sid, skip_calibration=False)
+        try:
+            calibrations = {sid: calibration_from_stream(stream, sid)}
+        except MissingCalibration:   # a scenario shorter than 20 s
+            calibrations = {}
+        streams = {sid: stream}
     else:
         ds = experiment.generate_dataset(args.seed, n_subjects=args.subjects,
                                          duration_ms=args.duration_ms,
@@ -119,10 +120,10 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     calibrations = _load_calibrations(args.calib)
-    x_tr, y_tr, _ = to_arrays(normalize_dataset(dataio.read_cycles(args.train),
-                                                args.norm, args.scale, calibrations))
-    x_va, _, yev_va = to_arrays(normalize_dataset(dataio.read_cycles(args.val),
-                                                  args.norm, args.scale, calibrations))
+    x_tr, y_tr, _ = normalize_dataset(dataio.read_cycles(args.train),
+                                      args.norm, args.scale, calibrations)
+    x_va, _, yev_va = normalize_dataset(dataio.read_cycles(args.val),
+                                        args.norm, args.scale, calibrations)
     model = discriminative.build(args.arch, seed=args.seed)
     history = discriminative.train(model, x_tr, y_tr, x_va, yev_va,
                                    epochs=args.epochs, lr=args.lr, seed=args.seed)
@@ -136,16 +137,15 @@ def cmd_train(args) -> int:
 def cmd_train_manifold(args) -> int:
     calibrations = _load_calibrations(args.calib)
     cycles = dataio.read_cycles(args.pos_train)
-    x_pos, _, yev = to_arrays(normalize_dataset(cycles, args.norm, args.scale,
-                                                calibrations))
+    x_pos, _, yev = normalize_dataset(cycles, args.norm, args.scale, calibrations)
     manifold.require_positives(yev)
     x_val = None
     if args.val:
         val_cycles = [c for c in dataio.read_cycles(args.val)
                       if c.label is QualityLabel.NORMAL]
         if val_cycles:
-            x_val, _, _ = to_arrays(normalize_dataset(val_cycles, args.norm,
-                                                      args.scale, calibrations))
+            x_val, _, _ = normalize_dataset(val_cycles, args.norm, args.scale,
+                                            calibrations)
     if args.kind == "pca":
         model = manifold.pca_fit(x_pos)
         model.training_meta = {"n_train": int(x_pos.shape[0])}
@@ -165,8 +165,8 @@ def cmd_threshold(args) -> int:
         raise ValidationError("threshold selection applies to manifold models only")
     calibrations = _load_calibrations(args.calib)
     cycles = dataio.read_cycles(args.scored)
-    x, _, yev = to_arrays(normalize_dataset(cycles, prep["norm_scheme"],
-                                            prep["scale_mode"], calibrations))
+    x, _, yev = normalize_dataset(cycles, prep["norm_scheme"], prep["scale_mode"],
+                                  calibrations)
     r = manifold.residuals(model, x)
     d, j = manifold.select_threshold(r, yev)
     model.threshold_d = d
@@ -180,8 +180,8 @@ def cmd_evaluate(args) -> int:
     model, prep = model_io.load_model(args.model)
     calibrations = _load_calibrations(args.calib)
     cycles = dataio.read_cycles(args.test)
-    x, _, yev = to_arrays(normalize_dataset(cycles, prep["norm_scheme"],
-                                            prep["scale_mode"], calibrations))
+    x, _, yev = normalize_dataset(cycles, prep["norm_scheme"], prep["scale_mode"],
+                                  calibrations)
     report = evaluate_scores(*score(model, x), yev)
 
     name = getattr(model, "architecture", getattr(model, "kind", "model"))
@@ -208,24 +208,14 @@ def cmd_assess(args) -> int:
         raise ValidationError("model file does not record a normalization scheme")
     scale_mode = prep.get("scale_mode", "subject")
 
-    t_ms, x, r_peaks, label_codes = dataio.read_stream(args.stream)
+    stream = dataio.read_stream(args.stream)
     calibrations = None
     if scale_mode == "subject":
-        if t_ms.size < CALIBRATION_SAMPLES:
-            raise MissingCalibration(
-                f"stream holds {t_ms.size * SAMPLE_MS / 1000:.1f} s; subject "
-                f"scaling needs the first {CALIBRATION_MS / 1000:.0f} s")
-        calibrations = {"stream": CalibrationWindow(subject_id="stream",
-                                                    samples=x[:CALIBRATION_SAMPLES])}
-
-    cycles = segment_cycles(np.column_stack((t_ms, x)), r_peaks,
-                            subject_id="stream",
-                            labels=label_codes if len(label_codes) == len(r_peaks) - 1
-                            else None)
+        calibrations = {"stream": calibration_from_stream(stream, "stream")}
+    cycles = cycles_from_stream(stream, "stream", skip_calibration=False)
     lines = []
     if cycles:   # the whole recording as one batch, rows in stream order
-        vectors, _, _ = to_arrays(normalize_dataset(cycles, scheme, scale_mode,
-                                                    calibrations))
+        vectors, _, _ = normalize_dataset(cycles, scheme, scale_mode, calibrations)
         scores, verdicts = score(model, vectors)
         lines = [f"{c.t_start_ms},{v},{s!r}" for c, v, s
                  in zip(cycles, verdicts.tolist(), scores.tolist())]
@@ -279,9 +269,8 @@ def _bench_cycles(n_cycles: int, seed: int):
         scenario = experiment.default_subject_scenario(seed, subjects,
                                                        duration_ms=60_000)
         stream = synthesize_stream(scenario)
-        cal = experiment.calibration_from_stream(stream)
-        s = subject_scale_factor(cal)
-        for c in experiment.cycles_from_stream(stream):
+        s = subject_scale_factor(calibration_from_stream(stream, scenario.subject_id))
+        for c in cycles_from_stream(stream, scenario.subject_id):
             out.append((c, s, "interp"))
         subjects += 1
     rng.shuffle(out)

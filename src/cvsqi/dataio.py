@@ -4,7 +4,7 @@ All files are comma-separated UTF-8 with LF line endings.  Writes go through a
 temp-file-then-rename so readers never observe partial files.
 
   stream:      t_ms, x_t, r_peak_flag, label_code        (label on the cycle's
-               first sample, -1 elsewhere)
+               first sample, -1 elsewhere); read back as a preprocess.CvsStream
   cycles:      subject_id, t_start_ms, label_code, v, x_0, ..., x_{v-1}
   calibration: subject_id, 2000 values
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import IoError, ValidationError
 from .labels import QualityLabel
-from .preprocess import CALIBRATION_SAMPLES, CalibrationWindow, CvsCycle
+from .preprocess import CALIBRATION_SAMPLES, CalibrationWindow, CvsCycle, CvsStream
 
 
 def atomic_write(path: str, lines) -> None:
@@ -38,7 +38,7 @@ def atomic_write(path: str, lines) -> None:
 # --- stream files ---
 
 def write_stream(stream, path: str) -> None:
-    """Export a synthetic stream's CVS with its R-peak flags and label codes.
+    """Export a CvsStream or SynthStream's CVS with its R-peak flags and label codes.
 
     A cycle's label code goes on the sample of its first R-peak; an R-peak
     that is not a sample time gets neither a flag nor a code.
@@ -76,8 +76,8 @@ def _stream_row_error(path: str, lines: list[str]) -> ValidationError:
     return ValidationError(f"{path}: unreadable stream file")
 
 
-def read_stream(path: str):
-    """Returns (t_ms, x, r_peaks, cycle_labels) from a scalar stream file.
+def read_stream(path: str) -> CvsStream:
+    """The CvsStream (t_ms, cvs, r_peaks, cycle_labels) of a scalar stream file.
 
     The rows are parsed in one vectorized pass; a malformed row raises a
     ValidationError naming path:line.
@@ -98,7 +98,7 @@ def read_stream(path: str):
         raise _stream_row_error(path, lines)
     t_ms, codes = rows["t_ms"].copy(), rows["code"]
     labels = [QualityLabel.from_code(c) for c in codes[codes != -1].tolist()]
-    return t_ms, rows["x"].copy(), t_ms[rows["peak"] == 1], labels
+    return CvsStream(t_ms, rows["x"].copy(), t_ms[rows["peak"] == 1], labels)
 
 
 # --- cycle datasets ---

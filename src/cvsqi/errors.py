@@ -82,10 +82,6 @@ class NotFitted(ValidationError):
     pass
 
 
-class NonPositiveSigma(ValidationError):
-    pass
-
-
 class ThresholdUnset(ValidationError):
     pass
 

@@ -65,13 +65,6 @@ def metrics(c: ConfusionCounts) -> Metrics:
                    undefined=[k for k, v in values.items() if v is None])
 
 
-def youden_j(c: ConfusionCounts) -> float:
-    m = metrics(c)
-    sens = m["sensitivity"] if m["sensitivity"] is not None else 0.0
-    spec = m["specificity"] if m["specificity"] is not None else 0.0
-    return sens + spec - 1.0
-
-
 def roc_auc(scores, labels) -> tuple[list[tuple[float, float]], float]:
     """ROC curve (threshold +inf -> -inf) and trapezoidal AUC, with tie grouping.
 

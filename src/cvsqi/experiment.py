@@ -17,8 +17,9 @@ from .errors import ThresholdUnset
 from .evaluation import confusion, metrics, roc_auc, split_by_subject
 from .forward import MotionEvent, SynthScenario, synthesize_stream
 from .labels import QualityLabel
-from .preprocess import (CALIBRATION_MS, CALIBRATION_SAMPLES, CalibrationWindow,
-                         CvsCycle, normalize_dataset, segment_cycles, to_arrays)
+from .preprocess import (CALIBRATION_MS, CalibrationWindow, CvsCycle, CvsStream,
+                         calibration_from_stream, cycles_from_stream,
+                         normalize_dataset)
 
 
 def _subject_seed(seed: int, index: int) -> int:
@@ -64,7 +65,7 @@ def default_subject_scenario(seed: int, index: int,
 class SyntheticDataset:
     cycles: list[CvsCycle]
     calibrations: dict[str, CalibrationWindow]
-    streams: dict = field(default_factory=dict)   # subject_id -> SynthStream (optional)
+    streams: dict[str, CvsStream] = field(default_factory=dict)   # with keep_streams
 
     def class_fractions(self) -> dict[str, float]:
         n = len(self.cycles)
@@ -74,46 +75,31 @@ class SyntheticDataset:
         return {lab.value: counts[lab] / n for lab in QualityLabel}
 
 
-def cycles_from_stream(stream, skip_calibration: bool = True) -> list[CvsCycle]:
-    cycles = segment_cycles(np.column_stack((stream.t_ms, stream.cvs)), stream.r_peaks,
-                            subject_id=stream.scenario.subject_id,
-                            labels=stream.cycle_labels)
-    if skip_calibration:
-        cycles = [c for c in cycles if c.t_start_ms >= CALIBRATION_MS]
-    return cycles
-
-
-def calibration_from_stream(stream) -> CalibrationWindow:
-    return CalibrationWindow(subject_id=stream.scenario.subject_id,
-                             samples=stream.cvs[:CALIBRATION_SAMPLES].copy())
-
-
 def generate_dataset(seed: int, n_subjects: int = 20,
                      duration_ms: int = 110_000,
                      keep_streams: bool = False) -> SyntheticDataset:
+    """Synthesize n_subjects recordings; keep_streams keeps each one's CvsStream."""
     cycles: list[CvsCycle] = []
     calibrations: dict[str, CalibrationWindow] = {}
     streams = {}
     for i in range(n_subjects):
         scenario = default_subject_scenario(seed, i, duration_ms)
+        sid = scenario.subject_id
         stream = synthesize_stream(scenario)
-        cycles.extend(cycles_from_stream(stream))
-        calibrations[scenario.subject_id] = calibration_from_stream(stream)
-        if keep_streams:
-            streams[scenario.subject_id] = stream
+        cycles.extend(cycles_from_stream(stream, sid))
+        calibrations[sid] = calibration_from_stream(stream, sid)
+        if keep_streams:   # the scalar recording only, not the (n, 208) arrays
+            streams[sid] = CvsStream(stream.t_ms, stream.cvs, stream.r_peaks,
+                                     stream.cycle_labels)
     return SyntheticDataset(cycles=cycles, calibrations=calibrations, streams=streams)
 
 
 def prepare_splits(dataset: SyntheticDataset, scheme: str, scale_mode: str,
                    seed: int):
     """Subject-disjoint 80/10/10 split, each normalized under one configuration."""
-    train, val, test = split_by_subject(dataset.cycles, seed=seed)
-    out = []
-    for part in (train, val, test):
-        normalized = normalize_dataset(part, scheme=scheme, scale_mode=scale_mode,
-                                       calibrations=dataset.calibrations)
-        out.append(to_arrays(normalized))
-    return out
+    return [normalize_dataset(part, scheme=scheme, scale_mode=scale_mode,
+                              calibrations=dataset.calibrations)
+            for part in split_by_subject(dataset.cycles, seed=seed)]
 
 
 def score(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,8 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .errors import (ContainsNegativeSamples, EmptySplit, InsufficientSamples,
-                     NonPositiveSigma, NotFitted, ShapeMismatch,
-                     SingleClassDataset, ThresholdUnset)
+                     NotFitted, ShapeMismatch, SingleClassDataset, ThresholdUnset)
 from .nn import ParamSet, fit, forward_layers, init_params
 from .preprocess import TARGET_LEN
 
@@ -147,15 +146,6 @@ def vae_forward(model: VaeModel, x: np.ndarray):
     return recon, mu, np.exp(log_sigma), mu
 
 
-def kl_term(mu: np.ndarray, sigma: np.ndarray) -> float:
-    """KL(N(mu, diag(sigma^2)) || N(0, I)) = 1/2 sum(mu^2 + sigma^2 - log sigma^2 - 1)."""
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma <= 0):
-        raise NonPositiveSigma("sigma must be strictly positive")
-    return float(0.5 * np.sum(mu ** 2 + sigma ** 2 - np.log(sigma ** 2) - 1.0))
-
-
 def _vae_loss(model: VaeModel, x: np.ndarray, params: dict[str, Var],
               noise: np.ndarray) -> Var:
     """Mean over the batch of squared reconstruction norm + beta * KL."""
@@ -166,7 +156,8 @@ def _vae_loss(model: VaeModel, x: np.ndarray, params: dict[str, Var],
     z = ad.add(mu, ad.mul(ad.exp(log_sigma), Var(noise)))
     recon = forward_layers(model.dec, params, z, prefix="dec.")
     sq = ad.sum_(ad.square(ad.sub(recon, Var(x))))
-    # KL with sigma^2 = exp(2 log sigma)
+    # KL(N(mu, sigma^2) || N(0, I)) = 1/2 sum(mu^2 + sigma^2 - log sigma^2 - 1),
+    # with sigma^2 = exp(2 log sigma)
     kl = ad.scale(ad.sum_(ad.add(ad.sub(ad.add(ad.square(mu),
                                                ad.exp(ad.scale(log_sigma, 2.0))),
                                         ad.scale(log_sigma, 2.0)),

@@ -1,21 +1,27 @@
 """Cycle segmentation and scale/size normalization.
 
-A cardiac cycle spans two consecutive R-peaks inclusive of both endpoints, so
-neighbouring cycles share one boundary sample.  Scale normalization divides by
+A recording reaches this module as a CvsStream (or anything with the same
+fields, such as a forward.SynthStream): the scalar CVS on the 10 ms grid, its
+R-peaks and one label per cycle.  A cardiac cycle spans two consecutive
+R-peaks inclusive of both endpoints, so neighbouring cycles share one
+boundary sample.  Scale normalization divides by
 either the per-cycle peak (naive) or the peak over a 20 s motion-free
 calibration window (subject-specific); the latter preserves sudden amplitude
 excursions instead of flattening them.  Size normalization embeds every cycle
-into a fixed 150-vector by linear resampling or constant padding.
+into a fixed 150-vector by linear resampling or constant padding, and
+normalize_dataset stacks those vectors into the model matrix.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (AllZeroCycle, AllZeroWindow, CycleLongerThanTarget,
-                     NonPositiveScale, PeakOffGrid, TooShortCycle, ValidationError)
+                     MissingCalibration, NonPositiveScale, PeakOffGrid,
+                     TooShortCycle, ValidationError)
 from .forward import SAMPLE_MS
 from .labels import QualityLabel
 
@@ -87,6 +93,15 @@ class NormalizedCycle:
                 f"normalized cycle peak {peak:.3g} exceeds headroom bound {HEADROOM}")
 
 
+class CvsStream(NamedTuple):
+    """One scalar CVS recording: what the stream file format holds."""
+
+    t_ms: np.ndarray                 # (n,) sample times on the 10 ms grid
+    cvs: np.ndarray                  # (n,) CVS samples
+    r_peaks: np.ndarray              # (m,) R-peak times in ms
+    cycle_labels: list[QualityLabel] # one per R-peak gap when labelled
+
+
 def segment_cycles(cvs_stream, r_peaks, subject_id: str = "",
                    labels=None) -> list[CvsCycle]:
     """Split a stream of (t_ms, x) rows into cycles delimited by R-peak timestamps.
@@ -128,6 +143,35 @@ def segment_cycles(cvs_stream, r_peaks, subject_id: str = "",
     return cycles
 
 
+def cycles_from_stream(stream, subject_id: str,
+                       skip_calibration: bool = True) -> list[CvsCycle]:
+    """The cycles of a CvsStream or SynthStream, in stream order.
+
+    The stream's labels go with the cycles only when there is one per R-peak
+    gap.  With skip_calibration, cycles that start inside the first 20 s (the
+    calibration window) are dropped.
+    """
+    labels = stream.cycle_labels
+    cycles = segment_cycles(np.column_stack((stream.t_ms, stream.cvs)), stream.r_peaks,
+                            subject_id=subject_id,
+                            labels=labels if len(labels) == len(stream.r_peaks) - 1
+                            else None)
+    if skip_calibration:
+        cycles = [c for c in cycles if c.t_start_ms >= CALIBRATION_MS]
+    return cycles
+
+
+def calibration_from_stream(stream, subject_id: str) -> CalibrationWindow:
+    """The first 20 s of a CvsStream or SynthStream as a calibration window."""
+    n = stream.t_ms.size
+    if n < CALIBRATION_SAMPLES:
+        raise MissingCalibration(
+            f"stream holds {n * SAMPLE_MS / 1000:.1f} s; subject "
+            f"scaling needs the first {CALIBRATION_MS / 1000:.0f} s")
+    return CalibrationWindow(subject_id=subject_id,
+                             samples=stream.cvs[:CALIBRATION_SAMPLES].copy())
+
+
 def naive_scale_factor(cycle: CvsCycle) -> float:
     """Per-cycle scaling factor: max absolute sample."""
     s = float(np.max(np.abs(cycle.samples)))
@@ -149,13 +193,6 @@ def _check_scale(s: float) -> None:
         raise NonPositiveScale(f"scale factor must be positive, got {s}")
 
 
-def scale_normalize(cycle: CvsCycle, s: float) -> CvsCycle:
-    """Divide every sample by s, preserving label and timing."""
-    _check_scale(s)
-    return CvsCycle(subject_id=cycle.subject_id, t_start_ms=cycle.t_start_ms,
-                    samples=cycle.samples / s, label=cycle.label)
-
-
 @functools.lru_cache(maxsize=256)
 def _unit_grid(n: int) -> np.ndarray:
     """np.linspace(0, 1, n), built once per n and shared read-only."""
@@ -164,24 +201,12 @@ def _unit_grid(n: int) -> np.ndarray:
     return grid
 
 
-def resample_linear(cycle: CvsCycle) -> NormalizedCycle:
-    """Resample to TARGET_LEN points by linear interpolation over [0, 1].
-
-    Endpoints are preserved exactly; grid point j maps to j / (TARGET_LEN - 1).
-    """
-    return normalize_cycle(cycle, "interp", None)
-
-
-def pad_constant(cycle: CvsCycle) -> NormalizedCycle:
-    """Extend the cycle to TARGET_LEN by repeating its last sample."""
-    return normalize_cycle(cycle, "pad", None)
-
-
 def normalize_cycle(cycle: CvsCycle, scheme: str, scale: float | None) -> NormalizedCycle:
     """Scale (unless scale is None) then size-normalize one cycle.
 
-    "interp" resamples linearly as resample_linear describes; "pad" repeats
-    the last sample up to TARGET_LEN.
+    "interp" resamples linearly over [0, 1] to TARGET_LEN points, grid point
+    j at j / (TARGET_LEN - 1), with both endpoints kept exactly; "pad"
+    repeats the last sample up to TARGET_LEN.
     """
     samples = cycle.samples
     if scale is not None:
@@ -205,12 +230,13 @@ def normalize_cycle(cycle: CvsCycle, scheme: str, scale: float | None) -> Normal
 
 def normalize_dataset(cycles, scheme: str, scale_mode: str,
                       calibrations: dict[str, CalibrationWindow] | None = None
-                      ) -> list[NormalizedCycle]:
-    """Normalize a cycle dataset under one scale mode and one size scheme.
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y_train, y_eval) of a cycle dataset under one scale and size scheme.
 
-    scale_mode "subject" requires a calibration window per subject id;
-    "naive" rescales each cycle by its own peak; "none" skips scaling
-    (ablation harness).
+    Row i of x is normalize_cycle's 150-vector of cycle i; y_train holds the
+    soft training targets and y_eval the 0/1 evaluation labels.  scale_mode
+    "subject" requires a calibration window per subject id; "naive" rescales
+    each cycle by its own peak; "none" skips scaling (ablation harness).
     """
     if scale_mode not in SCALE_MODES:
         raise ValidationError(
@@ -220,7 +246,9 @@ def normalize_dataset(cycles, scheme: str, scale_mode: str,
         if not calibrations:
             raise ValidationError("subject scaling requires calibration windows (--calib)")
         factors = {sid: subject_scale_factor(cal) for sid, cal in calibrations.items()}
-    out = []
+    if not cycles:
+        raise ValidationError("empty cycle dataset")
+    rows = []
     for c in cycles:
         if scale_mode == "subject":
             if c.subject_id not in factors:
@@ -230,15 +258,7 @@ def normalize_dataset(cycles, scheme: str, scale_mode: str,
             scale = naive_scale_factor(c)
         else:
             scale = None
-        out.append(normalize_cycle(c, scheme, scale))
-    return out
-
-
-def to_arrays(normalized) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, y_train, y_eval) from a list of normalized cycles."""
-    if not normalized:
-        raise ValidationError("empty cycle dataset")
-    x = np.stack([c.values for c in normalized])
-    y_train = np.asarray([c.label.train_value for c in normalized])
-    y_eval = np.asarray([c.label.eval_value for c in normalized], dtype=np.int64)
-    return x, y_train, y_eval
+        rows.append(normalize_cycle(c, scheme, scale).values)
+    y_train = np.asarray([c.label.train_value for c in cycles])
+    y_eval = np.asarray([c.label.eval_value for c in cycles], dtype=np.int64)
+    return np.stack(rows), y_train, y_eval

@@ -7,7 +7,8 @@ import pytest
 from cvsqi import (cli, dataio, discriminative, experiment, manifold,
                    model_io, preprocess)
 from cvsqi.labels import QualityLabel
-from cvsqi.preprocess import (CALIBRATION_SAMPLES, normalize_cycle,
+from cvsqi.preprocess import (CvsStream, calibration_from_stream,
+                              cycles_from_stream, normalize_cycle,
                               subject_scale_factor)
 
 
@@ -54,6 +55,28 @@ class TestGen:
                                     "rr_intervals_ms": [800]}))
         assert run(["gen", "--scenario", scen,
                     "--out-cycles", tmp_path / "c.csv"]) == 2
+
+    def test_kept_streams_are_scalar_recordings(self):
+        ds = experiment.generate_dataset(0, n_subjects=2, duration_ms=25_000,
+                                         keep_streams=True)
+        assert sorted(ds.streams) == ["s00", "s01"]
+        for stream in ds.streams.values():
+            assert isinstance(stream, CvsStream)
+            arrays = [f for f in stream if isinstance(f, np.ndarray)]
+            assert len(arrays) == 3 and all(a.ndim == 1 for a in arrays)
+
+    def test_stream_files_read_back_as_the_kept_streams(self, tmp_path):
+        assert run(["gen", "--seed", 0, "--subjects", 3, "--duration-ms", 30000,
+                    "--out-cycles", tmp_path / "c.csv",
+                    "--out-stream", tmp_path / "s.csv"]) == 0
+        kept = experiment.generate_dataset(0, n_subjects=3, duration_ms=30_000,
+                                           keep_streams=True).streams
+        assert len(kept) == 3
+        for sid, stream in kept.items():
+            back = dataio.read_stream(str(tmp_path / f"s.csv.{sid}"))
+            for got, want in zip(back[:3], stream[:3]):
+                assert np.array_equal(got, want)
+            assert back.cycle_labels == stream.cycle_labels
 
     def test_class_mix_near_configured_imbalance(self, workspace):
         cycles = dataio.read_cycles(str(workspace["cycles"]))
@@ -136,9 +159,9 @@ class TestSharedScoring:
         report = json.loads(out.read_text())
 
         model, prep = model_io.load_model(str(model_path))
-        x, _, y_eval = preprocess.to_arrays(preprocess.normalize_dataset(
+        x, _, y_eval = preprocess.normalize_dataset(
             dataio.read_cycles(str(workspace["cycles"])), prep["norm_scheme"],
-            prep["scale_mode"], dataio.read_calibrations(str(workspace["calib"]))))
+            prep["scale_mode"], dataio.read_calibrations(str(workspace["calib"])))
         expected = experiment.evaluate_scores(*experiment.score(model, x), y_eval)
         assert report["metrics"] == {k: expected[k] for k in report["metrics"]}
         assert report["undefined"] == expected["undefined"]
@@ -184,7 +207,7 @@ class TestAssess:
             outs.append(out.read_text())
         assert outs[0] == outs[1]
 
-    def test_short_stream_missing_calibration(self, workspace, tmp_path):
+    def test_short_stream_missing_calibration(self, workspace, tmp_path, capsys):
         scenario = experiment.default_subject_scenario(3, 0, duration_ms=19_000)
         from cvsqi.forward import synthesize_stream
         stream = synthesize_stream(scenario)
@@ -192,6 +215,8 @@ class TestAssess:
         dataio.write_stream(stream, str(path))
         assert run(["assess", "--model", workspace["model"],
                     "--stream", path]) == 2
+        assert ("stream holds 19.0 s; subject scaling needs the first 20 s"
+                in capsys.readouterr().err)
 
     def test_nan_in_calibration_seconds_exits_2(self, workspace, assess_stream,
                                                 tmp_path, capsys):
@@ -228,18 +253,18 @@ class TestAssess:
         # library route: normalize with the calibration window from the stream
         stream = assess_stream["stream"]
         model, prep = model_io.load_model(str(workspace["model"]))
-        cycles = experiment.cycles_from_stream(stream, skip_calibration=False)
-        cal = experiment.calibration_from_stream(stream)
+        cycles = cycles_from_stream(stream, "stream", skip_calibration=False)
+        cal = calibration_from_stream(stream, "stream")
         s = subject_scale_factor(cal)
         vectors = [normalize_cycle(c, prep["norm_scheme"], s).values
                    for c in cycles]
         # the batch pipeline route produces byte-identical 150-vectors
         from cvsqi.preprocess import normalize_dataset
-        batch = normalize_dataset(cycles, prep["norm_scheme"], "subject",
-                                  {cycles[0].subject_id: cal})
+        batch, _, _ = normalize_dataset(cycles, prep["norm_scheme"], "subject",
+                                        {"stream": cal})
         import hashlib
         h1 = [hashlib.sha256(v.tobytes()).hexdigest() for v in vectors]
-        h2 = [hashlib.sha256(n.values.tobytes()).hexdigest() for n in batch]
+        h2 = [hashlib.sha256(row.tobytes()).hexdigest() for row in batch]
         assert h1 == h2
 
         expected = manifold.residuals(model, np.stack(vectors))
@@ -254,8 +279,8 @@ class TestAssess:
     def test_file_rows_match_per_cycle_scores(self, assess_stream, tmp_path, arch):
         # the file is scored as one batch; each cycle scored alone must agree
         stream = assess_stream["stream"]
-        cycles = experiment.cycles_from_stream(stream, skip_calibration=False)
-        s = subject_scale_factor(experiment.calibration_from_stream(stream))
+        cycles = cycles_from_stream(stream, "stream", skip_calibration=False)
+        s = subject_scale_factor(calibration_from_stream(stream, "stream"))
         vectors = np.stack([normalize_cycle(c, "interp", s).values for c in cycles])
         if arch in manifold.MANIFOLD_KINDS:
             model = (manifold.pca_fit(vectors) if arch == "pca"

@@ -8,7 +8,7 @@ from cvsqi import dataio
 from cvsqi.errors import ValidationError
 from cvsqi.forward import SynthScenario, synthesize_stream
 from cvsqi.labels import QualityLabel
-from cvsqi.preprocess import CALIBRATION_SAMPLES, CalibrationWindow, CvsCycle
+from cvsqi.preprocess import CALIBRATION_SAMPLES, CalibrationWindow, CvsCycle, CvsStream
 
 
 def make_cycles(rng, n=5):
@@ -136,7 +136,9 @@ class TestStreamFiles:
         stream = synthesize_stream(scenario)
         path = str(tmp_path / "stream.csv")
         dataio.write_stream(stream, path)
-        t, x, peaks, labels = dataio.read_stream(path)
+        back = dataio.read_stream(path)
+        assert isinstance(back, CvsStream)
+        t, x, peaks, labels = back
         assert np.array_equal(t, stream.t_ms)
         assert np.array_equal(x, stream.cvs)
         assert np.array_equal(peaks, stream.r_peaks)

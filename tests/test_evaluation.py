@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from cvsqi.errors import LengthMismatch, SingleClassDataset, TooFewSubjects
 from cvsqi.evaluation import (ConfusionCounts, confusion, metrics, roc_auc,
-                              split_by_subject, youden_j)
+                              split_by_subject)
+from cvsqi.manifold import select_threshold
 from cvsqi.preprocess import CvsCycle
 
 
@@ -150,17 +151,17 @@ class TestRocAuc:
 
 class TestYoudenConsistency:
     def test_j_equals_sens_plus_spec_minus_one(self, seed):
+        # the J of the selected threshold is the one the reported metrics give
         rng = np.random.default_rng(seed)
-        r = rng.uniform(0, 2, size=50)
-        y = rng.integers(0, 2, size=50)
-        if y.sum() in (0, 50):
-            y[0] = 1 - y[0]
-        for d in np.linspace(0, 2, 21):
-            c = confusion((r <= d).astype(int), y)
-            m = metrics(c)
-            sens = m["sensitivity"] or 0.0
-            spec = m["specificity"] or 0.0
-            assert youden_j(c) == pytest.approx(sens + spec - 1.0, abs=1e-12)
+        for n in (5, 50, 500):
+            r = rng.uniform(0, 2, size=n)
+            y = rng.integers(0, 2, size=n)
+            if y.sum() in (0, n):
+                y[0] = 1 - y[0]
+            d, j = select_threshold(r, y)
+            m = metrics(confusion((r <= d).astype(int), y))
+            assert j == pytest.approx(m["sensitivity"] + m["specificity"] - 1.0,
+                                      abs=1e-12)
 
 
 def make_cycles(sizes):

@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvsqi.errors import (AllZeroCycle, AllZeroWindow, CycleLongerThanTarget,
-                          NonPositiveScale, PeakOffGrid, TooShortCycle,
-                          ValidationError)
+                          MissingCalibration, NonPositiveScale, PeakOffGrid,
+                          TooShortCycle, ValidationError)
 from cvsqi.labels import QualityLabel
-from cvsqi.preprocess import (CALIBRATION_SAMPLES, TARGET_LEN, CalibrationWindow,
-                              CvsCycle, naive_scale_factor, normalize_cycle,
-                              normalize_dataset, pad_constant, resample_linear,
-                              scale_normalize, segment_cycles,
+from cvsqi.preprocess import (CALIBRATION_MS, CALIBRATION_SAMPLES, TARGET_LEN,
+                              CalibrationWindow, CvsCycle, CvsStream,
+                              calibration_from_stream, cycles_from_stream,
+                              naive_scale_factor, normalize_cycle,
+                              normalize_dataset, segment_cycles,
                               subject_scale_factor)
 
 
@@ -82,6 +83,37 @@ class TestSegmentCycles:
             segment_cycles(stream, [0, 10])
 
 
+class TestStreamHelpers:
+    def stream(self, seconds, n_labels):
+        t_ms = np.arange(seconds * 100, dtype=np.int64) * 10
+        peaks = np.arange(0, t_ms[-1], 800)
+        labels = [QualityLabel.MOTION] * n_labels
+        return CvsStream(t_ms, np.sin(t_ms / 100.0), peaks, labels)
+
+    def test_labels_kept_only_one_per_gap(self):
+        s = self.stream(30, 0)
+        n_gaps = s.r_peaks.size - 1
+        for n, want in ((n_gaps, QualityLabel.MOTION), (n_gaps - 1, QualityLabel.NORMAL)):
+            cycles = cycles_from_stream(self.stream(30, n), "p", skip_calibration=False)
+            assert len(cycles) == n_gaps
+            assert all(c.label is want and c.subject_id == "p" for c in cycles)
+
+    def test_skip_calibration_drops_the_first_20_s(self):
+        s = self.stream(30, 0)
+        starts = [c.t_start_ms for c in cycles_from_stream(s, "p", skip_calibration=False)]
+        kept = [c.t_start_ms for c in cycles_from_stream(s, "p")]
+        assert kept == [t for t in starts if t >= CALIBRATION_MS]
+        assert 0 < len(kept) < len(starts)
+
+    def test_calibration_is_the_first_20_s(self):
+        s = self.stream(30, 0)
+        window = calibration_from_stream(s, "p")
+        assert window.subject_id == "p"
+        assert np.array_equal(window.samples, s.cvs[:CALIBRATION_SAMPLES])
+        with pytest.raises(MissingCalibration):
+            calibration_from_stream(self.stream(19, 0), "p")
+
+
 class TestScaleFactors:
     def test_naive_max_abs(self):
         assert naive_scale_factor(cyc([1.0, -3.0, 2.0])) == 3.0
@@ -134,15 +166,15 @@ class TestCalibrationWindow:
 class TestScaleNormalize:
     def test_unit_scale_identity(self):
         c = cyc([1.0, -2.0, 0.5])
-        assert np.array_equal(scale_normalize(c, 1.0).samples, c.samples)
+        assert np.array_equal(normalize_cycle(c, "pad", 1.0).values[:3], c.samples)
 
     def test_division(self):
-        assert np.array_equal(scale_normalize(cyc([2.0, -4.0]), 4.0).samples,
+        assert np.array_equal(normalize_cycle(cyc([2.0, -4.0]), "pad", 4.0).values[:2],
                               np.array([0.5, -1.0]))
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(NonPositiveScale):
-            scale_normalize(cyc([1.0, 2.0]), 0.0)
+            normalize_cycle(cyc([1.0, 2.0]), "pad", 0.0)
 
     def test_subject_scaling_preserves_spike_naive_flattens_it(self):
         # calibration peak 1, cycle spike 3x that peak
@@ -150,8 +182,8 @@ class TestScaleNormalize:
         spike = cyc([0.1, 3.0, 0.1])
         s_sub = subject_scale_factor(window)
         s_naive = naive_scale_factor(spike)
-        sub_max = np.max(np.abs(scale_normalize(spike, s_sub).samples))
-        naive_max = np.max(np.abs(scale_normalize(spike, s_naive).samples))
+        sub_max = np.max(np.abs(normalize_cycle(spike, "pad", s_sub).values))
+        naive_max = np.max(np.abs(normalize_cycle(spike, "pad", s_naive).values))
         assert sub_max == pytest.approx(3.0, rel=1e-6)
         assert naive_max == pytest.approx(1.0, rel=1e-12)
 
@@ -162,16 +194,16 @@ class TestScaleNormalize:
         window = cal(base)
         peak = np.max(np.abs(base))
         c = cyc([0.0, k * peak, 0.0])
-        scaled = scale_normalize(c, subject_scale_factor(window))
-        assert np.max(np.abs(scaled.samples)) == pytest.approx(k, rel=1e-12)
-        naive = scale_normalize(c, naive_scale_factor(c))
-        assert np.max(np.abs(naive.samples)) == pytest.approx(1.0, rel=1e-12)
+        scaled = normalize_cycle(c, "pad", subject_scale_factor(window))
+        assert np.max(np.abs(scaled.values)) == pytest.approx(k, rel=1e-12)
+        naive = normalize_cycle(c, "pad", naive_scale_factor(c))
+        assert np.max(np.abs(naive.values)) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestResampleLinear:
     def test_two_point_interpolation(self):
         # [0, 1] resampled to an even grid is the grid itself: out[j] = j/(n-1)
-        out = resample_linear(cyc([0.0, 1.0]))
+        out = normalize_cycle(cyc([0.0, 1.0]), "interp", None)
         assert np.allclose(out.values, np.linspace(0.0, 1.0, TARGET_LEN))
         quarter = (TARGET_LEN - 1) // 2
         assert out.values[0] == 0.0
@@ -179,19 +211,19 @@ class TestResampleLinear:
         assert out.values[quarter] == pytest.approx(quarter / (TARGET_LEN - 1))
 
     def test_constant_invariance(self):
-        out = resample_linear(cyc(np.full(30, 0.7)))
+        out = normalize_cycle(cyc(np.full(30, 0.7)), "interp", None)
         assert np.all(out.values == 0.7)
 
     def test_identity_grid(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=TARGET_LEN)
-        out = resample_linear(cyc(x))
+        out = normalize_cycle(cyc(x), "interp", None)
         assert np.allclose(out.values, x, atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=140))
     def test_bounds_preserved(self, samples):
-        out = resample_linear(cyc(samples))
+        out = normalize_cycle(cyc(samples), "interp", None)
         assert out.values.min() >= min(samples) - 1e-12
         assert out.values.max() <= max(samples) + 1e-12
         assert out.values.size == TARGET_LEN
@@ -199,24 +231,24 @@ class TestResampleLinear:
 
 class TestPadConstant:
     def test_repeat_last(self):
-        out = pad_constant(cyc([1.0, 2.0, 3.0]))
+        out = normalize_cycle(cyc([1.0, 2.0, 3.0]), "pad", None)
         assert np.array_equal(out.values[:3], [1, 2, 3])
         assert np.all(out.values[3:] == 3.0)
 
     def test_full_length_identity(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=TARGET_LEN)
-        assert np.array_equal(pad_constant(cyc(x)).values, x)
+        assert np.array_equal(normalize_cycle(cyc(x), "pad", None).values, x)
 
     def test_too_long_rejected(self):
         with pytest.raises(CycleLongerThanTarget):
-            pad_constant(cyc(np.ones(TARGET_LEN + 1)))
+            normalize_cycle(cyc(np.ones(TARGET_LEN + 1)), "pad", None)
 
     def test_structure(self, seed):
         rng = np.random.default_rng(seed)
         v = int(rng.integers(2, TARGET_LEN))
         x = rng.normal(size=v)
-        out = pad_constant(cyc(x)).values
+        out = normalize_cycle(cyc(x), "pad", None).values
         assert np.array_equal(out[:v], x)
         assert np.all(out[v:] == x[-1])
         assert out.size == TARGET_LEN
@@ -229,13 +261,23 @@ class TestNormalizeDataset:
 
     def test_modes_and_schemes(self, seed):
         rng = np.random.default_rng(seed)
-        cycles = [cyc(rng.normal(size=60), sid="a", t0=600 * i) for i in range(4)]
+        labels = list(QualityLabel)
+        cycles = [CvsCycle("a", 600 * i, rng.normal(size=60), labels[i % 3])
+                  for i in range(4)]
         cals = {"a": cal(rng.normal(size=CALIBRATION_SAMPLES))}
+        scales = {"naive": naive_scale_factor, "none": lambda c: None,
+                  "subject": lambda c: subject_scale_factor(cals["a"])}
         for scheme in ("interp", "pad"):
             for mode in ("naive", "subject", "none"):
-                out = normalize_dataset(cycles, scheme, mode, cals)
-                assert all(n.values.size == TARGET_LEN for n in out)
-                assert all(n.scheme == scheme for n in out)
+                x, y_train, y_eval = normalize_dataset(cycles, scheme, mode, cals)
+                rows = [normalize_cycle(c, scheme, scales[mode](c)).values for c in cycles]
+                assert np.array_equal(x, np.stack(rows))
+                assert np.array_equal(y_train, [c.label.train_value for c in cycles])
+                assert np.array_equal(y_eval, [c.label.eval_value for c in cycles])
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValidationError, match="empty cycle dataset"):
+            normalize_dataset([], "interp", "none")
 
     def test_short_cycle_rejected(self):
         with pytest.raises(TooShortCycle):
