@@ -211,10 +211,9 @@ def conv1d(x, kern, b, stride: int = 1) -> Var:
     def bwd(g):
         n, length, cin = x.value.shape
         k, _, cout = kern.value.shape
-        out_len, pl, pad = kernels.conv_geometry(length, k, stride)
         g2 = g.reshape(-1, cout)
-        dcols = (g2 @ kern.value.reshape(k * cin, cout).T).reshape(n, out_len, k, cin)
-        dx = kernels.col2im(dcols, stride, length, pl, pad)
+        dcols = (g2 @ kern.value.reshape(k * cin, cout).T).reshape(n, g.shape[1], k, cin)
+        dx = kernels.col2im(dcols, stride, length)
         dk = (cols.T @ g2).reshape(k, cin, cout)
         return dx, dk, g.sum(axis=(0, 1))
     return Var(out, (x, kern, b), bwd)
@@ -231,9 +230,8 @@ def conv_transpose1d(x, kern, b, stride: int, out_len: int) -> Var:
     def bwd(g):
         n, l_small, cin = x.value.shape
         k, _, cout = kern.value.shape
-        _, pl, pad = kernels.conv_geometry(out_len, k, stride)
         kmat = kern.value.transpose(1, 0, 2).reshape(cin, k * cout)
-        gcols = kernels.im2col(g, k, stride, l_small, pl, pad)   # (N*Ls, k*Cout)
+        gcols = kernels.im2col(g, k, stride)                     # (N*Ls, k*Cout)
         dx = (gcols @ kmat.T).reshape(n, l_small, cin)
         dk = (x.value.reshape(-1, cin).T @ gcols).reshape(cin, k, cout).transpose(1, 0, 2)
         return dx, dk, g.sum(axis=(0, 1))
@@ -246,12 +244,9 @@ def maxpool1d(x) -> Var:
     out = kernels.maxpool1d(x.value)
 
     def bwd(g):
-        win = kernels.pool_windows(x.value)
-        n, half, _, c = win.shape
-        dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, win.argmax(axis=2)[:, :, None, :],
-                          g[:, :, None, :], axis=2)
-        dx = np.zeros_like(x.value)
-        dx[:, :half * 2, :] = dwin.reshape(n, half * 2, c)
+        dx = np.zeros(x.value.shape)
+        winner = kernels.pool_windows(x.value).argmax(axis=2)[:, :, None, :]
+        # pool_windows of a C-contiguous array is a view, so this writes dx
+        np.put_along_axis(kernels.pool_windows(dx), winner, g[:, :, None, :], axis=2)
         return (dx,)
     return Var(out, (x,), bwd)

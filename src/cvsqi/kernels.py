@@ -4,12 +4,23 @@ Each autodiff op of the same name calls its kernel here and adds only the
 backward closure, so inference (arrays in, arrays out) and the taped
 training graph compute every output with the same arithmetic.
 
-The convolution is an im2col GEMM: k strided slices of the zero-padded input
-form an (N * L_out, k * C_in) matrix that meets the kernel in one 2-D matrix
-product.  The transposed convolution is its adjoint: one GEMM yields every
-tap's contribution, and k strided slice-adds place them, with no scatter.
+The convolution is an im2col GEMM: k strided slices of the input, as if
+zero-padded, form an (N * L_out, k * C_in) matrix that meets the kernel in
+one 2-D matrix product.  No padded copy is made: input rows are copied
+straight into the matrix and only its padding rows are zeroed, and a
+width-1, stride-1 conv uses a view of its input as the matrix.  The
+transposed convolution is its adjoint: one GEMM yields every tap's
+contribution, and strided slice-adds place them straight into the output,
+with no scatter.  ReLU is fmax(a, 0), with -0.0 cleared.
+
+Each kernel allocates only the arrays it returns (conv_transpose1d also its
+GEMM's tap matrix) and adds its bias in place.  No arithmetic and no order
+of operations differs from the padded-copy form, so every output is
+bit-for-bit the same.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -17,7 +28,14 @@ from .errors import ShapeMismatch
 
 
 def relu(a: np.ndarray) -> np.ndarray:
-    return np.where(a > 0, a, 0.0)
+    """max(a, 0), with NaN and -0.0 mapped to +0.0.
+
+    fmax drops a NaN operand, but its vectorized loop may return -0.0 for
+    -0.0; adding +0.0 clears that sign and changes no other value.
+    """
+    out = np.fmax(a, 0.0)
+    out += 0.0
+    return out
 
 
 def sigmoid(a: np.ndarray) -> np.ndarray:
@@ -40,43 +58,103 @@ def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"dense: x {x.shape} incompatible with W {w.shape}")
     if b.shape != (w.shape[0],):
         raise ShapeMismatch(f"dense: bias {b.shape} vs W {w.shape}")
-    return x @ w.T + b
+    out = x @ w.T
+    out += b
+    return out
 
 
-def conv_geometry(length: int, k: int, stride: int):
-    """(output length, left padding, total padding) of a same-style conv."""
+def conv_geometry(length: int, k: int, stride: int) -> tuple[int, int]:
+    """(output length, left padding) of a same-style conv."""
     out_len = -(-length // stride)
     pad = max((out_len - 1) * stride + k - length, 0)
-    return out_len, pad // 2, pad
+    return out_len, pad // 2
 
 
-def im2col(a: np.ndarray, k: int, stride: int, out_len: int, pl: int,
-           pad: int) -> np.ndarray:
-    """(N, L, C) -> (N * out_len, k * C): row o holds the k taps from o * stride
-    of `a` zero-padded by pl on the left and pad - pl on the right."""
-    n, length, c = a.shape
-    ap = np.zeros((n, length + pad, c))
-    ap[:, pl:pl + length, :] = a
-    span = (out_len - 1) * stride + 1
-    cols = np.empty((n, out_len, k, c))
+@functools.lru_cache(maxsize=256)
+def _tap_moves(length: int, k: int, stride: int) -> tuple[int, tuple, tuple]:
+    """How a conv over `length` input rows fills its (N, out_len, k, C) im2col
+    matrix from its (N, L, C) input, cached per geometry.
+
+    Returns (out_len, pads, moves).  `pads` index the matrix entries that
+    read padding.  A move (mat, src, block) pairs matrix[mat] with input[src]:
+    one tap's in-range rows (block None), or a full block of `stride`
+    consecutive taps where all of them are in range.  There each output row
+    reads `stride` consecutive input rows, so input[src] viewed as
+    (N, *block, C) is matrix[mat].  Moves are listed block by block in
+    increasing tap, and the moves of one block touch disjoint input rows.
+    """
+    out_len, pl = conv_geometry(length, k, stride)
+    every = slice(None)
+
+    def move(lo, hi, t, w):
+        start = lo * stride + t - pl
+        if w == 1:
+            rows = slice(start, start + (hi - lo - 1) * stride + 1, stride)
+            return (every, slice(lo, hi), t, every), (every, rows, every), None
+        return ((every, slice(lo, hi), slice(t, t + w), every),
+                (every, slice(start, start + (hi - lo) * w), every), (hi - lo, w))
+
+    spans, pads = [], []
     for t in range(k):
-        cols[:, :, t, :] = ap[:, t:t + span:stride, :]
+        first = t - pl                               # input row of output row 0
+        lo = max(-(first // stride), 0)
+        hi = min(max((length - 1 - first) // stride + 1, 0), out_len)
+        lo, hi = (lo, hi) if lo < hi else (out_len, out_len)
+        spans.append((lo, hi))
+        pads += [(every, rows, t, every) for rows in (slice(0, lo), slice(hi, out_len))
+                 if rows.start < rows.stop]
+
+    moves = []
+    for t0 in range(0, k, stride):
+        block = range(t0, min(t0 + stride, k))
+        blo = max(spans[t][0] for t in block)
+        bhi = min(spans[t][1] for t in block)
+        if len(block) < stride or blo >= bhi:
+            blo = bhi = 0
+        else:
+            moves.append(move(blo, bhi, t0, stride))
+        for t in block:                              # rows the block move left
+            lo, hi = spans[t]
+            for a, b in ((lo, min(hi, blo)), (max(lo, bhi), hi)):
+                if a < b:
+                    moves.append(move(a, b, t, 1))
+    return out_len, tuple(pads), tuple(moves)
+
+
+def im2col(a: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """(N, L, C) -> (N * out_len, k * C): row o holds the k taps from o * stride
+    of `a` zero-padded by conv_geometry's left padding.
+
+    Input rows are copied straight from `a` and only the padding entries are
+    zeroed.  A width-1, stride-1 conv has no padding: its matrix is a view
+    of `a`.
+    """
+    n, length, c = a.shape
+    if k == 1 and stride == 1:
+        return a.reshape(n * length, c)
+    out_len, pads, moves = _tap_moves(length, k, stride)
+    cols = np.empty((n, out_len, k, c))
+    for mat in pads:
+        cols[mat] = 0.0
+    for mat, src, block in moves:
+        cols[mat] = a[src] if block is None else a[src].reshape(-1, *block, c)
     return cols.reshape(n * out_len, k * c)
 
 
-def col2im(cols: np.ndarray, stride: int, length: int, pl: int,
-           pad: int) -> np.ndarray:
+def col2im(cols: np.ndarray, stride: int, length: int) -> np.ndarray:
     """Adjoint of im2col: (N, out_len, k, C) taps summed back onto (N, L, C).
 
     Taps are added from t = k - 1 down to 0, so every position receives its
-    terms in increasing o, the order an index-array scatter would use.
+    terms in increasing o, the order an index-array scatter would use (one
+    block's moves reach disjoint positions, so their order is free); the
+    terms that would land in the padding are never added.
     """
-    n, out_len, k, c = cols.shape
-    ap = np.zeros((n, length + pad, c))
-    span = (out_len - 1) * stride + 1
-    for t in range(k - 1, -1, -1):
-        ap[:, t:t + span:stride, :] += cols[:, :, t, :]
-    return ap[:, pl:pl + length, :]
+    n, _, k, c = cols.shape
+    out = np.zeros((n, length, c))
+    for mat, dst, block in reversed(_tap_moves(length, k, stride)[2]):
+        win = out[dst] if block is None else out[dst].reshape(-1, *block, c)
+        win += cols[mat]                                 # win is a view of out
+    return out
 
 
 def conv1d_cols(x: np.ndarray, kern: np.ndarray, b: np.ndarray,
@@ -90,10 +168,10 @@ def conv1d_cols(x: np.ndarray, kern: np.ndarray, b: np.ndarray,
         raise ShapeMismatch(f"conv1d: input channels {cin} vs kernel {kcin}")
     if b.shape != (cout,):
         raise ShapeMismatch("conv1d: bias shape mismatch")
-    out_len, pl, pad = conv_geometry(length, k, stride)
-    cols = im2col(x, k, stride, out_len, pl, pad)          # (N*Lo, k*Cin)
-    out = (cols @ kern.reshape(k * cin, cout) + b).reshape(n, out_len, cout)
-    return out, cols
+    cols = im2col(x, k, stride)                            # (N*Lo, k*Cin)
+    out = cols @ kern.reshape(k * cin, cout)
+    out += b
+    return out.reshape(n, conv_geometry(length, k, stride)[0], cout), cols
 
 
 def conv1d(x: np.ndarray, kern: np.ndarray, b: np.ndarray,
@@ -109,7 +187,7 @@ def conv_transpose1d(x: np.ndarray, kern: np.ndarray, b: np.ndarray,
                      stride: int, out_len: int) -> np.ndarray:
     """Adjoint of conv1d: maps length ceil(out_len / stride) back to out_len.
 
-    One GEMM gives every tap's contribution; k strided slice-adds place them.
+    One GEMM gives every tap's contribution; strided slice-adds place them.
     x: (N, L_small, C_in); kern: (k, C_in, C_out).
     """
     n, l_small, cin = x.shape
@@ -118,14 +196,15 @@ def conv_transpose1d(x: np.ndarray, kern: np.ndarray, b: np.ndarray,
         raise ShapeMismatch(f"conv_transpose1d: input channels {cin} vs kernel {kcin}")
     if b.shape != (cout,):
         raise ShapeMismatch("conv_transpose1d: bias shape mismatch")
-    l_chk, pl, pad = conv_geometry(out_len, k, stride)
-    if l_chk != l_small:
+    if conv_geometry(out_len, k, stride)[0] != l_small:
         raise ShapeMismatch(
             f"conv_transpose1d: input length {l_small} inconsistent with "
             f"out_len {out_len} at stride {stride}")
     kmat = kern.transpose(1, 0, 2).reshape(cin, k * cout)
     taps = (x.reshape(-1, cin) @ kmat).reshape(n, l_small, k, cout)
-    return col2im(taps, stride, out_len, pl, pad) + b
+    out = col2im(taps, stride, out_len)
+    out += b
+    return out
 
 
 def pool_windows(x: np.ndarray) -> np.ndarray:

@@ -46,7 +46,11 @@ class ParamSet:
 
 def adam_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """Standard Adam update with bias correction, in place."""
+    """Standard Adam update with bias correction, in place.
+
+    The moments are updated in their own arrays.  Each value array is
+    replaced, not written, since ParamSet may share it with its caller.
+    """
     params.t += 1
     t = params.t
     for name, g in grads.items():
@@ -54,11 +58,20 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float,
             raise ShapeMismatch(f"gradient for unknown parameter {name!r}")
         if g.shape != params.values[name].shape:
             raise ShapeMismatch(f"gradient shape mismatch for {name!r}")
-        params.m[name] = beta1 * params.m[name] + (1 - beta1) * g
-        params.v[name] = beta2 * params.v[name] + (1 - beta2) * g * g
-        m_hat = params.m[name] / (1 - beta1 ** t)
-        v_hat = params.v[name] / (1 - beta2 ** t)
-        params.values[name] = params.values[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = params.m[name], params.v[name]
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        gg = (1 - beta2) * g
+        gg *= g
+        v += gg
+        step = np.divide(m, 1 - beta1 ** t)               # m_hat
+        step *= lr
+        denom = np.divide(v, 1 - beta2 ** t, out=gg)     # v_hat
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        params.values[name] = params.values[name] - step
 
 
 def fit(params: ParamSet, n: int,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvsqi import autodiff as ad
+from cvsqi import kernels
 from cvsqi.autodiff import Var
 from cvsqi.errors import GraphNotRecorded, ShapeMismatch
 from gradcheck import fd_grad, rel_err
@@ -30,6 +31,20 @@ class TestElementwiseValues:
     def test_relu(self):
         out = ad.relu(Var(np.array([-2.0, 3.0]))).value
         assert np.array_equal(out, [0.0, 3.0])
+
+    @pytest.mark.parametrize("relu", [kernels.relu, lambda a: ad.relu(Var(a)).value],
+                             ids=["kernel", "autodiff"])
+    def test_relu_special_values(self, relu):
+        # NaN and -0.0 map to +0.0; a NaN-propagating max fails here.  Which
+        # lengths send -0.0 through numpy's vectorized fmax loop varies, so
+        # several are tried.
+        for repeat in range(1, 12):
+            out = relu(np.tile([np.nan, -0.0, 0.0, -1.0, 2.0, np.inf, -np.inf], repeat))
+            assert np.array_equal(out, np.tile([0.0, 0.0, 0.0, 0.0, 2.0, np.inf, 0.0],
+                                               repeat))
+            assert not np.signbit(out).any()
+        for n in range(1, 18):
+            assert not np.signbit(relu(np.full(n, -0.0))).any()
 
     def test_sigmoid_extreme_inputs_stay_finite(self):
         out = ad.sigmoid(Var(np.array([-1e4, 1e4]))).value
@@ -204,6 +219,80 @@ class TestConv1d:
     @pytest.mark.parametrize("k,stride", [(1, 1), (1, 2), (1, 3), (3, 3)])
     def test_gradients_k1_and_stride3(self, seed, k, stride):
         self.check_gradients(seed, k, stride)
+
+
+def padded_im2col(a, k, stride, out_len, pl, pad):
+    """im2col through a zero-padded copy of the input: the reference form."""
+    n, length, c = a.shape
+    ap = np.zeros((n, length + pad, c))
+    ap[:, pl:pl + length, :] = a
+    span = (out_len - 1) * stride + 1
+    cols = np.empty((n, out_len, k, c))
+    for t in range(k):
+        cols[:, :, t, :] = ap[:, t:t + span:stride, :]
+    return cols.reshape(n * out_len, k * c)
+
+
+def padded_col2im(cols, stride, length, pl, pad):
+    """col2im through a zero-padded scratch array: the reference form."""
+    n, out_len, k, c = cols.shape
+    ap = np.zeros((n, length + pad, c))
+    span = (out_len - 1) * stride + 1
+    for t in range(k - 1, -1, -1):
+        ap[:, t:t + span:stride, :] += cols[:, :, t, :]
+    return ap[:, pl:pl + length, :]
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bit patterns, so -0.0 differs from +0.0."""
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64))
+
+
+class TestIm2col:
+    """im2col and col2im write straight into their outputs; the padded-copy
+    forms above are the reference, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_match_padded_reference(self, seed, k, stride):
+        rng = np.random.default_rng(seed)
+        for length in range(1, 10):
+            out_len = -(-length // stride)
+            pad = max((out_len - 1) * stride + k - length, 0)
+            assert kernels.conv_geometry(length, k, stride) == (out_len, pad // 2)
+            for n in (1, 3):
+                for c in (1, 4):
+                    a = rng.normal(size=(n, length, c))
+                    a[a > 1.0] = -0.0
+                    assert same_bits(kernels.im2col(a, k, stride),
+                                     padded_im2col(a, k, stride, out_len, pad // 2, pad))
+                    cols = rng.normal(size=(n, out_len, k, c))
+                    cols[cols > 1.0] = -0.0
+                    assert same_bits(kernels.col2im(cols, stride, length),
+                                     padded_col2im(cols, stride, length, pad // 2, pad))
+
+    def test_taps_with_no_input_row(self):
+        # length 1, k 3: only the middle tap reads the sample, the outer two
+        # read padding alone
+        a = np.array([[[1.5, -2.0]]])
+        assert np.array_equal(kernels.im2col(a, 3, 1), [[0.0, 0.0, 1.5, -2.0, 0.0, 0.0]])
+        cols = np.arange(1.0, 7.0).reshape(1, 1, 3, 2)
+        assert np.array_equal(kernels.col2im(cols, 1, 1), [[[3.0, 4.0]]])
+
+    def test_width1_matrix_is_a_view(self):
+        a = np.random.default_rng(0).normal(size=(2, 7, 3))
+        cols = kernels.im2col(a, 1, 1)
+        assert cols.shape == (14, 3) and np.shares_memory(cols, a)
+
+    def test_width1_conv_backward_leaves_input(self, seed):
+        # the width-1 im2col matrix aliases x, so backward must only read it
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(3, 7, 4))
+        xv = Var(x.copy())
+        out = ad.conv1d(xv, Var(rng.normal(size=(1, 4, 2))), Var(rng.normal(size=2)))
+        ad.backward(ad.sum_(ad.square(out)))
+        assert np.array_equal(xv.value, x)
 
 
 def conv_transpose_oracle(x, kern, b, out_len, stride):

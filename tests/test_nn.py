@@ -37,6 +37,18 @@ def adam_oracle(values, m, v, t, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
     return out_v, out_m, out_s
 
 
+def adam_reference(values, m, v, t, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One out-of-place Adam step in adam_step's order of operations."""
+    out_v, out_m, out_s = dict(values), dict(m), dict(v)
+    for name, g in grads.items():
+        out_m[name] = b1 * m[name] + (1 - b1) * g
+        out_s[name] = b2 * v[name] + (1 - b2) * g * g
+        m_hat = out_m[name] / (1 - b1 ** t)
+        v_hat = out_s[name] / (1 - b2 ** t)
+        out_v[name] = values[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return out_v, out_m, out_s
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
         ps = ParamSet({"w": np.array([1.0, -2.0])})
@@ -70,6 +82,31 @@ class TestAdam:
                 assert np.max(np.abs(ps.values[k] - ov[k])) < 1e-12
                 assert np.max(np.abs(ps.m[k] - om[k])) < 1e-12
                 assert np.max(np.abs(ps.v[k] - os_[k])) < 1e-12
+
+    def test_bit_identical_to_out_of_place_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        ps = ParamSet({"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5)})
+        ref = tuple({k: a.copy() for k, a in d.items()} for d in (ps.values, ps.m, ps.v))
+        for step in range(1, 6):
+            grads = {k: rng.normal(size=v.shape) for k, v in ps.values.items()}
+            ref = adam_reference(*ref, step, grads, lr=1e-2)
+            adam_step(ps, grads, lr=1e-2)
+            assert ps.t == step
+            for got, want in zip((ps.values, ps.m, ps.v), ref):
+                for k in want:
+                    assert np.array_equal(got[k], want[k])
+
+    def test_step_leaves_held_values_and_snapshots(self, seed):
+        # moments are updated in place, but a value array is replaced: one
+        # taken before the step, directly or through copy_values, keeps its data
+        rng = np.random.default_rng(seed)
+        ps = ParamSet({"a": rng.normal(size=(3, 4))})
+        held, snapshot = ps.values["a"], ps.copy_values()
+        before = held.copy()
+        adam_step(ps, {"a": rng.normal(size=(3, 4))}, lr=1e-2)
+        assert not np.array_equal(ps.values["a"], before)
+        assert np.array_equal(held, before)
+        assert np.array_equal(snapshot["a"], before)
 
     def test_partition_invariance(self, seed):
         # updating tensors jointly or one per call gives identical parameters
@@ -283,3 +320,39 @@ class TestTapeFreeForward:
         assert np.array_equal(free_sigma, np.exp(log_sigma.value))
         assert np.array_equal(manifold.residuals(model, x),
                               np.linalg.norm(x - recon.value, axis=1))
+
+
+class TestGraphIsolation:
+    """Kernels keep no buffer across calls: a second graph built before the
+    first's backward changes none of the first graph's gradients."""
+
+    @staticmethod
+    def vae_loss(model, pvars, x):
+        h = forward_layers(model.enc, pvars, Var(x), prefix="enc.")
+        z = ad.slice_cols(h, 0, manifold.LATENT_DIM)
+        recon = forward_layers(model.dec, pvars, z, prefix="dec.")
+        return ad.sum_(ad.square(ad.sub(recon, Var(x))))
+
+    @staticmethod
+    def classifier_loss(model, pvars, x):
+        return ad.sum_(ad.square(discriminative._forward_var(model, x, pvars)))
+
+    @pytest.mark.parametrize("kind", ["bcvae", "vgg3"])
+    def test_second_graph_leaves_first_gradients(self, kind, seed):
+        if kind == "bcvae":
+            model, loss = manifold.build_vae(kind, seed=seed), self.vae_loss
+        else:
+            model, loss = discriminative.build(kind, seed=seed), self.classifier_loss
+        x1, x2 = np.random.default_rng(seed).normal(size=(2, 4, 150))
+        alone = model.params.as_vars()
+        ad.backward(loss(model, alone, x1))
+
+        first, second = model.params.as_vars(), model.params.as_vars()
+        loss1 = loss(model, first, x1)
+        loss2 = loss(model, second, x2)
+        ad.backward(loss1)
+        grads = {k: v.grad.copy() for k, v in first.items()}
+        ad.backward(loss2)
+        for k, v in first.items():
+            assert np.array_equal(v.grad, alone[k].grad)
+            assert np.array_equal(v.grad, grads[k])
