@@ -244,9 +244,12 @@ def maxpool1d(x) -> Var:
     out = kernels.maxpool1d(x.value)
 
     def bwd(g):
+        first, second = kernels.pool_pairs(x.value)
+        # the argmax of each pair: the first row on a tie or when it is NaN
+        first_wins = (first >= second) | np.isnan(first)
         dx = np.zeros(x.value.shape)
-        winner = kernels.pool_windows(x.value).argmax(axis=2)[:, :, None, :]
-        # pool_windows of a C-contiguous array is a view, so this writes dx
-        np.put_along_axis(kernels.pool_windows(dx), winner, g[:, :, None, :], axis=2)
+        dx_first, dx_second = kernels.pool_pairs(dx)    # views of dx
+        np.copyto(dx_first, g, where=first_wins)
+        np.copyto(dx_second, g, where=~first_wins)
         return (dx,)
     return Var(out, (x,), bwd)

@@ -97,6 +97,11 @@ def read_stream(path: str) -> CvsStream:
     if rows.size != len(lines) or not np.isin(rows["code"], _LABEL_CODES).all():
         raise _stream_row_error(path, lines)
     t_ms, codes = rows["t_ms"].copy(), rows["code"]
+    # a code labels the cycle that starts at its row, so the row must be an R-peak
+    stray = np.flatnonzero((codes != -1) & (rows["peak"] != 1))
+    if stray.size:
+        raise ValidationError(f"{path}:{stray[0] + 1}: label code {codes[stray[0]]} "
+                              f"on a row that is not an R-peak")
     labels = [QualityLabel.from_code(c) for c in codes[codes != -1].tolist()]
     return CvsStream(t_ms, rows["x"].copy(), t_ms[rows["peak"] == 1], labels)
 

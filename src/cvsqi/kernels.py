@@ -11,7 +11,8 @@ straight into the matrix and only its padding rows are zeroed, and a
 width-1, stride-1 conv uses a view of its input as the matrix.  The
 transposed convolution is its adjoint: one GEMM yields every tap's
 contribution, and strided slice-adds place them straight into the output,
-with no scatter.  ReLU is fmax(a, 0), with -0.0 cleared.
+with no scatter.  ReLU is fmax(a, 0), with -0.0 cleared.  Max-pooling is
+np.maximum of the two rows of each pair, both views of the input.
 
 Each kernel allocates only the arrays it returns (conv_transpose1d also its
 GEMM's tap matrix) and adds its bias in place.  No arithmetic and no order
@@ -39,13 +40,13 @@ def relu(a: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: np.ndarray) -> np.ndarray:
-    """Logistic function, evaluated so that neither branch overflows."""
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ez = np.exp(a[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function, evaluated so that neither branch overflows.
+
+    With e = exp(-|a|) <= 1, it is 1 / (1 + e) for a >= 0 and e / (1 + e)
+    below (and for NaN).
+    """
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def reshape(a: np.ndarray, shape) -> np.ndarray:
@@ -207,15 +208,18 @@ def conv_transpose1d(x: np.ndarray, kern: np.ndarray, b: np.ndarray,
     return out
 
 
-def pool_windows(x: np.ndarray) -> np.ndarray:
-    """(N, L, C) -> (N, L // 2, 2, C) non-overlapping pairs; odd tail dropped."""
+def pool_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, L, C) -> the first and second rows of each non-overlapping pair,
+    two (N, L // 2, C) views; an odd trailing row is dropped."""
     if x.ndim != 3:
         raise ShapeMismatch("maxpool1d expects (N, L, C)")
-    n, length, c = x.shape
-    half = length // 2
-    return x[:, :half * 2, :].reshape(n, half, 2, c)
+    end = x.shape[1] // 2 * 2
+    return x[:, 0:end:2], x[:, 1:end:2]
 
 
 def maxpool1d(x: np.ndarray) -> np.ndarray:
-    """Per-channel max over non-overlapping pairs; odd trailing sample dropped."""
-    return pool_windows(x).max(axis=2)
+    """Per-channel max over non-overlapping pairs; odd trailing sample dropped.
+
+    NaN propagates; of two equal values (-0.0 and 0.0 too) the first is kept.
+    """
+    return np.maximum(*pool_pairs(x))

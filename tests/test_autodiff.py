@@ -46,6 +46,20 @@ class TestElementwiseValues:
         for n in range(1, 18):
             assert not np.signbit(relu(np.full(n, -0.0))).any()
 
+    def test_sigmoid_matches_two_branch_reference(self, seed):
+        def two_branch(a):     # each side evaluated on its own elements
+            out = np.empty_like(a)
+            pos = a >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+            ez = np.exp(a[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        a = np.concatenate([[np.nan, -0.0, 0.0, np.inf, -np.inf, 745.0, -745.0, 1e4],
+                            np.random.default_rng(seed).normal(scale=8.0, size=500)])
+        for x in (a, a.reshape(-1, 4), a[:1]):
+            assert same_bits_or_nan(kernels.sigmoid(x), two_branch(x))
+
     def test_sigmoid_extreme_inputs_stay_finite(self):
         out = ad.sigmoid(Var(np.array([-1e4, 1e4]))).value
         assert np.all(np.isfinite(out))
@@ -249,6 +263,18 @@ def same_bits(a, b) -> bool:
         np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64))
 
 
+def same_bits_or_nan(a, b) -> bool:
+    """NaN in the same places, and same_bits everywhere else.
+
+    Neither the sign nor the payload of a NaN is compared: the window
+    reference's single-channel reduction returns numpy's default NaN, and
+    sigmoid's exp(-|a|) sets the sign bit of a NaN.
+    """
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and same_bits(a[~nan], b[~nan]))
+
+
 class TestIm2col:
     """im2col and col2im write straight into their outputs; the padded-copy
     forms above are the reference, bit for bit."""
@@ -369,7 +395,60 @@ class TestConvTranspose1d:
         self.check_gradients(seed, k, stride)
 
 
+def windowed_maxpool(x):
+    """Max over (N, L // 2, 2, C) pair windows: the reference forward."""
+    n, length, c = x.shape
+    return x[:, :length // 2 * 2].reshape(n, length // 2, 2, c).max(axis=2)
+
+
+def windowed_maxpool_grad(x, g):
+    """argmax of each pair window, then a put_along_axis: the reference backward."""
+    n, length, c = x.shape
+    windows = x[:, :length // 2 * 2].reshape(n, length // 2, 2, c)
+    dx = np.zeros(x.shape)
+    np.put_along_axis(dx[:, :length // 2 * 2].reshape(windows.shape),
+                      windows.argmax(axis=2)[:, :, None, :], g[:, :, None, :], axis=2)
+    return dx
+
+
+# every ordered pair of NaN, signed zeros, infinities and ties
+POOL_SPECIAL = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 1.0, 1.0, -2.0])
+
+
 class TestMaxPool:
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("odd_tail", [False, True])
+    def test_special_values_match_window_reference(self, channels, odd_tail):
+        pairs = np.array([(a, b) for a in POOL_SPECIAL for b in POOL_SPECIAL]).ravel()
+        if odd_tail:
+            pairs = np.append(pairs, np.nan)
+        x = np.stack([np.roll(pairs, 2 * c) for c in range(channels)], axis=-1)[None]
+        x = np.concatenate([x, -x])
+        out = ad.maxpool1d(Var(x))
+        assert same_bits_or_nan(out.value, windowed_maxpool(x))
+        g = np.random.default_rng(0).normal(size=out.shape)
+        g[:, ::5] = -0.0
+        (dx,) = out._bwd(g)
+        assert same_bits(dx, windowed_maxpool_grad(x, g))
+
+    def test_first_of_a_tie_or_nan_gets_the_gradient(self):
+        x = np.array([1.0, 1.0, -0.0, 0.0, np.nan, 5.0, 5.0, np.nan,
+                      np.nan, np.nan]).reshape(1, 10, 1)
+        xv = Var(x)
+        ad.backward(ad.sum_(ad.maxpool1d(xv)))
+        assert np.array_equal(xv.grad.ravel(), [1, 0, 1, 0, 1, 0, 0, 1, 1, 0])
+
+    def test_random_inputs_match_window_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        for shape in [(1, 150, 4), (3, 75, 8), (2, 37, 16), (1, 1, 2)]:
+            x = rng.normal(size=shape).round(1)     # rounding makes ties
+            xv = Var(x)
+            out = ad.maxpool1d(xv)
+            g = rng.normal(size=out.shape)
+            ad.backward(ad.sum_(ad.mul(out, Var(g))))
+            assert same_bits(out.value, windowed_maxpool(x))
+            assert same_bits(xv.grad, windowed_maxpool_grad(x, g))
+
     def test_pairwise_max(self):
         x = np.array([1.0, 3.0, 2.0, 0.0]).reshape(1, 4, 1)
         out = ad.maxpool1d(Var(x)).value

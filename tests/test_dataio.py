@@ -153,6 +153,14 @@ class TestStreamFiles:
         with pytest.raises(ValidationError, match=f"{path}:3:"):
             dataio.read_stream(str(path))
 
+    def test_label_code_off_an_r_peak(self, tmp_path):
+        # the code 2 on line 2 would otherwise label the cycle from 20 ms
+        path = tmp_path / "stray.csv"
+        path.write_text("0,0.1,1,1\n10,0.2,0,2\n20,0.3,1,-1\n30,0.4,0,-1\n40,0.5,1,-1\n")
+        with pytest.raises(ValidationError, match=f"{path}:2: label code 2 on a row "
+                                                  "that is not an R-peak"):
+            dataio.read_stream(str(path))
+
 
 class TestAtomicWrite:
     def test_no_temp_left_behind(self, tmp_path):
