@@ -7,6 +7,7 @@ named by the CVSQI_CONFIG environment variable supplies default flag values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -317,7 +318,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--out-cycles", required=True)
     p.add_argument("--out-calib")
     p.add_argument("--out-stream")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("split", help="subject-disjoint 80/10/10 split")
     p.add_argument("--cycles", required=True)
@@ -325,7 +325,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-val", required=True)
     p.add_argument("--out-test", required=True)
-    p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train a discriminative classifier")
     p.add_argument("--arch", choices=discriminative.ARCHITECTURES, default="vgg3")
@@ -338,7 +337,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("train-manifold", help="train a manifold model on positives")
     p.add_argument("--kind", choices=manifold.MANIFOLD_KINDS, default="bcvae")
@@ -352,21 +350,18 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_manifold)
 
     p = sub.add_parser("threshold", help="select and persist the residual threshold")
     p.add_argument("--model", required=True)
     p.add_argument("--scored", required=True,
                    help="labeled cycle dataset the model scores itself")
     p.add_argument("--calib")
-    p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("evaluate", help="metrics table on a labeled test set")
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--calib")
     p.add_argument("--out", help="machine-readable JSON record")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("assess", help="per-cycle verdict stream for a CVS recording")
     p.add_argument("--model", required=True)
@@ -374,14 +369,12 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--norm", choices=SCHEMES, default=None,
                    help="must match the scheme recorded in the model file")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_assess)
 
     p = sub.add_parser("bench", help="per-cycle inference latency report")
     p.add_argument("--models", nargs="*", default=None,
                    help="model files; default benches freshly built models")
     p.add_argument("--n-cycles", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     if defaults:
         for p in sub.choices.values():
@@ -391,11 +384,18 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=8)
+def _parser(config_json: str) -> argparse.ArgumentParser:
+    """One parser per distinct config, reused by every later main() call."""
+    return build_parser(json.loads(config_json))
+
+
 def main(argv=None) -> int:
     try:
-        parser = build_parser(_load_config())
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser(json.dumps(_load_config(), sort_keys=True)).parse_args(argv)
+        # looked up per call, not stored in the cached parser, so a cmd_*
+        # function replaced on this module (a profiling wrapper) is the one run
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (FileNotFoundError, PermissionError, IoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -79,13 +79,11 @@ class SyntheticDataset:
 
 
 # Subjects synthesized at once, each on its own thread: numpy releases the
-# GIL for the noise draw and the (n, 208) ufuncs that make up synthesis.  The
-# cap bounds memory, since each subject in flight holds its (n, 208) arrays,
-# about 100 MB at 110 s.  Peak RSS of `cvsqi gen --seed 0 --subjects 20
-# --out-stream` with 1 / 2 / 3 / 4 subjects in flight: 143 / 249 / 347 /
-# 403-458 MB, so four would break CI's 400 MB limit on a 4-CPU runner.  (The
-# serial loop this replaced peaked at 212 MB: its loop variable kept the
-# previous subject's arrays alive while the next one was synthesized.)
+# GIL for the noise draw and the (rows, 208) ufuncs that make up synthesis
+# (4 subjects: about 300 ms on one thread, 170 ms on two).  The cap bounds
+# memory, since each subject in flight holds its (n, 208) noise draw, 18 MB at
+# 110 s.  Peak RSS of `cvsqi gen --seed 0 --subjects 20 --out-stream` with
+# 1 / 2 subjects in flight: 66 / 113 MB.
 MAX_SUBJECTS_IN_FLIGHT = 2
 
 
@@ -111,7 +109,7 @@ def generate_dataset(seed: int, n_subjects: int = 20,
         scenario = default_subject_scenario(seed, i, duration_ms)
         sid = scenario.subject_id
         stream = synthesize_stream(scenario)
-        # the scalar recording only: the (n, 208) arrays die with this call
+        # the scalar recording only: the (n,) motion CVS dies with this call
         return (sid, cycles_from_stream(stream, sid), calibration_from_stream(stream, sid),
                 CvsStream(stream.t_ms, stream.cvs, stream.r_peaks, stream.cycle_labels))
 

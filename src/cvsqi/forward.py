@@ -4,7 +4,8 @@ The 16-electrode system yields 208 retained transconductance channels (16
 injections x 13 adjacent-pair measurements after dropping the three pairs
 touching the injecting electrodes).  A scalar cardiac volume signal (CVS) is the
 inner product of a leadforming vector with the transconductance's deviation
-from its per-subject baseline (`LeadformVector.project`).  Synthesis works on whole (samples, 208) arrays;
+from its per-subject baseline (`LeadformVector.project`).  Synthesis builds the
+transconductance BLOCK_ROWS samples at a time and keeps only its projections;
 there is no per-frame voltage or transconductance type.
 
 Synthesis is additive by construction: the deviation of the transconductance from
@@ -25,6 +26,9 @@ from .labels import QualityLabel
 
 N_CHANNELS = 208
 SAMPLE_MS = 10
+# Rows of g built at a time: two (BLOCK_ROWS, 208) buffers stand in for the
+# recording's (n, 208) arrays.
+BLOCK_ROWS = 512
 
 MOTION_SHAPES = ("step", "ramp", "burst", "sway")
 
@@ -81,7 +85,7 @@ class SynthScenario:
     noise_std: float = 0.02                   # relative to the cardiogenic CVS peak
     gain: float = 1.0                         # subject-specific cardiogenic amplitude
     ambiguous_band: tuple[float, float] = (0.5, 1.5)
-    baseline_g: float = 50.0                  # mS, keeps g positive and invertible
+    baseline_g: float = 50.0                  # mS, keeps g positive (synthesis checks it)
     current_ma: float = 1.0                   # not used by synthesis; scenario files may set it
     subject_id: str = "s0"
 
@@ -153,12 +157,9 @@ class SynthStream:
     scenario: SynthScenario
     t_ms: np.ndarray                 # (n,)
     baseline: np.ndarray             # (208,) per-subject baseline transconductance
-    g: np.ndarray                    # (n, 208) total transconductance
-    g_air: np.ndarray                # (n, 208) respiratory component + noise
-    g_blood: np.ndarray              # (n, 208) cardiogenic component
-    g_motion: np.ndarray             # (n, 208) motion component
     leadform: LeadformVector
     cvs: np.ndarray                  # (n,) w^T (g - baseline)
+    cvs_motion: np.ndarray           # (n,) w^T (motion component of g)
     r_peaks: np.ndarray              # (m,) ms timestamps on the 10 ms grid
     cycle_labels: list[QualityLabel] # length m - 1
 
@@ -217,16 +218,14 @@ def synthesize_stream(scenario: SynthScenario) -> SynthStream:
     phase = (t_ms - bounds[seg]) / (bounds[seg + 1] - bounds[seg])
 
     cardio = scenario.gain * cardiac_template(phase)
-    g_blood = cardio[:, None] * a_blood[None, :]
-
     resp = 0.5 * scenario.gain * np.sin(2.0 * np.pi * t_ms / scenario.respiration_period_ms)
-    g_air = resp[:, None] * a_air[None, :]
+    noise = None
     if scenario.noise_std > 0:
         wnorm = np.linalg.norm(w)
         chan_std = scenario.noise_std * scenario.gain / wnorm
-        g_air += rng.normal(scale=chan_std, size=(n, N_CHANNELS))
+        noise = rng.normal(scale=chan_std, size=(n, N_CHANNELS))
 
-    g_motion = np.zeros((n, N_CHANNELS))
+    events = []     # (first row, end row, per-row CVS amplitude, mixing vector)
     for ev in scenario.motion_events:
         u = rng.normal(size=N_CHANNELS)
         u /= np.linalg.norm(u)
@@ -237,27 +236,45 @@ def synthesize_stream(scenario: SynthScenario) -> SynthStream:
             pu = w @ u
         mixing = u / pu         # w^T mixing = 1 exactly
         # the event touches only the samples of [start_ms, end_ms)
-        rows = slice(ev.start_ms // SAMPLE_MS, -(-ev.end_ms // SAMPLE_MS))
-        prof = _event_profile(ev, t_ms[rows], cardiac_phase=phase[rows])
-        g_motion[rows] += (scenario.gain * ev.amplitude * prof)[:, None] * mixing[None, :]
+        r0, r1 = ev.start_ms // SAMPLE_MS, -(-ev.end_ms // SAMPLE_MS)
+        prof = _event_profile(ev, t_ms[r0:r1], cardiac_phase=phase[r0:r1])
+        events.append((r0, r1, scenario.gain * ev.amplitude * prof, mixing))
 
-    g = baseline[None, :] + g_air
-    g += g_blood
-    g += g_motion
-    if np.any(g <= 0):
-        raise InvalidScenario("transconductance left the positive range; "
-                              "reduce amplitudes or raise baseline_g")
-
-    cvs = leadform.project(g - baseline[None, :])
+    # g = ((baseline + g_air) + g_blood) + g_motion, one block of rows at a time
+    cvs = np.empty(n)
+    cvs_motion = np.zeros(n)
+    g_buf = np.empty((BLOCK_ROWS, N_CHANNELS))
+    part_buf = np.empty((BLOCK_ROWS, N_CHANNELS))
+    for b0 in range(0, n, BLOCK_ROWS):
+        b1 = min(b0 + BLOCK_ROWS, n)
+        g, part = g_buf[:b1 - b0], part_buf[:b1 - b0]
+        np.multiply(resp[b0:b1, None], a_air[None, :], out=g)       # g_air
+        if noise is not None:
+            g += noise[b0:b1]
+        g += baseline[None, :]
+        np.multiply(cardio[b0:b1, None], a_blood[None, :], out=part)   # g_blood
+        g += part
+        overlapping = [e for e in events if e[0] < b1 and e[1] > b0]
+        if overlapping:
+            part.fill(0.0)                                           # g_motion
+            for r0, r1, amp, mixing in overlapping:
+                lo, hi = max(r0, b0), min(r1, b1)
+                part[lo - b0:hi - b0] += amp[lo - r0:hi - r0, None] * mixing[None, :]
+            g += part
+            cvs_motion[b0:b1] = leadform.project(part)
+        if np.any(g <= 0):
+            raise InvalidScenario("transconductance left the positive range; "
+                                  "reduce amplitudes or raise baseline_g")
+        g -= baseline[None, :]
+        cvs[b0:b1] = leadform.project(g)
 
     # Cycle labels from the realized motion amplitude relative to the
     # cardiogenic peak (gain); band edges come from the scenario.
-    x_motion = leadform.project(g_motion)
     lo, hi = scenario.ambiguous_band
     labels: list[QualityLabel] = []
     for a, b in zip(r_peaks[:-1], r_peaks[1:]):
         i0, i1 = int(a) // SAMPLE_MS, int(b) // SAMPLE_MS
-        m = float(np.max(np.abs(x_motion[i0:i1 + 1]))) / scenario.gain
+        m = float(np.max(np.abs(cvs_motion[i0:i1 + 1]))) / scenario.gain
         if m > hi:
             labels.append(QualityLabel.MOTION)
         elif m >= lo:
@@ -266,8 +283,6 @@ def synthesize_stream(scenario: SynthScenario) -> SynthStream:
             labels.append(QualityLabel.NORMAL)
 
     return SynthStream(
-        scenario=scenario, t_ms=t_ms, baseline=baseline, g=g,
-        g_air=g_air, g_blood=g_blood, g_motion=g_motion,
-        leadform=leadform, cvs=cvs, r_peaks=r_peaks,
-        cycle_labels=labels,
+        scenario=scenario, t_ms=t_ms, baseline=baseline, leadform=leadform,
+        cvs=cvs, cvs_motion=cvs_motion, r_peaks=r_peaks, cycle_labels=labels,
     )

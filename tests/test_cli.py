@@ -315,6 +315,25 @@ class TestConfigEnv:
                                   "--out", "o"])
         assert args.norm == "pad"
 
+    def test_each_config_file_gets_its_own_defaults(self, tmp_path, monkeypatch):
+        # main() reuses one parser per config, so a second config must not see
+        # the first one's defaults, nor a repeated config a stale parser
+        def gen(name, *flags):
+            out = tmp_path / f"{name}.csv"
+            assert run(["gen", "--subjects", 1, "--duration-ms", 30000,
+                        "--out-cycles", out, *flags]) == 0
+            return out
+
+        monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+        for seed in (5, 6):
+            cfg = tmp_path / f"cfg{seed}.json"
+            cfg.write_text(json.dumps({"seed": seed}))
+        explicit = {seed: gen(f"explicit{seed}", "--seed", seed) for seed in (5, 6)}
+        assert not filecmp.cmp(explicit[5], explicit[6], shallow=False)
+        for i, seed in enumerate((5, 6, 5)):
+            monkeypatch.setenv(cli.CONFIG_ENV, str(tmp_path / f"cfg{seed}.json"))
+            assert filecmp.cmp(gen(f"config{i}"), explicit[seed], shallow=False)
+
     def test_bad_config_exits_2(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json")
