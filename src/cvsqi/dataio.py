@@ -123,14 +123,16 @@ def read_cycles(path: str) -> list[CvsCycle]:
             parts = line.rstrip("\n").split(",")
             if len(parts) < 4:
                 raise ValidationError(f"{path}:{ln}: malformed cycle record")
-            sid, t_start, code, v = parts[0], int(parts[1]), int(parts[2]), int(parts[3])
-            values = [float(p) for p in parts[4:]]
-            if len(values) != v:
-                raise ValidationError(
-                    f"{path}:{ln}: declared {v} samples but found {len(values)}")
-            out.append(CvsCycle(subject_id=sid, t_start_ms=t_start,
-                                samples=np.asarray(values),
-                                label=QualityLabel.from_code(code)))
+            try:
+                t_start, code, v = int(parts[1]), int(parts[2]), int(parts[3])
+                cycle = CvsCycle(subject_id=parts[0], t_start_ms=t_start,
+                                 samples=np.asarray([float(p) for p in parts[4:]]),
+                                 label=QualityLabel.from_code(code))
+            except (ValueError, ValidationError) as exc:
+                raise ValidationError(f"{path}:{ln}: {exc}") from None
+            if cycle.v != v:
+                raise ValidationError(f"{path}:{ln}: declared {v} samples but found {cycle.v}")
+            out.append(cycle)
     return out
 
 
@@ -152,6 +154,9 @@ def read_calibrations(path: str) -> dict[str, CalibrationWindow]:
             if len(parts) != 1 + CALIBRATION_SAMPLES:
                 raise ValidationError(
                     f"{path}:{ln}: calibration row must hold {CALIBRATION_SAMPLES} samples")
-            out[parts[0]] = CalibrationWindow(
-                subject_id=parts[0], samples=np.asarray([float(p) for p in parts[1:]]))
+            try:
+                out[parts[0]] = CalibrationWindow(
+                    subject_id=parts[0], samples=np.asarray([float(p) for p in parts[1:]]))
+            except (ValueError, ValidationError) as exc:
+                raise ValidationError(f"{path}:{ln}: {exc}") from None
     return out

@@ -79,11 +79,11 @@ class SyntheticDataset:
 
 
 # Subjects synthesized at once, each on its own thread: numpy releases the
-# GIL for the noise draw and the (rows, 208) ufuncs that make up synthesis
-# (4 subjects: about 300 ms on one thread, 170 ms on two).  The cap bounds
-# memory, since each subject in flight holds its (n, 208) noise draw, 18 MB at
-# 110 s.  Peak RSS of `cvsqi gen --seed 0 --subjects 20 --out-stream` with
-# 1 / 2 subjects in flight: 66 / 113 MB.
+# GIL for the blocked channel-noise draw that is most of synthesis (4
+# subjects: about 190 ms on one thread, 110 ms on two).  A subject in flight
+# holds only (n,) vectors and one (512, 208) noise block, so peak RSS of
+# `cvsqi gen --seed 0 --subjects 20 --out-stream` with 1 / 2 subjects in
+# flight is 47 / 48 MB.
 MAX_SUBJECTS_IN_FLIGHT = 2
 
 

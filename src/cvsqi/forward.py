@@ -1,19 +1,18 @@
-"""The parametric synthetic generator of transconductance and CVS streams.
+"""The parametric synthetic generator of CVS streams.
 
 The 16-electrode system yields 208 retained transconductance channels (16
 injections x 13 adjacent-pair measurements after dropping the three pairs
 touching the injecting electrodes).  A scalar cardiac volume signal (CVS) is the
-inner product of a leadforming vector with the transconductance's deviation
-from its per-subject baseline (`LeadformVector.project`).  Synthesis builds the
-transconductance BLOCK_ROWS samples at a time and keeps only its projections;
-there is no per-frame voltage or transconductance type.
+inner product of a leadforming vector w with the transconductance's deviation
+from its per-subject baseline.  Synthesis draws the per-subject channel
+directions and the channel noise, projects each component through w before
+summing, and so builds only (n,) vectors; no transconductance is ever formed.
 
-Synthesis is additive by construction: the deviation of the transconductance from
-its per-subject baseline is the exact sum of a cardiogenic component, a
-respiratory component (which also carries the measurement noise), and a motion
-component that is nonzero only inside scheduled motion events.  No boundary-value
-PDE is solved; the generator only reproduces the additive structure that the
-quality-indexing task depends on.
+Synthesis is additive by construction: the CVS is the exact sum of a cardiogenic
+component, a respiratory component (which also carries the measurement noise),
+and a motion component that is nonzero only inside scheduled motion events.  No
+boundary-value PDE is solved; the generator only reproduces the additive
+structure that the quality-indexing task depends on.
 """
 from __future__ import annotations
 
@@ -21,38 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidScenario, ShapeMismatch
+from .errors import InvalidScenario
 from .labels import QualityLabel
 
 N_CHANNELS = 208
 SAMPLE_MS = 10
-# Rows of g built at a time: two (BLOCK_ROWS, 208) buffers stand in for the
-# recording's (n, 208) arrays.
+# Rows of channel noise drawn and projected at a time: one (BLOCK_ROWS, 208)
+# draw stands in for the recording's (n, 208) array.
 BLOCK_ROWS = 512
 
 MOTION_SHAPES = ("step", "ramp", "burst", "sway")
-
-
-@dataclass(frozen=True)
-class LeadformVector:
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        if w.shape != (N_CHANNELS,):
-            raise ShapeMismatch(f"leadform vector must have {N_CHANNELS} entries")
-        if not np.all(np.isfinite(w)):
-            raise InvalidScenario("leadform vector entries must be finite")
-        if not np.any(w):
-            raise InvalidScenario("leadform vector must not be all-zero")
-        object.__setattr__(self, "w", w)
-
-    def project(self, dg: np.ndarray) -> np.ndarray | float:
-        """CVS of a transconductance deviation, one (208,) row or an (n, 208) array."""
-        dg = np.asarray(dg, dtype=np.float64)
-        if dg.shape[-1:] != (N_CHANNELS,):
-            raise ShapeMismatch(f"leadform ({N_CHANNELS},) vs transconductance {dg.shape}")
-        return dg @ self.w
 
 
 @dataclass(frozen=True)
@@ -85,7 +62,7 @@ class SynthScenario:
     noise_std: float = 0.02                   # relative to the cardiogenic CVS peak
     gain: float = 1.0                         # subject-specific cardiogenic amplitude
     ambiguous_band: tuple[float, float] = (0.5, 1.5)
-    baseline_g: float = 50.0                  # mS, keeps g positive (synthesis checks it)
+    baseline_g: float = 50.0                  # not used by synthesis; scenario files may set it
     current_ma: float = 1.0                   # not used by synthesis; scenario files may set it
     subject_id: str = "s0"
 
@@ -156,8 +133,6 @@ class SynthStream:
 
     scenario: SynthScenario
     t_ms: np.ndarray                 # (n,)
-    baseline: np.ndarray             # (208,) per-subject baseline transconductance
-    leadform: LeadformVector
     cvs: np.ndarray                  # (n,) w^T (g - baseline)
     cvs_motion: np.ndarray           # (n,) w^T (motion component of g)
     r_peaks: np.ndarray              # (m,) ms timestamps on the 10 ms grid
@@ -193,8 +168,10 @@ def synthesize_stream(scenario: SynthScenario) -> SynthStream:
     n = scenario.duration_ms // SAMPLE_MS
     t_ms = np.arange(n, dtype=np.int64) * SAMPLE_MS
 
-    # Per-subject channel structure.
-    baseline = scenario.baseline_g * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, N_CHANNELS))
+    # Per-subject channel directions.  The (208,) baseline draw is discarded,
+    # since the CVS sees only deviations from the baseline; it is drawn only to
+    # hold the rng stream, and with it every later draw, in place.
+    rng.uniform(-1.0, 1.0, N_CHANNELS)
     a_blood = rng.normal(size=N_CHANNELS)
     a_blood /= np.linalg.norm(a_blood)
     a_air = rng.normal(size=N_CHANNELS)
@@ -207,7 +184,6 @@ def synthesize_stream(scenario: SynthScenario) -> SynthStream:
     if abs(proj) < 1e-6:
         raise InvalidScenario("degenerate subject seed: blood and air directions collinear")
     w = w / proj
-    leadform = LeadformVector(w)
 
     # R-peaks and the cardiac phase.
     r_peaks = _r_peak_times(scenario)
@@ -219,13 +195,15 @@ def synthesize_stream(scenario: SynthScenario) -> SynthStream:
 
     cardio = scenario.gain * cardiac_template(phase)
     resp = 0.5 * scenario.gain * np.sin(2.0 * np.pi * t_ms / scenario.respiration_period_ms)
-    noise = None
+    # w^T (channel noise), drawn in blocks: the same normals as one (n, 208) draw
+    noise = np.zeros(n)
     if scenario.noise_std > 0:
-        wnorm = np.linalg.norm(w)
-        chan_std = scenario.noise_std * scenario.gain / wnorm
-        noise = rng.normal(scale=chan_std, size=(n, N_CHANNELS))
+        chan_std = scenario.noise_std * scenario.gain / np.linalg.norm(w)
+        for b0 in range(0, n, BLOCK_ROWS):
+            b1 = min(b0 + BLOCK_ROWS, n)
+            noise[b0:b1] = rng.normal(scale=chan_std, size=(b1 - b0, N_CHANNELS)) @ w
 
-    events = []     # (first row, end row, per-row CVS amplitude, mixing vector)
+    cvs_motion = np.zeros(n)
     for ev in scenario.motion_events:
         u = rng.normal(size=N_CHANNELS)
         u /= np.linalg.norm(u)
@@ -234,39 +212,13 @@ def synthesize_stream(scenario: SynthScenario) -> SynthStream:
             u = rng.normal(size=N_CHANNELS)
             u /= np.linalg.norm(u)
             pu = w @ u
-        mixing = u / pu         # w^T mixing = 1 exactly
+        mixing = u / pu         # w^T mixing = 1 up to rounding
         # the event touches only the samples of [start_ms, end_ms)
         r0, r1 = ev.start_ms // SAMPLE_MS, -(-ev.end_ms // SAMPLE_MS)
         prof = _event_profile(ev, t_ms[r0:r1], cardiac_phase=phase[r0:r1])
-        events.append((r0, r1, scenario.gain * ev.amplitude * prof, mixing))
+        cvs_motion[r0:r1] += scenario.gain * ev.amplitude * prof * (mixing @ w)
 
-    # g = ((baseline + g_air) + g_blood) + g_motion, one block of rows at a time
-    cvs = np.empty(n)
-    cvs_motion = np.zeros(n)
-    g_buf = np.empty((BLOCK_ROWS, N_CHANNELS))
-    part_buf = np.empty((BLOCK_ROWS, N_CHANNELS))
-    for b0 in range(0, n, BLOCK_ROWS):
-        b1 = min(b0 + BLOCK_ROWS, n)
-        g, part = g_buf[:b1 - b0], part_buf[:b1 - b0]
-        np.multiply(resp[b0:b1, None], a_air[None, :], out=g)       # g_air
-        if noise is not None:
-            g += noise[b0:b1]
-        g += baseline[None, :]
-        np.multiply(cardio[b0:b1, None], a_blood[None, :], out=part)   # g_blood
-        g += part
-        overlapping = [e for e in events if e[0] < b1 and e[1] > b0]
-        if overlapping:
-            part.fill(0.0)                                           # g_motion
-            for r0, r1, amp, mixing in overlapping:
-                lo, hi = max(r0, b0), min(r1, b1)
-                part[lo - b0:hi - b0] += amp[lo - r0:hi - r0, None] * mixing[None, :]
-            g += part
-            cvs_motion[b0:b1] = leadform.project(part)
-        if np.any(g <= 0):
-            raise InvalidScenario("transconductance left the positive range; "
-                                  "reduce amplitudes or raise baseline_g")
-        g -= baseline[None, :]
-        cvs[b0:b1] = leadform.project(g)
+    cvs = resp * (a_air @ w) + noise + cardio * (a_blood @ w) + cvs_motion
 
     # Cycle labels from the realized motion amplitude relative to the
     # cardiogenic peak (gain); band edges come from the scenario.
@@ -283,6 +235,6 @@ def synthesize_stream(scenario: SynthScenario) -> SynthStream:
             labels.append(QualityLabel.NORMAL)
 
     return SynthStream(
-        scenario=scenario, t_ms=t_ms, baseline=baseline, leadform=leadform,
-        cvs=cvs, cvs_motion=cvs_motion, r_peaks=r_peaks, cycle_labels=labels,
+        scenario=scenario, t_ms=t_ms, cvs=cvs, cvs_motion=cvs_motion,
+        r_peaks=r_peaks, cycle_labels=labels,
     )

@@ -99,6 +99,13 @@ class TestExitCodes:
         assert run(["split", "--cycles", bad, "--out-train", tmp_path / "a",
                     "--out-val", tmp_path / "b", "--out-test", tmp_path / "c"]) == 2
 
+    def test_unknown_label_code_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("s0,0,1,2,1.0,2.0\ns0,800,7,2,1.0,2.0\n")
+        assert run(["split", "--cycles", bad, "--out-train", tmp_path / "a",
+                    "--out-val", tmp_path / "b", "--out-test", tmp_path / "c"]) == 2
+        assert f"{bad}:2: unknown label code 7" in capsys.readouterr().err
+
 
 class TestSplitAndTrain:
     def test_split_disjoint(self, workspace, tmp_path):

@@ -108,6 +108,17 @@ class TestCycleFiles:
         with pytest.raises(ValidationError):
             dataio.read_cycles(str(path))
 
+    @pytest.mark.parametrize("row", ["s1,8x0,1,2,1.0,2.0", "s1,800,1,2,1.0,two",
+                                     "s1,800,7,2,1.0,2.0", "s1,800,1,2.0,1.0,2.0",
+                                     "s1,800,1,1,1.0"],
+                             ids=["t_start-not-int", "sample-not-float",
+                                  "unknown-label-code", "v-not-int", "one-sample"])
+    def test_malformed_row(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"s0,0,1,2,1.0,2.0\n{row}\n")
+        with pytest.raises(ValidationError, match=f"{path}:2: "):
+            dataio.read_cycles(str(path))
+
 
 class TestCalibrationFiles:
     def test_round_trip(self, tmp_path, seed):
@@ -126,6 +137,13 @@ class TestCalibrationFiles:
         path = tmp_path / "bad.csv"
         path.write_text("s0," + ",".join(["0.0"] * 10) + "\n")
         with pytest.raises(ValidationError):
+            dataio.read_calibrations(str(path))
+
+    def test_non_numeric_sample(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        good = ",".join(["0.5"] * CALIBRATION_SAMPLES)
+        path.write_text(f"s0,{good}\ns1,{good[:-3]}abc\n")
+        with pytest.raises(ValidationError, match=f"{path}:2: .*'abc'"):
             dataio.read_calibrations(str(path))
 
 
