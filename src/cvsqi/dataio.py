@@ -43,14 +43,18 @@ def write_stream(stream, path: str) -> None:
     A cycle's label code goes on the sample of its first R-peak; an R-peak
     that is not a sample time gets neither a flag nor a code.
     """
-    t_ms = stream.t_ms
-    starts = stream.r_peaks[:-1][:len(stream.cycle_labels)]
-    label_codes = np.asarray([lab.code for lab in stream.cycle_labels[:starts.size]],
-                             dtype=np.int64)
-    flags = np.isin(t_ms, stream.r_peaks).astype(np.int64)
+    t_ms, r_peaks = stream.t_ms, stream.r_peaks
+    labels = stream.cycle_labels[:max(r_peaks.size - 1, 0)]   # one per cycle start
+    label_codes = np.asarray([lab.code for lab in labels], dtype=np.int64)
+    # the row of each R-peak in the increasing t_ms, where it is a sample time
+    row = np.searchsorted(t_ms, r_peaks)
+    on_grid = row < t_ms.size
+    on_grid[on_grid] = t_ms[row[on_grid]] == r_peaks[on_grid]
+    flags = np.zeros(t_ms.size, dtype=np.int64)
+    flags[row[on_grid]] = 1
     codes = np.full(t_ms.size, -1, dtype=np.int64)
-    # t_ms and the R-peaks both increase, so the matches pair up in order
-    codes[np.isin(t_ms, starts)] = label_codes[np.isin(starts, t_ms)]
+    starts = on_grid[:label_codes.size]
+    codes[row[:label_codes.size][starts]] = label_codes[starts]
     atomic_write(path, (f"{t},{x!r},{p},{c}" for t, x, p, c in zip(
         t_ms.tolist(), stream.cvs.tolist(), flags.tolist(), codes.tolist())))
 
@@ -148,9 +152,15 @@ def write_calibrations(calibrations: dict[str, CalibrationWindow], path: str) ->
 
 def read_calibrations(path: str) -> dict[str, CalibrationWindow]:
     out = {}
+    first_line = {}
     with open(path, encoding="utf-8") as f:
         for ln, line in enumerate(f, 1):
             parts = line.rstrip("\n").split(",")
+            # one window per subject: a second row would silently replace the first
+            if parts[0] in first_line:
+                raise ValidationError(f"{path}:{ln}: subject {parts[0]!r} already has a "
+                                      f"calibration row at {path}:{first_line[parts[0]]}")
+            first_line[parts[0]] = ln
             if len(parts) != 1 + CALIBRATION_SAMPLES:
                 raise ValidationError(
                     f"{path}:{ln}: calibration row must hold {CALIBRATION_SAMPLES} samples")

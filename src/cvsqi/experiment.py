@@ -8,9 +8,6 @@ ablation measurably degrades classifier AUC.
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,55 +75,27 @@ class SyntheticDataset:
         return {lab.value: counts[lab] / n for lab in QualityLabel}
 
 
-# Subjects synthesized at once, each on its own thread: numpy releases the
-# GIL for the blocked channel-noise draw that is most of synthesis (4
-# subjects: about 190 ms on one thread, 110 ms on two).  A subject in flight
-# holds only (n,) vectors and one (512, 208) noise block, so peak RSS of
-# `cvsqi gen --seed 0 --subjects 20 --out-stream` with 1 / 2 subjects in
-# flight is 47 / 48 MB.
-MAX_SUBJECTS_IN_FLIGHT = 2
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:    # no affinity call off Linux
-        return os.cpu_count() or 1
-
-
 def generate_dataset(seed: int, n_subjects: int = 20,
                      duration_ms: int = 110_000,
                      keep_streams: bool = False) -> SyntheticDataset:
     """Synthesize n_subjects recordings; keep_streams keeps each one's CvsStream.
 
-    Up to MAX_SUBJECTS_IN_FLIGHT subjects (no more than the usable CPUs) are
-    synthesized at a time, each from its own (seed, index), and collected in
-    subject order, so the dataset does not depend on the thread count.  Subject
-    i + workers is submitted only once subject i is collected: if subject k
-    raises, that error propagates and no subject past k + workers - 1 starts.
+    Subjects are synthesized in order, each from its own (seed, index); if
+    subject k raises, that error propagates and no later subject starts.
     """
-    def subject(i: int):
-        scenario = default_subject_scenario(seed, i, duration_ms)
-        sid = scenario.subject_id
-        stream = synthesize_stream(scenario)
-        # the scalar recording only: the (n,) motion CVS dies with this call
-        return (sid, cycles_from_stream(stream, sid), calibration_from_stream(stream, sid),
-                CvsStream(stream.t_ms, stream.cvs, stream.r_peaks, stream.cycle_labels))
-
-    workers = max(min(MAX_SUBJECTS_IN_FLIGHT, n_subjects, _usable_cpus()), 1)
     cycles: list[CvsCycle] = []
     calibrations: dict[str, CalibrationWindow] = {}
     streams = {}
-    with ThreadPoolExecutor(workers) as pool:
-        running = deque(pool.submit(subject, i) for i in range(min(workers, n_subjects)))
-        for i in range(n_subjects):
-            sid, subject_cycles, calibration, stream = running.popleft().result()
-            if i + workers < n_subjects:
-                running.append(pool.submit(subject, i + workers))
-            cycles.extend(subject_cycles)
-            calibrations[sid] = calibration
-            if keep_streams:
-                streams[sid] = stream
+    for i in range(n_subjects):
+        scenario = default_subject_scenario(seed, i, duration_ms)
+        sid = scenario.subject_id
+        stream = synthesize_stream(scenario)
+        cycles.extend(cycles_from_stream(stream, sid))
+        calibrations[sid] = calibration_from_stream(stream, sid)
+        if keep_streams:
+            # the scalar recording only: the (n,) motion CVS is not kept
+            streams[sid] = CvsStream(stream.t_ms, stream.cvs, stream.r_peaks,
+                                     stream.cycle_labels)
     return SyntheticDataset(cycles=cycles, calibrations=calibrations, streams=streams)
 
 

@@ -4,15 +4,19 @@ The 16-electrode system yields 208 retained transconductance channels (16
 injections x 13 adjacent-pair measurements after dropping the three pairs
 touching the injecting electrodes).  A scalar cardiac volume signal (CVS) is the
 inner product of a leadforming vector w with the transconductance's deviation
-from its per-subject baseline.  Synthesis draws the per-subject channel
-directions and the channel noise, projects each component through w before
-summing, and so builds only (n,) vectors; no transconductance is ever formed.
+from its per-subject baseline.  The leadform is built to see the cardiogenic
+direction at unit gain, each motion event's direction at unit gain, and the
+respiratory direction not at all, so synthesis works in CVS space throughout:
+the cardiogenic waveform and the motion profiles are added as scalars and the
+respiratory term cancels.  The channel noise eps enters only as w.eps, and for
+i.i.d. N(0, s^2) channels w.eps ~ N(0, s^2 |w|^2), so the CVS noise is drawn
+directly as n scalars of std s |w| = noise_std * gain; no channel is drawn.
 
 Synthesis is additive by construction: the CVS is the exact sum of a cardiogenic
-component, a respiratory component (which also carries the measurement noise),
-and a motion component that is nonzero only inside scheduled motion events.  No
-boundary-value PDE is solved; the generator only reproduces the additive
-structure that the quality-indexing task depends on.
+component, the measurement noise, and a motion component that is nonzero only
+inside scheduled motion events.  No boundary-value PDE is solved; the generator
+only reproduces the additive structure that the quality-indexing task depends
+on.
 """
 from __future__ import annotations
 
@@ -23,11 +27,7 @@ import numpy as np
 from .errors import InvalidScenario
 from .labels import QualityLabel
 
-N_CHANNELS = 208
 SAMPLE_MS = 10
-# Rows of channel noise drawn and projected at a time: one (BLOCK_ROWS, 208)
-# draw stands in for the recording's (n, 208) array.
-BLOCK_ROWS = 512
 
 MOTION_SHAPES = ("step", "ramp", "burst", "sway")
 
@@ -57,7 +57,7 @@ class SynthScenario:
     subject_seed: int
     duration_ms: int
     rr_intervals_ms: tuple[int, ...]          # cycled if the recording outlasts them
-    respiration_period_ms: float = 4000.0
+    respiration_period_ms: float = 4000.0     # not used by synthesis; the leadform cancels it
     motion_events: tuple[MotionEvent, ...] = ()
     noise_std: float = 0.02                   # relative to the cardiogenic CVS peak
     gain: float = 1.0                         # subject-specific cardiogenic amplitude
@@ -133,8 +133,8 @@ class SynthStream:
 
     scenario: SynthScenario
     t_ms: np.ndarray                 # (n,)
-    cvs: np.ndarray                  # (n,) w^T (g - baseline)
-    cvs_motion: np.ndarray           # (n,) w^T (motion component of g)
+    cvs: np.ndarray                  # (n,) cardiogenic + noise + motion CVS
+    cvs_motion: np.ndarray           # (n,) motion CVS alone; the labels read it
     r_peaks: np.ndarray              # (m,) ms timestamps on the 10 ms grid
     cycle_labels: list[QualityLabel] # length m - 1
 
@@ -159,31 +159,12 @@ def _r_peak_times(scenario: SynthScenario) -> np.ndarray:
 def synthesize_stream(scenario: SynthScenario) -> SynthStream:
     """Generate one seeded recording with exact additive component breakdown.
 
-    The leadform vector is constructed orthogonal to the respiratory mixing
-    direction and normalized so the cardiogenic CVS peak equals the scenario
-    gain.  Motion mixing vectors are random directions rescaled so each event's
+    The cardiogenic CVS peaks at the scenario gain and each motion event's
     CVS amplitude equals its configured amplitude (in cardiogenic-peak units).
+    The rng draws only the noise, n scalars of std noise_std * gain.
     """
-    rng = np.random.default_rng(scenario.subject_seed)
     n = scenario.duration_ms // SAMPLE_MS
     t_ms = np.arange(n, dtype=np.int64) * SAMPLE_MS
-
-    # Per-subject channel directions.  The (208,) baseline draw is discarded,
-    # since the CVS sees only deviations from the baseline; it is drawn only to
-    # hold the rng stream, and with it every later draw, in place.
-    rng.uniform(-1.0, 1.0, N_CHANNELS)
-    a_blood = rng.normal(size=N_CHANNELS)
-    a_blood /= np.linalg.norm(a_blood)
-    a_air = rng.normal(size=N_CHANNELS)
-    a_air /= np.linalg.norm(a_air)
-
-    # Leadform: one Gram-Schmidt step kills the respiratory direction, then
-    # rescale so w^T a_blood = 1 (CVS sees the cardiogenic waveform at gain).
-    w = a_blood - (a_blood @ a_air) * a_air
-    proj = w @ a_blood
-    if abs(proj) < 1e-6:
-        raise InvalidScenario("degenerate subject seed: blood and air directions collinear")
-    w = w / proj
 
     # R-peaks and the cardiac phase.
     r_peaks = _r_peak_times(scenario)
@@ -194,31 +175,18 @@ def synthesize_stream(scenario: SynthScenario) -> SynthStream:
     phase = (t_ms - bounds[seg]) / (bounds[seg + 1] - bounds[seg])
 
     cardio = scenario.gain * cardiac_template(phase)
-    resp = 0.5 * scenario.gain * np.sin(2.0 * np.pi * t_ms / scenario.respiration_period_ms)
-    # w^T (channel noise), drawn in blocks: the same normals as one (n, 208) draw
-    noise = np.zeros(n)
-    if scenario.noise_std > 0:
-        chan_std = scenario.noise_std * scenario.gain / np.linalg.norm(w)
-        for b0 in range(0, n, BLOCK_ROWS):
-            b1 = min(b0 + BLOCK_ROWS, n)
-            noise[b0:b1] = rng.normal(scale=chan_std, size=(b1 - b0, N_CHANNELS)) @ w
+    # w.eps for i.i.d. channel noise eps, drawn as the n scalars it reduces to
+    noise = (np.random.default_rng(scenario.subject_seed).normal(
+        scale=scenario.noise_std * scenario.gain, size=n) if scenario.noise_std > 0 else 0.0)
 
     cvs_motion = np.zeros(n)
     for ev in scenario.motion_events:
-        u = rng.normal(size=N_CHANNELS)
-        u /= np.linalg.norm(u)
-        pu = w @ u
-        while abs(pu) < 0.05:   # avoid blowing up channel amplitudes
-            u = rng.normal(size=N_CHANNELS)
-            u /= np.linalg.norm(u)
-            pu = w @ u
-        mixing = u / pu         # w^T mixing = 1 up to rounding
         # the event touches only the samples of [start_ms, end_ms)
         r0, r1 = ev.start_ms // SAMPLE_MS, -(-ev.end_ms // SAMPLE_MS)
         prof = _event_profile(ev, t_ms[r0:r1], cardiac_phase=phase[r0:r1])
-        cvs_motion[r0:r1] += scenario.gain * ev.amplitude * prof * (mixing @ w)
+        cvs_motion[r0:r1] += scenario.gain * ev.amplitude * prof
 
-    cvs = resp * (a_air @ w) + noise + cardio * (a_blood @ w) + cvs_motion
+    cvs = cardio + noise + cvs_motion
 
     # Cycle labels from the realized motion amplitude relative to the
     # cardiogenic peak (gain); band edges come from the scenario.

@@ -106,6 +106,17 @@ class TestExitCodes:
                     "--out-val", tmp_path / "b", "--out-test", tmp_path / "c"]) == 2
         assert f"{bad}:2: unknown label code 7" in capsys.readouterr().err
 
+    def test_duplicate_calibration_subject_exits_2(self, workspace, tmp_path, capsys):
+        with open(workspace["calib"], encoding="utf-8") as f:
+            first = f.readline()
+        calib = tmp_path / "calib.csv"
+        calib.write_text(workspace["calib"].read_text() + first)
+        n_rows = calib.read_text().count("\n")
+        assert run(["evaluate", "--model", workspace["model"], "--test", workspace["cycles"],
+                    "--calib", calib, "--out", tmp_path / "report.json"]) == 2
+        assert f"{calib}:{n_rows}: subject {first.split(',')[0]!r} already has a " \
+               f"calibration row at {calib}:1" in capsys.readouterr().err
+
 
 class TestSplitAndTrain:
     def test_split_disjoint(self, workspace, tmp_path):

@@ -80,6 +80,22 @@ class TestWriterFormatting:
         dataio.write_stream(stream, path)
         assert read_lines(path) == ref_stream_lines(stream)
 
+    def test_off_grid_and_out_of_range_r_peaks(self, tmp_path):
+        # 0 precedes the first sample, 135 and 167 are off the grid (135 starts a
+        # labeled cycle), 190 is the last sample and 400 is past it
+        t_ms = np.arange(100, 200, 10, dtype=np.int64)
+        stream = types.SimpleNamespace(
+            t_ms=t_ms, cvs=np.linspace(-1.0, 1.0, t_ms.size),
+            r_peaks=np.array([0, 110, 135, 150, 167, 190, 400]),
+            cycle_labels=[QualityLabel.MOTION, QualityLabel.NORMAL, QualityLabel.AMBIGUOUS,
+                          QualityLabel.MOTION, QualityLabel.NORMAL, QualityLabel.AMBIGUOUS])
+        path = str(tmp_path / "stream.csv")
+        dataio.write_stream(stream, path)
+        lines = read_lines(path)
+        assert lines == ref_stream_lines(stream)
+        assert [line.split(",")[2:] for line in lines if not line.endswith(",0,-1")] == [
+            ["1", "1"], ["1", "0"], ["1", "2"]]   # rows 110, 150 and 190
+
     def test_synthetic_stream_byte_identical_to_reference(self, tmp_path, seed):
         stream = synthesize_stream(SynthScenario(subject_seed=seed, duration_ms=6_000,
                                                  rr_intervals_ms=(730, 810)))
@@ -144,6 +160,16 @@ class TestCalibrationFiles:
         good = ",".join(["0.5"] * CALIBRATION_SAMPLES)
         path.write_text(f"s0,{good}\ns1,{good[:-3]}abc\n")
         with pytest.raises(ValidationError, match=f"{path}:2: .*'abc'"):
+            dataio.read_calibrations(str(path))
+
+
+    def test_duplicate_subject_names_both_lines(self, tmp_path):
+        # the second s0 row would otherwise replace the first without a word
+        path = tmp_path / "dup.csv"
+        row = ",".join(["1.0"] * CALIBRATION_SAMPLES)
+        path.write_text(f"s0,{row}\ns1,{row}\ns0,{row.replace('1.0', '2.0')}\n")
+        with pytest.raises(ValidationError, match=f"{path}:3: subject 's0' already has "
+                                                  f"a calibration row at {path}:1"):
             dataio.read_calibrations(str(path))
 
 

@@ -1,8 +1,5 @@
-"""generate_dataset synthesizes subjects on a thread pool; these tests hold it
-to the serial loop it replaced."""
-import sys
-import threading
-
+"""generate_dataset against a reference loop kept here, and its stop at the
+first failing subject."""
 import numpy as np
 import pytest
 
@@ -29,46 +26,25 @@ def serial_dataset(seed, n_subjects, duration_ms, keep_streams):
     return cycles, calibrations, streams
 
 
-@pytest.fixture
-def fast_thread_switches():
-    """Switch threads every microsecond, so that an order the pool does not
-    enforce would show."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-
-
 class Recorder:
-    """Wraps synthesize_stream: counts calls and the most running at once,
-    and raises InvalidScenario for one subject."""
+    """Wraps synthesize_stream: records the subjects started and raises
+    InvalidScenario for one subject."""
 
-    def __init__(self, fail_sid=None):
+    def __init__(self, fail_sid):
         self.fail_sid = fail_sid
         self.started = []
-        self.running = self.most_running = 0
-        self.lock = threading.Lock()
 
     def __call__(self, scenario):
-        with self.lock:
-            self.started.append(scenario.subject_id)
-            self.running += 1
-            self.most_running = max(self.most_running, self.running)
-        try:
-            if scenario.subject_id == self.fail_sid:
-                raise InvalidScenario(f"subject {scenario.subject_id} fails")
-            return synthesize_stream(scenario)
-        finally:
-            with self.lock:
-                self.running -= 1
+        self.started.append(scenario.subject_id)
+        if scenario.subject_id == self.fail_sid:
+            raise InvalidScenario(f"subject {scenario.subject_id} fails")
+        return synthesize_stream(scenario)
 
 
 class TestGenerateDataset:
     @pytest.mark.parametrize("keep_streams", [False, True])
     @pytest.mark.parametrize("n_subjects", [0, 1, 2, 3, 5])
-    def test_matches_serial_loop(self, fast_thread_switches, n_subjects, keep_streams):
+    def test_matches_serial_loop(self, n_subjects, keep_streams):
         ds = experiment.generate_dataset(3, n_subjects, DURATION_MS, keep_streams)
         cycles, calibrations, streams = serial_dataset(3, n_subjects, DURATION_MS,
                                                        keep_streams)
@@ -87,20 +63,10 @@ class TestGenerateDataset:
                 assert np.array_equal(got, want)
             assert ds.streams[sid].cycle_labels == stream.cycle_labels
 
-    @pytest.mark.parametrize("cpus,most", [(1, 1), (2, 2), (8, 2)])
-    def test_subjects_in_flight(self, monkeypatch, cpus, most):
-        record = Recorder()
-        monkeypatch.setattr(experiment, "synthesize_stream", record)
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
-        experiment.generate_dataset(0, 5, DURATION_MS)
-        assert sorted(record.started) == [f"s{i:02d}" for i in range(5)]
-        assert record.most_running == most
-
     @pytest.mark.parametrize("k", [0, 2, 5])
     def test_failure_propagates_and_stops_the_queue(self, monkeypatch, k):
         record = Recorder(fail_sid=f"s{k:02d}")
         monkeypatch.setattr(experiment, "synthesize_stream", record)
         with pytest.raises(InvalidScenario, match=f"subject s{k:02d} fails"):
             experiment.generate_dataset(0, 6, DURATION_MS)
-        assert len(record.started) <= k + 2
-        assert record.running == 0       # no subject is left running
+        assert record.started == [f"s{i:02d}" for i in range(k + 1)]
