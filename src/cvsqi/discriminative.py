@@ -16,8 +16,8 @@ from . import autodiff as ad
 from .autodiff import Var
 from .errors import EmptySplit, ShapeMismatch, SingleClassDataset
 from .evaluation import roc_auc
-from .nn import (ParamSet, fit, forward_layers, init_params, receptive_field,
-                 shape_trace)
+from .nn import (BATCH_ROWS, ParamSet, by_rows, fit, forward_layers, init_params,
+                 receptive_field, shape_trace)
 from .preprocess import TARGET_LEN
 
 CLIP_EPS = 1e-12
@@ -102,11 +102,14 @@ def _forward_var(model: DiscriminativeModel, x: np.ndarray,
 def forward(model: DiscriminativeModel, x: np.ndarray) -> np.ndarray:
     """Probabilities in (0, 1) for a batch of normalized cycles (N, 150).
 
-    Inference runs the numpy kernels and records no tape.
+    Inference runs the numpy kernels in BATCH_ROWS-row chunks and records no
+    tape.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     _require_cycles(x)
-    return forward_layers(model.descriptor, model.params.values, x).reshape(x.shape[0])
+    params = model.params.values
+    return by_rows(lambda c: forward_layers(model.descriptor, params, c).reshape(len(c)),
+                   x)
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,7 @@ def architecture_shape_trace(architecture: str) -> list[tuple]:
 
 def train(model: DiscriminativeModel, x_train: np.ndarray, y_train: np.ndarray,
           x_val: np.ndarray, y_val_eval: np.ndarray, epochs: int, lr: float,
-          batch_size: int = 64, seed: int = 0,
+          batch_size: int = BATCH_ROWS, seed: int = 0,
           weights: ClassWeights | None = None) -> dict:
     """Train in place; restore the epoch with the best validation AUC.
 

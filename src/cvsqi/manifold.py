@@ -14,7 +14,7 @@ from . import autodiff as ad
 from .autodiff import Var
 from .errors import (ContainsNegativeSamples, EmptySplit, InsufficientSamples,
                      NotFitted, ShapeMismatch, SingleClassDataset, ThresholdUnset)
-from .nn import ParamSet, fit, forward_layers, init_params
+from .nn import BATCH_ROWS, ParamSet, by_rows, fit, forward_layers, init_params
 from .preprocess import TARGET_LEN
 
 LATENT_DIM = 10
@@ -135,6 +135,8 @@ def vae_forward(model: VaeModel, x: np.ndarray):
     """Reconstruction plus (mu, sigma, z) with z = mu, computed with no tape.
 
     The sigma head is parameterized as exp(log sigma) so sigma stays positive.
+    It runs x as one batch; residuals and the validation loss call it on
+    BATCH_ROWS-row chunks.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != TARGET_LEN:
@@ -174,7 +176,7 @@ def require_positives(eval_labels: np.ndarray) -> None:
 
 
 def vae_train(model: VaeModel, x_pos: np.ndarray, eval_labels: np.ndarray,
-              epochs: int, lr: float, seed: int = 0, batch_size: int = 64,
+              epochs: int, lr: float, seed: int = 0, batch_size: int = BATCH_ROWS,
               x_val_pos: np.ndarray | None = None) -> dict:
     """Train on positive cycles only; negatives in the input are a hard error.
 
@@ -200,8 +202,9 @@ def vae_train(model: VaeModel, x_pos: np.ndarray, eval_labels: np.ndarray,
         return _vae_loss(model, x_pos[idx], pvars, noise)
 
     def val_loss():
-        recon, _, _, _ = vae_forward(model, x_val_pos)
-        return float(np.mean(np.sum((recon - x_val_pos) ** 2, axis=1)))
+        sq = by_rows(lambda c: np.sum((vae_forward(model, c)[0] - c) ** 2, axis=1),
+                     x_val_pos)
+        return float(np.mean(sq))
 
     train_loss, val_recon, _ = fit(
         model.params, x_pos.shape[0], batch_loss, epochs, lr, seed, batch_size,
@@ -215,13 +218,20 @@ def vae_train(model: VaeModel, x_pos: np.ndarray, eval_labels: np.ndarray,
 # --- scoring ---
 
 def residuals(model, x: np.ndarray) -> np.ndarray:
-    """Euclidean reconstruction distances for a batch, inference mode."""
+    """Euclidean reconstruction distances for a batch, inference mode.
+
+    Each BATCH_ROWS-row chunk is reconstructed (PCA projection, or VAE
+    encoder and decoder), subtracted and normed before the next starts, so
+    no temporary grows with the batch.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if isinstance(model, PcaModel):
-        recon = pca_project(model, x)
-    else:
-        recon, _, _, _ = vae_forward(model, x)
-    return np.linalg.norm(x - recon, axis=1)
+
+    def chunk_residuals(c):
+        recon = (pca_project(model, c) if isinstance(model, PcaModel)
+                 else vae_forward(model, c)[0])
+        return np.linalg.norm(c - recon, axis=1)
+
+    return by_rows(chunk_residuals, x)
 
 
 def residual(model, x: np.ndarray) -> float:

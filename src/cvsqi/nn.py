@@ -6,6 +6,12 @@ both by the initializer (which allocates glorot-uniform weights and zero
 biases) and by forward_layers (which runs the numpy kernels on arrays for
 inference, or builds the autodiff graph on Vars for training).  fit is the
 one minibatch Adam loop; every model family trains through it.
+
+BATCH_ROWS is the one batch size: the default training batch, and the rows
+per call when by_rows runs tape-free inference over a set of any size, so no
+layer's temporaries grow with the set.  A row's output can differ from the
+same row run in a batch of another size in the last bits (matrix products
+round per batch shape), within 1e-12 relative.
 """
 from __future__ import annotations
 
@@ -20,6 +26,7 @@ from .autodiff import Var
 from .errors import NotConvolutional, ShapeMismatch
 
 ACTIVATIONS = ("relu", "sigmoid")   # named alike in autodiff and kernels
+BATCH_ROWS = 64
 
 
 class ParamSet:
@@ -173,6 +180,17 @@ def forward_layers(layers: list[dict], params: dict, x: np.ndarray | Var,
                 raise ShapeMismatch(f"unknown activation {act!r}")
             h = getattr(ops, act)(h)
     return h
+
+
+def by_rows(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """fn over consecutive BATCH_ROWS-row slices of x, results concatenated.
+
+    Up to BATCH_ROWS rows, fn gets x itself: one call, no copy.
+    """
+    if len(x) <= BATCH_ROWS:
+        return fn(x)
+    return np.concatenate([fn(x[i:i + BATCH_ROWS])
+                           for i in range(0, len(x), BATCH_ROWS)])
 
 
 def shape_trace(layers: list[dict], input_shape) -> list[tuple]:

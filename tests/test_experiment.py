@@ -1,29 +1,14 @@
-"""generate_dataset against a reference loop kept here, and its stop at the
-first failing subject."""
+"""generate_dataset: subject order, the kept streams, the empty dataset, and
+its stop at the first failing subject."""
 import numpy as np
 import pytest
 
 from cvsqi import experiment
 from cvsqi.errors import InvalidScenario
 from cvsqi.forward import synthesize_stream
-from cvsqi.preprocess import CvsStream, calibration_from_stream, cycles_from_stream
+from cvsqi.preprocess import calibration_from_stream, cycles_from_stream
 
 DURATION_MS = 25_000      # just past the 20 s calibration window
-
-
-def serial_dataset(seed, n_subjects, duration_ms, keep_streams):
-    """One subject after another: the reference."""
-    cycles, calibrations, streams = [], {}, {}
-    for i in range(n_subjects):
-        scenario = experiment.default_subject_scenario(seed, i, duration_ms)
-        sid = scenario.subject_id
-        stream = synthesize_stream(scenario)
-        cycles.extend(cycles_from_stream(stream, sid))
-        calibrations[sid] = calibration_from_stream(stream, sid)
-        if keep_streams:
-            streams[sid] = CvsStream(stream.t_ms, stream.cvs, stream.r_peaks,
-                                     stream.cycle_labels)
-    return cycles, calibrations, streams
 
 
 class Recorder:
@@ -42,26 +27,38 @@ class Recorder:
 
 
 class TestGenerateDataset:
-    @pytest.mark.parametrize("keep_streams", [False, True])
-    @pytest.mark.parametrize("n_subjects", [0, 1, 2, 3, 5])
-    def test_matches_serial_loop(self, n_subjects, keep_streams):
-        ds = experiment.generate_dataset(3, n_subjects, DURATION_MS, keep_streams)
-        cycles, calibrations, streams = serial_dataset(3, n_subjects, DURATION_MS,
-                                                       keep_streams)
-        assert len(ds.cycles) == len(cycles)
-        for got, want in zip(ds.cycles, cycles):
-            assert (got.subject_id, got.t_start_ms, got.label) == \
-                (want.subject_id, want.t_start_ms, want.label)
-            assert np.array_equal(got.samples, want.samples)
-        assert list(ds.calibrations) == list(calibrations)
-        for sid, cal in calibrations.items():
-            assert ds.calibrations[sid].subject_id == sid
-            assert np.array_equal(ds.calibrations[sid].samples, cal.samples)
-        assert list(ds.streams) == list(streams)
-        for sid, stream in streams.items():
-            for got, want in zip(ds.streams[sid][:3], stream[:3]):
+    def test_empty_dataset(self):
+        ds = experiment.generate_dataset(3, 0, DURATION_MS, keep_streams=True)
+        assert ds.cycles == [] and ds.calibrations == {} and ds.streams == {}
+
+    @pytest.mark.parametrize("n_subjects", [1, 3])
+    def test_subjects_in_order(self, n_subjects):
+        ds = experiment.generate_dataset(3, n_subjects, DURATION_MS)
+        sids = [f"s{i:02d}" for i in range(n_subjects)]
+        assert list(ds.calibrations) == sids and ds.streams == {}
+        # subject after subject, each subject's cycles in time order
+        order = [(sids.index(c.subject_id), c.t_start_ms) for c in ds.cycles]
+        assert order == sorted(order)
+        assert {c.subject_id for c in ds.cycles} == set(sids)
+
+    def test_kept_streams_are_the_synthesized_ones(self):
+        ds = experiment.generate_dataset(3, 3, DURATION_MS, keep_streams=True)
+        assert list(ds.streams) == list(ds.calibrations)
+        for i, (sid, kept) in enumerate(ds.streams.items()):
+            scenario = experiment.default_subject_scenario(3, i, DURATION_MS)
+            stream = synthesize_stream(scenario)
+            assert scenario.subject_id == sid
+            for got, want in zip(kept[:3], (stream.t_ms, stream.cvs, stream.r_peaks)):
                 assert np.array_equal(got, want)
-            assert ds.streams[sid].cycle_labels == stream.cycle_labels
+            assert kept.cycle_labels == stream.cycle_labels
+            # the subject's cycles and calibration window come from that stream
+            cycles = [c for c in ds.cycles if c.subject_id == sid]
+            want = cycles_from_stream(kept, sid)
+            assert [(c.t_start_ms, c.label) for c in cycles] == \
+                [(c.t_start_ms, c.label) for c in want]
+            assert all(np.array_equal(c.samples, w.samples) for c, w in zip(cycles, want))
+            assert np.array_equal(ds.calibrations[sid].samples,
+                                  calibration_from_stream(kept, sid).samples)
 
     @pytest.mark.parametrize("k", [0, 2, 5])
     def test_failure_propagates_and_stops_the_queue(self, monkeypatch, k):

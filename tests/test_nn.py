@@ -8,8 +8,8 @@ from cvsqi import discriminative, manifold
 from cvsqi.autodiff import Var
 from cvsqi.errors import NotConvolutional, ShapeMismatch
 from cvsqi.evaluation import roc_auc
-from cvsqi.nn import (ParamSet, adam_step, fit, forward_layers, init_params,
-                      receptive_field, shape_trace)
+from cvsqi.nn import (BATCH_ROWS, ParamSet, adam_step, by_rows, fit, forward_layers,
+                      init_params, receptive_field, shape_trace)
 
 SIMPLE_LAYERS = [
     {"type": "dense", "in": 6, "out": 4, "act": "relu"},
@@ -320,6 +320,70 @@ class TestTapeFreeForward:
         assert np.array_equal(free_sigma, np.exp(log_sigma.value))
         assert np.array_equal(manifold.residuals(model, x),
                               np.linalg.norm(x - recon.value, axis=1))
+
+
+CHUNK_BOUNDARY_ROWS = [1, 63, 64, 65, 129, 200]
+
+
+def manifold_model(kind):
+    if kind == "pca":
+        return manifold.pca_fit(np.random.default_rng(7).normal(size=(40, 150)))
+    return manifold.build_vae(kind, seed=3)
+
+
+class TestChunkedInference:
+    """Inference runs BATCH_ROWS-row chunks: bit for bit the concatenation of
+    the chunks scored alone, and within 1e-12 relative of one whole pass."""
+
+    @staticmethod
+    def first_column(calls):
+        def fn(c):
+            calls.append(c)
+            return c[:, 0]
+        return fn
+
+    def test_by_rows_passes_a_small_input_whole(self):
+        x = np.zeros((BATCH_ROWS, 3))
+        calls = []
+        by_rows(self.first_column(calls), x)
+        assert len(calls) == 1 and calls[0] is x
+
+    @pytest.mark.parametrize("n", CHUNK_BOUNDARY_ROWS)
+    def test_by_rows_slices_in_order(self, n):
+        x = np.arange(2.0 * n).reshape(n, 2)
+        calls = []
+        assert np.array_equal(by_rows(self.first_column(calls), x), x[:, 0])
+        sizes = [len(c) for c in calls]
+        assert sum(sizes) == n and all(s == BATCH_ROWS for s in sizes[:-1])
+        assert 0 < sizes[-1] <= BATCH_ROWS
+
+    @staticmethod
+    def slices(x):
+        return [x[i:i + BATCH_ROWS] for i in range(0, len(x), BATCH_ROWS)]
+
+    @pytest.mark.parametrize("n", CHUNK_BOUNDARY_ROWS)
+    @pytest.mark.parametrize("arch", discriminative.ARCHITECTURES)
+    def test_classifier(self, arch, n):
+        model = discriminative.build(arch, seed=3)
+        x = np.random.default_rng(n).normal(size=(n, 150))
+        p = discriminative.forward(model, x)
+        parts = [discriminative.forward(model, c) for c in self.slices(x)]
+        assert np.array_equal(p, np.concatenate(parts))
+        whole = forward_layers(model.descriptor, model.params.values, x).reshape(n)
+        np.testing.assert_allclose(p, whole, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", CHUNK_BOUNDARY_ROWS)
+    @pytest.mark.parametrize("kind", manifold.MANIFOLD_KINDS)
+    def test_residuals(self, kind, n):
+        model = manifold_model(kind)
+        x = np.random.default_rng(n).normal(size=(n, 150))
+        r = manifold.residuals(model, x)
+        parts = [manifold.residuals(model, c) for c in self.slices(x)]
+        assert np.array_equal(r, np.concatenate(parts))
+        recon = (manifold.pca_project(model, x) if kind == "pca"
+                 else manifold.vae_forward(model, x)[0])
+        np.testing.assert_allclose(r, np.linalg.norm(x - recon, axis=1),
+                                   rtol=1e-12, atol=0)
 
 
 class TestGraphIsolation:
