@@ -12,7 +12,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--subjects", type=int, default=20)
     ap.add_argument("--kind", choices=manifold.VAE_KINDS, default="bcvae")
-    ap.add_argument("--epochs", type=int, default=40)
+    ap.add_argument("--epochs", type=int, default=manifold.DEFAULT_EPOCHS)
     ap.add_argument("--betas", type=float, nargs="*", default=list(BETAS))
     ap.add_argument("--out", help="write the sweep log as JSON")
     args = ap.parse_args()

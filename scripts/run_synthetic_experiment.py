@@ -8,7 +8,7 @@ import argparse
 import json
 import time
 
-from cvsqi import experiment, preprocess
+from cvsqi import discriminative, experiment, manifold, preprocess
 
 
 def main():
@@ -16,18 +16,22 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--subjects", type=int, default=20)
     ap.add_argument("--scheme", choices=preprocess.SCHEMES, default="interp")
-    ap.add_argument("--vgg-epochs", type=int, default=25)
-    ap.add_argument("--vae-epochs", type=int, default=40)
+    ap.add_argument("--vgg-epochs", type=int, default=discriminative.DEFAULT_EPOCHS)
+    ap.add_argument("--vae-epochs", type=int, default=manifold.DEFAULT_EPOCHS)
     ap.add_argument("--skip-ablation", action="store_true")
     ap.add_argument("--out", help="write the full report as JSON")
     args = ap.parse_args()
 
     t0 = time.perf_counter()
     dataset = experiment.generate_dataset(args.seed, n_subjects=args.subjects)
-    report = experiment.run_end_to_end(seed=args.seed, scheme=args.scheme,
-                                       dataset=dataset,
-                                       vgg_epochs=args.vgg_epochs,
-                                       vae_epochs=args.vae_epochs)
+    splits = experiment.prepare_splits(dataset, args.scheme, "subject", args.seed)
+    _, vgg3 = experiment.run_discriminative(splits, arch="vgg3",
+                                            epochs=args.vgg_epochs, seed=args.seed)
+    _, bcvae = experiment.run_manifold(splits, kind="bcvae",
+                                       epochs=args.vae_epochs, seed=args.seed)
+    report = {"fractions": dataset.class_fractions(),
+              "n_cycles": len(dataset.cycles), "vgg3": vgg3, "bcvae": bcvae,
+              "scale_mode": "subject", "scheme": args.scheme}
     fr = report["fractions"]
     print(f"dataset: {report['n_cycles']} cycles "
           f"({100 * fr['normal']:.1f}/{100 * fr['ambiguous']:.1f}/"

@@ -21,6 +21,7 @@ from .evaluation import split_by_subject
 from .experiment import evaluate_scores, score
 from .forward import MotionEvent, SynthScenario, synthesize_stream
 from .labels import QualityLabel
+from .nn import DEFAULT_LR
 from .preprocess import (SCALE_MODES, SCHEMES, calibration_from_stream,
                          cycles_from_stream, normalize_cycle, normalize_dataset,
                          subject_scale_factor)
@@ -139,7 +140,6 @@ def cmd_train_manifold(args) -> int:
     calibrations = _load_calibrations(args.calib)
     cycles = dataio.read_cycles(args.pos_train)
     x_pos, _, yev = normalize_dataset(cycles, args.norm, args.scale, calibrations)
-    manifold.require_positives(yev)
     x_val = None
     if args.val:
         val_cycles = [c for c in dataio.read_cycles(args.val)
@@ -147,13 +147,10 @@ def cmd_train_manifold(args) -> int:
         if val_cycles:
             x_val, _, _ = normalize_dataset(val_cycles, args.norm, args.scale,
                                             calibrations)
-    if args.kind == "pca":
-        model = manifold.pca_fit(x_pos)
-        model.training_meta = {"n_train": int(x_pos.shape[0])}
-    else:
-        model = manifold.build_vae(args.kind, seed=args.seed, beta=args.beta)
-        history = manifold.vae_train(model, x_pos, yev, epochs=args.epochs,
-                                     lr=args.lr, seed=args.seed, x_val_pos=x_val)
+    model, history = manifold.train_kind(args.kind, x_pos, yev, beta=args.beta,
+                                         epochs=args.epochs, lr=args.lr,
+                                         seed=args.seed, x_val_pos=x_val)
+    if history:
         print(f"final train loss {history['train_loss'][-1]:.4f}")
     model_io.save_model(model, args.out, norm_scheme=args.norm, scale_mode=args.scale)
     print(f"trained {args.kind} on {x_pos.shape[0]} positive cycles -> {args.out}")
@@ -168,9 +165,7 @@ def cmd_threshold(args) -> int:
     cycles = dataio.read_cycles(args.scored)
     x, _, yev = normalize_dataset(cycles, prep["norm_scheme"], prep["scale_mode"],
                                   calibrations)
-    r = manifold.residuals(model, x)
-    d, j = manifold.select_threshold(r, yev)
-    model.threshold_d = d
+    d, j = manifold.set_threshold(model, x, yev)
     model_io.save_model(model, args.model, norm_scheme=prep["norm_scheme"],
                         scale_mode=prep["scale_mode"])
     print(f"threshold d = {d:.6g} (Youden J = {j:.4f}) written to {args.model}")
@@ -314,7 +309,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--scenario", help="JSON scenario file for one subject")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--subjects", type=int, default=20)
-    p.add_argument("--duration-ms", type=int, default=110_000)
+    p.add_argument("--duration-ms", type=int, default=experiment.DEFAULT_DURATION_MS)
     p.add_argument("--out-cycles", required=True)
     p.add_argument("--out-calib")
     p.add_argument("--out-stream")
@@ -333,8 +328,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--calib")
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
-    p.add_argument("--epochs", type=int, default=25)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--epochs", type=int, default=discriminative.DEFAULT_EPOCHS)
+    p.add_argument("--lr", type=float, default=DEFAULT_LR)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -346,8 +341,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--calib")
     p.add_argument("--pos-train", required=True)
     p.add_argument("--val")
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--epochs", type=int, default=manifold.DEFAULT_EPOCHS)
+    p.add_argument("--lr", type=float, default=DEFAULT_LR)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 

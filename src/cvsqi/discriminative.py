@@ -23,6 +23,8 @@ from .preprocess import TARGET_LEN
 CLIP_EPS = 1e-12
 
 ARCHITECTURES = ("lr", "mlp1", "mlp2", "vgg3", "vgg4", "vgg5")
+DEFAULT_EPOCHS = 25
+ACCEPT_PROBABILITY = 0.5   # a cycle is accepted at forward(...) >= this
 
 _VGG_BLOCK_CHANNELS = (4, 8, 16, 32)   # conv-conv-pool blocks
 _VGG5_TAIL_CHANNELS = 64               # conv-conv before flatten
@@ -167,8 +169,7 @@ def architecture_shape_trace(architecture: str) -> list[tuple]:
 
 def train(model: DiscriminativeModel, x_train: np.ndarray, y_train: np.ndarray,
           x_val: np.ndarray, y_val_eval: np.ndarray, epochs: int, lr: float,
-          batch_size: int = BATCH_ROWS, seed: int = 0,
-          weights: ClassWeights | None = None) -> dict:
+          batch_size: int = BATCH_ROWS, seed: int = 0) -> dict:
     """Train in place; restore the epoch with the best validation AUC.
 
     y_train holds soft train targets; y_val_eval holds hard {0, 1} eval labels.
@@ -178,8 +179,7 @@ def train(model: DiscriminativeModel, x_train: np.ndarray, y_train: np.ndarray,
     y_train = np.asarray(y_train, dtype=np.float64)
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise EmptySplit("train and validation sets must be non-empty")
-    if weights is None:
-        weights = compute_class_weights(y_train)
+    weights = compute_class_weights(y_train)
 
     def batch_loss(idx, pvars, rng):
         return _weighted_ce_loss(_forward_var(model, x_train[idx], pvars),

@@ -78,10 +78,6 @@ class InsufficientSamples(ValidationError):
     pass
 
 
-class NotFitted(ValidationError):
-    pass
-
-
 class ThresholdUnset(ValidationError):
     pass
 

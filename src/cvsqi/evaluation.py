@@ -34,9 +34,6 @@ def confusion(preds, labels) -> ConfusionCounts:
     )
 
 
-METRIC_NAMES = ("accuracy", "ppv", "npv", "sensitivity", "specificity")
-
-
 @dataclass
 class Metrics:
     values: dict[str, float | None]
@@ -92,14 +89,15 @@ def roc_auc(scores, labels) -> tuple[list[tuple[float, float]], float]:
     return list(zip(fpr.tolist(), tpr.tolist())), auc
 
 
-def split_by_subject(cycles, fractions=(0.8, 0.1, 0.1), seed: int = 0):
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)   # train, val, test
+
+
+def split_by_subject(cycles, seed: int = 0):
     """Partition cycles into (train, val, test) with disjoint subject sets.
 
-    Greedy largest-first bin packing toward the target cycle fractions;
-    deterministic under seed; every split is guaranteed non-empty.
+    Greedy largest-first bin packing toward the SPLIT_FRACTIONS of the
+    cycles; deterministic under seed; every split is guaranteed non-empty.
     """
-    if abs(sum(fractions) - 1.0) > 1e-9 or len(fractions) != 3:
-        raise TooFewSubjects("fractions must be three values summing to 1")
     by_subject: dict[str, list] = {}
     for c in cycles:
         by_subject.setdefault(c.subject_id, []).append(c)
@@ -112,7 +110,7 @@ def split_by_subject(cycles, fractions=(0.8, 0.1, 0.1), seed: int = 0):
     subjects.sort(key=lambda s: -len(by_subject[s]))   # stable: seeded order within ties
 
     total = sum(len(v) for v in by_subject.values())
-    targets = [f * total for f in fractions]
+    targets = [f * total for f in SPLIT_FRACTIONS]
     assigned: list[list[str]] = [[], [], []]
     counts = [0, 0, 0]
     for sid in subjects:

@@ -1,9 +1,14 @@
-"""Desk-scale synthetic experiment: dataset generation and end-to-end runs.
+"""Desk-scale synthetic experiment: dataset generation, splits and model runs.
 
 The default dataset mimics the clinical class mix (~80/10/10
 normal/ambiguous/motion) across several subjects with widely varying
 cardiogenic gain, so that subject-specific scale normalization matters and its
 ablation measurably degrades classifier AUC.
+
+score is the one scoring interface of every model, for the CLI and the
+runners alike.  run_discriminative and run_manifold each train one model on
+prepared splits and report its test metrics; run_manifold fits and
+thresholds through manifold.train_kind and set_threshold, as the CLI does.
 """
 from __future__ import annotations
 
@@ -13,13 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discriminative, manifold
-from .errors import ThresholdUnset
 from .evaluation import confusion, metrics, roc_auc, split_by_subject
 from .forward import MotionEvent, SynthScenario, synthesize_stream
 from .labels import QualityLabel
+from .nn import DEFAULT_LR
 from .preprocess import (CALIBRATION_MS, CalibrationWindow, CvsCycle, CvsStream,
                          calibration_from_stream, cycles_from_stream,
                          normalize_dataset)
+
+
+DEFAULT_DURATION_MS = 110_000   # one synthetic subject's recording
 
 
 def _subject_seed(seed: int, index: int) -> int:
@@ -27,7 +35,7 @@ def _subject_seed(seed: int, index: int) -> int:
 
 
 def default_subject_scenario(seed: int, index: int,
-                             duration_ms: int = 110_000) -> SynthScenario:
+                             duration_ms: int = DEFAULT_DURATION_MS) -> SynthScenario:
     """One subject's scenario: jittered RR, log-uniform gain, scheduled events."""
     rng = np.random.default_rng([seed, index, 7])
     base_rr = int(rng.integers(65, 96)) * 10
@@ -76,7 +84,7 @@ class SyntheticDataset:
 
 
 def generate_dataset(seed: int, n_subjects: int = 20,
-                     duration_ms: int = 110_000,
+                     duration_ms: int = DEFAULT_DURATION_MS,
                      keep_streams: bool = False) -> SyntheticDataset:
     """Synthesize n_subjects recordings; keep_streams keeps each one's CvsStream.
 
@@ -110,16 +118,13 @@ def prepare_splits(dataset: SyntheticDataset, scheme: str, scale_mode: str,
 def score(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(score, verdict) per cycle; higher score means more likely normal.
 
-    A discriminative model accepts at probability >= 0.5, a manifold model
-    at residual <= its selected threshold.
+    A discriminative model accepts at probability >= ACCEPT_PROBABILITY, a
+    manifold model by manifold.score (residual <= its threshold).
     """
     if isinstance(model, discriminative.DiscriminativeModel):
         p = discriminative.forward(model, x)
-        return p, (p >= 0.5).astype(int)
-    if model.threshold_d is None:
-        raise ThresholdUnset("manifold model has no threshold; run `threshold` first")
-    r = manifold.residuals(model, x)
-    return -r, (r <= model.threshold_d).astype(int)
+        return p, (p >= discriminative.ACCEPT_PROBABILITY).astype(int)
+    return manifold.score(model, x)
 
 
 def evaluate_scores(scores: np.ndarray, preds: np.ndarray,
@@ -129,8 +134,9 @@ def evaluate_scores(scores: np.ndarray, preds: np.ndarray,
     return {"auc": auc, **m.values, "undefined": m.undefined}
 
 
-def run_discriminative(splits, arch: str = "vgg3", epochs: int = 25,
-                       lr: float = 1e-3, seed: int = 0):
+def run_discriminative(splits, arch: str = "vgg3",
+                       epochs: int = discriminative.DEFAULT_EPOCHS,
+                       lr: float = DEFAULT_LR, seed: int = 0):
     """Train one discriminative model on prepared splits; returns (model, report)."""
     (x_tr, y_tr, _), (x_va, _, yev_va), (x_te, _, yev_te) = splits
     model = discriminative.build(arch, seed=seed)
@@ -142,46 +148,20 @@ def run_discriminative(splits, arch: str = "vgg3", epochs: int = 25,
 
 
 def run_manifold(splits, kind: str = "bcvae", beta: float | None = None,
-                 epochs: int = 40, lr: float = 1e-3, seed: int = 0):
-    """Train one manifold model on positives, pick the threshold on train+val."""
+                 epochs: int = manifold.DEFAULT_EPOCHS, lr: float = DEFAULT_LR,
+                 seed: int = 0):
+    """Train one manifold model on the train positives, threshold it on train+val.
+
+    Validation positives pick the VAE epoch; beta None is the kind's
+    manifold.DEFAULT_BETA.  Returns (model, report).
+    """
     (x_tr, _, yev_tr), (x_va, _, yev_va), (x_te, _, yev_te) = splits
-    pos_tr = x_tr[yev_tr == 1]
-    pos_va = x_va[yev_va == 1]
-
-    if kind == "pca":
-        model = manifold.pca_fit(pos_tr)
-        history = {}
-    else:
-        model = manifold.build_vae(kind, seed=seed, beta=beta)
-        history = manifold.vae_train(model, pos_tr, np.ones(len(pos_tr), dtype=int),
-                                     epochs=epochs, lr=lr, seed=seed,
-                                     x_val_pos=pos_va)
-
-    pool_x = np.concatenate([x_tr, x_va])
-    pool_y = np.concatenate([yev_tr, yev_va])
-    r_pool = manifold.residuals(model, pool_x)
-    d, j = manifold.select_threshold(r_pool, pool_y)
-    model.threshold_d = d
-
+    pos = yev_tr == 1
+    model, history = manifold.train_kind(kind, x_tr[pos], yev_tr[pos], beta=beta,
+                                         epochs=epochs, lr=lr, seed=seed,
+                                         x_val_pos=x_va[yev_va == 1])
+    d, j = manifold.set_threshold(model, np.concatenate([x_tr, x_va]),
+                                  np.concatenate([yev_tr, yev_va]))
     report = evaluate_scores(*score(model, x_te), yev_te)
     report.update({"threshold": d, "youden_j_trainval": j, "history": history})
     return model, report
-
-
-def run_end_to_end(dataset: SyntheticDataset, seed: int = 0,
-                   scheme: str = "interp", scale_mode: str = "subject",
-                   vgg_epochs: int = 25, vae_epochs: int = 40) -> dict:
-    """The headline synthetic experiment: VGG16-3 and beta-ConvVAE (beta = 1/2)."""
-    splits = prepare_splits(dataset, scheme=scheme, scale_mode=scale_mode, seed=seed)
-    _, vgg_report = run_discriminative(splits, arch="vgg3", epochs=vgg_epochs,
-                                       seed=seed)
-    _, vae_report = run_manifold(splits, kind="bcvae", beta=0.5,
-                                 epochs=vae_epochs, seed=seed)
-    return {
-        "fractions": dataset.class_fractions(),
-        "n_cycles": len(dataset.cycles),
-        "vgg3": vgg_report,
-        "bcvae": vae_report,
-        "scale_mode": scale_mode,
-        "scheme": scheme,
-    }

@@ -3,6 +3,11 @@
 These learn only from motion-free cycles.  A cycle is scored by the Euclidean
 residual between itself and its reconstruction; the accept/reject threshold is
 picked by maximizing Youden's J over residuals from the train+val pool.
+
+Every decision about a manifold model of any kind lives here, and the CLI and
+the experiment runners call it: train_kind fits one (positives only, for
+every kind), set_threshold picks and stores d, and score applies the one
+verdict rule r <= d.
 """
 from __future__ import annotations
 
@@ -13,8 +18,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .errors import (ContainsNegativeSamples, EmptySplit, InsufficientSamples,
-                     NotFitted, ShapeMismatch, SingleClassDataset, ThresholdUnset)
-from .nn import BATCH_ROWS, ParamSet, by_rows, fit, forward_layers, init_params
+                     ShapeMismatch, SingleClassDataset, ThresholdUnset)
+from .nn import (BATCH_ROWS, DEFAULT_LR, ParamSet, by_rows, fit, forward_layers,
+                 init_params)
 from .preprocess import TARGET_LEN
 
 LATENT_DIM = 10
@@ -22,21 +28,18 @@ LATENT_DIM = 10
 VAE_KINDS = ("vae", "bvae", "cvae", "bcvae")
 MANIFOLD_KINDS = ("pca",) + VAE_KINDS
 DEFAULT_BETA = {"vae": 1.0, "bvae": 0.5, "cvae": 1.0, "bcvae": 0.5}
+DEFAULT_EPOCHS = 40
 
 
 # --- PCA ---
 
 @dataclass
 class PcaModel:
-    mean: np.ndarray | None = None
-    components: np.ndarray | None = None     # (10, 150), orthonormal rows
+    mean: np.ndarray
+    components: np.ndarray                   # (10, 150), orthonormal rows
     threshold_d: float | None = None
     kind: str = "pca"
     training_meta: dict = field(default_factory=dict)
-
-    @property
-    def fitted(self) -> bool:
-        return self.components is not None
 
 
 def pca_fit(x_pos: np.ndarray, k: int = LATENT_DIM) -> PcaModel:
@@ -53,8 +56,6 @@ def pca_fit(x_pos: np.ndarray, k: int = LATENT_DIM) -> PcaModel:
 
 def pca_project(model: PcaModel, x: np.ndarray) -> np.ndarray:
     """Reconstruction: mean + projection onto the principal subspace."""
-    if not model.fitted:
-        raise NotFitted("PCA model has not been fitted")
     x = np.asarray(x, dtype=np.float64)
     centered = x - model.mean
     z = centered @ model.components.T
@@ -215,6 +216,27 @@ def vae_train(model: VaeModel, x_pos: np.ndarray, eval_labels: np.ndarray,
     return {"train_loss": train_loss, "val_recon": val_recon}
 
 
+def train_kind(kind: str, x_pos: np.ndarray, eval_labels: np.ndarray, *,
+               beta: float | None = None, epochs: int = DEFAULT_EPOCHS,
+               lr: float = DEFAULT_LR, seed: int = 0,
+               x_val_pos: np.ndarray | None = None):
+    """(model, history) of a manifold model of any kind fit on positive cycles.
+
+    A non-positive label is an error for every kind, before any fit or
+    update.  PCA has no epochs and an empty history; a VAE is built from
+    (kind, seed, beta) and trained by vae_train.
+    """
+    require_positives(eval_labels)
+    if kind == "pca":
+        model = pca_fit(x_pos)
+        model.training_meta = {"n_train": len(x_pos)}
+        return model, {}
+    model = build_vae(kind, seed=seed, beta=beta)
+    history = vae_train(model, x_pos, eval_labels, epochs=epochs, lr=lr, seed=seed,
+                        x_val_pos=x_val_pos)
+    return model, history
+
+
 # --- scoring ---
 
 def residuals(model, x: np.ndarray) -> np.ndarray:
@@ -232,10 +254,6 @@ def residuals(model, x: np.ndarray) -> np.ndarray:
         return np.linalg.norm(c - recon, axis=1)
 
     return by_rows(chunk_residuals, x)
-
-
-def residual(model, x: np.ndarray) -> float:
-    return float(residuals(model, np.atleast_2d(x))[0])
 
 
 def select_threshold(scores: np.ndarray, eval_labels: np.ndarray) -> tuple[float, float]:
@@ -268,9 +286,21 @@ def select_threshold(scores: np.ndarray, eval_labels: np.ndarray) -> tuple[float
     return float(max(best_d, 0.0)), float(best_j)
 
 
+def set_threshold(model, x: np.ndarray, eval_labels: np.ndarray) -> tuple[float, float]:
+    """(d, J) by Youden's J over the model's residuals on x; d is stored on the model."""
+    d, j = select_threshold(residuals(model, x), eval_labels)
+    model.threshold_d = d
+    return d, j
+
+
+def score(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(-residual, verdict) per row; verdict 1 (normal) iff residual <= threshold_d."""
+    if model.threshold_d is None:
+        raise ThresholdUnset("manifold model has no threshold; run `threshold` first")
+    r = residuals(model, x)
+    return -r, (r <= model.threshold_d).astype(int)
+
+
 def assess(model, x: np.ndarray) -> int:
-    """1 (normal) iff the residual is at or below the model threshold."""
-    d = model.threshold_d
-    if d is None:
-        raise ThresholdUnset("threshold has not been selected")
-    return 1 if residual(model, x) <= d else 0
+    """score's verdict for one cycle x."""
+    return int(score(model, x)[1][0])

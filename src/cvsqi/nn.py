@@ -23,10 +23,11 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import Var
-from .errors import NotConvolutional, ShapeMismatch
+from .errors import NotConvolutional, ShapeMismatch, ValidationError
 
 ACTIVATIONS = ("relu", "sigmoid")   # named alike in autodiff and kernels
 BATCH_ROWS = 64
+DEFAULT_LR = 1e-3                   # Adam step size of every model family
 
 
 class ParamSet:
@@ -92,8 +93,10 @@ def fit(params: ParamSet, n: int,
     batch of indices; batch_loss(idx, pvars, rng) builds the batch's mean loss
     and may draw further numbers from the same rng.  With val_loss, the
     parameters of the epoch with the lowest validation loss are restored;
-    without it the last epoch's are kept.
+    without it the last epoch's are kept.  epochs must be at least 1.
     """
+    if epochs < 1:
+        raise ValidationError(f"epochs must be at least 1, got {epochs}")
     rng = np.random.default_rng(seed)
     train_losses, val_losses = [], []
     best_val, best_values = np.inf, params.copy_values()

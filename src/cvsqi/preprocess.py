@@ -75,18 +75,9 @@ class CalibrationWindow:
 
 @dataclass
 class NormalizedCycle:
-    values: np.ndarray
-    subject_id: str
-    t_start_ms: int
-    scheme: str
-    label: QualityLabel = QualityLabel.NORMAL
+    values: np.ndarray    # (TARGET_LEN,) float64
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (TARGET_LEN,):
-            raise ValidationError(f"normalized cycle must have {TARGET_LEN} values")
-        if self.scheme not in SCHEMES:
-            raise ValidationError(f"scheme must be one of {SCHEMES}")
         peak = float(np.abs(self.values).max())
         if peak > HEADROOM:
             raise ValidationError(
@@ -223,9 +214,7 @@ def normalize_cycle(cycle: CvsCycle, scheme: str, scale: float | None) -> Normal
         values = np.concatenate([samples, np.full(TARGET_LEN - samples.size, samples[-1])])
     else:
         raise ValidationError(f"unknown size-normalization scheme {scheme!r}")
-    return NormalizedCycle(values=values, subject_id=cycle.subject_id,
-                           t_start_ms=cycle.t_start_ms, scheme=scheme,
-                           label=cycle.label)
+    return NormalizedCycle(values)
 
 
 def normalize_dataset(cycles, scheme: str, scale_mode: str,

@@ -149,7 +149,7 @@ class TestSplitAndTrain:
 
 
 class TestTrainManifold:
-    @pytest.mark.parametrize("kind", ["pca", "vae"])
+    @pytest.mark.parametrize("kind", manifold.MANIFOLD_KINDS)
     def test_negatives_in_pos_train_exit_2(self, workspace, tmp_path, capsys, kind):
         cycles = dataio.read_cycles(str(workspace["cycles"]))
         n_neg = sum(c.label is not QualityLabel.NORMAL for c in cycles)
@@ -160,6 +160,42 @@ class TestTrainManifold:
                     "--out", out]) == 2
         assert f"{n_neg} non-positive samples" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_threshold_matches_library(self, workspace):
+        # train-manifold then threshold store the d of train_kind + set_threshold
+        calib = dataio.read_calibrations(str(workspace["calib"]))
+        x_pos, _, y_pos = preprocess.normalize_dataset(
+            dataio.read_cycles(str(workspace["root"] / "pos.csv")), "interp",
+            "subject", calib)
+        x, _, y = preprocess.normalize_dataset(
+            dataio.read_cycles(str(workspace["cycles"])), "interp", "subject", calib)
+        model, _ = manifold.train_kind("pca", x_pos, y_pos)
+        d, _ = manifold.set_threshold(model, x, y)
+        stored = model_io.load_model(str(workspace["model"]))[0]
+        assert stored.threshold_d == d == model.threshold_d
+        assert stored.training_meta == model.training_meta
+
+    @pytest.mark.parametrize("command", ["train", "train-manifold"])
+    def test_zero_epochs_exit_2_and_write_nothing(self, workspace, tmp_path, capsys,
+                                                  command):
+        out = tmp_path / "m.json"
+        if command == "train":
+            argv = ["train", "--arch", "lr", "--train", workspace["cycles"],
+                    "--val", workspace["cycles"]]
+        else:
+            argv = ["train-manifold", "--kind", "bcvae",
+                    "--pos-train", workspace["root"] / "pos.csv"]
+        assert run([*argv, "--epochs", 0, "--calib", workspace["calib"],
+                    "--out", out]) == 2
+        assert "epochs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pca_ignores_epochs(self, workspace, tmp_path):
+        out = tmp_path / "pca.json"
+        assert run(["train-manifold", "--kind", "pca", "--epochs", 0,
+                    "--pos-train", workspace["root"] / "pos.csv",
+                    "--calib", workspace["calib"], "--out", out]) == 0
+        assert model_io.load_model(str(out))[0].kind == "pca"
 
 
 class TestSharedScoring:

@@ -1,12 +1,14 @@
 """generate_dataset: subject order, the kept streams, the empty dataset, and
-its stop at the first failing subject."""
+its stop at the first failing subject; score: one verdict rule for manifold
+models."""
 import numpy as np
 import pytest
 
-from cvsqi import experiment
-from cvsqi.errors import InvalidScenario
+from cvsqi import experiment, manifold
+from cvsqi.errors import InvalidScenario, ThresholdUnset
 from cvsqi.forward import synthesize_stream
-from cvsqi.preprocess import calibration_from_stream, cycles_from_stream
+from cvsqi.preprocess import (calibration_from_stream, cycles_from_stream,
+                              normalize_dataset)
 
 DURATION_MS = 25_000      # just past the 20 s calibration window
 
@@ -67,3 +69,36 @@ class TestGenerateDataset:
         with pytest.raises(InvalidScenario, match=f"subject s{k:02d} fails"):
             experiment.generate_dataset(0, 6, DURATION_MS)
         assert record.started == [f"s{i:02d}" for i in range(k + 1)]
+
+
+def mid_pool_model(kind, x):
+    """A PCA fit on x, or an untrained VAE, thresholded mid-way through x's residuals."""
+    model = manifold.pca_fit(x) if kind == "pca" else manifold.build_vae(kind, seed=0)
+    r = np.sort(manifold.residuals(model, x))
+    model.threshold_d = float(r[len(r) // 2 - 1: len(r) // 2 + 1].mean())
+    return model
+
+
+@pytest.fixture(scope="module")
+def cycle_matrix():
+    ds = experiment.generate_dataset(0, n_subjects=2, duration_ms=60_000)
+    return normalize_dataset(ds.cycles, "interp", "subject", ds.calibrations)[0]
+
+
+class TestVerdictRule:
+    @pytest.mark.parametrize("kind", ["pca", "bcvae"])
+    def test_assess_row_by_row_is_the_batch_verdict(self, cycle_matrix, kind):
+        model = mid_pool_model(kind, cycle_matrix)
+        verdicts = experiment.score(model, cycle_matrix)[1]
+        assert 0 < verdicts.sum() < len(verdicts)
+        assert [manifold.assess(model, x) for x in cycle_matrix] == verdicts.tolist()
+
+    @pytest.mark.parametrize("kind", ["pca", "bcvae"])
+    def test_unset_threshold_one_error(self, cycle_matrix, kind):
+        model = mid_pool_model(kind, cycle_matrix)
+        model.threshold_d = None
+        with pytest.raises(ThresholdUnset) as batch:
+            experiment.score(model, cycle_matrix)
+        with pytest.raises(ThresholdUnset) as single:
+            manifold.assess(model, cycle_matrix[0])
+        assert str(batch.value) == str(single.value)

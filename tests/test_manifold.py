@@ -212,12 +212,37 @@ class TestVaeTrain:
         assert audit["updates"] == 3
 
 
+class TestTrainKind:
+    @pytest.mark.parametrize("kind", mf.MANIFOLD_KINDS)
+    def test_negatives_rejected_before_any_fit(self, kind, monkeypatch):
+        calls = []
+        for name in ("pca_fit", "build_vae", "vae_train"):
+            monkeypatch.setattr(mf, name, lambda *a, name=name, **kw: calls.append(name))
+        labels = np.ones(20, dtype=int)
+        labels[7] = 0
+        with pytest.raises(ContainsNegativeSamples, match="1 non-positive"):
+            mf.train_kind(kind, normal_cycles(np.random.default_rng(0), 20), labels,
+                          epochs=1)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["pca", "bcvae"])
+    def test_fits_the_kind(self, kind):
+        x = normal_cycles(np.random.default_rng(0), 20)
+        model, history = mf.train_kind(kind, x, np.ones(20, dtype=int), epochs=1)
+        assert model.kind == kind and model.threshold_d is None
+        if kind == "pca":
+            assert history == {} and model.training_meta == {"n_train": 20}
+        else:
+            assert len(history["train_loss"]) == 1
+            assert model.train_audit["negatives_in_updates"] == 0
+
+
 class TestResiduals:
     def test_pca_on_subspace_near_zero(self, seed):
         rng = np.random.default_rng(seed)
         model = mf.pca_fit(rng.normal(size=(30, 150)))
         probe = model.mean + rng.normal(size=10) @ model.components
-        assert mf.residual(model, probe) < 1e-8
+        assert mf.residuals(model, probe[None])[0] < 1e-8
 
     def test_nonnegative_and_order_invariant(self, seed):
         rng = np.random.default_rng(seed)
@@ -227,7 +252,7 @@ class TestResiduals:
         assert np.all(r >= 0)
         perm = rng.permutation(12)
         assert np.array_equal(mf.residuals(model, x[perm]), r[perm])
-        singles = np.array([mf.residual(model, xi) for xi in x])
+        singles = np.array([mf.residuals(model, xi[None])[0] for xi in x])
         assert np.allclose(singles, r, rtol=1e-12, atol=0)
 
     def test_normal_cycles_score_below_distorted(self):
@@ -341,7 +366,7 @@ class TestAssess:
         model = self.make_model(0.5)
         x = np.zeros(150)
         x[:10] = rng.normal(size=10)   # inside the subspace
-        assert mf.residual(model, x) < 1e-10
+        assert mf.residuals(model, x[None])[0] < 1e-10
         assert mf.assess(model, x) == 1
 
     def test_monotone_in_residual(self, seed):

@@ -6,7 +6,7 @@ import pytest
 from cvsqi import autodiff as ad
 from cvsqi import discriminative, manifold
 from cvsqi.autodiff import Var
-from cvsqi.errors import NotConvolutional, ShapeMismatch
+from cvsqi.errors import NotConvolutional, ShapeMismatch, ValidationError
 from cvsqi.evaluation import roc_auc
 from cvsqi.nn import (BATCH_ROWS, ParamSet, adam_step, by_rows, fit, forward_layers,
                       init_params, receptive_field, shape_trace)
@@ -263,6 +263,13 @@ class TestFit:
         for e in range(epochs):   # every epoch visits each sample once
             seen = np.concatenate(batches[e * per_epoch:(e + 1) * per_epoch])
             assert sorted(seen.tolist()) == list(range(n))
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_fewer_than_one_epoch_rejected(self, epochs):
+        params = ParamSet({"w": np.zeros(3)})
+        with pytest.raises(ValidationError, match="epochs"):
+            fit(params, 10, self.batch_loss, epochs, 0.1, 0, 4)
+        assert params.t == 0
 
     def test_discriminative_meta_reports_best_val_auc(self, seed):
         rng = np.random.default_rng(seed)
