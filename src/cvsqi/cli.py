@@ -72,35 +72,33 @@ def _load_calibrations(path: str | None):
 # --- commands ---
 
 def cmd_gen(args) -> int:
+    if args.subjects < 1:
+        raise ValidationError(f"--subjects must be at least 1, got {args.subjects}")
     if args.scenario:
         scenario = scenario_from_file(args.scenario)
         sid = scenario.subject_id
         stream = synthesize_stream(scenario)
-        cycles = cycles_from_stream(stream, sid, skip_calibration=False)
         try:
-            calibrations = {sid: calibration_from_stream(stream, sid)}
+            calibration = calibration_from_stream(stream, sid)
         except MissingCalibration:   # a scenario shorter than 20 s
-            calibrations = {}
-        streams = {sid: stream}
+            calibration = None
+        subjects = [experiment.Subject(
+            sid, stream, cycles_from_stream(stream, sid, skip_calibration=False),
+            calibration)]
     else:
-        ds = experiment.generate_dataset(args.seed, n_subjects=args.subjects,
-                                         duration_ms=args.duration_ms,
-                                         keep_streams=bool(args.out_stream))
-        cycles, calibrations, streams = ds.cycles, ds.calibrations, ds.streams
+        subjects = experiment.iter_subjects(args.seed, args.subjects, args.duration_ms)
 
-    dataio.write_cycles(cycles, args.out_cycles)
-    if args.out_calib:
-        dataio.write_calibrations(calibrations, args.out_calib)
-    if args.out_stream:
-        for sid, stream in sorted(streams.items()):
-            suffix = f".{sid}" if len(streams) > 1 else ""
-            dataio.write_stream(stream, args.out_stream + suffix)
+    several = not args.scenario and args.subjects > 1
 
-    counts = {lab: 0 for lab in QualityLabel}
-    for c in cycles:
-        counts[c.label] += 1
-    n = max(len(cycles), 1)
-    print(f"cycles: {len(cycles)}")
+    def stream_path(sid):
+        # one stream file per subject, suffixed by its id when there are several
+        return f"{args.out_stream}.{sid}" if several else args.out_stream
+
+    counts = dataio.write_subjects(subjects, args.out_cycles, args.out_calib,
+                                   stream_path if args.out_stream else None)
+    total = sum(counts.values())
+    n = max(total, 1)
+    print(f"cycles: {total}")
     for lab in QualityLabel:
         print(f"  {lab.value:<16} {counts[lab]:>6}  ({100.0 * counts[lab] / n:.2f}%)")
     return 0
@@ -109,9 +107,8 @@ def cmd_gen(args) -> int:
 def cmd_split(args) -> int:
     cycles = dataio.read_cycles(args.cycles)
     train, val, test = split_by_subject(cycles, seed=args.seed)
-    dataio.write_cycles(train, args.out_train)
-    dataio.write_cycles(val, args.out_val)
-    dataio.write_cycles(test, args.out_test)
+    dataio.write_cycle_files([(train, args.out_train), (val, args.out_val),
+                              (test, args.out_test)])
     total = len(cycles)
     for name, part in (("train", train), ("val", val), ("test", test)):
         sids = sorted({c.subject_id for c in part})
@@ -141,7 +138,8 @@ def cmd_train_manifold(args) -> int:
     cycles = dataio.read_cycles(args.pos_train)
     x_pos, _, yev = normalize_dataset(cycles, args.norm, args.scale, calibrations)
     x_val = None
-    if args.val:
+    if args.val and args.kind in manifold.VAE_KINDS:   # PCA has no validation epochs
+        manifold.require_positives(yev)   # the purity error before any --val read
         val_cycles = [c for c in dataio.read_cycles(args.val)
                       if c.label is QualityLabel.NORMAL]
         if val_cycles:

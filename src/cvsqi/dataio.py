@@ -1,7 +1,11 @@
 """Line-oriented file formats: streams, cycle datasets, calibration.
 
-All files are comma-separated UTF-8 with LF line endings.  Writes go through a
-temp-file-then-rename so readers never observe partial files.
+All files are comma-separated UTF-8 with LF line endings; a sample is the
+repr of its float.  Each row format is defined once (the _*_line functions).
+Writes go to temp files that are renamed into place once every file of the
+write is complete, so readers never observe a partial file and a write of
+several files (gen's, split's) leaves all of them or none.  write_subjects
+writes gen's files subject by subject from one text column per subject.
 
   stream:      t_ms, x_t, r_peak_flag, label_code        (label on the cycle's
                first sample, -1 elsewhere); read back as a preprocess.CvsStream
@@ -10,53 +14,148 @@ temp-file-then-rename so readers never observe partial files.
 """
 from __future__ import annotations
 
+import contextlib
+import itertools
 import os
 import tempfile
+from collections import Counter
+from collections.abc import Callable
 
 import numpy as np
 
 from .errors import IoError, ValidationError
 from .labels import QualityLabel
-from .preprocess import CALIBRATION_SAMPLES, CalibrationWindow, CvsCycle, CvsStream
+from .preprocess import (CALIBRATION_SAMPLES, SAMPLE_MS, CalibrationWindow, CvsCycle,
+                         CvsStream)
+
+
+@contextlib.contextmanager
+def _replacing():
+    """Yield open_temp(path): a new temp file beside path, open for writing.
+
+    When the block completes, every temp file is closed and only then are
+    they renamed over their paths, in the order opened.  When anything in the
+    block raises, every temp file is closed and unlinked, and an OSError is
+    raised again as IoError.
+    """
+    pending = []   # (file, temp path, target path)
+
+    def open_temp(path):
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        f = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
+        pending.append((f, tmp, path))
+        return f
+
+    try:
+        yield open_temp
+        for f, _, _ in pending:
+            f.close()
+        for _, tmp, path in pending:
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for f, tmp, _ in pending:
+            # a failed flush fails again on close; a renamed temp is gone
+            with contextlib.suppress(OSError):
+                f.close()
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise IoError(str(exc)) from exc
+        raise
+
+
+def _write_lines(f, lines) -> None:
+    """Write each line and its LF, up to 4096 lines per write call."""
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, 4096)):
+        f.write("\n".join(chunk))
+        f.write("\n")
 
 
 def atomic_write(path: str, lines) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            for line in lines:
-                f.write(line)
-                f.write("\n")
-        os.replace(tmp, path)
-    except OSError as exc:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise IoError(str(exc)) from exc
+    with _replacing() as open_temp:
+        _write_lines(open_temp(path), lines)
+
+
+def _text(x: np.ndarray) -> list[str]:
+    """The repr of each sample, in order."""
+    return list(map(repr, x.tolist()))
+
+
+def _cycle_line(subject_id: str, t_start_ms: int, code: int, xs: list[str]) -> str:
+    return f"{subject_id},{t_start_ms},{code},{len(xs)},{','.join(xs)}"
+
+
+def _calibration_line(subject_id: str, xs: list[str]) -> str:
+    return f"{subject_id},{','.join(xs)}"
+
+
+def _stream_lines(stream, xs: list[str]):
+    """The rows of a stream whose samples' text is xs.
+
+    A cycle's label code goes on the sample of its first R-peak; an R-peak
+    that is not a sample time gets neither a flag nor a code.
+    """
+    t_ms = stream.t_ms.tolist()
+    r_peaks = stream.r_peaks.tolist()
+    codes = [lab.code for lab in stream.cycle_labels[:max(len(r_peaks) - 1, 0)]]
+    codes += [-1] * (len(r_peaks) - len(codes))   # one per cycle start
+    tails = [",0,-1"] * len(t_ms)
+    # the row of each R-peak in the increasing t_ms, where it is a sample time
+    for row, peak, code in zip(np.searchsorted(stream.t_ms, stream.r_peaks).tolist(),
+                               r_peaks, codes):
+        if row < len(t_ms) and t_ms[row] == peak:
+            tails[row] = f",1,{code}"
+    return (f"{t},{x}{tail}" for t, x, tail in zip(t_ms, xs, tails))
+
+
+# --- gen ---
+
+def write_subjects(subjects, cycles_path: str, calib_path: str | None = None,
+                   stream_path: Callable[[str], str] | None = None) -> Counter:
+    """Write gen's files one subject at a time; the count of cycle rows per label.
+
+    subjects yields (subject_id, stream, cycles, calibration) tuples, such
+    as experiment.Subject, one at a time, so that only one subject is held.
+    Each cycle must be the contiguous slice of its stream's CVS that starts
+    at its t_start_ms, as segment_cycles cuts it.  The cycle rows go to
+    cycles_path in subject order; the calibration rows to calib_path, if
+    given, in sorted subject order (a subject whose calibration is None has
+    none); each stream to stream_path(subject_id), if given.  A subject's
+    CVS is formatted once, and all of its rows are built from that text;
+    only the calibration rows are held until the last subject, to be sorted.
+    Every file is renamed into place once all subjects are written, or none.
+    """
+    labels = Counter()
+    calibration_lines = {}
+    with _replacing() as open_temp:
+        cycles_file = open_temp(cycles_path)
+        calib_file = open_temp(calib_path) if calib_path else None
+        for sid, stream, cycles, calibration in subjects:
+            xs = _text(stream.cvs)
+            rows = []
+            for c in cycles:
+                i0 = (c.t_start_ms - int(stream.t_ms[0])) // SAMPLE_MS
+                rows.append(_cycle_line(sid, c.t_start_ms, c.label.code, xs[i0:i0 + c.v]))
+                labels[c.label] += 1
+            _write_lines(cycles_file, rows)
+            if calib_path and calibration is not None:
+                calibration_lines[sid] = _calibration_line(sid, xs[:CALIBRATION_SAMPLES])
+            if stream_path:
+                with open_temp(stream_path(sid)) as f:
+                    _write_lines(f, _stream_lines(stream, xs))
+        if calib_path:
+            _write_lines(calib_file, (calibration_lines[sid]
+                                      for sid in sorted(calibration_lines)))
+    return labels
 
 
 # --- stream files ---
 
 def write_stream(stream, path: str) -> None:
-    """Export a CvsStream or SynthStream's CVS with its R-peak flags and label codes.
-
-    A cycle's label code goes on the sample of its first R-peak; an R-peak
-    that is not a sample time gets neither a flag nor a code.
-    """
-    t_ms, r_peaks = stream.t_ms, stream.r_peaks
-    labels = stream.cycle_labels[:max(r_peaks.size - 1, 0)]   # one per cycle start
-    label_codes = np.asarray([lab.code for lab in labels], dtype=np.int64)
-    # the row of each R-peak in the increasing t_ms, where it is a sample time
-    row = np.searchsorted(t_ms, r_peaks)
-    on_grid = row < t_ms.size
-    on_grid[on_grid] = t_ms[row[on_grid]] == r_peaks[on_grid]
-    flags = np.zeros(t_ms.size, dtype=np.int64)
-    flags[row[on_grid]] = 1
-    codes = np.full(t_ms.size, -1, dtype=np.int64)
-    starts = on_grid[:label_codes.size]
-    codes[row[:label_codes.size][starts]] = label_codes[starts]
-    atomic_write(path, (f"{t},{x!r},{p},{c}" for t, x, p, c in zip(
-        t_ms.tolist(), stream.cvs.tolist(), flags.tolist(), codes.tolist())))
+    """Export a CvsStream or SynthStream's CVS with its R-peak flags and label codes."""
+    atomic_write(path, _stream_lines(stream, _text(stream.cvs)))
 
 
 _STREAM_ROW = np.dtype([("t_ms", np.int64), ("x", np.float64),
@@ -113,11 +212,16 @@ def read_stream(path: str) -> CvsStream:
 # --- cycle datasets ---
 
 def write_cycles(cycles, path: str) -> None:
-    def lines():
-        for c in cycles:
-            xs = ",".join(map(repr, c.samples.tolist()))
-            yield f"{c.subject_id},{c.t_start_ms},{c.label.code},{c.v},{xs}"
-    atomic_write(path, lines())
+    write_cycle_files([(cycles, path)])
+
+
+def write_cycle_files(files) -> None:
+    """Write each (cycles, path) pair; every file is renamed into place, or none."""
+    with _replacing() as open_temp:
+        for cycles, path in files:
+            _write_lines(open_temp(path), (
+                _cycle_line(c.subject_id, c.t_start_ms, c.label.code, _text(c.samples))
+                for c in cycles))
 
 
 def read_cycles(path: str) -> list[CvsCycle]:
@@ -143,11 +247,8 @@ def read_cycles(path: str) -> list[CvsCycle]:
 # --- calibration ---
 
 def write_calibrations(calibrations: dict[str, CalibrationWindow], path: str) -> None:
-    def lines():
-        for sid in sorted(calibrations):
-            xs = ",".join(map(repr, calibrations[sid].samples.tolist()))
-            yield f"{sid},{xs}"
-    atomic_write(path, lines())
+    atomic_write(path, (_calibration_line(sid, _text(calibrations[sid].samples))
+                        for sid in sorted(calibrations)))
 
 
 def read_calibrations(path: str) -> dict[str, CalibrationWindow]:

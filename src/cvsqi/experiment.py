@@ -3,7 +3,9 @@
 The default dataset mimics the clinical class mix (~80/10/10
 normal/ambiguous/motion) across several subjects with widely varying
 cardiogenic gain, so that subject-specific scale normalization matters and its
-ablation measurably degrades classifier AUC.
+ablation measurably degrades classifier AUC.  iter_subjects synthesizes
+the subjects one at a time: gen writes each as it comes, and generate_dataset
+collects them.
 
 score is the one scoring interface of every model, for the CLI and the
 runners alike.  run_discriminative and run_manifold each train one model on
@@ -13,7 +15,9 @@ thresholds through manifold.train_kind and set_threshold, as the CLI does.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +73,33 @@ def default_subject_scenario(seed: int, index: int,
                          subject_id=f"s{index:02d}")
 
 
+class Subject(NamedTuple):
+    """One synthesized subject: the scalar recording and what is cut from it."""
+
+    subject_id: str
+    stream: CvsStream                       # the scalar recording
+    cycles: list[CvsCycle]                  # contiguous slices of stream.cvs
+    calibration: CalibrationWindow | None   # None: a recording under 20 s
+
+
+def iter_subjects(seed: int, n_subjects: int,
+                  duration_ms: int = DEFAULT_DURATION_MS) -> Iterator[Subject]:
+    """Synthesize n_subjects recordings, one per step, in subject order.
+
+    Subject k comes from its own (seed, k).  Its cycles start from 20 s on,
+    and a duration under 20 s raises MissingCalibration; if subject k raises,
+    no later subject starts.
+    """
+    for i in range(n_subjects):
+        scenario = default_subject_scenario(seed, i, duration_ms)
+        sid = scenario.subject_id
+        synth = synthesize_stream(scenario)
+        # the scalar recording only: the (n,) motion CVS is not kept
+        stream = CvsStream(synth.t_ms, synth.cvs, synth.r_peaks, synth.cycle_labels)
+        yield Subject(sid, stream, cycles_from_stream(stream, sid),
+                      calibration_from_stream(stream, sid))
+
+
 @dataclass
 class SyntheticDataset:
     cycles: list[CvsCycle]
@@ -86,25 +117,14 @@ class SyntheticDataset:
 def generate_dataset(seed: int, n_subjects: int = 20,
                      duration_ms: int = DEFAULT_DURATION_MS,
                      keep_streams: bool = False) -> SyntheticDataset:
-    """Synthesize n_subjects recordings; keep_streams keeps each one's CvsStream.
-
-    Subjects are synthesized in order, each from its own (seed, index); if
-    subject k raises, that error propagates and no later subject starts.
-    """
-    cycles: list[CvsCycle] = []
-    calibrations: dict[str, CalibrationWindow] = {}
-    streams = {}
-    for i in range(n_subjects):
-        scenario = default_subject_scenario(seed, i, duration_ms)
-        sid = scenario.subject_id
-        stream = synthesize_stream(scenario)
-        cycles.extend(cycles_from_stream(stream, sid))
-        calibrations[sid] = calibration_from_stream(stream, sid)
+    """The subjects of iter_subjects, collected; keep_streams keeps each CvsStream."""
+    ds = SyntheticDataset(cycles=[], calibrations={})
+    for sid, stream, cycles, calibration in iter_subjects(seed, n_subjects, duration_ms):
+        ds.cycles.extend(cycles)
+        ds.calibrations[sid] = calibration
         if keep_streams:
-            # the scalar recording only: the (n,) motion CVS is not kept
-            streams[sid] = CvsStream(stream.t_ms, stream.cvs, stream.r_peaks,
-                                     stream.cycle_labels)
-    return SyntheticDataset(cycles=cycles, calibrations=calibrations, streams=streams)
+            ds.streams[sid] = stream
+    return ds
 
 
 def prepare_splits(dataset: SyntheticDataset, scheme: str, scale_mode: str,

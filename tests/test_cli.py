@@ -128,6 +128,12 @@ class TestSplitAndTrain:
         assert not (sets[0] & sets[1]) and not (sets[0] & sets[2])
         assert not (sets[1] & sets[2])
 
+    def test_unwritable_out_test_writes_no_split_file(self, workspace, tmp_path):
+        assert run(["split", "--cycles", workspace["cycles"],
+                    "--out-train", tmp_path / "tr.csv", "--out-val", tmp_path / "va.csv",
+                    "--out-test", tmp_path / "missing" / "te.csv"]) == 3
+        assert list(tmp_path.iterdir()) == []
+
     def test_train_writes_loadable_model(self, workspace, tmp_path):
         out = [tmp_path / n for n in ("tr.csv", "va.csv", "te.csv")]
         run(["split", "--cycles", workspace["cycles"], "--seed", 1,
@@ -160,6 +166,22 @@ class TestTrainManifold:
                     "--out", out]) == 2
         assert f"{n_neg} non-positive samples" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["pca", "bcvae"])
+    def test_purity_error_before_val_read(self, workspace, tmp_path, capsys, kind):
+        out = tmp_path / "m.json"
+        assert run(["train-manifold", "--kind", kind, "--epochs", 1,
+                    "--pos-train", workspace["cycles"], "--val", tmp_path / "missing.csv",
+                    "--calib", workspace["calib"], "--out", out]) == 2
+        assert "non-positive samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pca_never_reads_val(self, workspace, tmp_path):
+        out = tmp_path / "pca.json"
+        assert run(["train-manifold", "--kind", "pca", "--pos-train",
+                    workspace["root"] / "pos.csv", "--val", tmp_path / "missing.csv",
+                    "--calib", workspace["calib"], "--out", out]) == 0
+        assert model_io.load_model(str(out))[0].kind == "pca"
 
     def test_threshold_matches_library(self, workspace):
         # train-manifold then threshold store the d of train_kind + set_threshold

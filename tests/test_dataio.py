@@ -1,14 +1,16 @@
+import json
 import os
 import types
 
 import numpy as np
 import pytest
 
-from cvsqi import dataio
+from cvsqi import cli, dataio, experiment
 from cvsqi.errors import ValidationError
 from cvsqi.forward import SynthScenario, synthesize_stream
 from cvsqi.labels import QualityLabel
-from cvsqi.preprocess import CALIBRATION_SAMPLES, CalibrationWindow, CvsCycle, CvsStream
+from cvsqi.preprocess import (CALIBRATION_SAMPLES, CalibrationWindow, CvsCycle, CvsStream,
+                              calibration_from_stream, cycles_from_stream)
 
 
 def make_cycles(rng, n=5):
@@ -214,9 +216,180 @@ class TestAtomicWrite:
         with open(path) as f:
             assert f.read() == "a\nb\n"
 
+    def test_failing_lines_leave_no_temp(self, tmp_path):
+        def lines():
+            yield "a"
+            raise ValidationError("bad row")
+        with pytest.raises(ValidationError, match="bad row"):
+            dataio.atomic_write(str(tmp_path / "out.txt"), lines())
+        assert os.listdir(tmp_path) == []
+
     def test_overwrite_is_complete(self, tmp_path):
         path = str(tmp_path / "out.txt")
         dataio.atomic_write(path, ["long line " * 100])
         dataio.atomic_write(path, ["short"])
         with open(path) as f:
             assert f.read() == "short\n"
+
+
+# --- gen's files against the per-file writers ---
+
+def ref_write_cycles(cycles, path):
+    """Reference cycle writer: every cycle's samples formatted on their own."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for c in cycles:
+            xs = ",".join(map(repr, c.samples.tolist()))
+            f.write(f"{c.subject_id},{c.t_start_ms},{c.label.code},{c.v},{xs}\n")
+
+
+def ref_write_calibrations(calibrations, path):
+    """Reference calibration writer: one row per window, in sorted subject order."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for sid in sorted(calibrations):
+            f.write(f"{sid}," + ",".join(map(repr, calibrations[sid].samples.tolist())) + "\n")
+
+
+def ref_write_stream(stream, path):
+    """Reference stream writer, its columns built with numpy as a whole."""
+    t_ms, r_peaks = stream.t_ms, stream.r_peaks
+    labels = stream.cycle_labels[:max(r_peaks.size - 1, 0)]
+    label_codes = np.asarray([lab.code for lab in labels], dtype=np.int64)
+    row = np.searchsorted(t_ms, r_peaks)
+    on_grid = row < t_ms.size
+    on_grid[on_grid] = t_ms[row[on_grid]] == r_peaks[on_grid]
+    flags = np.zeros(t_ms.size, dtype=np.int64)
+    flags[row[on_grid]] = 1
+    codes = np.full(t_ms.size, -1, dtype=np.int64)
+    starts = on_grid[:label_codes.size]
+    codes[row[:label_codes.size][starts]] = label_codes[starts]
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for t, x, p, c in zip(t_ms.tolist(), stream.cvs.tolist(), flags.tolist(),
+                              codes.tolist()):
+            f.write(f"{t},{x!r},{p},{c}\n")
+
+
+def ref_gen_files(out, cycles, calibrations, streams, calib, stream):
+    """What gen should write to out, by the reference writers."""
+    ref_write_cycles(cycles, out / "c.csv")
+    if calib:
+        ref_write_calibrations(calibrations, out / "k.csv")
+    if stream:
+        for sid, s in streams.items():
+            ref_write_stream(s, out / ("s.csv" + (f".{sid}" if len(streams) > 1 else "")))
+
+
+def gen_argv(out, calib, stream):
+    argv = ["--out-cycles", out / "c.csv"]
+    if calib:
+        argv += ["--out-calib", out / "k.csv"]
+    if stream:
+        argv += ["--out-stream", out / "s.csv"]
+    return argv
+
+
+def assert_same_files(got, want):
+    assert sorted(os.listdir(got)) == sorted(os.listdir(want))
+    for name in os.listdir(want):
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def run_cli(argv):
+    return cli.main([str(a) for a in argv])
+
+
+OUTPUTS = [(False, False), (True, False), (False, True), (True, True)]
+OUTPUT_IDS = ["cycles", "calib", "stream", "calib-stream"]
+
+
+class TestGenFiles:
+    @pytest.mark.parametrize("calib,stream", OUTPUTS, ids=OUTPUT_IDS)
+    @pytest.mark.parametrize("n_subjects", [1, 3])
+    def test_byte_identical_to_per_file_writers(self, tmp_path, n_subjects, calib, stream):
+        got, want = tmp_path / "got", tmp_path / "want"
+        got.mkdir()
+        want.mkdir()
+        assert run_cli(["gen", "--seed", 5, "--subjects", n_subjects,
+                        "--duration-ms", 30_000, *gen_argv(got, calib, stream)]) == 0
+        ds = experiment.generate_dataset(5, n_subjects, 30_000, keep_streams=True)
+        ref_gen_files(want, ds.cycles, ds.calibrations, ds.streams, calib, stream)
+        assert_same_files(got, want)
+
+    @pytest.mark.parametrize("duration_ms", [30_000, 15_000], ids=["30s", "15s"])
+    def test_scenario_byte_identical_to_per_file_writers(self, tmp_path, duration_ms):
+        # a scenario under 20 s has cycles in its first 20 s but no calibration row
+        doc = {"subject_seed": 4, "duration_ms": duration_ms, "rr_intervals_ms": [760, 840],
+               "subject_id": "x7", "motion_events": [
+                   {"start_ms": 9000, "duration_ms": 1500, "amplitude": 2.0,
+                    "shape": "sway"}]}
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(doc))
+        got, want = tmp_path / "got", tmp_path / "want"
+        got.mkdir()
+        want.mkdir()
+        assert run_cli(["gen", "--scenario", scen, *gen_argv(got, True, True)]) == 0
+        synth = synthesize_stream(cli.scenario_from_file(str(scen)))
+        cals = ({"x7": calibration_from_stream(synth, "x7")}
+                if duration_ms >= 20_000 else {})
+        ref_gen_files(want, cycles_from_stream(synth, "x7", skip_calibration=False),
+                      cals, {"x7": synth}, True, True)
+        assert_same_files(got, want)
+        assert ((got / "k.csv").read_text() == "") == (duration_ms < 20_000)
+
+    def test_101_subjects_calibration_rows_in_sorted_order(self, tmp_path):
+        got, want = tmp_path / "got", tmp_path / "want"
+        got.mkdir()
+        want.mkdir()
+        assert run_cli(["gen", "--seed", 2, "--subjects", 101, "--duration-ms", 21_000,
+                        *gen_argv(got, True, True)]) == 0
+        ds = experiment.generate_dataset(2, 101, 21_000, keep_streams=True)
+        ref_gen_files(want, ds.cycles, ds.calibrations, ds.streams, True, True)
+        assert_same_files(got, want)
+        sids = [line.split(",", 1)[0] for line in read_lines(got / "k.csv")]
+        assert sids[10:13] == ["s10", "s100", "s11"] and len(sids) == 101
+
+    def test_special_values_round_trip(self, tmp_path):
+        cvs = np.array([0.5, -0.0, 5e-324, 1e-05, 1e16, np.inf, 0.25, -1.5, 2.0, 1e-05])
+        stream = CvsStream(np.arange(cvs.size, dtype=np.int64) * 10, cvs,
+                           np.array([0, 30, 60, 90]),
+                           [QualityLabel.NORMAL, QualityLabel.MOTION, QualityLabel.AMBIGUOUS])
+        cycles = cycles_from_stream(stream, "h", skip_calibration=False)
+        counts = dataio.write_subjects([("h", stream, cycles, None)],
+                                       str(tmp_path / "c.csv"), str(tmp_path / "k.csv"),
+                                       lambda sid: str(tmp_path / f"s.{sid}"))
+        assert counts == {QualityLabel.NORMAL: 1, QualityLabel.MOTION: 1,
+                          QualityLabel.AMBIGUOUS: 1}
+        assert read_lines(tmp_path / "s.h")[1:6] == [
+            "10,-0.0,0,-1", "20,5e-324,0,-1", "30,1e-05,1,0", "40,1e+16,0,-1",
+            "50,inf,0,-1"]
+        assert (tmp_path / "k.csv").read_text() == ""
+        back = dataio.read_stream(str(tmp_path / "s.h"))
+        assert back.cvs.tobytes() == cvs.tobytes()   # -0.0 keeps its sign bit
+        assert np.array_equal(back.r_peaks, stream.r_peaks)
+        assert back.cycle_labels == stream.cycle_labels
+        got = dataio.read_cycles(str(tmp_path / "c.csv"))
+        assert [c.samples.tobytes() for c in got] == [c.samples.tobytes() for c in cycles]
+
+    def test_missing_stream_directory_leaves_no_file(self, tmp_path, capsys):
+        assert run_cli(["gen", "--seed", 0, "--subjects", 2, "--duration-ms", 25_000,
+                        "--out-cycles", tmp_path / "c.csv", "--out-calib",
+                        tmp_path / "k.csv", "--out-stream",
+                        tmp_path / "missing" / "s.csv"]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("n_subjects", [0, -1])
+    def test_subjects_below_one_exit_2(self, tmp_path, capsys, n_subjects):
+        assert run_cli(["gen", "--subjects", n_subjects,
+                        *gen_argv(tmp_path, True, True)]) == 2
+        assert f"--subjects must be at least 1, got {n_subjects}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_failing_subject_leaves_no_file(self, tmp_path):
+        def subjects():
+            yield from experiment.iter_subjects(0, 1, 25_000)
+            raise ValidationError("subject s01 fails")
+        with pytest.raises(ValidationError, match="s01 fails"):
+            dataio.write_subjects(subjects(), str(tmp_path / "c.csv"),
+                                  str(tmp_path / "k.csv"),
+                                  lambda sid: str(tmp_path / f"s.{sid}"))
+        assert os.listdir(tmp_path) == []
