@@ -1,4 +1,4 @@
-"""Minimal reverse-mode automatic differentiation over numpy arrays.
+"""Minimal reverse-mode automatic differentiation over numpy arrays: a tape.
 
 Each operation returns a Var recording its parents and a closure that maps the
 output gradient to parent gradients.  backward() runs a topological sweep from
@@ -6,9 +6,10 @@ a scalar loss.  The op set is exactly what the models here need: dense layers,
 1D (transposed) convolution with width-1/3 kernels, 2-to-1 max pooling, the
 elementwise activations, and the reductions used by the losses.
 
-The layer ops and activations compute their output with the numpy kernel of
-the same name in `kernels` and add only the backward closure; inference
-calls those kernels directly and records no tape.
+The elementwise and loss ops are written out here.  Each layer op (dense,
+conv1d, conv_transpose1d, maxpool1d, relu) is two calls into `kernels`: its
+forward kernel now, and its backward kernel in the closure.  Inference calls
+the forward kernels directly and records no tape.
 """
 from __future__ import annotations
 
@@ -127,7 +128,7 @@ def log(a) -> Var:
 
 def relu(a) -> Var:
     a = _as_var(a)
-    return Var(kernels.relu(a.value), (a,), lambda g: (g * (a.value > 0),))
+    return Var(kernels.relu(a.value), (a,), lambda g: (kernels.relu_bwd(g, a.value),))
 
 
 def sigmoid(a) -> Var:
@@ -193,63 +194,28 @@ def slice_cols(a, start: int, stop: int) -> Var:
 def dense(x, w, b) -> Var:
     """Affine map: (N, in) @ (out, in)^T + (out,)."""
     x, w, b = _as_var(x), _as_var(w), _as_var(b)
-    out = kernels.dense(x.value, w.value, b.value)
-
-    def bwd(g):
-        return g @ w.value, g.T @ x.value, g.sum(axis=0)
-    return Var(out, (x, w, b), bwd)
+    return Var(kernels.dense(x.value, w.value, b.value), (x, w, b),
+               lambda g: kernels.dense_bwd(g, x.value, w.value))
 
 
 def conv1d(x, kern, b, stride: int = 1) -> Var:
-    """Cross-correlation with same-style zero padding, as one im2col GEMM.
-
-    x: (N, L, C_in); kern: (k, C_in, C_out); output length ceil(L / stride).
-    """
+    """Same-padded cross-correlation, (N, L, C_in) by (k, C_in, C_out)."""
     x, kern, b = _as_var(x), _as_var(kern), _as_var(b)
     out, cols = kernels.conv1d_cols(x.value, kern.value, b.value, stride)
-
-    def bwd(g):
-        n, length, cin = x.value.shape
-        k, _, cout = kern.value.shape
-        g2 = g.reshape(-1, cout)
-        dcols = (g2 @ kern.value.reshape(k * cin, cout).T).reshape(n, g.shape[1], k, cin)
-        dx = kernels.col2im(dcols, stride, length)
-        dk = (cols.T @ g2).reshape(k, cin, cout)
-        return dx, dk, g.sum(axis=(0, 1))
-    return Var(out, (x, kern, b), bwd)
+    return Var(out, (x, kern, b), lambda g: kernels.conv1d_bwd(
+        g, cols, kern.value, stride, x.value.shape[1]))
 
 
 def conv_transpose1d(x, kern, b, stride: int, out_len: int) -> Var:
-    """Adjoint of conv1d: maps length ceil(out_len / stride) back to out_len.
-
-    x: (N, L_small, C_in); kern: (k, C_in, C_out).
-    """
+    """Adjoint of conv1d: length ceil(out_len / stride) back to out_len."""
     x, kern, b = _as_var(x), _as_var(kern), _as_var(b)
     out = kernels.conv_transpose1d(x.value, kern.value, b.value, stride, out_len)
-
-    def bwd(g):
-        n, l_small, cin = x.value.shape
-        k, _, cout = kern.value.shape
-        kmat = kern.value.transpose(1, 0, 2).reshape(cin, k * cout)
-        gcols = kernels.im2col(g, k, stride)                     # (N*Ls, k*Cout)
-        dx = (gcols @ kmat.T).reshape(n, l_small, cin)
-        dk = (x.value.reshape(-1, cin).T @ gcols).reshape(cin, k, cout).transpose(1, 0, 2)
-        return dx, dk, g.sum(axis=(0, 1))
-    return Var(out, (x, kern, b), bwd)
+    return Var(out, (x, kern, b),
+               lambda g: kernels.conv_transpose1d_bwd(g, x.value, kern.value, stride))
 
 
 def maxpool1d(x) -> Var:
     """Per-channel max over non-overlapping pairs; odd trailing sample dropped."""
     x = _as_var(x)
-    out = kernels.maxpool1d(x.value)
-
-    def bwd(g):
-        first, second = kernels.pool_pairs(x.value)
-        # the argmax of each pair: the first row on a tie or when it is NaN
-        first_wins = (first >= second) | np.isnan(first)
-        dx = np.zeros(x.value.shape)
-        dx_first, dx_second = kernels.pool_pairs(dx)    # views of dx
-        np.copyto(dx_first, g, where=first_wins)
-        np.copyto(dx_second, g, where=~first_wins)
-        return (dx,)
-    return Var(out, (x,), bwd)
+    return Var(kernels.maxpool1d(x.value), (x,),
+               lambda g: (kernels.maxpool1d_bwd(g, x.value),))

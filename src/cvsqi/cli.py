@@ -19,7 +19,7 @@ from . import dataio, discriminative, experiment, manifold, model_io
 from .errors import CvsqiError, IoError, MissingCalibration, ValidationError
 from .evaluation import split_by_subject
 from .experiment import evaluate_scores, score
-from .forward import MotionEvent, SynthScenario, synthesize_stream
+from .forward import scenario_from_file, synthesize_stream
 from .labels import QualityLabel
 from .nn import DEFAULT_LR
 from .preprocess import (SCALE_MODES, SCHEMES, calibration_from_stream,
@@ -46,23 +46,6 @@ def _load_config() -> dict:
     if not isinstance(cfg, dict):
         raise ValidationError(f"config {path} must hold a JSON object")
     return {k: v for k, v in cfg.items() if k in _CONFIG_KEYS}
-
-
-# --- scenario files ---
-
-def scenario_from_file(path: str) -> SynthScenario:
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid scenario JSON: {exc}") from exc
-    events = tuple(MotionEvent(**ev) for ev in doc.pop("motion_events", []))
-    try:
-        return SynthScenario(motion_events=events, **doc)
-    except TypeError as exc:
-        raise ValidationError(f"{path}: bad scenario field: {exc}") from exc
 
 
 def _load_calibrations(path: str | None):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import discriminative, manifold
 from .evaluation import confusion, metrics, roc_auc, split_by_subject
-from .forward import MotionEvent, SynthScenario, synthesize_stream
+from .forward import MotionEvent, SynthScenario, check_duration, synthesize_stream
 from .labels import QualityLabel
 from .nn import DEFAULT_LR
 from .preprocess import (CALIBRATION_MS, CalibrationWindow, CvsCycle, CvsStream,
@@ -41,6 +41,7 @@ def _subject_seed(seed: int, index: int) -> int:
 def default_subject_scenario(seed: int, index: int,
                              duration_ms: int = DEFAULT_DURATION_MS) -> SynthScenario:
     """One subject's scenario: jittered RR, log-uniform gain, scheduled events."""
+    check_duration(duration_ms)                # before the RR list is drawn
     rng = np.random.default_rng([seed, index, 7])
     base_rr = int(rng.integers(65, 96)) * 10
     n_beats = duration_ms // 300 + 2

@@ -16,20 +16,34 @@ Synthesis is additive by construction: the CVS is the exact sum of a cardiogenic
 component, the measurement noise, and a motion component that is nonzero only
 inside scheduled motion events.  No boundary-value PDE is solved; the generator
 only reproduces the additive structure that the quality-indexing task depends
-on.
+on.  scenario_from_file reads one scenario from JSON, every field checked by
+name before anything is synthesized.
 """
 from __future__ import annotations
 
+import dataclasses
+import json
+import re
+import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidScenario
+from .errors import InvalidScenario, IoError, ValidationError
 from .labels import QualityLabel
 
 SAMPLE_MS = 10
+MAX_DURATION_MS = 3_600_000   # one hour, checked before any sample is allocated
 
 MOTION_SHAPES = ("step", "ramp", "burst", "sway")
+
+
+def check_duration(duration_ms: int) -> None:
+    """A recording's length: a positive multiple of 10 ms, at most one hour."""
+    if not 0 < duration_ms <= MAX_DURATION_MS or duration_ms % SAMPLE_MS:
+        raise InvalidScenario(f"duration_ms must be a positive multiple of 10 ms up "
+                              f"to {MAX_DURATION_MS} (one hour), got {duration_ms}")
 
 
 @dataclass(frozen=True)
@@ -41,11 +55,11 @@ class MotionEvent:
 
     def __post_init__(self):
         if self.shape not in MOTION_SHAPES:
-            raise InvalidScenario(f"motion shape must be one of {MOTION_SHAPES}")
+            raise InvalidScenario(f"shape must be one of {MOTION_SHAPES}")
         if self.duration_ms <= 0:
-            raise InvalidScenario("motion event duration must be positive")
+            raise InvalidScenario("duration_ms must be positive")
         if self.amplitude < 0:
-            raise InvalidScenario("motion event amplitude must be nonnegative")
+            raise InvalidScenario("amplitude must be nonnegative")
 
     @property
     def end_ms(self) -> int:
@@ -57,37 +71,91 @@ class SynthScenario:
     subject_seed: int
     duration_ms: int
     rr_intervals_ms: tuple[int, ...]          # cycled if the recording outlasts them
-    respiration_period_ms: float = 4000.0     # not used by synthesis; the leadform cancels it
     motion_events: tuple[MotionEvent, ...] = ()
     noise_std: float = 0.02                   # relative to the cardiogenic CVS peak
     gain: float = 1.0                         # subject-specific cardiogenic amplitude
     ambiguous_band: tuple[float, float] = (0.5, 1.5)
-    baseline_g: float = 50.0                  # not used by synthesis; scenario files may set it
-    current_ma: float = 1.0                   # not used by synthesis; scenario files may set it
     subject_id: str = "s0"
 
     def __post_init__(self):
-        if self.duration_ms <= 0 or self.duration_ms % SAMPLE_MS != 0:
-            raise InvalidScenario("duration must be a positive multiple of 10 ms")
+        check_duration(self.duration_ms)
+        if self.subject_seed < 0:
+            raise InvalidScenario(f"subject_seed must be nonnegative, got {self.subject_seed}")
+        if not re.fullmatch(r"[\w.-]+", self.subject_id):
+            raise InvalidScenario(f"subject_id {self.subject_id!r} must be letters, digits, "
+                                  f"'_', '.' or '-'")
         if not self.rr_intervals_ms:
-            raise InvalidScenario("at least one RR interval is required")
+            raise InvalidScenario("rr_intervals_ms needs at least one RR interval")
         for rr in self.rr_intervals_ms:
             if not (300 <= rr <= 2000) or rr % SAMPLE_MS != 0:
-                raise InvalidScenario(f"RR interval {rr} ms outside [300, 2000] or off-grid")
-        for ev in self.motion_events:
+                raise InvalidScenario(f"rr_intervals_ms: {rr} ms outside [300, 2000] "
+                                      f"or off the 10 ms grid")
+        for i, ev in enumerate(self.motion_events):
             if ev.start_ms < 0 or ev.end_ms > self.duration_ms:
-                raise InvalidScenario("motion event outside recording duration")
+                raise InvalidScenario(f"motion_events[{i}] lies outside [0, duration_ms]")
         if self.noise_std < 0:
             raise InvalidScenario("noise_std must be nonnegative")
         if self.gain <= 0:
             raise InvalidScenario("gain must be positive")
         lo, hi = self.ambiguous_band
         if not (0 < lo < hi):
-            raise InvalidScenario("ambiguous band must satisfy 0 < low < high")
-        if self.respiration_period_ms <= 0:
-            raise InvalidScenario("respiration period must be positive")
+            raise InvalidScenario("ambiguous_band must satisfy 0 < low < high")
         object.__setattr__(self, "rr_intervals_ms", tuple(int(rr) for rr in self.rr_intervals_ms))
         object.__setattr__(self, "motion_events", tuple(self.motion_events))
+
+
+def _from_json(value, kind, name: str):
+    """A parsed JSON value as `kind`: int, float (finite), str, tuple[X, ...],
+    tuple[X, Y], or a dataclass above from an object of its fields.  Any
+    other value, or an unknown or missing field, is an InvalidScenario that
+    names it, as do the dataclass's own range checks."""
+    def fail(what):
+        return InvalidScenario(f"{name} must be {what}, got {value!r:.60}")
+    args = typing.get_args(kind)
+    if dataclasses.is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise fail("an object")
+        fields = {f.name: f for f in dataclasses.fields(kind)}
+        for key in sorted(value.keys() - fields.keys()):
+            raise InvalidScenario(f"{name}.{key} is not a field of {kind.__name__}")
+        for key, f in fields.items():
+            if key not in value and f.default is dataclasses.MISSING:
+                raise InvalidScenario(f"{name}.{key} is required")
+        hints = typing.get_type_hints(kind)
+        kwargs = {key: _from_json(v, hints[key], f"{name}.{key}") for key, v in value.items()}
+        try:
+            return kind(**kwargs)
+        except InvalidScenario as exc:
+            raise InvalidScenario(f"{name}: {exc}") from None
+    if args:                                   # tuple[X, ...] or tuple[X, Y]
+        any_length = args[-1] is Ellipsis
+        if not isinstance(value, list) or not any_length and len(value) != len(args):
+            raise fail("a list" if any_length else f"a list of {len(args)}")
+        return tuple(_from_json(v, args[0] if any_length else args[i], f"{name}[{i}]")
+                     for i, v in enumerate(value))
+    types, what = {str: (str, "a string"), int: (int, "an integer"),
+                   float: ((int, float), "a number")}[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise fail(what)
+    if kind is float and not abs(value) <= sys.float_info.max:     # NaN, inf, 10**400
+        raise fail("a finite number")
+    return value
+
+
+def scenario_from_file(path: str) -> SynthScenario:
+    """The scenario of a JSON file: an object of SynthScenario's fields, with
+    motion_events a list of objects of MotionEvent's fields.  An unknown,
+    missing or mistyped field, or an out-of-range value, is an
+    InvalidScenario naming the field; nothing is synthesized before then.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: invalid scenario JSON: {exc}") from exc
+    return _from_json(doc, SynthScenario, f"{path}: scenario")
 
 
 def cardiac_template(phase: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
-"""Forward kernels of the layer ops: pure numpy, no autodiff tape.
+"""The layer ops' numpy kernels, forward and backward: no autodiff tape.
 
-Each autodiff op of the same name calls its kernel here and adds only the
-backward closure, so inference (arrays in, arrays out) and the taped
-training graph compute every output with the same arithmetic.
+Each autodiff layer op calls its forward kernel here and records the
+backward kernel, so inference and training share every value's arithmetic
+and only this module knows the im2col layout and the pooling pairs.
 
 The convolution is an im2col GEMM: k strided slices of the input, as if
 zero-padded, form an (N * L_out, k * C_in) matrix that meets the kernel in
@@ -11,13 +11,16 @@ straight into the matrix and only its padding rows are zeroed, and a
 width-1, stride-1 conv uses a view of its input as the matrix.  The
 transposed convolution is its adjoint: one GEMM yields every tap's
 contribution, and strided slice-adds place them straight into the output,
-with no scatter.  ReLU is fmax(a, 0), with -0.0 cleared.  Max-pooling is
-np.maximum of the two rows of each pair, both views of the input.
+with no scatter.  So each conv's input gradient is the other's forward
+kernel, run with the kernel's channel axes swapped and laid out so that
+BLAS sees the operands a hand-written backward GEMM would pass.  ReLU is
+fmax(a, 0), with -0.0 cleared.  Max-pooling is np.maximum of the two rows
+of each pair, both views of the input.
 
 Each kernel allocates only the arrays it returns (conv_transpose1d also its
-GEMM's tap matrix) and adds its bias in place.  No arithmetic and no order
-of operations differs from the padded-copy form, so every output is
-bit-for-bit the same.
+GEMM's tap matrix) and adds its bias in place, or none for b=None.  No
+arithmetic and no order of operations differs from the padded-copy form, so
+every output is bit-for-bit the same.
 """
 from __future__ import annotations
 
@@ -37,6 +40,11 @@ def relu(a: np.ndarray) -> np.ndarray:
     out = np.fmax(a, 0.0)
     out += 0.0
     return out
+
+
+def relu_bwd(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """ReLU's input gradient: g where a > 0, zero elsewhere (and at NaN)."""
+    return g * (a > 0)
 
 
 def sigmoid(a: np.ndarray) -> np.ndarray:
@@ -62,6 +70,11 @@ def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = x @ w.T
     out += b
     return out
+
+
+def dense_bwd(g: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """(dx, dw, db) of dense for the output gradient g (N, out)."""
+    return g @ w, g.T @ x, g.sum(axis=0)
 
 
 def conv_geometry(length: int, k: int, stride: int) -> tuple[int, int]:
@@ -158,7 +171,7 @@ def col2im(cols: np.ndarray, stride: int, length: int) -> np.ndarray:
     return out
 
 
-def conv1d_cols(x: np.ndarray, kern: np.ndarray, b: np.ndarray,
+def conv1d_cols(x: np.ndarray, kern: np.ndarray, b: np.ndarray | None,
                 stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """conv1d's output and the im2col matrix its backward pass reuses."""
     if x.ndim != 3 or kern.ndim != 3:
@@ -167,11 +180,12 @@ def conv1d_cols(x: np.ndarray, kern: np.ndarray, b: np.ndarray,
     k, kcin, cout = kern.shape
     if kcin != cin:
         raise ShapeMismatch(f"conv1d: input channels {cin} vs kernel {kcin}")
-    if b.shape != (cout,):
+    if b is not None and b.shape != (cout,):
         raise ShapeMismatch("conv1d: bias shape mismatch")
     cols = im2col(x, k, stride)                            # (N*Lo, k*Cin)
     out = cols @ kern.reshape(k * cin, cout)
-    out += b
+    if b is not None:
+        out += b
     return out.reshape(n, conv_geometry(length, k, stride)[0], cout), cols
 
 
@@ -184,7 +198,17 @@ def conv1d(x: np.ndarray, kern: np.ndarray, b: np.ndarray,
     return conv1d_cols(x, kern, b, stride)[0]
 
 
-def conv_transpose1d(x: np.ndarray, kern: np.ndarray, b: np.ndarray,
+def conv1d_bwd(g: np.ndarray, cols: np.ndarray, kern: np.ndarray, stride: int,
+               length: int):
+    """(dx, dk, db) of conv1d for the output gradient g, from the forward's
+    im2col matrix cols and input length."""
+    k, cin, cout = kern.shape
+    dx = conv_transpose1d(g, kern.transpose(0, 2, 1), None, stride, length)
+    dk = (cols.T @ g.reshape(-1, cout)).reshape(k, cin, cout)
+    return dx, dk, g.sum(axis=(0, 1))
+
+
+def conv_transpose1d(x: np.ndarray, kern: np.ndarray, b: np.ndarray | None,
                      stride: int, out_len: int) -> np.ndarray:
     """Adjoint of conv1d: maps length ceil(out_len / stride) back to out_len.
 
@@ -195,7 +219,7 @@ def conv_transpose1d(x: np.ndarray, kern: np.ndarray, b: np.ndarray,
     k, kcin, cout = kern.shape
     if kcin != cin:
         raise ShapeMismatch(f"conv_transpose1d: input channels {cin} vs kernel {kcin}")
-    if b.shape != (cout,):
+    if b is not None and b.shape != (cout,):
         raise ShapeMismatch("conv_transpose1d: bias shape mismatch")
     if conv_geometry(out_len, k, stride)[0] != l_small:
         raise ShapeMismatch(
@@ -204,8 +228,21 @@ def conv_transpose1d(x: np.ndarray, kern: np.ndarray, b: np.ndarray,
     kmat = kern.transpose(1, 0, 2).reshape(cin, k * cout)
     taps = (x.reshape(-1, cin) @ kmat).reshape(n, l_small, k, cout)
     out = col2im(taps, stride, out_len)
-    out += b
+    if b is not None:
+        out += b
     return out
+
+
+def conv_transpose1d_bwd(g: np.ndarray, x: np.ndarray, kern: np.ndarray, stride: int):
+    """(dx, dk, db) of conv_transpose1d for the output gradient g.
+
+    The swapped kernel is a view of the forward's (C_in, k * C_out) tap matrix.
+    """
+    k, cin, cout = kern.shape
+    swapped = np.ascontiguousarray(kern.transpose(1, 0, 2)).transpose(1, 2, 0)
+    dx, gcols = conv1d_cols(g, swapped, None, stride)
+    dk = (x.reshape(-1, cin).T @ gcols).reshape(cin, k, cout).transpose(1, 0, 2)
+    return dx, dk, g.sum(axis=(0, 1))
 
 
 def pool_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,3 +260,15 @@ def maxpool1d(x: np.ndarray) -> np.ndarray:
     NaN propagates; of two equal values (-0.0 and 0.0 too) the first is kept.
     """
     return np.maximum(*pool_pairs(x))
+
+
+def maxpool1d_bwd(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """maxpool1d's input gradient: each pair's g goes to its argmax row, the
+    first on a tie or when it is NaN; a dropped odd trailing row gets zero."""
+    first, second = pool_pairs(x)
+    first_wins = (first >= second) | np.isnan(first)
+    dx = np.zeros(x.shape)
+    dx_first, dx_second = pool_pairs(dx)               # views of dx
+    np.copyto(dx_first, g, where=first_wins)
+    np.copyto(dx_second, g, where=~first_wins)
+    return dx

@@ -14,6 +14,7 @@ normalize_dataset stacks those vectors into the model matrix.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -75,13 +76,7 @@ class CalibrationWindow:
 
 @dataclass
 class NormalizedCycle:
-    values: np.ndarray    # (TARGET_LEN,) float64
-
-    def __post_init__(self):
-        peak = float(np.abs(self.values).max())
-        if peak > HEADROOM:
-            raise ValidationError(
-                f"normalized cycle peak {peak:.3g} exceeds headroom bound {HEADROOM}")
+    values: np.ndarray    # (TARGET_LEN,) float64, finite, peak within HEADROOM
 
 
 class CvsStream(NamedTuple):
@@ -163,9 +158,16 @@ def calibration_from_stream(stream, subject_id: str) -> CalibrationWindow:
                              samples=stream.cvs[:CALIBRATION_SAMPLES].copy())
 
 
+def _bad_cycle(cycle: CvsCycle, what: str) -> ValidationError:
+    return ValidationError(
+        f"cycle of subject {cycle.subject_id!r} at t_start_ms {cycle.t_start_ms} {what}")
+
+
 def naive_scale_factor(cycle: CvsCycle) -> float:
     """Per-cycle scaling factor: max absolute sample."""
     s = float(np.max(np.abs(cycle.samples)))
+    if not s < math.inf:                       # NaN or inf
+        raise _bad_cycle(cycle, "holds a non-finite sample")
     if s == 0.0:
         raise AllZeroCycle(f"cycle at {cycle.t_start_ms} ms is identically zero")
     return s
@@ -197,7 +199,10 @@ def normalize_cycle(cycle: CvsCycle, scheme: str, scale: float | None) -> Normal
 
     "interp" resamples linearly over [0, 1] to TARGET_LEN points, grid point
     j at j / (TARGET_LEN - 1), with both endpoints kept exactly; "pad"
-    repeats the last sample up to TARGET_LEN.
+    repeats the last sample up to TARGET_LEN.  A NaN or inf sample, or a
+    normalized peak above HEADROOM, is a ValidationError naming the cycle.
+    Every sample reaches the output of a cycle under 2 * TARGET_LEN - 1
+    samples (RR under 2.98 s); interp skips samples of a longer one.
     """
     samples = cycle.samples
     if scale is not None:
@@ -214,6 +219,10 @@ def normalize_cycle(cycle: CvsCycle, scheme: str, scale: float | None) -> Normal
         values = np.concatenate([samples, np.full(TARGET_LEN - samples.size, samples[-1])])
     else:
         raise ValidationError(f"unknown size-normalization scheme {scheme!r}")
+    peak = float(np.abs(values).max())
+    if not peak <= HEADROOM:                   # NaN fails it too
+        raise _bad_cycle(cycle, "holds a non-finite sample" if not peak < math.inf else
+                         f"has normalized peak {peak:.3g} above headroom bound {HEADROOM}")
     return NormalizedCycle(values)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from cvsqi import (cli, dataio, discriminative, experiment, manifold,
                    model_io, preprocess)
+from cvsqi.forward import MAX_DURATION_MS
 from cvsqi.labels import QualityLabel
 from cvsqi.preprocess import (CvsStream, calibration_from_stream,
                               cycles_from_stream, normalize_cycle,
@@ -55,6 +56,61 @@ class TestGen:
                                     "rr_intervals_ms": [800]}))
         assert run(["gen", "--scenario", scen,
                     "--out-cycles", tmp_path / "c.csv"]) == 2
+
+    SCENARIO = {"subject_seed": 1, "duration_ms": 30000, "rr_intervals_ms": [800]}
+
+    @pytest.mark.parametrize("doc,message", [
+        ({**SCENARIO, "motion_events": [5]},
+         "scenario.motion_events[0] must be an object, got 5"),
+        ([SCENARIO], "scenario must be an object, got [{"),
+        ({**SCENARIO, "motion_events": [{"start_ms": 100, "amplitude": 1.0}]},
+         "scenario.motion_events[0].duration_ms is required"),
+        ({**SCENARIO, "motion_events": [{"start_ms": 100, "duration_ms": 500,
+                                          "amplitude": "big"}]},
+         "scenario.motion_events[0].amplitude must be a number, got 'big'"),
+        ({**SCENARIO, "duration_ms": 1e12}, "scenario.duration_ms must be an integer"),
+        ({**SCENARIO, "noise_std": float("nan")}, "scenario.noise_std must be a finite number"),
+        ({**SCENARIO, "ambiguous_band": [1.0]}, "scenario.ambiguous_band must be a list of 2"),
+        ({**SCENARIO, "subject_seed": -1}, "scenario: subject_seed must be nonnegative"),
+        ({**SCENARIO, "subject_id": "a,b"}, "scenario: subject_id 'a,b' must be letters"),
+        ({**SCENARIO, "motion_events": [{"start_ms": 29_900, "duration_ms": 500,
+                                          "amplitude": 1.0}]},
+         "scenario: motion_events[0] lies outside [0, duration_ms]"),
+        # format change: fields that synthesis never read are no longer accepted
+        ({**SCENARIO, "respiration_period_ms": 4000.0},
+         "scenario.respiration_period_ms is not a field of SynthScenario"),
+        ({**SCENARIO, "baseline_g": 50.0}, "scenario.baseline_g is not a field of SynthScenario"),
+        ({**SCENARIO, "current_ma": 1.0}, "scenario.current_ma is not a field of SynthScenario"),
+    ], ids=["event-not-object", "top-level-array", "event-without-duration",
+            "amplitude-string", "duration-float", "noise-nan", "band-length",
+            "negative-seed", "comma-id", "event-past-end", "respiration_period_ms",
+            "baseline_g", "current_ma"])
+    def test_malformed_scenario_exits_2_naming_the_field(self, tmp_path, capsys, doc,
+                                                          message):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(doc))
+        assert run(["gen", "--scenario", scen, "--out-cycles", tmp_path / "c.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scen}: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_duration_over_the_cap_exits_2_before_synthesis(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def no_synthesis(scenario):
+            raise AssertionError("synthesized a scenario over the cap")
+        monkeypatch.setattr(cli, "synthesize_stream", no_synthesis)
+        monkeypatch.setattr(experiment, "synthesize_stream", no_synthesis)
+        scen = tmp_path / "scen.json"
+        for duration in (MAX_DURATION_MS + 10, 10 ** 12):
+            scen.write_text(json.dumps({**self.SCENARIO, "duration_ms": duration}))
+            assert run(["gen", "--scenario", scen, "--out-cycles", tmp_path / "c.csv"]) == 2
+            assert (f"duration_ms must be a positive multiple of 10 ms up to "
+                    f"{MAX_DURATION_MS} (one hour), got {duration}") in capsys.readouterr().err
+        # the RR list of a default subject is drawn only after the same check
+        assert run(["gen", "--duration-ms", MAX_DURATION_MS + 10,
+                    "--out-cycles", tmp_path / "c.csv"]) == 2
+        assert "(one hour)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [scen]
 
     def test_kept_streams_are_scalar_recordings(self):
         ds = experiment.generate_dataset(0, n_subjects=2, duration_ms=25_000,
@@ -377,6 +433,58 @@ class TestAssess:
         assert np.array_equal(rows[:, 1], [int(v[0]) for _, v in alone])
         assert np.allclose(rows[:, 2], [float(sc[0]) for sc, _ in alone],
                            rtol=1e-12, atol=0)
+
+
+class TestNonFiniteCycle:
+    """A NaN or inf sample ends every command that normalizes its cycle with
+    exit 2 and one error line naming the subject and t_start_ms."""
+
+    @staticmethod
+    def poisoned(workspace, tmp_path, bad="nan"):
+        cycles = dataio.read_cycles(str(workspace["cycles"]))
+        cycles[7].samples[5] = float(bad)
+        path = tmp_path / "bad.csv"
+        dataio.write_cycles(cycles, str(path))
+        return path, (f"error: cycle of subject {cycles[7].subject_id!r} at t_start_ms "
+                      f"{cycles[7].t_start_ms} holds a non-finite sample\n")
+
+    @pytest.mark.parametrize("scale", ["subject", "none", "naive"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_train_exits_2(self, workspace, tmp_path, capsys, scale, bad):
+        path, message = self.poisoned(workspace, tmp_path, bad)
+        out = tmp_path / "lr.json"
+        assert run(["train", "--arch", "lr", "--train", path, "--val", workspace["cycles"],
+                    "--calib", workspace["calib"], "--scale", scale, "--epochs", 1,
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd,flag", [("threshold", "--scored"), ("evaluate", "--test")])
+    def test_threshold_and_evaluate_exit_2(self, workspace, tmp_path, capsys, cmd, flag):
+        path, message = self.poisoned(workspace, tmp_path)
+        before = workspace["model"].read_bytes()
+        assert run([cmd, "--model", workspace["model"], flag, path,
+                    "--calib", workspace["calib"]]) == 2
+        assert capsys.readouterr().err == message
+        assert workspace["model"].read_bytes() == before
+
+    def test_assess_exits_2_naming_the_cycle(self, workspace, assess_stream, tmp_path,
+                                              capsys):
+        # behaviour change: this row used to be scored as "t,0,nan" with exit 0
+        lines = assess_stream["path"].read_text().split("\n")
+        row = 3000                                   # 30 s, past the calibration window
+        fields = lines[row].split(",")
+        fields[1] = "nan"
+        lines[row] = ",".join(fields)
+        path, out = tmp_path / "nan.csv", tmp_path / "verdicts.csv"
+        path.write_text("\n".join(lines))
+        t = int(fields[0])
+        start = max(p for p in assess_stream["stream"].r_peaks.tolist() if p < t)
+        assert run(["assess", "--model", workspace["model"], "--stream", path,
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == (f"error: cycle of subject 'stream' at "
+                                           f"t_start_ms {start} holds a non-finite sample\n")
+        assert not out.exists()
 
 
 class TestConfigEnv:

@@ -14,6 +14,8 @@ from cvsqi.labels import QualityLabel
 
 
 N_CHANNELS = 208   # retained transconductance channels of a 16-electrode belt
+BASELINE_G = 50.0          # the reference's mean channel baseline; the CVS subtracts it
+RESPIRATION_MS = 4000.0    # the reference's breathing period; the leadform cancels it
 
 
 def whole_array_synthesis(scenario):
@@ -29,7 +31,7 @@ def whole_array_synthesis(scenario):
     rng = np.random.default_rng(scenario.subject_seed)
     n = scenario.duration_ms // SAMPLE_MS
     t_ms = np.arange(n, dtype=np.int64) * SAMPLE_MS
-    baseline = scenario.baseline_g * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, N_CHANNELS))
+    baseline = BASELINE_G * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, N_CHANNELS))
     a_blood = rng.normal(size=N_CHANNELS)
     a_blood /= np.linalg.norm(a_blood)
     a_air = rng.normal(size=N_CHANNELS)
@@ -44,7 +46,7 @@ def whole_array_synthesis(scenario):
     phase = (t_ms - bounds[seg]) / (bounds[seg + 1] - bounds[seg])
 
     g_blood = (scenario.gain * cardiac_template(phase))[:, None] * a_blood[None, :]
-    resp = 0.5 * scenario.gain * np.sin(2.0 * np.pi * t_ms / scenario.respiration_period_ms)
+    resp = 0.5 * scenario.gain * np.sin(2.0 * np.pi * t_ms / RESPIRATION_MS)
     g_air = resp[:, None] * a_air[None, :]
     if scenario.noise_std > 0:
         chan_std = scenario.noise_std * scenario.gain / np.linalg.norm(w)

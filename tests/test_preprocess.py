@@ -282,3 +282,32 @@ class TestNormalizeDataset:
     def test_short_cycle_rejected(self):
         with pytest.raises(TooShortCycle):
             cyc([1.0])
+
+
+class TestNonFiniteCycle:
+    """A NaN or inf sample is one ValidationError naming the cycle, in every
+    scale mode and size scheme."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mode", ["subject", "none", "naive"])
+    @pytest.mark.parametrize("scheme", ["interp", "pad"])
+    def test_rejected_naming_subject_and_start(self, bad, mode, scheme):
+        x = np.sin(np.linspace(0.0, 3.0, 80))
+        x[10] = bad
+        cycles = [cyc(x[::-1], sid="s03", t0=48_590), cyc(x, sid="s03", t0=49_390)]
+        with pytest.raises(ValidationError, match=r"^cycle of subject 's03' at "
+                           r"t_start_ms 48590 holds a non-finite sample$"):
+            normalize_dataset(cycles, scheme, mode, {"s03": cal(np.ones(CALIBRATION_SAMPLES))})
+
+    @pytest.mark.parametrize("v", [2, 150, 298])
+    def test_every_sample_reaches_the_interp_output(self, v):
+        for k in range(v):
+            x = np.ones(v)
+            x[k] = np.nan
+            with pytest.raises(ValidationError, match="non-finite"):
+                normalize_cycle(cyc(x), "interp", None)
+
+    def test_headroom_names_the_cycle(self):
+        with pytest.raises(ValidationError, match=r"^cycle of subject 'a' at t_start_ms "
+                           r"800 has normalized peak 11 above headroom bound 10.0$"):
+            normalize_cycle(cyc([0.0, 11.0, 1.0], sid="a", t0=800), "pad", None)
