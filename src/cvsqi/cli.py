@@ -139,61 +139,51 @@ def cmd_train_manifold(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    model, prep = model_io.load_model(args.model)
-    if not hasattr(model, "threshold_d"):
+    scorer = model_io.load_model(args.model)
+    if not hasattr(scorer.model, "threshold_d"):
         raise ValidationError("threshold selection applies to manifold models only")
     calibrations = _load_calibrations(args.calib)
-    cycles = dataio.read_cycles(args.scored)
-    x, _, yev = normalize_dataset(cycles, prep["norm_scheme"], prep["scale_mode"],
-                                  calibrations)
-    d, j = manifold.set_threshold(model, x, yev)
-    model_io.save_model(model, args.model, norm_scheme=prep["norm_scheme"],
-                        scale_mode=prep["scale_mode"])
+    x, _, yev = scorer.normalize(dataio.read_cycles(args.scored), calibrations)
+    d, j = manifold.set_threshold(scorer.model, x, yev)
+    model_io.save_model(scorer.model, args.model, **scorer.preprocessing)
     print(f"threshold d = {d:.6g} (Youden J = {j:.4f}) written to {args.model}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    model, prep = model_io.load_model(args.model)
+    scorer = model_io.load_model(args.model)
     calibrations = _load_calibrations(args.calib)
     cycles = dataio.read_cycles(args.test)
-    x, _, yev = normalize_dataset(cycles, prep["norm_scheme"], prep["scale_mode"],
-                                  calibrations)
-    report = evaluate_scores(*score(model, x), yev)
+    x, _, yev = scorer.normalize(cycles, calibrations)
+    report = evaluate_scores(*scorer.score(x), yev)
 
-    name = getattr(model, "architecture", getattr(model, "kind", "model"))
     cols = ("accuracy", "ppv", "npv", "sensitivity", "specificity", "auc")
     values = {c: report[c] for c in cols}
     print(f"{'model':<10}" + "".join(f"{c:>13}" for c in cols))
     row = "".join(f"{values[c]:>13.4f}" if values[c] is not None else f"{'n/a':>13}"
                   for c in cols)
-    print(f"{name:<10}" + row)
+    print(f"{scorer.name:<10}" + row)
     if report["undefined"]:
         print(f"undefined metrics (zero denominator): {', '.join(report['undefined'])}")
 
     if args.out:
-        record = {"model": name, "n_test": len(cycles), "metrics": values,
-                  "undefined": report["undefined"], "preprocessing": prep}
+        record = {"model": scorer.name, "n_test": len(cycles), "metrics": values,
+                  "undefined": report["undefined"], "preprocessing": scorer.preprocessing}
         dataio.atomic_write(args.out, [json.dumps(record, indent=1)])
     return 0
 
 
 def cmd_assess(args) -> int:
-    model, prep = model_io.load_model(args.model)
-    scheme = model_io.check_scheme(prep, args.norm)
-    if scheme is None:
-        raise ValidationError("model file does not record a normalization scheme")
-    scale_mode = prep.get("scale_mode", "subject")
-
+    scorer = model_io.load_model(args.model)
     stream = dataio.read_stream(args.stream)
     calibrations = None
-    if scale_mode == "subject":
+    if scorer.preprocessing["scale_mode"] == "subject":
         calibrations = {"stream": calibration_from_stream(stream, "stream")}
     cycles = cycles_from_stream(stream, "stream", skip_calibration=False)
     lines = []
     if cycles:   # the whole recording as one batch, rows in stream order
-        vectors, _, _ = normalize_dataset(cycles, scheme, scale_mode, calibrations)
-        scores, verdicts = score(model, vectors)
+        vectors, _, _ = scorer.normalize(cycles, calibrations)
+        scores, verdicts = scorer.score(vectors)
         lines = [f"{c.t_start_ms},{v},{s!r}" for c, v, s
                  in zip(cycles, verdicts.tolist(), scores.tolist())]
     if args.out:
@@ -237,8 +227,11 @@ def bench_models(named_models, cycles, repeats: int = 1) -> list[dict]:
     return reports
 
 
+BENCH_PREPROCESSING = {"norm_scheme": "interp", "scale_mode": "subject"}
+
+
 def _bench_cycles(n_cycles: int, seed: int):
-    """Synthetic assessment-ready cycles for benchmarking."""
+    """Synthetic assessment-ready cycles for benchmarking, under BENCH_PREPROCESSING."""
     rng = np.random.default_rng(seed)
     out = []
     subjects = 0
@@ -248,7 +241,7 @@ def _bench_cycles(n_cycles: int, seed: int):
         stream = synthesize_stream(scenario)
         s = subject_scale_factor(calibration_from_stream(stream, scenario.subject_id))
         for c in cycles_from_stream(stream, scenario.subject_id):
-            out.append((c, s, "interp"))
+            out.append((c, s, BENCH_PREPROCESSING["norm_scheme"]))
         subjects += 1
     rng.shuffle(out)
     return out[:n_cycles]
@@ -257,10 +250,13 @@ def _bench_cycles(n_cycles: int, seed: int):
 def cmd_bench(args) -> int:
     named = []
     if args.models:
-        for path in args.models:
-            model, prep = model_io.load_model(path)
-            name = getattr(model, "architecture", getattr(model, "kind", path))
-            named.append((name, model))
+        for path in args.models:   # every file checked before anything is timed
+            scorer = model_io.load_model(path)
+            if scorer.preprocessing != BENCH_PREPROCESSING:
+                raise ValidationError(
+                    f"{path}: records {scorer.preprocessing}; bench times every "
+                    f"model on cycles under {BENCH_PREPROCESSING} only")
+            named.append((scorer.name, scorer.model))
     else:
         for arch in discriminative.ARCHITECTURES:
             named.append((arch, discriminative.build(arch, seed=args.seed)))
@@ -342,8 +338,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("assess", help="per-cycle verdict stream for a CVS recording")
     p.add_argument("--model", required=True)
     p.add_argument("--stream", required=True)
-    p.add_argument("--norm", choices=SCHEMES, default=None,
-                   help="must match the scheme recorded in the model file")
     p.add_argument("--out")
 
     p = sub.add_parser("bench", help="per-cycle inference latency report")

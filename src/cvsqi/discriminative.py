@@ -7,7 +7,6 @@ epoch with the best validation AUC.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,13 +121,6 @@ class ClassWeights:
     def __post_init__(self):
         if self.zeta_pos <= 0 or self.zeta_neg <= 0:
             raise SingleClassDataset("class weights must be positive")
-
-
-def weighted_ce(pred: float, y: float, weights: ClassWeights) -> float:
-    """Weighted cross-entropy for one prediction with a soft target in [0, 1]."""
-    p = min(max(float(pred), CLIP_EPS), 1.0 - CLIP_EPS)
-    return (-weights.zeta_pos * y * math.log(p)
-            - weights.zeta_neg * (1.0 - y) * math.log(1.0 - p))
 
 
 def _weighted_ce_loss(pred: Var, y: np.ndarray, weights: ClassWeights) -> Var:

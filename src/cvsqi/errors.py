@@ -94,10 +94,6 @@ class TooFewSubjects(ValidationError):
 
 # --- persistence / CLI ---
 
-class SchemeMismatch(ValidationError):
-    pass
-
-
 class MissingCalibration(ValidationError):
     pass
 

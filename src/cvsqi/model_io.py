@@ -3,20 +3,25 @@
 An artifact records the architecture descriptor, the preprocessing
 configuration it was trained under (size scheme + scale mode), the parameters,
 training metadata, and (for manifold models) the selected threshold.  Loading
-verifies the format version and a SHA-256 checksum over the canonical payload.
+verifies the format version and a SHA-256 checksum over the canonical payload,
+then reads the payload field by field into a Scorer.
 """
 from __future__ import annotations
 
 import base64
 import hashlib
 import json
+import sys
+from typing import NamedTuple
 
 import numpy as np
 
-from .discriminative import DiscriminativeModel
-from .errors import CorruptFile, SchemeMismatch, VersionMismatch
-from .manifold import PcaModel, VaeModel
+from . import experiment
+from .discriminative import ARCHITECTURES, DiscriminativeModel
+from .errors import CorruptFile, ValidationError, VersionMismatch
+from .manifold import MANIFOLD_KINDS, PcaModel, VaeModel
 from .nn import ParamSet
+from .preprocess import SCALE_MODES, SCHEMES, normalize_dataset
 
 FORMAT_VERSION = 1
 
@@ -25,11 +30,6 @@ def _encode_array(a: np.ndarray) -> dict:
     a = np.ascontiguousarray(a, dtype=np.float64)
     return {"shape": list(a.shape),
             "data": base64.b64encode(a.tobytes()).decode("ascii")}
-
-
-def _decode_array(d: dict) -> np.ndarray:
-    raw = base64.b64decode(d["data"])
-    return np.frombuffer(raw, dtype=np.float64).reshape(d["shape"]).copy()
 
 
 def _checksum(payload: dict) -> str:
@@ -83,13 +83,116 @@ def save_model(model, path: str, norm_scheme: str, scale_mode: str) -> None:
     atomic_write(path, [json.dumps(doc, indent=1)])
 
 
-def load_model(path: str):
-    """Returns (model, preprocessing dict).  Raises VersionMismatch/CorruptFile."""
+
+
+class Scorer(NamedTuple):
+    """A model file's model and its preprocessing {"norm_scheme", "scale_mode"}:
+    the one path from cycles to verdicts for every command that loads one."""
+
+    model: DiscriminativeModel | PcaModel | VaeModel
+    preprocessing: dict
+
+    @property
+    def name(self) -> str:
+        """The classifier's architecture, or the manifold model's kind."""
+        model = self.model
+        return model.architecture if isinstance(model, DiscriminativeModel) else model.kind
+
+    def normalize(self, cycles, calibrations=None):
+        """normalize_dataset's (x, y_train, y_eval) under the recorded preprocessing."""
+        return normalize_dataset(cycles, self.preprocessing["norm_scheme"],
+                                 self.preprocessing["scale_mode"], calibrations)
+
+    def score(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(score, verdict) per row of normalized cycles, by experiment.score."""
+        return experiment.score(self.model, x)
+
+
+_REQUIRED = object()
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)                   # not NaN or inf
+
+
+class _Fields:
+    """Typed reads of one JSON object; a missing or ill-formed field is a
+    ValidationError naming it."""
+
+    def __init__(self, obj, name: str):
+        if not isinstance(obj, dict):
+            raise ValidationError(f"{name} must be an object, got {obj!r:.60}")
+        self.obj, self.name = obj, name
+
+    def get(self, key: str, ok=None, what: str = "", default=_REQUIRED):
+        if key not in self.obj:
+            if default is _REQUIRED:
+                raise ValidationError(f"{self.name}.{key} is required")
+            return default
+        value = self.obj[key]
+        if ok is not None and not ok(value):
+            raise ValidationError(f"{self.name}.{key} must be {what}, got {value!r:.60}")
+        return value
+
+    def choice(self, key: str, options: tuple[str, ...]) -> str:
+        return self.get(key, lambda v: isinstance(v, str) and v in options,
+                        f"one of {options}")
+
+    def sub(self, key: str) -> "_Fields":
+        return _Fields(self.get(key), f"{self.name}.{key}")
+
+    def meta(self, key: str) -> dict:
+        return self.get(key, lambda v: isinstance(v, dict), "an object", default={})
+
+    def threshold(self) -> float | None:
+        return self.get("threshold", lambda v: v is None or _is_number(v),
+                        "null or a finite number", default=None)
+
+    def layers(self, key: str) -> list[dict]:
+        return self.get(key, lambda v: isinstance(v, list)
+                        and all(isinstance(layer, dict) for layer in v),
+                        "a list of layer objects")
+
+    def tensor(self, key: str) -> np.ndarray:
+        d = self.get(key, lambda v: isinstance(v, dict) and isinstance(v.get("data"), str)
+                     and isinstance(v.get("shape"), list)
+                     and all(_is_int(n) and n >= 0 for n in v["shape"]),
+                     "a tensor object")
+        try:
+            raw = base64.b64decode(d["data"])
+            return np.frombuffer(raw, dtype=np.float64).reshape(d["shape"]).copy()
+        except ValueError:      # bad base64, or a byte count that is not the shape's
+            raise ValidationError(
+                f"{self.name}.{key} does not hold {d['shape']} float64 values") from None
+
+    def params(self, *prefixed_layers) -> ParamSet:
+        """The tensors in file order; each that nn.init_params names for a
+        (prefix, layers) pair is required."""
+        params = self.sub("params")
+        for prefix, layers in prefixed_layers:
+            for i, layer in enumerate(layers):
+                if layer.get("type") in ("dense", "conv", "deconv"):
+                    params.get(f"{prefix}layer{i}.W")
+                    params.get(f"{prefix}layer{i}.b")
+        return ParamSet({k: params.tensor(k) for k in params.obj})
+
+
+def load_model(path: str) -> Scorer:
+    """The Scorer of a model file.  A wrong format version or checksum is an
+    IoError (exit 3); a missing or ill-formed payload field is a
+    ValidationError naming it (exit 2)."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptFile(f"{path}: not a valid model file ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise CorruptFile(f"{path}: not a valid model file (no JSON object)")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionMismatch(
@@ -98,36 +201,24 @@ def load_model(path: str):
     if payload is None or doc.get("checksum") != _checksum(payload):
         raise CorruptFile(f"{path}: checksum mismatch")
 
-    prep = payload["preprocessing"]
-    if payload["family"] == "discriminative":
+    p = _Fields(payload, f"{path}: payload")
+    pre = p.sub("preprocessing")
+    prep = {"norm_scheme": pre.choice("norm_scheme", SCHEMES),
+            "scale_mode": pre.choice("scale_mode", SCALE_MODES)}
+    if p.choice("family", ("discriminative", "manifold")) == "discriminative":
+        descriptor = p.layers("descriptor")
         model = DiscriminativeModel(
-            architecture=payload["architecture"],
-            descriptor=payload["descriptor"],
-            params=ParamSet({k: _decode_array(v) for k, v in payload["params"].items()}),
-            seed=payload["seed"],
-            training_meta=payload.get("training", {}),
-        )
-    elif payload["kind"] == "pca":
-        model = PcaModel(mean=_decode_array(payload["mean"]),
-                         components=_decode_array(payload["components"]),
-                         threshold_d=payload.get("threshold"),
-                         training_meta=payload.get("training", {}))
+            architecture=p.choice("architecture", ARCHITECTURES),
+            descriptor=descriptor, params=p.params(("", descriptor)),
+            seed=p.get("seed", _is_int, "an integer"), training_meta=p.meta("training"))
+    elif (kind := p.choice("kind", MANIFOLD_KINDS)) == "pca":
+        model = PcaModel(mean=p.tensor("mean"), components=p.tensor("components"),
+                         threshold_d=p.threshold(), training_meta=p.meta("training"))
     else:
+        enc, dec = p.layers("encoder"), p.layers("decoder")
         model = VaeModel(
-            kind=payload["kind"], beta=payload["beta"],
-            enc=payload["encoder"], dec=payload["decoder"],
-            params=ParamSet({k: _decode_array(v) for k, v in payload["params"].items()}),
-            seed=payload["seed"], threshold_d=payload.get("threshold"),
-            training_meta=payload.get("training", {}),
-            train_audit=payload.get("audit", {}),
-        )
-    return model, prep
-
-
-def check_scheme(prep: dict, norm_scheme: str | None) -> str:
-    """Resolve the size scheme for assessment; explicit overrides must agree."""
-    recorded = prep.get("norm_scheme")
-    if norm_scheme is not None and recorded is not None and norm_scheme != recorded:
-        raise SchemeMismatch(
-            f"model was trained with scheme {recorded!r}, requested {norm_scheme!r}")
-    return norm_scheme or recorded
+            kind=kind, beta=p.get("beta", _is_number, "a finite number"),
+            enc=enc, dec=dec, params=p.params(("enc.", enc), ("dec.", dec)),
+            seed=p.get("seed", _is_int, "an integer"), threshold_d=p.threshold(),
+            training_meta=p.meta("training"), train_audit=p.meta("audit"))
+    return Scorer(model, prep)

@@ -198,7 +198,7 @@ def normalize_cycle(cycle: CvsCycle, scheme: str, scale: float | None) -> Normal
     """Scale (unless scale is None) then size-normalize one cycle.
 
     "interp" resamples linearly over [0, 1] to TARGET_LEN points, grid point
-    j at j / (TARGET_LEN - 1), with both endpoints kept exactly; "pad"
+    j at j / (TARGET_LEN - 1), both endpoints exact (np.interp's); "pad"
     repeats the last sample up to TARGET_LEN.  A NaN or inf sample, or a
     normalized peak above HEADROOM, is a ValidationError naming the cycle.
     Every sample reaches the output of a cycle under 2 * TARGET_LEN - 1
@@ -210,8 +210,6 @@ def normalize_cycle(cycle: CvsCycle, scheme: str, scale: float | None) -> Normal
         samples = samples / scale
     if scheme == "interp":
         values = np.interp(_unit_grid(TARGET_LEN), _unit_grid(samples.size), samples)
-        values[0] = samples[0]
-        values[-1] = samples[-1]
     elif scheme == "pad":
         if samples.size > TARGET_LEN:
             raise CycleLongerThanTarget(

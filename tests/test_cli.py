@@ -1,5 +1,7 @@
 import filecmp
 import json
+import math
+import shutil
 
 import numpy as np
 import pytest
@@ -312,6 +314,67 @@ class TestSharedScoring:
 
 
 @pytest.fixture(scope="module")
+def vae_doc(tmp_path_factory):
+    """The parsed file of a thresholded bcvae: it has every payload field."""
+    model = manifold.build_vae("bcvae", seed=0)
+    model.threshold_d = 1.0
+    path = tmp_path_factory.mktemp("vae") / "bcvae.json"
+    model_io.save_model(model, str(path), norm_scheme="interp", scale_mode="subject")
+    return json.loads(path.read_text())
+
+
+# payload edit -> the start of the one error line, after "error: <path>: "
+MALFORMED_PAYLOADS = {
+    "no preprocessing": (lambda p: p.pop("preprocessing"),
+                         "payload.preprocessing is required"),
+    "no norm_scheme": (lambda p: p["preprocessing"].pop("norm_scheme"),
+                       "payload.preprocessing.norm_scheme is required"),
+    "no scale_mode": (lambda p: p["preprocessing"].pop("scale_mode"),
+                      "payload.preprocessing.scale_mode is required"),
+    "unknown norm_scheme": (lambda p: p["preprocessing"].update(norm_scheme="resample"),
+                            "payload.preprocessing.norm_scheme must be one of "),
+    "unknown scale_mode": (lambda p: p["preprocessing"].update(scale_mode="bogus"),
+                           "payload.preprocessing.scale_mode must be one of "),
+    "no family": (lambda p: p.pop("family"), "payload.family is required"),
+    "no kind": (lambda p: p.pop("kind"), "payload.kind is required"),
+    "no tensor": (lambda p: p["params"].pop("dec.layer8.b"),
+                  "payload.params.dec.layer8.b is required"),
+    "tensor of another size": (lambda p: p["params"]["enc.layer0.b"].update(shape=[9]),
+                               "payload.params.enc.layer0.b does not hold [9] float64 values"),
+    "string threshold": (lambda p: p.update(threshold="x"),
+                         "payload.threshold must be null or a finite number, got 'x'"),
+    "bool threshold": (lambda p: p.update(threshold=True),
+                       "payload.threshold must be null or a finite number, got True"),
+    "nan threshold": (lambda p: p.update(threshold=math.nan),
+                      "payload.threshold must be null or a finite number, got nan"),
+    "inf threshold": (lambda p: p.update(threshold=math.inf),
+                      "payload.threshold must be null or a finite number, got inf"),
+}
+
+
+class TestMalformedModelFile:
+    @pytest.mark.parametrize("case", MALFORMED_PAYLOADS)
+    @pytest.mark.parametrize("command", ["evaluate", "assess"])
+    def test_one_error_line_naming_the_field(self, workspace, assess_stream, vae_doc,
+                                             tmp_path, capsys, case, command):
+        edit, message = MALFORMED_PAYLOADS[case]
+        doc = json.loads(json.dumps(vae_doc))
+        edit(doc["payload"])
+        doc["checksum"] = model_io._checksum(doc["payload"])   # only the field is wrong
+        path, out = tmp_path / "m.json", tmp_path / "out"
+        path.write_text(json.dumps(doc))
+        if command == "evaluate":
+            argv = ["evaluate", "--test", workspace["cycles"], "--calib", workspace["calib"]]
+        else:
+            argv = ["assess", "--stream", assess_stream["path"]]
+        assert run([*argv, "--model", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
 def assess_stream(tmp_path_factory):
     root = tmp_path_factory.mktemp("assess")
     scenario = experiment.default_subject_scenario(3, 0, duration_ms=50_000)
@@ -362,9 +425,24 @@ class TestAssess:
         assert ("subject 'stream' holds a non-finite sample (nan) at index 50"
                 in capsys.readouterr().err)
 
-    def test_scheme_mismatch_rejected(self, workspace, assess_stream):
-        assert run(["assess", "--model", workspace["model"],
-                    "--stream", assess_stream["path"], "--norm", "pad"]) == 2
+    @pytest.mark.parametrize("bias,p,verdict", [(0.0, 0.5, 1),
+                                                (2.3e-16, np.nextafter(0.5, 1), 1),
+                                                (-2.3e-16, np.nextafter(0.5, 0), 0)])
+    def test_accept_probability_boundary(self, assess_stream, tmp_path, bias, p, verdict):
+        # an lr model with zero weights scores every cycle sigmoid(bias): 0.5
+        # exactly, and one ulp above and below it
+        model = discriminative.build("lr", seed=0)
+        model.params.values["layer0.W"][:] = 0.0
+        model.params.values["layer0.b"][:] = bias
+        scores, verdicts = experiment.score(model, np.zeros((3, 150)))
+        assert scores.tolist() == [p] * 3 and verdicts.tolist() == [verdict] * 3
+        path, out = tmp_path / "lr.json", tmp_path / "verdicts.csv"
+        model_io.save_model(model, str(path), norm_scheme="interp", scale_mode="subject")
+        assert run(["assess", "--model", path, "--stream", assess_stream["path"],
+                    "--out", out]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert len(rows) > 0
+        assert {(v, float(s)) for _, v, s in rows} == {(str(verdict), p)}
 
     def test_motion_free_stream_mostly_accepted(self, workspace, tmp_path):
         from cvsqi.forward import SynthScenario, synthesize_stream
@@ -487,6 +565,41 @@ class TestNonFiniteCycle:
         assert not out.exists()
 
 
+class TestBench:
+    @pytest.mark.parametrize("norm_scheme,scale_mode", [("pad", "subject"),
+                                                        ("interp", "none"),
+                                                        ("interp", "naive")])
+    def test_other_preprocessing_exits_2_before_timing(self, tmp_path, capsys,
+                                                       monkeypatch, norm_scheme,
+                                                       scale_mode):
+        def untimed(*args):
+            raise AssertionError("bench went on to time")
+        monkeypatch.setattr(cli, "_bench_cycles", untimed)
+        monkeypatch.setattr(cli, "bench_models", untimed)
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        model = discriminative.build("lr", seed=0)
+        model_io.save_model(model, str(good), norm_scheme="interp", scale_mode="subject")
+        model_io.save_model(model, str(bad), norm_scheme=norm_scheme, scale_mode=scale_mode)
+        assert run(["bench", "--models", good, bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: records ") and err.count("\n") == 1
+        assert repr(norm_scheme) in err and repr(scale_mode) in err
+
+    def test_models_named_from_their_files(self, tmp_path, capsys, monkeypatch):
+        timed = []
+        monkeypatch.setattr(cli, "_bench_cycles", lambda n, seed: ["cycles", n, seed])
+        monkeypatch.setattr(cli, "bench_models",
+                            lambda named, cycles: timed.append((named, cycles)) or [])
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        models = [discriminative.build("mlp1", seed=0), manifold.build_vae("cvae", seed=0)]
+        for model, path in zip(models, paths):
+            model_io.save_model(model, str(path), **cli.BENCH_PREPROCESSING)
+        assert run(["bench", "--models", *paths, "--n-cycles", 1234]) == 0
+        [(named, cycles)] = timed
+        assert [name for name, _ in named] == ["mlp1", "cvae"]
+        assert cycles == ["cycles", 1234, 0]
+
+
 class TestConfigEnv:
     def test_config_file_overrides_defaults(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
@@ -517,6 +630,34 @@ class TestConfigEnv:
         for i, seed in enumerate((5, 6, 5)):
             monkeypatch.setenv(cli.CONFIG_ENV, str(tmp_path / f"cfg{seed}.json"))
             assert filecmp.cmp(gen(f"config{i}"), explicit[seed], shallow=False)
+
+    def test_config_leaves_threshold_evaluate_and_assess_unchanged(
+            self, workspace, assess_stream, tmp_path, monkeypatch):
+        # every config key set away from its default reaches none of the
+        # commands that read their preprocessing from the model file
+        config = {"seed": 5, "norm": "pad", "scale": "none", "epochs": 3, "lr": 0.01,
+                  "arch": "mlp2", "kind": "vae", "beta": 0.9}
+        assert set(config) == set(cli._CONFIG_KEYS)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        outputs = []
+        for name in ("plain", "config"):
+            if name == "config":
+                monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+            else:
+                monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+            d = tmp_path / name
+            d.mkdir()
+            shutil.copy(workspace["model"], d / "pca.json")
+            assert run(["threshold", "--model", d / "pca.json",
+                        "--scored", workspace["cycles"], "--calib", workspace["calib"]]) == 0
+            assert run(["evaluate", "--model", d / "pca.json", "--test", workspace["cycles"],
+                        "--calib", workspace["calib"], "--out", d / "report.json"]) == 0
+            assert run(["assess", "--model", d / "pca.json",
+                        "--stream", assess_stream["path"], "--out", d / "verdicts.csv"]) == 0
+            outputs.append([(d / f).read_bytes()
+                            for f in ("pca.json", "report.json", "verdicts.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_bad_config_exits_2(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"

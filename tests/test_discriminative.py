@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,7 @@ from conftest import SEEDS
 from cvsqi import discriminative as dm
 from cvsqi.discriminative import (ARCHITECTURES, ClassWeights, build,
                                   compute_class_weights,
-                                  compute_receptive_field, forward, train,
-                                  weighted_ce)
+                                  compute_receptive_field, forward, train)
 from cvsqi.errors import NotConvolutional, SingleClassDataset
 from cvsqi.nn import ParamSet
 
@@ -80,6 +81,14 @@ class TestForward:
         a = forward(build("vgg3", seed=1), x)
         b = forward(build("vgg3", seed=1), x)
         assert np.array_equal(a, b)
+
+
+def weighted_ce(pred: float, y: float, weights: ClassWeights) -> float:
+    """Weighted cross-entropy for one prediction with a soft target in [0, 1]:
+    the scalar oracle for the taped dm._weighted_ce_loss."""
+    p = min(max(float(pred), dm.CLIP_EPS), 1.0 - dm.CLIP_EPS)
+    return (-weights.zeta_pos * y * math.log(p)
+            - weights.zeta_neg * (1.0 - y) * math.log(1.0 - p))
 
 
 class TestWeightedCe:

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from cvsqi import discriminative, manifold, model_io
-from cvsqi.errors import CorruptFile, SchemeMismatch, VersionMismatch
+from cvsqi import discriminative, experiment, manifold, model_io
+from cvsqi.errors import CorruptFile, VersionMismatch
+from cvsqi.preprocess import normalize_dataset
 
 
 @pytest.fixture
@@ -102,15 +103,46 @@ class TestCorruption:
         with pytest.raises(CorruptFile):
             model_io.load_model(str(path))
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", "3"])
+    def test_json_but_not_an_object(self, tmp_path, text):
+        path = tmp_path / "list.json"
+        path.write_text(text)
+        with pytest.raises(CorruptFile, match="no JSON object"):
+            model_io.load_model(str(path))
 
-class TestCheckScheme:
-    def test_explicit_match(self):
-        prep = {"norm_scheme": "interp"}
-        assert model_io.check_scheme(prep, "interp") == "interp"
 
-    def test_default_to_recorded(self):
-        assert model_io.check_scheme({"norm_scheme": "pad"}, None) == "pad"
+def three_models(seed):
+    """A classifier, a thresholded PCA and a thresholded, audited bcvae."""
+    pca = manifold.pca_fit(np.random.default_rng(seed).normal(size=(30, 150)))
+    pca.threshold_d = 1.25
+    vae = manifold.build_vae("bcvae", seed=seed, beta=0.5)
+    vae.threshold_d = 2.0
+    vae.train_audit = {"negatives_in_updates": 0, "updates": 3, "samples_seen": 99}
+    return {"mlp2": discriminative.build("mlp2", seed=seed), "pca": pca, "bcvae": vae}
 
-    def test_conflict_rejected(self):
-        with pytest.raises(SchemeMismatch):
-            model_io.check_scheme({"norm_scheme": "interp"}, "pad")
+
+class TestScorer:
+    @pytest.mark.parametrize("name", ["mlp2", "pca", "bcvae"])
+    def test_save_load_save_identical_bytes(self, tmp_path, seed, name):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        model_io.save_model(three_models(seed)[name], str(first), norm_scheme="pad",
+                            scale_mode="naive")
+        model, prep = model_io.load_model(str(first))
+        model_io.save_model(model, str(second), **prep)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("name", ["mlp2", "pca", "bcvae"])
+    def test_name_normalize_and_score(self, tmp_path, name):
+        path = str(tmp_path / "m.json")
+        model_io.save_model(three_models(0)[name], path, norm_scheme="pad",
+                            scale_mode="naive")
+        scorer = model_io.load_model(path)
+        assert scorer.name == name
+        assert scorer.preprocessing == {"norm_scheme": "pad", "scale_mode": "naive"}
+        ds = experiment.generate_dataset(0, n_subjects=1, duration_ms=30_000)
+        x, y_train, y_eval = scorer.normalize(ds.cycles)
+        expected = normalize_dataset(ds.cycles, "pad", "naive")
+        for got, want in zip((x, y_train, y_eval), expected):
+            assert np.array_equal(got, want)
+        for got, want in zip(scorer.score(x), experiment.score(scorer.model, x)):
+            assert np.array_equal(got, want)

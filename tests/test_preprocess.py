@@ -229,6 +229,25 @@ class TestResampleLinear:
         assert out.values.size == TARGET_LEN
 
 
+class TestEndpoints:
+    def test_first_and_last_values_are_the_scaled_end_samples(self):
+        # np.interp returns both grid ends exactly, so normalize_cycle needs
+        # no endpoint assignment of its own
+        rng = np.random.default_rng(0)
+        cases = 0
+        for magnitude in 10.0 ** np.arange(-300, 301, 50):
+            for v in range(2, 600):
+                samples = magnitude * rng.uniform(-4.0, 4.0, v)
+                for scale in (magnitude, None if magnitude <= 1.0 else magnitude / 2):
+                    scaled = samples if scale is None else samples / scale
+                    for scheme in ("interp", "pad") if v <= TARGET_LEN else ("interp",):
+                        values = normalize_cycle(cyc(samples), scheme, scale).values
+                        assert (values[0], values[-1]) == (scaled[0], scaled[-1]), (
+                            magnitude, v, scale, scheme)
+                        cases += 1
+        assert cases > 15_000
+
+
 class TestPadConstant:
     def test_repeat_last(self):
         out = normalize_cycle(cyc([1.0, 2.0, 3.0]), "pad", None)
