@@ -366,7 +366,7 @@ def main(argv=None) -> int:
         # looked up per call, not stored in the cached parser, so a cmd_*
         # function replaced on this module (a profiling wrapper) is the one run
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (FileNotFoundError, PermissionError, IoError) as exc:
+    except (OSError, IoError) as exc:      # a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CvsqiError as exc:

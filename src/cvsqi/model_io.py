@@ -18,10 +18,10 @@ import numpy as np
 
 from . import experiment
 from .discriminative import ARCHITECTURES, DiscriminativeModel
-from .errors import CorruptFile, ValidationError, VersionMismatch
-from .manifold import MANIFOLD_KINDS, PcaModel, VaeModel
-from .nn import ParamSet
-from .preprocess import SCALE_MODES, SCHEMES, normalize_dataset
+from .errors import CorruptFile, ShapeMismatch, ValidationError, VersionMismatch
+from .manifold import LATENT_DIM, MANIFOLD_KINDS, PcaModel, VaeModel
+from .nn import ParamSet, param_shapes, shape_trace
+from .preprocess import SCALE_MODES, SCHEMES, TARGET_LEN, normalize_dataset
 
 FORMAT_VERSION = 1
 
@@ -153,39 +153,59 @@ class _Fields:
         return self.get("threshold", lambda v: v is None or _is_number(v),
                         "null or a finite number", default=None)
 
-    def layers(self, key: str) -> list[dict]:
-        return self.get(key, lambda v: isinstance(v, list)
-                        and all(isinstance(layer, dict) for layer in v),
-                        "a list of layer objects")
+    def layers(self, key: str, input_shape: tuple, output_shape: tuple) -> list[dict]:
+        """A layer descriptor that maps one row of input_shape to output_shape,
+        every layer fitting the shape it receives (nn.shape_trace)."""
+        layers = self.get(key, lambda v: isinstance(v, list)
+                          and all(isinstance(layer, dict) for layer in v),
+                          "a list of layer objects")
+        try:
+            out = shape_trace(layers, input_shape)[-1]
+        except ShapeMismatch as exc:
+            raise ValidationError(f"{self.name}.{key} {exc}") from None
+        if out != output_shape:
+            raise ValidationError(f"{self.name}.{key} maps {list(input_shape)} to "
+                                  f"{list(out)}, expected {list(output_shape)}")
+        return layers
 
-    def tensor(self, key: str) -> np.ndarray:
+    def tensor(self, key: str, shape: tuple | None = None) -> np.ndarray:
+        """The float64 tensor at key; with shape, it must have that shape
+        (None: any size along that axis)."""
         d = self.get(key, lambda v: isinstance(v, dict) and isinstance(v.get("data"), str)
                      and isinstance(v.get("shape"), list)
                      and all(_is_int(n) and n >= 0 for n in v["shape"]),
                      "a tensor object")
         try:
             raw = base64.b64decode(d["data"])
-            return np.frombuffer(raw, dtype=np.float64).reshape(d["shape"]).copy()
+            t = np.frombuffer(raw, dtype=np.float64).reshape(d["shape"]).copy()
         except ValueError:      # bad base64, or a byte count that is not the shape's
             raise ValidationError(
                 f"{self.name}.{key} does not hold {d['shape']} float64 values") from None
+        if shape is not None and (t.ndim != len(shape) or any(
+                want not in (None, got) for want, got in zip(shape, t.shape))):
+            expected = ", ".join("n" if want is None else str(want) for want in shape)
+            raise ValidationError(
+                f"{self.name}.{key} has shape {list(t.shape)}, expected [{expected}]")
+        return t
 
     def params(self, *prefixed_layers) -> ParamSet:
-        """The tensors in file order; each that nn.init_params names for a
-        (prefix, layers) pair is required."""
+        """The tensors in file order; each that nn.init_params makes for a
+        (prefix, layers) pair is required, in the shape it makes."""
         params = self.sub("params")
+        shapes = {}
         for prefix, layers in prefixed_layers:
-            for i, layer in enumerate(layers):
-                if layer.get("type") in ("dense", "conv", "deconv"):
-                    params.get(f"{prefix}layer{i}.W")
-                    params.get(f"{prefix}layer{i}.b")
-        return ParamSet({k: params.tensor(k) for k in params.obj})
+            shapes.update(param_shapes(layers, prefix))
+        for name in shapes:
+            params.get(name)
+        return ParamSet({k: params.tensor(k, shapes.get(k)) for k in params.obj})
 
 
 def load_model(path: str) -> Scorer:
     """The Scorer of a model file.  A wrong format version or checksum is an
     IoError (exit 3); a missing or ill-formed payload field is a
-    ValidationError naming it (exit 2)."""
+    ValidationError naming it (exit 2), and so is a descriptor layer that
+    does not fit the shape it receives or a tensor of another shape than
+    its layer's (or, for PCA, than the 150-sample cycle's)."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
@@ -206,16 +226,18 @@ def load_model(path: str) -> Scorer:
     prep = {"norm_scheme": pre.choice("norm_scheme", SCHEMES),
             "scale_mode": pre.choice("scale_mode", SCALE_MODES)}
     if p.choice("family", ("discriminative", "manifold")) == "discriminative":
-        descriptor = p.layers("descriptor")
+        descriptor = p.layers("descriptor", (TARGET_LEN,), (1,))
         model = DiscriminativeModel(
             architecture=p.choice("architecture", ARCHITECTURES),
             descriptor=descriptor, params=p.params(("", descriptor)),
             seed=p.get("seed", _is_int, "an integer"), training_meta=p.meta("training"))
     elif (kind := p.choice("kind", MANIFOLD_KINDS)) == "pca":
-        model = PcaModel(mean=p.tensor("mean"), components=p.tensor("components"),
+        model = PcaModel(mean=p.tensor("mean", (TARGET_LEN,)),
+                         components=p.tensor("components", (None, TARGET_LEN)),
                          threshold_d=p.threshold(), training_meta=p.meta("training"))
     else:
-        enc, dec = p.layers("encoder"), p.layers("decoder")
+        enc = p.layers("encoder", (TARGET_LEN,), (2 * LATENT_DIM,))
+        dec = p.layers("decoder", (LATENT_DIM,), (TARGET_LEN,))
         model = VaeModel(
             kind=kind, beta=p.get("beta", _is_number, "a finite number"),
             enc=enc, dec=dec, params=p.params(("enc.", enc), ("dec.", dec)),

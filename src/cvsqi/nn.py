@@ -127,21 +127,34 @@ def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_params(layers: list[dict], seed: int, prefix: str = "") -> dict[str, np.ndarray]:
-    """Deterministic glorot-uniform weights, zero biases, one entry per trainable layer."""
-    rng = np.random.default_rng(seed)
-    values: dict[str, np.ndarray] = {}
+def param_shapes(layers: list[dict], prefix: str = "") -> dict[str, tuple[int, ...]]:
+    """The shape of every tensor init_params makes, by name, in its order:
+    dense W (out, in), conv and deconv W (k, cin, cout), each bias (out,)."""
+    shapes: dict[str, tuple[int, ...]] = {}
     for i, layer in enumerate(layers):
         kind = layer["type"]
         name = f"{prefix}layer{i}"
         if kind == "dense":
-            fi, fo = layer["in"], layer["out"]
-            values[f"{name}.W"] = _glorot(rng, (fo, fi), fi, fo)
-            values[f"{name}.b"] = np.zeros(fo)
+            shapes[f"{name}.W"] = (layer["out"], layer["in"])
+            shapes[f"{name}.b"] = (layer["out"],)
         elif kind in ("conv", "deconv"):
-            k, cin, cout = layer["k"], layer["cin"], layer["cout"]
-            values[f"{name}.W"] = _glorot(rng, (k, cin, cout), k * cin, k * cout)
-            values[f"{name}.b"] = np.zeros(cout)
+            shapes[f"{name}.W"] = (layer["k"], layer["cin"], layer["cout"])
+            shapes[f"{name}.b"] = (layer["cout"],)
+    return shapes
+
+
+def init_params(layers: list[dict], seed: int, prefix: str = "") -> dict[str, np.ndarray]:
+    """Deterministic glorot-uniform weights, zero biases, one entry per trainable layer."""
+    rng = np.random.default_rng(seed)
+    values: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(layers, prefix).items():
+        if name.endswith(".b"):
+            values[name] = np.zeros(shape)
+        elif len(shape) == 2:                           # dense (out, in)
+            values[name] = _glorot(rng, shape, shape[1], shape[0])
+        else:                                           # (k, cin, cout)
+            k, cin, cout = shape
+            values[name] = _glorot(rng, shape, k * cin, k * cout)
     return values
 
 
@@ -196,24 +209,64 @@ def by_rows(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray
                            for i in range(0, len(x), BATCH_ROWS)])
 
 
+# the positive integer fields each layer type needs; "stride" may be given too
+_LAYER_FIELDS = {"dense": ("in", "out"), "conv": ("k", "cin", "cout"),
+                 "deconv": ("k", "cin", "cout", "out_len"), "pool": (), "flatten": (),
+                 "reshape": ("len", "ch")}
+
+
 def shape_trace(layers: list[dict], input_shape) -> list[tuple]:
-    """Propagate (length, channels) / (features,) shapes through a descriptor."""
+    """Propagate (length, channels) / (features,) shapes through a descriptor.
+
+    Each layer must fit what it receives, as forward_layers runs it: a dense
+    `in` equals the features it receives, a conv `cin` the channels (a
+    (features,) input is one channel), a deconv `cin` the channels and its
+    input length the length a conv at its stride makes of `out_len`, a
+    reshape the element count.  A layer that does not fit, or that lacks a
+    field or has an unknown type or activation, is a ShapeMismatch naming it.
+    """
     shape = tuple(input_shape)
     trace = [shape]
-    for layer in layers:
-        kind = layer["type"]
+    for i, layer in enumerate(layers):
+        kind = layer.get("type")
+        if not isinstance(kind, str) or kind not in _LAYER_FIELDS:
+            raise ShapeMismatch(f"layer {i}: unknown layer type {kind!r}")
+
+        def mismatch(problem: str) -> ShapeMismatch:
+            return ShapeMismatch(f"layer {i} ({kind}): {problem}")
+
+        for key in _LAYER_FIELDS[kind] + (("stride",) if "stride" in layer else ()):
+            value = layer.get(key)
+            if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
+                raise mismatch(f"{key} must be a positive integer, got {value!r}")
+        if layer.get("act") not in (None, *ACTIVATIONS):
+            raise mismatch(f"unknown activation {layer['act']!r}")
         if kind == "dense":
+            if shape != (layer["in"],):
+                raise mismatch(f"in is {layer['in']}, receives {list(shape)}")
             shape = (layer["out"],)
-        elif kind == "conv":
-            stride = layer.get("stride", 1)
-            shape = (-(-shape[0] // stride), layer["cout"])
-        elif kind == "deconv":
-            shape = (layer["out_len"], layer["cout"])
+        elif kind in ("conv", "deconv"):
+            if kind == "conv" and len(shape) == 1:
+                shape = (shape[0], 1)
+            if len(shape) != 2 or shape[1] != layer["cin"]:
+                raise mismatch(f"cin is {layer['cin']}, receives {list(shape)}")
+            if kind == "conv":
+                shape = (-(-shape[0] // layer.get("stride", 1)), layer["cout"])
+            else:
+                stride = layer.get("stride", 2)
+                if kernels.conv_geometry(layer["out_len"], layer["k"], stride)[0] != shape[0]:
+                    raise mismatch(f"out_len {layer['out_len']} at stride {stride} does "
+                                   f"not come from input length {shape[0]}")
+                shape = (layer["out_len"], layer["cout"])
         elif kind == "pool":
+            if len(shape) != 2:
+                raise mismatch(f"needs (length, channels), receives {list(shape)}")
             shape = (shape[0] // 2, shape[1])
         elif kind == "flatten":
-            shape = (shape[0] * shape[1],)
+            shape = (math.prod(shape),)
         elif kind == "reshape":
+            if math.prod(shape) != layer["len"] * layer["ch"]:
+                raise mismatch(f"len {layer['len']} x ch {layer['ch']} from {list(shape)}")
             shape = (layer["len"], layer["ch"])
         trace.append(shape)
     return trace

@@ -115,18 +115,18 @@ def segment_cycles(cvs_stream, r_peaks, subject_id: str = "",
     if np.any(np.diff(t_ms) != SAMPLE_MS) or t0 % SAMPLE_MS != 0:
         raise ValidationError("CVS stream must be contiguous on the 10 ms grid")
 
-    cycles = []
-    for ci, (a, b) in enumerate(zip(peaks[:-1], peaks[1:])):
-        i0 = (a - t0) // SAMPLE_MS
-        i1 = (b - t0) // SAMPLE_MS
-        if i0 < 0 or i1 >= t_ms.size:
-            raise ValidationError("R-peak outside the CVS stream")
-        if i1 - i0 < 1:
-            raise TooShortCycle(f"cycle at {a} ms has fewer than 2 samples")
-        label = labels[ci] if labels is not None else QualityLabel.NORMAL
-        cycles.append(CvsCycle(subject_id=subject_id, t_start_ms=int(a),
-                               samples=x[i0:i1 + 1].copy(), label=label))
-    return cycles
+    # cycle i spans samples bounds[i]..bounds[i + 1].  The peaks are strictly
+    # increasing on the sample grid, so every cycle holds at least 2 samples
+    # and one outside the stream puts the first or the last bound out of range
+    bounds = (peaks - t0) // SAMPLE_MS
+    if bounds[0] < 0 or bounds[-1] >= t_ms.size:
+        raise ValidationError("R-peak outside the CVS stream")
+    bounds = bounds.tolist()
+    if labels is None:
+        labels = [QualityLabel.NORMAL] * (len(bounds) - 1)
+    return [CvsCycle(subject_id=subject_id, t_start_ms=a, samples=x[i0:i1 + 1].copy(),
+                     label=labels[ci])
+            for ci, (a, i0, i1) in enumerate(zip(peaks.tolist(), bounds, bounds[1:]))]
 
 
 def cycles_from_stream(stream, subject_id: str,
@@ -194,6 +194,44 @@ def _unit_grid(n: int) -> np.ndarray:
     return grid
 
 
+# interp reaches every sample of a shorter cycle (RR under 2.98 s); from this
+# length on it skips some, so their samples are checked for NaN and inf directly
+INTERP_SKIPS_FROM = 2 * TARGET_LEN - 1
+
+
+@functools.lru_cache(maxsize=256)
+def _interp_plan(v: int) -> tuple[np.ndarray, ...]:
+    """Where np.interp puts each of the TARGET_LEN output points on the
+    v-sample grid: (lo, gap, widths, offset, on, on_lo), read-only.
+
+    Output point p lies offset[p] past sample lo[p], in the gap gap[p]
+    between two samples (lo[p], but v - 2 for the last point, which lies on
+    the last sample); widths holds each gap's width.  The points listed in
+    on, both end points among them, lie on samples on_lo.
+    """
+    xp, x = _unit_grid(v), _unit_grid(TARGET_LEN)
+    lo = np.searchsorted(xp, x, side="right") - 1     # xp[lo] <= x < xp[lo + 1]
+    on = np.flatnonzero(x == xp[lo])
+    plan = (lo, np.minimum(lo, v - 2), np.diff(xp), x - xp[lo], on, lo[on])
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+def _interp_rows(fp: np.ndarray) -> np.ndarray:
+    """np.interp(_unit_grid(TARGET_LEN), _unit_grid(v), row) of every row of
+    an (m, v) matrix, bit for bit on finite rows: np.interp's slope
+    (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) of the gap, times the offset,
+    plus fp[j], and fp[j] itself at a point on sample j.  A row with a NaN or
+    inf sample comes out non-finite wherever np.interp's does, though not
+    always with the same NaN or inf."""
+    lo, gap, widths, offset, on, on_lo = _interp_plan(fp.shape[1])
+    with np.errstate(invalid="ignore", over="ignore"):   # inf - inf, or overflow
+        out = (np.diff(fp, axis=1) / widths)[:, gap] * offset + fp[:, lo]
+    out[:, on] = fp[:, on_lo]
+    return out
+
+
 def normalize_cycle(cycle: CvsCycle, scheme: str, scale: float | None) -> NormalizedCycle:
     """Scale (unless scale is None) then size-normalize one cycle.
 
@@ -201,14 +239,14 @@ def normalize_cycle(cycle: CvsCycle, scheme: str, scale: float | None) -> Normal
     j at j / (TARGET_LEN - 1), both endpoints exact (np.interp's); "pad"
     repeats the last sample up to TARGET_LEN.  A NaN or inf sample, or a
     normalized peak above HEADROOM, is a ValidationError naming the cycle.
-    Every sample reaches the output of a cycle under 2 * TARGET_LEN - 1
-    samples (RR under 2.98 s); interp skips samples of a longer one.
     """
     samples = cycle.samples
     if scale is not None:
         _check_scale(scale)
         samples = samples / scale
     if scheme == "interp":
+        if samples.size >= INTERP_SKIPS_FROM and not np.isfinite(samples).all():
+            raise _bad_cycle(cycle, "holds a non-finite sample")
         values = np.interp(_unit_grid(TARGET_LEN), _unit_grid(samples.size), samples)
     elif scheme == "pad":
         if samples.size > TARGET_LEN:
@@ -224,15 +262,36 @@ def normalize_cycle(cycle: CvsCycle, scheme: str, scale: float | None) -> Normal
     return NormalizedCycle(values)
 
 
+def _normalize_one(cycle: CvsCycle, scheme: str, scale_mode: str,
+                   factors: dict[str, float]) -> np.ndarray:
+    """normalize_dataset's row of one cycle, checked in the order a per-cycle
+    loop checks it: its scale factor first, then normalize_cycle."""
+    if scale_mode == "subject":
+        if cycle.subject_id not in factors:
+            raise ValidationError(f"no calibration window for subject {cycle.subject_id!r}")
+        scale = factors[cycle.subject_id]
+    elif scale_mode == "naive":
+        scale = naive_scale_factor(cycle)
+    else:
+        scale = None
+    return normalize_cycle(cycle, scheme, scale).values
+
+
 def normalize_dataset(cycles, scheme: str, scale_mode: str,
                       calibrations: dict[str, CalibrationWindow] | None = None
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, y_train, y_eval) of a cycle dataset under one scale and size scheme.
 
-    Row i of x is normalize_cycle's 150-vector of cycle i; y_train holds the
-    soft training targets and y_eval the 0/1 evaluation labels.  scale_mode
-    "subject" requires a calibration window per subject id; "naive" rescales
-    each cycle by its own peak; "none" skips scaling (ablation harness).
+    Row i of x is normalize_cycle's 150-vector of cycle i, bit for bit;
+    y_train holds the soft training targets and y_eval the 0/1 evaluation
+    labels.  scale_mode "subject" requires a calibration window per subject
+    id; "naive" rescales each cycle by its own peak; "none" skips scaling
+    (ablation harness).  A cycle that fails a check raises the error that
+    normalizing the cycles one by one would raise first.
+
+    Every scale factor is resolved at once, and the cycles of each length
+    are scaled and resampled in one step (a recording's cycles share few
+    lengths), so no cycle is normalized by a call of its own.
     """
     if scale_mode not in SCALE_MODES:
         raise ValidationError(
@@ -244,17 +303,49 @@ def normalize_dataset(cycles, scheme: str, scale_mode: str,
         factors = {sid: subject_scale_factor(cal) for sid, cal in calibrations.items()}
     if not cycles:
         raise ValidationError("empty cycle dataset")
-    rows = []
-    for c in cycles:
-        if scale_mode == "subject":
-            if c.subject_id not in factors:
-                raise ValidationError(f"no calibration window for subject {c.subject_id!r}")
-            scale = factors[c.subject_id]
-        elif scale_mode == "naive":
-            scale = naive_scale_factor(c)
+    if scheme not in SCHEMES:
+        _normalize_one(cycles[0], scheme, scale_mode, factors)   # raises for cycle 0
+
+    n = len(cycles)
+    sizes = np.fromiter((c.samples.size for c in cycles), np.int64, n)
+    failed = np.zeros(n, dtype=bool)
+    scales = None
+    if scale_mode == "subject":        # NaN for a subject without a window
+        scales = np.array([factors.get(c.subject_id, math.nan) for c in cycles])
+        failed |= ~(scales > 0)
+    elif scale_mode == "naive":
+        starts = np.zeros(n, np.int64)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        scales = np.maximum.reduceat(np.abs(np.concatenate([c.samples for c in cycles])),
+                                     starts)
+        failed |= ~((scales > 0) & (scales < math.inf))
+
+    x = np.zeros((n, TARGET_LEN))
+    order = np.argsort(sizes, kind="stable")
+    lengths, firsts = np.unique(sizes[order], return_index=True)
+    for v, rows in zip(lengths.tolist(), np.split(order, firsts[1:])):
+        fp = np.concatenate([cycles[i].samples for i in rows.tolist()]).reshape(-1, v)
+        if scales is not None:
+            with np.errstate(all="ignore"):   # an overflow or a bad scale fails below
+                fp /= scales[rows, None]
+        if scheme == "interp":
+            if v >= INTERP_SKIPS_FROM:
+                failed[rows] |= ~np.isfinite(fp).all(axis=1)
+            x[rows] = _interp_rows(fp)
+        elif v > TARGET_LEN:
+            failed[rows] = True
         else:
-            scale = None
-        rows.append(normalize_cycle(c, scheme, scale).values)
-    y_train = np.asarray([c.label.train_value for c in cycles])
-    y_eval = np.asarray([c.label.eval_value for c in cycles], dtype=np.int64)
-    return np.stack(rows), y_train, y_eval
+            x[rows, :v] = fp
+            x[rows, v:] = fp[:, -1:]
+    failed |= ~(np.abs(x).max(axis=1) <= HEADROOM)       # NaN fails it too
+    if failed.any():
+        first = int(failed.argmax())
+        with np.errstate(over="ignore"):     # raises the loop's error
+            _normalize_one(cycles[first], scheme, scale_mode, factors)
+        raise AssertionError(f"cycle {first} failed a batched check but normalizes alone")
+    labels = [c.label for c in cycles]     # each encoding looked up, not recomputed
+    train = {label: label.train_value for label in QualityLabel}
+    y_train = np.asarray([train[label] for label in labels])
+    evaluation = {label: label.eval_value for label in QualityLabel}
+    y_eval = np.asarray([evaluation[label] for label in labels], dtype=np.int64)
+    return x, y_train, y_eval

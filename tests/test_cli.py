@@ -175,6 +175,24 @@ class TestExitCodes:
         assert f"{calib}:{n_rows}: subject {first.split(',')[0]!r} already has a " \
                f"calibration row at {calib}:1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag", [("assess", "--model"), ("assess", "--stream"),
+                                              ("evaluate", "--test"), ("evaluate", "--calib")])
+    def test_directory_for_a_file_exits_3(self, workspace, assess_stream, tmp_path, capsys,
+                                          command, flag):
+        # opening a directory raises IsADirectoryError, an OSError like a
+        # missing file's
+        paths = {"assess": {"--model": workspace["model"], "--stream": assess_stream["path"]},
+                 "evaluate": {"--model": workspace["model"], "--test": workspace["cycles"],
+                              "--calib": workspace["calib"]}}[command]
+        folder, out = tmp_path / "folder", tmp_path / "out"
+        folder.mkdir()
+        paths[flag] = folder
+        assert run([command, *(a for pair in paths.items() for a in pair), "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(folder) in err
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSplitAndTrain:
     def test_split_disjoint(self, workspace, tmp_path):
@@ -323,6 +341,10 @@ def vae_doc(tmp_path_factory):
     return json.loads(path.read_text())
 
 
+def encoded_zeros(*shape):
+    return model_io._encode_array(np.zeros(shape))
+
+
 # payload edit -> the start of the one error line, after "error: <path>: "
 MALFORMED_PAYLOADS = {
     "no preprocessing": (lambda p: p.pop("preprocessing"),
@@ -341,6 +363,16 @@ MALFORMED_PAYLOADS = {
                   "payload.params.dec.layer8.b is required"),
     "tensor of another size": (lambda p: p["params"]["enc.layer0.b"].update(shape=[9]),
                                "payload.params.enc.layer0.b does not hold [9] float64 values"),
+    "encoder conv cin": (lambda p: p["encoder"][1].update(cin=9),
+                         "payload.encoder layer 1 (conv): cin is 9, receives [75, 8]"),
+    "deconv out_len": (lambda p: p["decoder"][2].update(out_len=21),
+                       "payload.decoder layer 2 (deconv): out_len 21 at stride 2 does not "
+                       "come from input length 10"),
+    "decoder output": (lambda p: p["decoder"][-1].update(out=149),
+                       "payload.decoder maps [10] to [149], expected [150]"),
+    "tensor of another layer's shape": (
+        lambda p: p["params"].update({"dec.layer4.W": encoded_zeros(3, 16, 9)}),
+        "payload.params.dec.layer4.W has shape [3, 16, 9], expected [3, 16, 8]"),
     "string threshold": (lambda p: p.update(threshold="x"),
                          "payload.threshold must be null or a finite number, got 'x'"),
     "bool threshold": (lambda p: p.update(threshold=True),
@@ -352,13 +384,68 @@ MALFORMED_PAYLOADS = {
 }
 
 
+@pytest.fixture(scope="module")
+def model_docs(tmp_path_factory):
+    """The parsed files of a vgg3 classifier and of a thresholded PCA."""
+    root = tmp_path_factory.mktemp("docs")
+    pca = manifold.pca_fit(np.random.default_rng(0).normal(size=(30, 150)))
+    pca.threshold_d = 1.0
+    docs = {}
+    for name, model in (("vgg3", discriminative.build("vgg3", seed=0)), ("pca", pca)):
+        model_io.save_model(model, str(root / name), norm_scheme="interp",
+                            scale_mode="subject")
+        docs[name] = json.loads((root / name).read_text())
+    return docs
+
+
+# model -> payload edit -> the start of the one error line.  vgg3 is
+# conv-conv-pool blocks of 4, 8 and 16 channels (layers 0-8), a flatten,
+# then dense 288 -> 288 -> 1
+MALFORMED_SHAPES = {
+    "5-element bias": ("vgg3", lambda p: p["params"].update({"layer0.b": encoded_zeros(5)}),
+                       "payload.params.layer0.b has shape [5], expected [4]"),
+    "conv without k": ("vgg3", lambda p: p["descriptor"][0].pop("k"),
+                       "payload.descriptor layer 0 (conv): k must be a positive integer, "
+                       "got None"),
+    "string stride": ("vgg3", lambda p: p["descriptor"][3].update(stride="2"),
+                      "payload.descriptor layer 3 (conv): stride must be a positive "
+                      "integer, got '2'"),
+    "conv cin": ("vgg3", lambda p: p["descriptor"][1].update(cin=3),
+                 "payload.descriptor layer 1 (conv): cin is 3, receives [150, 4]"),
+    "dense in": ("vgg3", lambda p: p["descriptor"][10].update({"in": 100}),
+                 "payload.descriptor layer 10 (dense): in is 100, receives [288]"),
+    "unknown layer type": ("vgg3", lambda p: p["descriptor"][2].update(type="avgpool"),
+                           "payload.descriptor layer 2: unknown layer type 'avgpool'"),
+    "unknown activation": ("vgg3", lambda p: p["descriptor"][0].update(act="tanh"),
+                           "payload.descriptor layer 0 (conv): unknown activation 'tanh'"),
+    "two outputs": ("vgg3", lambda p: p["descriptor"][11].update(out=2),
+                    "payload.descriptor maps [150] to [2], expected [1]"),
+    "pca mean": ("pca", lambda p: p.update(mean=encoded_zeros(149)),
+                 "payload.mean has shape [149], expected [150]"),
+    "pca components": ("pca", lambda p: p.update(components=encoded_zeros(150)),
+                       "payload.components has shape [150], expected [n, 150]"),
+}
+
+
 class TestMalformedModelFile:
     @pytest.mark.parametrize("case", MALFORMED_PAYLOADS)
     @pytest.mark.parametrize("command", ["evaluate", "assess"])
     def test_one_error_line_naming_the_field(self, workspace, assess_stream, vae_doc,
                                              tmp_path, capsys, case, command):
-        edit, message = MALFORMED_PAYLOADS[case]
-        doc = json.loads(json.dumps(vae_doc))
+        self.check(workspace, assess_stream, vae_doc, tmp_path, capsys,
+                   *MALFORMED_PAYLOADS[case], command)
+
+    @pytest.mark.parametrize("case", MALFORMED_SHAPES)
+    @pytest.mark.parametrize("command", ["evaluate", "assess"])
+    def test_tensor_or_layer_that_does_not_fit(self, workspace, assess_stream, model_docs,
+                                               tmp_path, capsys, case, command):
+        name, edit, message = MALFORMED_SHAPES[case]
+        self.check(workspace, assess_stream, model_docs[name], tmp_path, capsys,
+                   edit, message, command)
+
+    @staticmethod
+    def check(workspace, assess_stream, model_doc, tmp_path, capsys, edit, message, command):
+        doc = json.loads(json.dumps(model_doc))
         edit(doc["payload"])
         doc["checksum"] = model_io._checksum(doc["payload"])   # only the field is wrong
         path, out = tmp_path / "m.json", tmp_path / "out"

@@ -9,7 +9,7 @@ from cvsqi.autodiff import Var
 from cvsqi.errors import NotConvolutional, ShapeMismatch, ValidationError
 from cvsqi.evaluation import roc_auc
 from cvsqi.nn import (BATCH_ROWS, ParamSet, adam_step, by_rows, fit, forward_layers,
-                      init_params, receptive_field, shape_trace)
+                      init_params, param_shapes, receptive_field, shape_trace)
 
 SIMPLE_LAYERS = [
     {"type": "dense", "in": 6, "out": 4, "act": "relu"},
@@ -161,6 +161,35 @@ class TestInit:
 
 
 class TestShapeTrace:
+    @pytest.mark.parametrize("layers,shape,message", [
+        ([{"type": "dense", "in": 5, "out": 1}], (6,), r"^layer 0 \(dense\): in is 5, receives \[6\]$"),
+        ([{"type": "conv", "k": 3, "cin": 2, "cout": 4}], (8,),
+         r"^layer 0 \(conv\): cin is 2, receives \[8, 1\]$"),
+        ([{"type": "conv", "cin": 1, "cout": 4}], (8, 1),
+         r"^layer 0 \(conv\): k must be a positive integer, got None$"),
+        ([{"type": "deconv", "k": 3, "cin": 1, "cout": 1, "out_len": 9}], (4, 1),
+         r"^layer 0 \(deconv\): out_len 9 at stride 2 does not come from input length 4$"),
+        ([{"type": "reshape", "len": 3, "ch": 3}], (8,), r"^layer 0 \(reshape\): len 3 x ch 3"),
+        ([{"type": "pool"}], (8,), r"^layer 0 \(pool\): needs \(length, channels\)"),
+        ([{"type": "dense", "in": 8, "out": 1, "act": "tanh"}], (8,),
+         r"^layer 0 \(dense\): unknown activation 'tanh'$"),
+        ([{"type": "lstm"}], (8,), r"^layer 0: unknown layer type 'lstm'$"),
+        ([{"type": ["dense"]}], (8,), r"^layer 0: unknown layer type \['dense'\]$"),
+    ])
+    def test_a_layer_that_does_not_fit_is_named(self, layers, shape, message):
+        with pytest.raises(ShapeMismatch, match=message):
+            shape_trace(layers, shape)
+
+    def test_param_shapes_are_init_params_shapes(self):
+        descriptors = [("", discriminative.architecture_descriptor(a))
+                       for a in discriminative.ARCHITECTURES]
+        for kind in manifold.VAE_KINDS:
+            enc, dec = manifold.vae_descriptors(kind)
+            descriptors += [("enc.", enc), ("dec.", dec)]
+        for prefix, layers in descriptors:
+            values = init_params(layers, seed=0, prefix=prefix)
+            assert param_shapes(layers, prefix) == {k: v.shape for k, v in values.items()}
+
     def test_dense_chain(self):
         trace = shape_trace(SIMPLE_LAYERS, (6,))
         assert trace == [(6,), (4,), (1,)]

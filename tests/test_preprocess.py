@@ -6,13 +6,88 @@ from hypothesis import strategies as st
 from cvsqi.errors import (AllZeroCycle, AllZeroWindow, CycleLongerThanTarget,
                           MissingCalibration, NonPositiveScale, PeakOffGrid,
                           TooShortCycle, ValidationError)
+from cvsqi.forward import SAMPLE_MS
 from cvsqi.labels import QualityLabel
-from cvsqi.preprocess import (CALIBRATION_MS, CALIBRATION_SAMPLES, TARGET_LEN,
-                              CalibrationWindow, CvsCycle, CvsStream,
-                              calibration_from_stream, cycles_from_stream,
-                              naive_scale_factor, normalize_cycle,
-                              normalize_dataset, segment_cycles,
-                              subject_scale_factor)
+from cvsqi.preprocess import (CALIBRATION_MS, CALIBRATION_SAMPLES, INTERP_SKIPS_FROM,
+                              TARGET_LEN, CalibrationWindow, CvsCycle, CvsStream,
+                              _interp_rows, _unit_grid, calibration_from_stream,
+                              cycles_from_stream, naive_scale_factor,
+                              normalize_cycle, normalize_dataset,
+                              segment_cycles, subject_scale_factor)
+
+
+# --- the per-cycle loops that segment_cycles and normalize_dataset replaced,
+# kept as their reference: every result and every error must match them ---
+
+def loop_segment_cycles(cvs_stream, r_peaks, subject_id="", labels=None):
+    rows = np.asarray(cvs_stream, dtype=np.float64)
+    if rows.size and (rows.ndim != 2 or rows.shape[1] != 2):
+        raise ValidationError(f"CVS stream must be (n, 2) rows of (t_ms, x), got {rows.shape}")
+    rows = rows.reshape(-1, 2)
+    t_ms, x = rows[:, 0].astype(np.int64), rows[:, 1]
+    peaks = np.asarray(list(r_peaks), dtype=np.int64)
+    if peaks.size < 2:
+        return []
+    if np.any(np.diff(peaks) <= 0):
+        raise ValidationError("r_peaks must be strictly increasing")
+    if np.any(peaks % SAMPLE_MS != 0):
+        raise PeakOffGrid("R-peak timestamps must lie on the 10 ms grid")
+    if t_ms.size == 0:
+        raise ValidationError("empty CVS stream")
+    t0 = t_ms[0]
+    if np.any(np.diff(t_ms) != SAMPLE_MS) or t0 % SAMPLE_MS != 0:
+        raise ValidationError("CVS stream must be contiguous on the 10 ms grid")
+    cycles = []
+    for ci, (a, b) in enumerate(zip(peaks[:-1], peaks[1:])):
+        i0 = (a - t0) // SAMPLE_MS
+        i1 = (b - t0) // SAMPLE_MS
+        if i0 < 0 or i1 >= t_ms.size:
+            raise ValidationError("R-peak outside the CVS stream")
+        if i1 - i0 < 1:
+            raise TooShortCycle(f"cycle at {a} ms has fewer than 2 samples")
+        label = labels[ci] if labels is not None else QualityLabel.NORMAL
+        cycles.append(CvsCycle(subject_id=subject_id, t_start_ms=int(a),
+                               samples=x[i0:i1 + 1].copy(), label=label))
+    return cycles
+
+
+def loop_normalize_dataset(cycles, scheme, scale_mode, calibrations=None):
+    if scale_mode not in ("naive", "subject", "none"):
+        raise ValidationError(f"unknown scale mode {scale_mode!r}, expected one of "
+                              f"{('naive', 'subject', 'none')}")
+    factors = {}
+    if scale_mode == "subject":
+        if not calibrations:
+            raise ValidationError("subject scaling requires calibration windows (--calib)")
+        factors = {sid: subject_scale_factor(cal) for sid, cal in calibrations.items()}
+    if not cycles:
+        raise ValidationError("empty cycle dataset")
+    rows = []
+    for c in cycles:
+        if scale_mode == "subject":
+            if c.subject_id not in factors:
+                raise ValidationError(f"no calibration window for subject {c.subject_id!r}")
+            scale = factors[c.subject_id]
+        elif scale_mode == "naive":
+            scale = naive_scale_factor(c)
+        else:
+            scale = None
+        rows.append(normalize_cycle(c, scheme, scale).values)
+    y_train = np.asarray([c.label.train_value for c in cycles])
+    y_eval = np.asarray([c.label.eval_value for c in cycles], dtype=np.int64)
+    return np.stack(rows), y_train, y_eval
+
+
+def outcome(fn, *args):
+    """What fn returns, down to the bits of every array and the sign of every
+    zero, or the class and message of what it raises."""
+    try:
+        result = fn(*args)
+    except Exception as exc:           # any class: both sides must raise alike
+        return type(exc), str(exc)
+    if isinstance(result, tuple):      # normalize_dataset's arrays
+        return [(a.dtype, a.shape, a.tobytes()) for a in result]
+    return [(c.subject_id, c.t_start_ms, c.label, c.samples.tobytes()) for c in result]
 
 
 def make_stream(x, t0=0):
@@ -81,6 +156,64 @@ class TestSegmentCycles:
     def test_non_pair_rows_rejected(self, stream):
         with pytest.raises(ValidationError, match=r"\(n, 2\) rows"):
             segment_cycles(stream, [0, 10])
+
+
+    def test_matches_the_per_cycle_loop_on_random_streams(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            n = int(rng.integers(2, 400))
+            t0 = SAMPLE_MS * int(rng.integers(0, 10_000))
+            x = rng.normal(size=n)
+            idx = np.sort(rng.choice(n, size=int(rng.integers(2, min(n, 40) + 1)),
+                                     replace=False))
+            peaks = (t0 + SAMPLE_MS * idx).tolist()
+            labels = [QualityLabel(rng.choice([q.value for q in QualityLabel]))
+                      for _ in peaks[1:]] if rng.random() < 0.5 else None
+            stream = np.column_stack((t0 + SAMPLE_MS * np.arange(n), x))
+            got = segment_cycles(stream, peaks, "r", labels)
+            assert outcome(lambda: got) == outcome(loop_segment_cycles, stream, peaks,
+                                                   "r", labels)
+            assert all(type(c.t_start_ms) is int for c in got)
+
+    @pytest.mark.parametrize("case", [
+        "empty", "three-columns", "one-peak", "no-peaks", "equal-peaks", "decreasing",
+        "off-grid", "gap", "t0-off-grid", "before-stream", "after-stream",
+        "both-outside", "short-labels", "at-the-ends"])
+    def test_every_error_case_matches_the_per_cycle_loop(self, case):
+        t0, n = 500, 60
+        x = np.sin(np.arange(n) / 7.0)
+        stream = np.column_stack((t0 + SAMPLE_MS * np.arange(n), x))
+        peaks, labels = [600, 900, 1000], None
+        if case == "empty":
+            stream = np.empty((0, 2))
+        elif case == "three-columns":
+            stream = np.zeros((4, 3))
+        elif case == "one-peak":
+            peaks = [600]
+        elif case == "no-peaks":
+            peaks = []
+        elif case == "equal-peaks":
+            peaks = [600, 900, 900]
+        elif case == "decreasing":
+            peaks = [900, 600]
+        elif case == "off-grid":
+            peaks = [600, 905]
+        elif case == "gap":
+            stream = np.delete(stream, 20, axis=0)
+        elif case == "t0-off-grid":
+            stream[:, 0] += 5
+        elif case == "before-stream":
+            peaks = [490, 600, 900]
+        elif case == "after-stream":
+            peaks = [600, 900, t0 + SAMPLE_MS * n]
+        elif case == "both-outside":
+            peaks = [0, 700, 5000]
+        elif case == "short-labels":
+            labels = [QualityLabel.MOTION]
+        elif case == "at-the-ends":
+            peaks = [t0, t0 + SAMPLE_MS * (n - 1)]
+        assert outcome(segment_cycles, stream, peaks, "e", labels) == \
+            outcome(loop_segment_cycles, stream, peaks, "e", labels)
 
 
 class TestStreamHelpers:
@@ -229,6 +362,34 @@ class TestResampleLinear:
         assert out.values.size == TARGET_LEN
 
 
+    def test_batched_rows_are_np_interp_bit_for_bit(self):
+        # finite rows of every length up to 600 samples, at magnitudes from
+        # 1e-300 to 1e300 (and near overflow, where slopes become inf), with
+        # signed zeros and runs of repeated values
+        rng = np.random.default_rng(0)
+        cases = 0
+        for v in range(2, 601):
+            for magnitude in (1e-300, 1e-150, 1e-5, 1.0, 1e5, 1e150, 1e300, 1e307):
+                rows = np.clip(rng.normal(size=(4, v)), -17.0, 17.0) * magnitude
+                rows[1, ::3], rows[1, 1::3] = 0.0, -0.0
+                rows[2, 1::2] = rows[2, 0:v - 1:2]
+                rows[3] = np.repeat(rows[3, ::5], 5)[:v]
+                want = [np.interp(_unit_grid(TARGET_LEN), _unit_grid(v), r) for r in rows]
+                assert _interp_rows(rows).tobytes() == np.stack(want).tobytes(), (v, magnitude)
+                cases += 1
+        assert cases == 599 * 8
+
+    def test_batched_rows_are_non_finite_where_np_interp_is(self):
+        rng = np.random.default_rng(1)
+        for v in range(2, 601):
+            rows = rng.normal(size=(6, v))
+            for r, bad in enumerate((np.nan, np.inf, -np.inf, np.nan, np.inf, -np.inf)):
+                rows[r, rng.integers(v, size=1 + r // 3)] = bad
+            want = np.stack([np.interp(_unit_grid(TARGET_LEN), _unit_grid(v), r)
+                             for r in rows])
+            assert np.array_equal(np.isfinite(_interp_rows(rows)), np.isfinite(want)), v
+
+
 class TestEndpoints:
     def test_first_and_last_values_are_the_scaled_end_samples(self):
         # np.interp returns both grid ends exactly, so normalize_cycle needs
@@ -303,6 +464,72 @@ class TestNormalizeDataset:
             cyc([1.0])
 
 
+    @pytest.mark.parametrize("magnitude", [1e-300, 1e-100, 1e-3, 1.0, 1e3, 1e100, 1e300])
+    @pytest.mark.parametrize("mode", ["subject", "naive", "none"])
+    @pytest.mark.parametrize("scheme", ["interp", "pad"])
+    def test_equals_stacked_normalize_cycle_bit_for_bit(self, scheme, mode, magnitude):
+        # every length the scheme takes, 2 to 600 samples for interp and 2 to
+        # TARGET_LEN for pad, shuffled over two subjects, with signed zeros
+        rng = np.random.default_rng(int(np.log10(magnitude)) % 7)
+        longest = 600 if scheme == "interp" else TARGET_LEN
+        labels = list(QualityLabel)
+        cycles = []
+        for i, v in enumerate(rng.permutation(np.arange(2, longest + 1))):
+            x = rng.uniform(-1.0, 1.0, int(v)) * magnitude
+            x[1::7], x[3::11] = -0.0, 0.0
+            cycles.append(CvsCycle(("p", "q")[i % 2], 10 * i, x, labels[i % 3]))
+        cals = {sid: cal(np.full(CALIBRATION_SAMPLES, peak * magnitude), sid)
+                for sid, peak in (("p", 1.0), ("q", -0.75))}
+        got = outcome(normalize_dataset, cycles, scheme, mode, cals)
+        assert got == outcome(loop_normalize_dataset, cycles, scheme, mode, cals)
+        # only unscaled cycles above the headroom bound fail, in both
+        assert isinstance(got, list) == (mode != "none" or magnitude <= 1.0)
+
+    def test_headroom_in_cycle_1_wins_over_missing_calibration_in_cycle_3(self):
+        cycles = [cyc([0.1, 0.2], sid="a", t0=0), cyc([0.1, 0.2, 50.0], sid="a", t0=10),
+                  cyc([0.3, 0.2], sid="a", t0=30), cyc([0.1, 0.2], sid="b", t0=40)]
+        cals = {"a": cal(np.ones(CALIBRATION_SAMPLES), "a")}
+        for scheme in ("interp", "pad"):
+            with pytest.raises(ValidationError, match=r"^cycle of subject 'a' at t_start_ms "
+                               r"10 has normalized peak 50 above headroom bound 10.0$"):
+                normalize_dataset(cycles, scheme, "subject", cals)
+            assert outcome(normalize_dataset, cycles, scheme, "subject", cals) == \
+                outcome(loop_normalize_dataset, cycles, scheme, "subject", cals)
+
+    FAULTS = ("nan", "inf", "-inf", "huge", "zero", "no-window", "long", "nan-skipped")
+
+    def test_the_first_failing_cycle_raises_the_loops_error(self, seed):
+        # random datasets with up to three faults in random cycles: whatever
+        # the loop raises first, for whichever cycle, normalize_dataset raises
+        rng = np.random.default_rng(seed)
+        raised = set()
+        for _ in range(300):
+            scheme = ("interp", "pad", "resample")[rng.choice(3, p=[0.5, 0.45, 0.05])]
+            mode = ("subject", "naive", "none")[rng.integers(3)]
+            cycles = [cyc(rng.uniform(-2.0, 2.0, int(rng.integers(2, 140))), sid="a",
+                          t0=100 * i) for i in range(int(rng.integers(1, 9)))]
+            for _ in range(int(rng.integers(0, 4))):
+                c = cycles[rng.integers(len(cycles))]
+                fault = self.FAULTS[rng.integers(len(self.FAULTS))]
+                if fault in ("long", "nan-skipped"):
+                    c.samples = rng.uniform(-2.0, 2.0, int(rng.integers(TARGET_LEN + 1, 700)))
+                    if fault == "nan-skipped" and c.samples.size >= INTERP_SKIPS_FROM:
+                        c.samples[1] = np.nan          # a sample interp does not reach
+                elif fault == "no-window":
+                    c.subject_id = "b"
+                elif fault == "zero":
+                    c.samples[:] = 0.0
+                else:
+                    c.samples[rng.integers(c.samples.size)] = {
+                        "nan": np.nan, "inf": np.inf, "-inf": -np.inf, "huge": 1e3}[fault]
+            cals = {"a": cal(rng.uniform(0.5, 1.0, CALIBRATION_SAMPLES), "a")}
+            got = outcome(normalize_dataset, cycles, scheme, mode, cals)
+            assert got == outcome(loop_normalize_dataset, cycles, scheme, mode, cals)
+            if not isinstance(got, list):
+                raised.add(got[0])
+        assert {ValidationError, AllZeroCycle, CycleLongerThanTarget} <= raised
+
+
 class TestNonFiniteCycle:
     """A NaN or inf sample is one ValidationError naming the cycle, in every
     scale mode and size scheme."""
@@ -325,6 +552,29 @@ class TestNonFiniteCycle:
             x[k] = np.nan
             with pytest.raises(ValidationError, match="non-finite"):
                 normalize_cycle(cyc(x), "interp", None)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("mode", ["subject", "naive", "none"])
+    def test_long_cycle_rejected_whichever_sample_is_bad(self, bad, mode):
+        # from INTERP_SKIPS_FROM samples on, interp does not reach every
+        # sample; a 299-sample cycle with a NaN at index 1 once normalized
+        # to a finite vector
+        assert INTERP_SKIPS_FROM == 299
+        cals = {"s": cal(np.full(CALIBRATION_SAMPLES, 2.0))}
+        scale = {"subject": 2.0, "none": None}
+        message = r"^cycle of subject 's' at t_start_ms 7000 holds a non-finite sample$"
+        for v in (299, 300, 301, 450, 599, 600):
+            for k in range(v):
+                x = np.full(v, 0.5)
+                x[k] = bad
+                c = cyc(x, t0=7000)
+                with pytest.raises(ValidationError, match=message):
+                    normalize_dataset([c], "interp", mode, cals)
+                with pytest.raises(ValidationError, match=message):
+                    if mode == "naive":
+                        naive_scale_factor(c)
+                    else:
+                        normalize_cycle(c, "interp", scale[mode])
 
     def test_headroom_names_the_cycle(self):
         with pytest.raises(ValidationError, match=r"^cycle of subject 'a' at t_start_ms "
