@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .errors import GraphNotRecorded, ShapeMismatch
+from .errors import ShapeMismatch, ValidationError
 
 
 class Var:
@@ -45,7 +45,7 @@ def backward(root: Var) -> None:
     if root.value.size != 1:
         raise ShapeMismatch("backward requires a scalar root")
     if root._bwd is None and not root._parents:
-        raise GraphNotRecorded("root has no recorded forward graph")
+        raise ValidationError("root has no recorded forward graph")
 
     order: list[Var] = []
     seen: set[int] = set()

@@ -204,7 +204,7 @@ def bench_models(named_models, cycles, repeats: int = 1) -> list[dict]:
         raise ValidationError(f"benchmark needs >= 1000 cycles, got {len(cycles)}")
     reports = []
     for name, model in named_models:
-        # warm start: one full pass outside timing
+        # warm start: the first 10 cycles, outside timing
         for c, s, scheme in cycles[:10]:
             score(model, normalize_cycle(c, scheme, s).values[None, :])
         times = np.empty(len(cycles) * repeats)
@@ -276,6 +276,13 @@ def cmd_bench(args) -> int:
 
 # --- argument parsing ---
 
+def _seed(text: str) -> int:
+    """The type of every --seed flag: numpy's generators take no negative seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvsqi",
@@ -284,7 +291,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic cycle dataset")
     p.add_argument("--scenario", help="JSON scenario file for one subject")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--subjects", type=int, default=20)
     p.add_argument("--duration-ms", type=int, default=experiment.DEFAULT_DURATION_MS)
     p.add_argument("--out-cycles", required=True)
@@ -293,7 +300,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="subject-disjoint 80/10/10 split")
     p.add_argument("--cycles", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-val", required=True)
     p.add_argument("--out-test", required=True)
@@ -307,7 +314,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--val", required=True)
     p.add_argument("--epochs", type=int, default=discriminative.DEFAULT_EPOCHS)
     p.add_argument("--lr", type=float, default=DEFAULT_LR)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train-manifold", help="train a manifold model on positives")
@@ -320,7 +327,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--val")
     p.add_argument("--epochs", type=int, default=manifold.DEFAULT_EPOCHS)
     p.add_argument("--lr", type=float, default=DEFAULT_LR)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("threshold", help="select and persist the residual threshold")
@@ -344,13 +351,16 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--models", nargs="*", default=None,
                    help="model files; default benches freshly built models")
     p.add_argument("--n-cycles", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     if defaults:
+        # each value as the text a command line would carry, so that the
+        # flag's own type parses it and rejects a bad one with exit 2
+        text = {k: v if isinstance(v, str) else json.dumps(v)
+                for k, v in defaults.items() if v is not None}
         for p in sub.choices.values():
-            known = {k: v for k, v in defaults.items()
-                     if any(a.dest == k for a in p._actions)}
-            p.set_defaults(**known)
+            p.set_defaults(**{k: v for k, v in text.items()
+                              if any(a.dest == k for a in p._actions)})
     return parser
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .errors import EmptySplit, ShapeMismatch, SingleClassDataset
+from .errors import ShapeMismatch, SingleClassDataset, ValidationError
 from .evaluation import roc_auc
 from .nn import (BATCH_ROWS, ParamSet, by_rows, fit, forward_layers, init_params,
                  receptive_field, shape_trace)
@@ -140,7 +140,7 @@ def compute_class_weights(train_values: np.ndarray) -> ClassWeights:
     """
     y = np.asarray(train_values, dtype=np.float64)
     if y.size == 0:
-        raise EmptySplit("no training labels")
+        raise ValidationError("no training labels")
     pos_eff = float(y.sum())
     neg_eff = float((1.0 - y).sum())
     if pos_eff == 0.0 or neg_eff == 0.0:
@@ -170,7 +170,7 @@ def train(model: DiscriminativeModel, x_train: np.ndarray, y_train: np.ndarray,
     x_train = np.asarray(x_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.float64)
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
-        raise EmptySplit("train and validation sets must be non-empty")
+        raise ValidationError("train and validation sets must be non-empty")
     weights = compute_class_weights(y_train)
 
     def batch_loss(idx, pvars, rng):

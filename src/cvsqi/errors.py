@@ -1,6 +1,9 @@
 """Exception hierarchy shared across the package.
 
-ValidationError subclasses map to CLI exit code 2, IoError to exit code 3.
+ValidationError maps to CLI exit code 2, IoError to exit code 3.  A subclass
+exists only where an ``except`` in the package tells it apart from its base;
+every other rejected input raises ValidationError or IoError itself, with a
+message naming the problem.
 """
 
 
@@ -16,91 +19,17 @@ class IoError(CvsqiError):
     pass
 
 
-# --- signal synthesis ---
-
 class InvalidScenario(ValidationError):
-    pass
+    """Caught by forward._from_json to prefix the failing field's path."""
 
-
-# --- preprocessing ---
-
-class PeakOffGrid(ValidationError):
-    pass
-
-
-class TooShortCycle(ValidationError):
-    pass
-
-
-class AllZeroCycle(ValidationError):
-    pass
-
-
-class AllZeroWindow(ValidationError):
-    pass
-
-
-class NonPositiveScale(ValidationError):
-    pass
-
-
-class CycleLongerThanTarget(ValidationError):
-    pass
-
-
-# --- numerics / models ---
 
 class ShapeMismatch(ValidationError):
-    pass
-
-
-class GraphNotRecorded(ValidationError):
-    pass
+    """Caught by model_io._Fields.layers to name the model file's field."""
 
 
 class SingleClassDataset(ValidationError):
-    pass
+    """Caught by discriminative.train: a one-class validation set has no AUC."""
 
-
-class EmptySplit(ValidationError):
-    pass
-
-
-class NotConvolutional(ValidationError):
-    pass
-
-
-class ContainsNegativeSamples(ValidationError):
-    pass
-
-
-class InsufficientSamples(ValidationError):
-    pass
-
-
-class ThresholdUnset(ValidationError):
-    pass
-
-
-# --- evaluation ---
-
-class LengthMismatch(ValidationError):
-    pass
-
-
-class TooFewSubjects(ValidationError):
-    pass
-
-
-# --- persistence / CLI ---
 
 class MissingCalibration(ValidationError):
-    pass
-
-
-class VersionMismatch(IoError):
-    pass
-
-
-class CorruptFile(IoError):
-    pass
+    """Caught by cli.cmd_gen: a scenario shorter than 20 s writes no window."""

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatch, SingleClassDataset, TooFewSubjects
+from .errors import SingleClassDataset, ValidationError
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ def confusion(preds, labels) -> ConfusionCounts:
     p = np.asarray(preds, dtype=np.int64)
     y = np.asarray(labels, dtype=np.int64)
     if p.shape != y.shape:
-        raise LengthMismatch(f"predictions {p.shape} vs labels {y.shape}")
+        raise ValidationError(f"predictions {p.shape} vs labels {y.shape}")
     return ConfusionCounts(
         tp=int(np.sum((p == 1) & (y == 1))),
         tn=int(np.sum((p == 0) & (y == 0))),
@@ -46,7 +46,7 @@ class Metrics:
 def metrics(c: ConfusionCounts) -> Metrics:
     """The five confusion metrics; zero-denominator metrics are reported as undefined."""
     if c.total == 0:
-        raise LengthMismatch("cannot compute metrics from empty counts")
+        raise ValidationError("cannot compute metrics from empty counts")
 
     def ratio(num, den):
         return num / den if den > 0 else None
@@ -70,7 +70,7 @@ def roc_auc(scores, labels) -> tuple[list[tuple[float, float]], float]:
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if s.shape != y.shape:
-        raise LengthMismatch(f"scores {s.shape} vs labels {y.shape}")
+        raise ValidationError(f"scores {s.shape} vs labels {y.shape}")
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
@@ -103,7 +103,7 @@ def split_by_subject(cycles, seed: int = 0):
         by_subject.setdefault(c.subject_id, []).append(c)
     subjects = list(by_subject)
     if len(subjects) < 3:
-        raise TooFewSubjects(f"need at least 3 subjects, got {len(subjects)}")
+        raise ValidationError(f"need at least 3 subjects, got {len(subjects)}")
 
     rng = np.random.default_rng(seed)
     rng.shuffle(subjects)

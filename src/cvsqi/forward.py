@@ -257,18 +257,16 @@ def synthesize_stream(scenario: SynthScenario) -> SynthStream:
     cvs = cardio + noise + cvs_motion
 
     # Cycle labels from the realized motion amplitude relative to the
-    # cardiogenic peak (gain); band edges come from the scenario.
+    # cardiogenic peak (gain); band edges come from the scenario.  Cycle i
+    # spans samples idx[i]..idx[i + 1] inclusive; reduceat covers all but the
+    # closing sample, which the next cycle shares, so it is taken apart.
     lo, hi = scenario.ambiguous_band
-    labels: list[QualityLabel] = []
-    for a, b in zip(r_peaks[:-1], r_peaks[1:]):
-        i0, i1 = int(a) // SAMPLE_MS, int(b) // SAMPLE_MS
-        m = float(np.max(np.abs(cvs_motion[i0:i1 + 1]))) / scenario.gain
-        if m > hi:
-            labels.append(QualityLabel.MOTION)
-        elif m >= lo:
-            labels.append(QualityLabel.AMBIGUOUS)
-        else:
-            labels.append(QualityLabel.NORMAL)
+    idx = r_peaks // SAMPLE_MS
+    motion = np.abs(cvs_motion[:idx[-1] + 1])
+    peaks = np.maximum(np.maximum.reduceat(motion[:-1], idx[:-1]), motion[idx[1:]])
+    labels = [QualityLabel.MOTION if m > hi
+              else QualityLabel.AMBIGUOUS if m >= lo else QualityLabel.NORMAL
+              for m in (peaks / scenario.gain).tolist()]
 
     return SynthStream(
         scenario=scenario, t_ms=t_ms, cvs=cvs, cvs_motion=cvs_motion,

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .errors import (ContainsNegativeSamples, EmptySplit, InsufficientSamples,
-                     ShapeMismatch, SingleClassDataset, ThresholdUnset)
+from .errors import ShapeMismatch, SingleClassDataset, ValidationError
 from .nn import (BATCH_ROWS, DEFAULT_LR, ParamSet, by_rows, fit, forward_layers,
                  init_params)
 from .preprocess import TARGET_LEN
@@ -48,7 +47,7 @@ def pca_fit(x_pos: np.ndarray, k: int = LATENT_DIM) -> PcaModel:
     if x.ndim != 2:
         raise ShapeMismatch("pca_fit expects (N, 150)")
     if x.shape[0] < k:
-        raise InsufficientSamples(f"need at least {k} samples, got {x.shape[0]}")
+        raise ValidationError(f"need at least {k} samples, got {x.shape[0]}")
     mean = x.mean(axis=0)
     _, _, vt = np.linalg.svd(x - mean, full_matrices=False)
     return PcaModel(mean=mean, components=vt[:k].copy())
@@ -172,8 +171,7 @@ def require_positives(eval_labels: np.ndarray) -> None:
     """Manifold models learn from normal cycles only; anything else is an error."""
     n_neg = int(np.sum(np.asarray(eval_labels) != 1))
     if n_neg:
-        raise ContainsNegativeSamples(
-            f"{n_neg} non-positive samples in manifold training set")
+        raise ValidationError(f"{n_neg} non-positive samples in manifold training set")
 
 
 def vae_train(model: VaeModel, x_pos: np.ndarray, eval_labels: np.ndarray,
@@ -188,7 +186,7 @@ def vae_train(model: VaeModel, x_pos: np.ndarray, eval_labels: np.ndarray,
     x_pos = np.asarray(x_pos, dtype=np.float64)
     labels = np.asarray(eval_labels, dtype=np.int64)
     if x_pos.shape[0] == 0:
-        raise EmptySplit("no positive training samples")
+        raise ValidationError("no positive training samples")
     if labels.shape[0] != x_pos.shape[0]:
         raise ShapeMismatch("labels must align with training samples")
     require_positives(labels)
@@ -296,7 +294,7 @@ def set_threshold(model, x: np.ndarray, eval_labels: np.ndarray) -> tuple[float,
 def score(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(-residual, verdict) per row; verdict 1 (normal) iff residual <= threshold_d."""
     if model.threshold_d is None:
-        raise ThresholdUnset("manifold model has no threshold; run `threshold` first")
+        raise ValidationError("manifold model has no threshold; run `threshold` first")
     r = residuals(model, x)
     return -r, (r <= model.threshold_d).astype(int)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import experiment
 from .discriminative import ARCHITECTURES, DiscriminativeModel
-from .errors import CorruptFile, ShapeMismatch, ValidationError, VersionMismatch
+from .errors import IoError, ShapeMismatch, ValidationError
 from .manifold import LATENT_DIM, MANIFOLD_KINDS, PcaModel, VaeModel
 from .nn import ParamSet, param_shapes, shape_trace
 from .preprocess import SCALE_MODES, SCHEMES, TARGET_LEN, normalize_dataset
@@ -210,16 +210,15 @@ def load_model(path: str) -> Scorer:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptFile(f"{path}: not a valid model file ({exc})") from exc
+        raise IoError(f"{path}: not a valid model file ({exc})") from exc
     if not isinstance(doc, dict):
-        raise CorruptFile(f"{path}: not a valid model file (no JSON object)")
+        raise IoError(f"{path}: not a valid model file (no JSON object)")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
-        raise VersionMismatch(
-            f"{path}: file version {version}, supported version {FORMAT_VERSION}")
+        raise IoError(f"{path}: file version {version}, supported version {FORMAT_VERSION}")
     payload = doc.get("payload")
     if payload is None or doc.get("checksum") != _checksum(payload):
-        raise CorruptFile(f"{path}: checksum mismatch")
+        raise IoError(f"{path}: checksum mismatch")
 
     p = _Fields(payload, f"{path}: payload")
     pre = p.sub("preprocessing")

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import Var
-from .errors import NotConvolutional, ShapeMismatch, ValidationError
+from .errors import ShapeMismatch, ValidationError
 
 ACTIVATIONS = ("relu", "sigmoid")   # named alike in autodiff and kernels
 BATCH_ROWS = 64
@@ -289,5 +289,5 @@ def receptive_field(layers: list[dict]) -> int:
         elif kind in ("dense", "flatten"):
             break
     if last_conv_rf is None:
-        raise NotConvolutional("architecture has no convolutional layers")
+        raise ValidationError("architecture has no convolutional layers")
     return last_conv_rf

@@ -20,9 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (AllZeroCycle, AllZeroWindow, CycleLongerThanTarget,
-                     MissingCalibration, NonPositiveScale, PeakOffGrid,
-                     TooShortCycle, ValidationError)
+from .errors import MissingCalibration, ValidationError
 from .forward import SAMPLE_MS
 from .labels import QualityLabel
 
@@ -45,15 +43,11 @@ class CvsCycle:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1 or self.samples.size < 2:
-            raise TooShortCycle(f"cycle needs at least 2 samples, got {self.samples.size}")
+            raise ValidationError(f"cycle needs at least 2 samples, got {self.samples.size}")
 
     @property
     def v(self) -> int:
         return self.samples.size
-
-    @property
-    def duration_ms(self) -> int:
-        return SAMPLE_MS * (self.v - 1)
 
 
 @dataclass
@@ -108,7 +102,7 @@ def segment_cycles(cvs_stream, r_peaks, subject_id: str = "",
     if np.any(np.diff(peaks) <= 0):
         raise ValidationError("r_peaks must be strictly increasing")
     if np.any(peaks % SAMPLE_MS != 0):
-        raise PeakOffGrid("R-peak timestamps must lie on the 10 ms grid")
+        raise ValidationError("R-peak timestamps must lie on the 10 ms grid")
     if t_ms.size == 0:
         raise ValidationError("empty CVS stream")
     t0 = t_ms[0]
@@ -169,7 +163,7 @@ def naive_scale_factor(cycle: CvsCycle) -> float:
     if not s < math.inf:                       # NaN or inf
         raise _bad_cycle(cycle, "holds a non-finite sample")
     if s == 0.0:
-        raise AllZeroCycle(f"cycle at {cycle.t_start_ms} ms is identically zero")
+        raise ValidationError(f"cycle at {cycle.t_start_ms} ms is identically zero")
     return s
 
 
@@ -177,13 +171,13 @@ def subject_scale_factor(cal: CalibrationWindow) -> float:
     """Subject-specific scaling factor: max absolute sample over the 20 s window."""
     s = float(np.max(np.abs(cal.samples)))
     if s == 0.0:
-        raise AllZeroWindow(f"calibration window for {cal.subject_id} is identically zero")
+        raise ValidationError(f"calibration window for {cal.subject_id} is identically zero")
     return s
 
 
 def _check_scale(s: float) -> None:
     if not s > 0:
-        raise NonPositiveScale(f"scale factor must be positive, got {s}")
+        raise ValidationError(f"scale factor must be positive, got {s}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -250,7 +244,7 @@ def normalize_cycle(cycle: CvsCycle, scheme: str, scale: float | None) -> Normal
         values = np.interp(_unit_grid(TARGET_LEN), _unit_grid(samples.size), samples)
     elif scheme == "pad":
         if samples.size > TARGET_LEN:
-            raise CycleLongerThanTarget(
+            raise ValidationError(
                 f"cycle of {samples.size} samples exceeds target length {TARGET_LEN}")
         values = np.concatenate([samples, np.full(TARGET_LEN - samples.size, samples[-1])])
     else:

@@ -14,7 +14,6 @@ from cvsqi import cli, discriminative as dm
 from cvsqi import experiment, manifold as mf
 from cvsqi.autodiff import Var
 from cvsqi.evaluation import roc_auc, split_by_subject
-from cvsqi.labels import QualityLabel
 from gradcheck import fd_grad, fd_grad_sampled, rel_err
 
 NETWORK_TOL = 1e-4

@@ -193,6 +193,29 @@ class TestExitCodes:
         assert err.endswith("\n") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen", "split", "train", "train-manifold", "bench"])
+    def test_negative_seed_exits_2(self, workspace, tmp_path, capsys, command):
+        # numpy's generators take no negative seed; pca ignored it and exited 0
+        out = tmp_path / "out"
+        inputs = {"gen": ["--subjects", 1, "--duration-ms", 30000, "--out-cycles", out],
+                  "split": ["--cycles", workspace["cycles"], "--out-train", out,
+                            "--out-val", tmp_path / "val", "--out-test", tmp_path / "test"],
+                  "train": ["--arch", "lr", "--train", workspace["cycles"],
+                            "--val", workspace["cycles"], "--calib", workspace["calib"],
+                            "--epochs", 1, "--out", out],
+                  "train-manifold": ["--kind", "pca", "--pos-train",
+                                     workspace["root"] / "pos.csv",
+                                     "--calib", workspace["calib"], "--out", out],
+                  "bench": []}[command]
+        with pytest.raises(SystemExit) as exc:
+            run([command, *inputs, "--seed", -1])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert err.endswith("error: argument --seed: must be a nonnegative integer, "
+                            "got '-1'\n")
+        assert not out.exists()
+
 
 class TestSplitAndTrain:
     def test_split_disjoint(self, workspace, tmp_path):
@@ -745,6 +768,26 @@ class TestConfigEnv:
             outputs.append([(d / f).read_bytes()
                             for f in ("pca.json", "report.json", "verdicts.csv")])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("config,message", [
+        ({"epochs": 1.5}, "argument --epochs: invalid int value: '1.5'"),
+        ({"epochs": [1]}, "argument --epochs: invalid int value: '[1]'"),
+        ({"epochs": True}, "argument --epochs: invalid int value: 'true'"),
+        ({"seed": -1}, "argument --seed: must be a nonnegative integer, got '-1'")])
+    def test_config_value_goes_through_the_flags_type(self, workspace, tmp_path, monkeypatch,
+                                                      capsys, config, message):
+        # a JSON number, list or bool reaches the flag's type as its text
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+        out = tmp_path / "model.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--arch", "lr", "--train", workspace["cycles"],
+                 "--val", workspace["cycles"], "--calib", workspace["calib"], "--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.endswith(f"error: {message}\n")
+        assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SEEDS
 from cvsqi import discriminative as dm
 from cvsqi.discriminative import (ARCHITECTURES, ClassWeights, build,
                                   compute_class_weights,
                                   compute_receptive_field, forward, train)
-from cvsqi.errors import NotConvolutional, SingleClassDataset
-from cvsqi.nn import ParamSet
+from cvsqi.errors import SingleClassDataset, ValidationError
 
 MLP1_DIMS = [150, 150, 300, 300, 150, 150, 150, 1]
 MLP2_DIMS = [150, 150, 150, 100, 50, 25, 10, 1]
@@ -55,7 +53,8 @@ class TestArchitectureTables:
         assert compute_receptive_field(arch) == rf
 
     def test_receptive_field_needs_convolutions(self):
-        with pytest.raises(NotConvolutional):
+        with pytest.raises(ValidationError,
+                           match="^architecture has no convolutional layers$"):
             compute_receptive_field("mlp1")
 
 

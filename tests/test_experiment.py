@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cvsqi import experiment, manifold
-from cvsqi.errors import InvalidScenario, ThresholdUnset
+from cvsqi.errors import InvalidScenario, ValidationError
 from cvsqi.forward import synthesize_stream
 from cvsqi.preprocess import (calibration_from_stream, cycles_from_stream,
                               normalize_dataset)
@@ -97,8 +97,10 @@ class TestVerdictRule:
     def test_unset_threshold_one_error(self, cycle_matrix, kind):
         model = mid_pool_model(kind, cycle_matrix)
         model.threshold_d = None
-        with pytest.raises(ThresholdUnset) as batch:
+        with pytest.raises(ValidationError, match="^manifold model has no threshold; "
+                                                 "run `threshold` first$") as batch:
             experiment.score(model, cycle_matrix)
-        with pytest.raises(ThresholdUnset) as single:
+        with pytest.raises(ValidationError, match="^manifold model has no threshold; "
+                                                 "run `threshold` first$") as single:
             manifold.assess(model, cycle_matrix[0])
         assert str(batch.value) == str(single.value)

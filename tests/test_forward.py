@@ -177,6 +177,17 @@ class TestSynthesizeStream:
         assert np.array_equal(s1.r_peaks, s2.r_peaks)
         assert s1.cycle_labels == s2.cycle_labels
 
+    @pytest.mark.parametrize("duration_ms", [10, 800, 810])
+    def test_one_r_peak_labels_no_cycle(self, duration_ms):
+        # 810 ms is the first duration that holds the second R-peak's sample
+        scenario = SynthScenario(subject_seed=1, duration_ms=duration_ms,
+                                 rr_intervals_ms=(800,),
+                                 motion_events=(MotionEvent(0, duration_ms, 2.0, "step"),))
+        s = synthesize_stream(scenario)
+        assert len(s.r_peaks) == (2 if duration_ms > 800 else 1)
+        assert s.cycle_labels == [QualityLabel.MOTION] * (len(s.r_peaks) - 1)
+        assert_matches_reference(scenario)
+
     def test_zero_duration_rejected(self):
         with pytest.raises(InvalidScenario):
             SynthScenario(subject_seed=0, duration_ms=0, rr_intervals_ms=(800,))

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from cvsqi import manifold as mf
 from cvsqi.autodiff import Var
-from cvsqi.errors import (ContainsNegativeSamples, InsufficientSamples,
-                          SingleClassDataset, ThresholdUnset)
+from cvsqi.errors import SingleClassDataset, ValidationError
 from cvsqi.evaluation import confusion, metrics
 from gradcheck import fd_grad_sampled, rel_err
 
@@ -50,7 +49,7 @@ class TestPca:
         assert var.max() / var.min() < 1.5
 
     def test_insufficient_samples(self):
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(ValidationError, match="^need at least 10 samples, got 5$"):
             mf.pca_fit(np.zeros((5, 150)))
 
     def test_reconstruction_on_subspace(self, seed):
@@ -197,7 +196,8 @@ class TestVaeTrain:
         labels = np.ones(10, dtype=int)
         labels[3] = 0
         model = mf.build_vae("vae", seed=0)
-        with pytest.raises(ContainsNegativeSamples):
+        with pytest.raises(ValidationError,
+                           match="^1 non-positive samples in manifold training set$"):
             mf.vae_train(model, x, labels, epochs=1, lr=1e-3)
 
     def test_audit_counts_zero_negatives(self, seed):
@@ -220,7 +220,8 @@ class TestTrainKind:
             monkeypatch.setattr(mf, name, lambda *a, name=name, **kw: calls.append(name))
         labels = np.ones(20, dtype=int)
         labels[7] = 0
-        with pytest.raises(ContainsNegativeSamples, match="1 non-positive"):
+        with pytest.raises(ValidationError,
+                           match="^1 non-positive samples in manifold training set$"):
             mf.train_kind(kind, normal_cycles(np.random.default_rng(0), 20), labels,
                           epochs=1)
         assert calls == []
@@ -384,5 +385,6 @@ class TestAssess:
 
     def test_threshold_unset(self):
         model = mf.PcaModel(mean=np.zeros(150), components=np.eye(150)[:10])
-        with pytest.raises(ThresholdUnset):
+        with pytest.raises(ValidationError,
+                           match="^manifold model has no threshold; run `threshold` first$"):
             mf.assess(model, np.zeros(150))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cvsqi import discriminative, experiment, manifold, model_io
-from cvsqi.errors import CorruptFile, VersionMismatch
+from cvsqi.errors import IoError
 from cvsqi.preprocess import normalize_dataset
 
 
@@ -72,7 +72,7 @@ class TestCorruption:
             content = f.read()
         with open(path, "w") as f:
             f.write(content[:len(content) // 2])
-        with pytest.raises(CorruptFile):
+        with pytest.raises(IoError, match=r": not a valid model file \("):
             model_io.load_model(path)
 
     def test_tampered_payload(self, tmp_path):
@@ -82,7 +82,7 @@ class TestCorruption:
         doc["payload"]["seed"] = 999
         with open(path, "w") as f:
             json.dump(doc, f)
-        with pytest.raises(CorruptFile):
+        with pytest.raises(IoError, match=": checksum mismatch$"):
             model_io.load_model(path)
 
     def test_version_bump_names_both_versions(self, tmp_path):
@@ -92,7 +92,7 @@ class TestCorruption:
         doc["format_version"] = 2
         with open(path, "w") as f:
             json.dump(doc, f)
-        with pytest.raises(VersionMismatch) as err:
+        with pytest.raises(IoError, match=": file version 2, supported version ") as err:
             model_io.load_model(path)
         message = str(err.value)
         assert "2" in message and str(model_io.FORMAT_VERSION) in message
@@ -100,14 +100,14 @@ class TestCorruption:
     def test_not_json(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_bytes(b"\x00\x01 not json")
-        with pytest.raises(CorruptFile):
+        with pytest.raises(IoError, match=r": not a valid model file \("):
             model_io.load_model(str(path))
 
     @pytest.mark.parametrize("text", ["[1, 2]", "null", "3"])
     def test_json_but_not_an_object(self, tmp_path, text):
         path = tmp_path / "list.json"
         path.write_text(text)
-        with pytest.raises(CorruptFile, match="no JSON object"):
+        with pytest.raises(IoError, match=r": not a valid model file \(no JSON object\)$"):
             model_io.load_model(str(path))
 
 

@@ -6,7 +6,7 @@ import pytest
 from cvsqi import autodiff as ad
 from cvsqi import discriminative, manifold
 from cvsqi.autodiff import Var
-from cvsqi.errors import NotConvolutional, ShapeMismatch, ValidationError
+from cvsqi.errors import ShapeMismatch, ValidationError
 from cvsqi.evaluation import roc_auc
 from cvsqi.nn import (BATCH_ROWS, ParamSet, adam_step, by_rows, fit, forward_layers,
                       init_params, param_shapes, receptive_field, shape_trace)
@@ -223,7 +223,8 @@ class TestReceptiveField:
         assert receptive_field(layers) == 8
 
     def test_dense_only_rejected(self):
-        with pytest.raises(NotConvolutional):
+        with pytest.raises(ValidationError,
+                           match="^architecture has no convolutional layers$"):
             receptive_field(SIMPLE_LAYERS)
 
 
