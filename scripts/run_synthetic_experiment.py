@@ -55,8 +55,6 @@ def main():
     report["elapsed_s"] = time.perf_counter() - t0
     print(f"elapsed {report['elapsed_s']:.1f} s")
     if args.out:
-        for key in ("vgg3", "bcvae"):
-            report[key].pop("history", None)
         with open(args.out, "w", encoding="utf-8") as f:
             json.dump(report, f, indent=1)
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import dataio, discriminative, experiment, manifold, model_io
 from .errors import CvsqiError, IoError, MissingCalibration, ValidationError
-from .evaluation import split_by_subject
-from .experiment import evaluate_scores, score
+from .evaluation import METRICS, evaluate_scores, split_by_subject
+from .experiment import score
 from .forward import scenario_from_file, synthesize_stream
 from .labels import QualityLabel
 from .nn import DEFAULT_LR
@@ -45,7 +45,11 @@ def _load_config() -> dict:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError(f"config {path} must hold a JSON object")
-    return {k: v for k, v in cfg.items() if k in _CONFIG_KEYS}
+    for key in cfg:
+        if key not in _CONFIG_KEYS:
+            raise ValidationError(f"config {path}: unknown key {key!r}; "
+                                  f"allowed keys are {', '.join(_CONFIG_KEYS)}")
+    return cfg
 
 
 def _load_calibrations(path: str | None):
@@ -157,11 +161,9 @@ def cmd_evaluate(args) -> int:
     x, _, yev = scorer.normalize(cycles, calibrations)
     report = evaluate_scores(*scorer.score(x), yev)
 
-    cols = ("accuracy", "ppv", "npv", "sensitivity", "specificity", "auc")
-    values = {c: report[c] for c in cols}
-    print(f"{'model':<10}" + "".join(f"{c:>13}" for c in cols))
-    row = "".join(f"{values[c]:>13.4f}" if values[c] is not None else f"{'n/a':>13}"
-                  for c in cols)
+    values = {c: report[c] for c in METRICS}
+    print(f"{'model':<10}" + "".join(f"{c:>13}" for c in METRICS))
+    row = "".join(f"{v:>13.4f}" if v is not None else f"{'n/a':>13}" for v in values.values())
     print(f"{scorer.name:<10}" + row)
     if report["undefined"]:
         print(f"undefined metrics (zero denominator): {', '.join(report['undefined'])}")
@@ -231,19 +233,15 @@ BENCH_PREPROCESSING = {"norm_scheme": "interp", "scale_mode": "subject"}
 
 
 def _bench_cycles(n_cycles: int, seed: int):
-    """Synthetic assessment-ready cycles for benchmarking, under BENCH_PREPROCESSING."""
-    rng = np.random.default_rng(seed)
+    """Synthetic assessment-ready cycles for benchmarking, under BENCH_PREPROCESSING:
+    60 s subjects (each has cycles) until n_cycles, then a seeded shuffle."""
     out = []
-    subjects = 0
-    while len(out) < n_cycles:
-        scenario = experiment.default_subject_scenario(seed, subjects,
-                                                       duration_ms=60_000)
-        stream = synthesize_stream(scenario)
-        s = subject_scale_factor(calibration_from_stream(stream, scenario.subject_id))
-        for c in cycles_from_stream(stream, scenario.subject_id):
-            out.append((c, s, BENCH_PREPROCESSING["norm_scheme"]))
-        subjects += 1
-    rng.shuffle(out)
+    for subject in experiment.iter_subjects(seed, n_cycles, 60_000):
+        s = subject_scale_factor(subject.calibration)
+        out.extend((c, s, BENCH_PREPROCESSING["norm_scheme"]) for c in subject.cycles)
+        if len(out) >= n_cycles:
+            break
+    np.random.default_rng(seed).shuffle(out)
     return out[:n_cycles]
 
 

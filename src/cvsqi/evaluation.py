@@ -1,65 +1,41 @@
-"""Confusion-matrix metrics, ROC/AUC, Youden's J, and the subject-disjoint split."""
-from __future__ import annotations
+"""The paper's six metrics of one model, ROC/AUC, and the subject-disjoint split.
 
-from dataclasses import dataclass, field
+Threshold selection by Youden's J lives in manifold.select_threshold.
+"""
+from __future__ import annotations
 
 import numpy as np
 
 from .errors import SingleClassDataset, ValidationError
 
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
+# one row of the paper's results table, in its column order
+METRICS = ("accuracy", "ppv", "npv", "sensitivity", "specificity", "auc")
 
 
-def confusion(preds, labels) -> ConfusionCounts:
-    """Counts with the normal (quality-1) class as positive; labels use eval encoding."""
-    p = np.asarray(preds, dtype=np.int64)
+def evaluate_scores(scores, verdicts, labels) -> dict:
+    """The METRICS of (score, verdict) per cycle against eval labels, plus
+    "undefined": the metrics whose denominator is zero, each reported as None.
+
+    The normal (quality-1) class is positive; AUC comes from roc_auc.
+    """
+    _, auc = roc_auc(scores, labels)
+    p = np.asarray(verdicts, dtype=np.int64)
     y = np.asarray(labels, dtype=np.int64)
     if p.shape != y.shape:
         raise ValidationError(f"predictions {p.shape} vs labels {y.shape}")
-    return ConfusionCounts(
-        tp=int(np.sum((p == 1) & (y == 1))),
-        tn=int(np.sum((p == 0) & (y == 0))),
-        fp=int(np.sum((p == 1) & (y == 0))),
-        fn=int(np.sum((p == 0) & (y == 1))),
-    )
-
-
-@dataclass
-class Metrics:
-    values: dict[str, float | None]
-    undefined: list[str] = field(default_factory=list)
-
-    def __getitem__(self, name: str) -> float | None:
-        return self.values[name]
-
-
-def metrics(c: ConfusionCounts) -> Metrics:
-    """The five confusion metrics; zero-denominator metrics are reported as undefined."""
-    if c.total == 0:
-        raise ValidationError("cannot compute metrics from empty counts")
+    tp = int(np.sum((p == 1) & (y == 1)))
+    tn = int(np.sum((p == 0) & (y == 0)))
+    fp = int(np.sum((p == 1) & (y == 0)))
+    fn = int(np.sum((p == 0) & (y == 1)))
 
     def ratio(num, den):
         return num / den if den > 0 else None
 
-    values = {
-        "accuracy": (c.tp + c.tn) / c.total,
-        "ppv": ratio(c.tp, c.tp + c.fp),
-        "npv": ratio(c.tn, c.tn + c.fn),
-        "sensitivity": ratio(c.tp, c.tp + c.fn),
-        "specificity": ratio(c.tn, c.tn + c.fp),
-    }
-    return Metrics(values=values,
-                   undefined=[k for k, v in values.items() if v is None])
+    report = {"accuracy": (tp + tn) / y.size, "ppv": ratio(tp, tp + fp),
+              "npv": ratio(tn, tn + fn), "sensitivity": ratio(tp, tp + fn),
+              "specificity": ratio(tn, tn + fp), "auc": auc}
+    report["undefined"] = [k for k in METRICS if report[k] is None]
+    return report
 
 
 def roc_auc(scores, labels) -> tuple[list[tuple[float, float]], float]:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import discriminative, manifold
-from .evaluation import confusion, metrics, roc_auc, split_by_subject
+from .evaluation import evaluate_scores, split_by_subject
 from .forward import MotionEvent, SynthScenario, check_duration, synthesize_stream
 from .labels import QualityLabel
 from .nn import DEFAULT_LR
@@ -148,24 +148,15 @@ def score(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return manifold.score(model, x)
 
 
-def evaluate_scores(scores: np.ndarray, preds: np.ndarray,
-                    y_eval: np.ndarray) -> dict:
-    _, auc = roc_auc(scores, y_eval)
-    m = metrics(confusion(preds, y_eval))
-    return {"auc": auc, **m.values, "undefined": m.undefined}
-
-
 def run_discriminative(splits, arch: str = "vgg3",
                        epochs: int = discriminative.DEFAULT_EPOCHS,
                        lr: float = DEFAULT_LR, seed: int = 0):
     """Train one discriminative model on prepared splits; returns (model, report)."""
     (x_tr, y_tr, _), (x_va, _, yev_va), (x_te, _, yev_te) = splits
     model = discriminative.build(arch, seed=seed)
-    history = discriminative.train(model, x_tr, y_tr, x_va, yev_va,
-                                   epochs=epochs, lr=lr, seed=seed)
-    report = evaluate_scores(*score(model, x_te), yev_te)
-    report["history"] = history
-    return model, report
+    discriminative.train(model, x_tr, y_tr, x_va, yev_va,
+                         epochs=epochs, lr=lr, seed=seed)
+    return model, evaluate_scores(*score(model, x_te), yev_te)
 
 
 def run_manifold(splits, kind: str = "bcvae", beta: float | None = None,
@@ -178,11 +169,11 @@ def run_manifold(splits, kind: str = "bcvae", beta: float | None = None,
     """
     (x_tr, _, yev_tr), (x_va, _, yev_va), (x_te, _, yev_te) = splits
     pos = yev_tr == 1
-    model, history = manifold.train_kind(kind, x_tr[pos], yev_tr[pos], beta=beta,
-                                         epochs=epochs, lr=lr, seed=seed,
-                                         x_val_pos=x_va[yev_va == 1])
+    model, _ = manifold.train_kind(kind, x_tr[pos], yev_tr[pos], beta=beta,
+                                   epochs=epochs, lr=lr, seed=seed,
+                                   x_val_pos=x_va[yev_va == 1])
     d, j = manifold.set_threshold(model, np.concatenate([x_tr, x_va]),
                                   np.concatenate([yev_tr, yev_va]))
     report = evaluate_scores(*score(model, x_te), yev_te)
-    report.update({"threshold": d, "youden_j_trainval": j, "history": history})
+    report.update({"threshold": d, "youden_j_trainval": j})
     return model, report

@@ -11,6 +11,7 @@ verdict rule r <= d.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,11 +125,16 @@ class VaeModel:
 
 
 def build_vae(kind: str, seed: int, beta: float | None = None) -> VaeModel:
+    """An untrained VAE of kind; beta None is the kind's DEFAULT_BETA, and
+    any other must be a positive finite KL weight."""
     enc, dec = vae_descriptors(kind)
+    beta = DEFAULT_BETA[kind] if beta is None else beta
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValidationError(f"beta must be a positive finite number, got {beta}")
     values = {**init_params(enc, seed, prefix="enc."),
               **init_params(dec, seed + 1, prefix="dec.")}
-    return VaeModel(kind=kind, beta=DEFAULT_BETA[kind] if beta is None else beta,
-                    enc=enc, dec=dec, params=ParamSet(values), seed=seed)
+    return VaeModel(kind=kind, beta=beta, enc=enc, dec=dec, params=ParamSet(values),
+                    seed=seed)
 
 
 def vae_forward(model: VaeModel, x: np.ndarray):

@@ -169,8 +169,8 @@ class _Fields:
         return layers
 
     def tensor(self, key: str, shape: tuple | None = None) -> np.ndarray:
-        """The float64 tensor at key; with shape, it must have that shape
-        (None: any size along that axis)."""
+        """The finite float64 tensor at key; with shape, it must have that
+        shape (None: any size along that axis)."""
         d = self.get(key, lambda v: isinstance(v, dict) and isinstance(v.get("data"), str)
                      and isinstance(v.get("shape"), list)
                      and all(_is_int(n) and n >= 0 for n in v["shape"]),
@@ -186,6 +186,8 @@ class _Fields:
             expected = ", ".join("n" if want is None else str(want) for want in shape)
             raise ValidationError(
                 f"{self.name}.{key} has shape {list(t.shape)}, expected [{expected}]")
+        if not np.isfinite(t).all():
+            raise ValidationError(f"{self.name}.{key} holds NaN or inf")
         return t
 
     def params(self, *prefixed_layers) -> ParamSet:
@@ -204,8 +206,9 @@ def load_model(path: str) -> Scorer:
     """The Scorer of a model file.  A wrong format version or checksum is an
     IoError (exit 3); a missing or ill-formed payload field is a
     ValidationError naming it (exit 2), and so is a descriptor layer that
-    does not fit the shape it receives or a tensor of another shape than
-    its layer's (or, for PCA, than the 150-sample cycle's)."""
+    does not fit the shape it receives, a tensor of another shape than its
+    layer's (or, for PCA, than the 150-sample cycle's) and a tensor holding
+    NaN or inf."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
@@ -238,7 +241,8 @@ def load_model(path: str) -> Scorer:
         enc = p.layers("encoder", (TARGET_LEN,), (2 * LATENT_DIM,))
         dec = p.layers("decoder", (LATENT_DIM,), (TARGET_LEN,))
         model = VaeModel(
-            kind=kind, beta=p.get("beta", _is_number, "a finite number"),
+            kind=kind, beta=p.get("beta", lambda v: _is_number(v) and v > 0,
+                                  "a positive finite number"),
             enc=enc, dec=dec, params=p.params(("enc.", enc), ("dec.", dec)),
             seed=p.get("seed", _is_int, "an integer"), threshold_d=p.threshold(),
             training_meta=p.meta("training"), train_audit=p.meta("audit"))

@@ -93,10 +93,13 @@ def fit(params: ParamSet, n: int,
     batch of indices; batch_loss(idx, pvars, rng) builds the batch's mean loss
     and may draw further numbers from the same rng.  With val_loss, the
     parameters of the epoch with the lowest validation loss are restored;
-    without it the last epoch's are kept.  epochs must be at least 1.
+    without it the last epoch's are kept.  epochs must be at least 1, and
+    lr a positive finite number.
     """
     if epochs < 1:
         raise ValidationError(f"epochs must be at least 1, got {epochs}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValidationError(f"learning rate must be a positive finite number, got {lr}")
     rng = np.random.default_rng(seed)
     train_losses, val_losses = [], []
     best_val, best_values = np.inf, params.copy_values()

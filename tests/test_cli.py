@@ -8,6 +8,7 @@ import pytest
 
 from cvsqi import (cli, dataio, discriminative, experiment, manifold,
                    model_io, preprocess)
+from cvsqi.evaluation import evaluate_scores
 from cvsqi.forward import MAX_DURATION_MS
 from cvsqi.labels import QualityLabel
 from cvsqi.preprocess import (CvsStream, calibration_from_stream,
@@ -311,6 +312,36 @@ class TestTrainManifold:
         assert "epochs must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command", ["train", "train-manifold"])
+    def test_learning_rate_not_positive_and_finite_exits_2(self, workspace, tmp_path,
+                                                           capsys, command, lr):
+        # a NaN rate would train a NaN model, and a negative one ascend the loss
+        out = tmp_path / "m.json"
+        if command == "train":
+            argv = ["train", "--arch", "lr", "--train", workspace["cycles"],
+                    "--val", workspace["cycles"]]
+        else:
+            argv = ["train-manifold", "--kind", "bcvae",
+                    "--pos-train", workspace["root"] / "pos.csv"]
+        assert run([*argv, "--epochs", 1, f"--lr={lr}", "--calib", workspace["calib"],
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: learning rate must be a positive finite number, " \
+                      f"got {float(lr)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beta", ["-5", "nan"])
+    def test_beta_not_positive_and_finite_exits_2(self, workspace, tmp_path, capsys,
+                                                 beta):
+        out = tmp_path / "m.json"
+        assert run(["train-manifold", "--kind", "bvae", f"--beta={beta}", "--epochs", 1,
+                    "--pos-train", workspace["root"] / "pos.csv",
+                    "--calib", workspace["calib"], "--out", out]) == 2
+        assert capsys.readouterr().err == \
+            f"error: beta must be a positive finite number, got {float(beta)}\n"
+        assert not out.exists()
+
     def test_pca_ignores_epochs(self, workspace, tmp_path):
         out = tmp_path / "pca.json"
         assert run(["train-manifold", "--kind", "pca", "--epochs", 0,
@@ -337,7 +368,7 @@ class TestSharedScoring:
         x, _, y_eval = preprocess.normalize_dataset(
             dataio.read_cycles(str(workspace["cycles"])), prep["norm_scheme"],
             prep["scale_mode"], dataio.read_calibrations(str(workspace["calib"])))
-        expected = experiment.evaluate_scores(*experiment.score(model, x), y_eval)
+        expected = evaluate_scores(*experiment.score(model, x), y_eval)
         assert report["metrics"] == {k: expected[k] for k in report["metrics"]}
         assert report["undefined"] == expected["undefined"]
 
@@ -368,6 +399,13 @@ def encoded_zeros(*shape):
     return model_io._encode_array(np.zeros(shape))
 
 
+def with_first_value(tensor, value):
+    """An encoded tensor of tensor's shape: zeros, the first value set to value."""
+    a = np.zeros(tensor["shape"])
+    a.flat[0] = value
+    return model_io._encode_array(a)
+
+
 # payload edit -> the start of the one error line, after "error: <path>: "
 MALFORMED_PAYLOADS = {
     "no preprocessing": (lambda p: p.pop("preprocessing"),
@@ -396,6 +434,14 @@ MALFORMED_PAYLOADS = {
     "tensor of another layer's shape": (
         lambda p: p["params"].update({"dec.layer4.W": encoded_zeros(3, 16, 9)}),
         "payload.params.dec.layer4.W has shape [3, 16, 9], expected [3, 16, 8]"),
+    "nan tensor": (lambda p: p["params"].update(
+        {"enc.layer0.W": with_first_value(p["params"]["enc.layer0.W"], math.nan)}),
+        "payload.params.enc.layer0.W holds NaN or inf"),
+    "inf tensor": (lambda p: p["params"].update(
+        {"dec.layer8.b": with_first_value(p["params"]["dec.layer8.b"], -math.inf)}),
+        "payload.params.dec.layer8.b holds NaN or inf"),
+    "negative beta": (lambda p: p.update(beta=-1),
+                      "payload.beta must be a positive finite number, got -1"),
     "string threshold": (lambda p: p.update(threshold="x"),
                          "payload.threshold must be null or a finite number, got 'x'"),
     "bool threshold": (lambda p: p.update(threshold=True),
@@ -447,6 +493,8 @@ MALFORMED_SHAPES = {
                  "payload.mean has shape [149], expected [150]"),
     "pca components": ("pca", lambda p: p.update(components=encoded_zeros(150)),
                        "payload.components has shape [150], expected [n, 150]"),
+    "nan pca mean": ("pca", lambda p: p.update(mean=with_first_value(p["mean"], math.nan)),
+                     "payload.mean holds NaN or inf"),
 }
 
 
@@ -787,6 +835,19 @@ class TestConfigEnv:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and err.endswith(f"error: {message}\n")
+        assert not out.exists()
+
+    def test_unknown_config_key_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a misspelt key must not be dropped, leaving the command on its defaults
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epoch": 1, "seed": 3}))
+        monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+        out = tmp_path / "c.csv"
+        assert run(["gen", "--subjects", 1, "--duration-ms", 30000,
+                    "--out-cycles", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config {cfg}: unknown key 'epoch'; allowed keys are "
+            "seed, norm, scale, epochs, lr, arch, kind, beta\n")
         assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path, monkeypatch):

@@ -179,11 +179,16 @@ class TestTrain:
         assert history["train_loss"][-1] < history["train_loss"][0]
 
     def test_zero_lr_leaves_parameters(self, seed):
+        # a zero step is rejected before any update, like every rate that is
+        # not a positive finite number
         rng = np.random.default_rng(seed)
         x, y = separable_set(rng, n=30)
         model = build("lr", seed=seed)
         before = model.params.copy_values()
-        train(model, x, y, x, y.astype(int), epochs=2, lr=0.0, seed=seed)
+        with pytest.raises(ValidationError, match="^learning rate must be a positive "
+                                                  "finite number, got 0.0$"):
+            train(model, x, y, x, y.astype(int), epochs=2, lr=0.0, seed=seed)
+        assert model.params.t == 0 and model.training_meta == {}
         for k, v in before.items():
             assert np.array_equal(model.params.values[k], v)
 

@@ -5,33 +5,51 @@ import pytest
 from hypothesis import strategies as st
 
 from cvsqi.errors import SingleClassDataset, ValidationError
-from cvsqi.evaluation import (ConfusionCounts, confusion, metrics, roc_auc,
-                              split_by_subject)
+from cvsqi.evaluation import METRICS, evaluate_scores, roc_auc, split_by_subject
 from cvsqi.manifold import select_threshold
 from cvsqi.preprocess import CvsCycle
+
+
+def evaluate(verdicts, labels):
+    """evaluate_scores with the verdicts as the scores."""
+    return evaluate_scores(np.asarray(verdicts, dtype=float), verdicts, labels)
+
+
+def counts(report, labels):
+    """(tp, tn, fp, fn) from sensitivity and specificity and the class sizes."""
+    n_pos = int(np.sum(labels == 1))
+    n_neg = labels.size - n_pos
+    tp = round(report["sensitivity"] * n_pos)
+    tn = round(report["specificity"] * n_neg)
+    return tp, tn, n_neg - tn, n_pos - tp
+
+
+def two_class_labels(rng, n):
+    y = rng.integers(0, 2, size=n)
+    if y.sum() in (0, n):
+        y[0] = 1 - y[0]
+    return y
 
 
 class TestConfusion:
     def test_all_correct(self):
         y = np.array([1, 0, 1, 1, 0])
-        c = confusion(y, y)
-        assert (c.fp, c.fn) == (0, 0)
-        assert (c.tp, c.tn) == (3, 2)
+        assert counts(evaluate(y, y), y) == (3, 2, 0, 0)
 
     def test_inverted_predictions_swap_counts(self, seed):
         rng = np.random.default_rng(seed)
-        y = rng.integers(0, 2, size=50)
+        y = two_class_labels(rng, 50)
         p = rng.integers(0, 2, size=50)
-        c = confusion(p, y)
-        ci = confusion(1 - p, y)
-        assert (ci.tp, ci.fn) == (c.fn, c.tp)
-        assert (ci.tn, ci.fp) == (c.fp, c.tn)
+        tp, tn, fp, fn = counts(evaluate(p, y), y)
+        tpi, tni, fpi, fni = counts(evaluate(1 - p, y), y)
+        assert (tpi, fni) == (fn, tp)
+        assert (tni, fpi) == (fp, tn)
 
     def test_matches_counting_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        y = rng.integers(0, 2, size=80)
+        y = two_class_labels(rng, 80)
         p = rng.integers(0, 2, size=80)
-        c = confusion(p, y)
+        report = evaluate(p, y)
         tp = tn = fp = fn = 0
         for pi, yi in zip(p, y):
             if pi == 1 and yi == 1:
@@ -42,44 +60,49 @@ class TestConfusion:
                 fp += 1
             else:
                 fn += 1
-        assert (c.tp, c.tn, c.fp, c.fn) == (tp, tn, fp, fn)
+        assert [report[k] for k in METRICS[:5]] == [
+            (tp + tn) / 80, tp / (tp + fp), tn / (tn + fn), tp / (tp + fn), tn / (tn + fp)]
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError, match=r"^predictions \(3,\) vs labels \(4,\)$"):
-            confusion(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
+            evaluate_scores(np.zeros(4), np.zeros(3, dtype=int), np.array([1, 0, 1, 0]))
 
 
 class TestMetrics:
     def test_hand_arithmetic(self):
-        m = metrics(ConfusionCounts(tp=90, tn=5, fp=3, fn=2))
+        # tp=90, fn=2, tn=5, fp=3
+        y = np.array([1] * 92 + [0] * 8)
+        p = np.array([1] * 90 + [0] * 2 + [0] * 5 + [1] * 3)
+        m = evaluate(p, y)
+        assert list(m) == [*METRICS, "undefined"]
         assert m["accuracy"] == pytest.approx(0.95)
         assert m["ppv"] == pytest.approx(90 / 93)
         assert m["npv"] == pytest.approx(5 / 7)
         assert m["sensitivity"] == pytest.approx(90 / 92)
         assert m["specificity"] == pytest.approx(0.625)
-        assert m.undefined == []
+        assert m["undefined"] == []
 
     def test_all_true_positive_leaves_npv_undefined(self):
-        m = metrics(ConfusionCounts(tp=10, tn=0, fp=0, fn=0))
-        assert m["accuracy"] == 1.0
+        # one class has no ROC, hence no metrics row
+        with pytest.raises(SingleClassDataset):
+            evaluate(np.ones(10, dtype=int), np.ones(10, dtype=int))
+        # two classes, no negative verdict: tn + fn is zero
+        y = np.array([1] * 10 + [0] * 2)
+        m = evaluate(np.ones(12, dtype=int), y)
+        assert m["accuracy"] == 10 / 12
         assert m["npv"] is None
-        assert "npv" in m.undefined
+        assert m["undefined"] == ["npv"]
 
     def test_all_positive_predictor(self):
         y = np.array([1] * 8 + [0] * 2)
-        c = confusion(np.ones(10, dtype=int), y)
-        m = metrics(c)
+        m = evaluate(np.ones(10, dtype=int), y)
         assert m["sensitivity"] == 1.0
         assert m["specificity"] == 0.0
 
     def test_identity_predictor_scores_one(self, seed):
-        rng = np.random.default_rng(seed)
-        y = rng.integers(0, 2, size=60)
-        if y.sum() in (0, 60):
-            y[0] = 1 - y[0]
-        m = metrics(confusion(y, y))
-        assert all(m[name] == 1.0 for name in
-                   ("accuracy", "ppv", "npv", "sensitivity", "specificity"))
+        y = two_class_labels(np.random.default_rng(seed), 60)
+        m = evaluate(y, y)
+        assert all(m[name] == 1.0 for name in METRICS)
 
 
 def mann_whitney_auc(scores, labels):
@@ -158,7 +181,7 @@ class TestYoudenConsistency:
             if y.sum() in (0, n):
                 y[0] = 1 - y[0]
             d, j = select_threshold(r, y)
-            m = metrics(confusion((r <= d).astype(int), y))
+            m = evaluate_scores(-r, (r <= d).astype(int), y)
             assert j == pytest.approx(m["sensitivity"] + m["specificity"] - 1.0,
                                       abs=1e-12)
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cvsqi import manifold as mf
 from cvsqi.autodiff import Var
 from cvsqi.errors import SingleClassDataset, ValidationError
-from cvsqi.evaluation import confusion, metrics
 from gradcheck import fd_grad_sampled, rel_err
 
 
@@ -105,6 +104,12 @@ class TestVaeArchitecture:
         assert mf.build_vae("bvae", seed=0).beta == 0.5
         assert mf.build_vae("bcvae", seed=0).beta == 0.5
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, 0.0, -5.0])
+    def test_beta_not_positive_and_finite_rejected(self, beta):
+        with pytest.raises(ValidationError, match="^beta must be a positive finite "
+                                                  "number, got "):
+            mf.build_vae("bvae", seed=0, beta=beta)
+
     def test_conv_decoder_length_chain(self):
         dec = mf._conv_vae_descriptors()[1]
         out_lens = [l["out_len"] for l in dec if l["type"] == "deconv"]
@@ -181,12 +186,17 @@ class TestVaeTrain:
         assert hist["train_loss"][-1] < 0.5 * hist["train_loss"][0]
 
     def test_zero_lr_leaves_parameters(self, seed):
+        # a zero step is rejected before any update, like every rate that is
+        # not a positive finite number
         rng = np.random.default_rng(seed)
         x = normal_cycles(rng, 40)
         model = mf.build_vae("bvae", seed=seed)
         before = model.params.copy_values()
-        mf.vae_train(model, x, np.ones(40, dtype=int), epochs=2, lr=0.0,
-                     seed=seed)
+        with pytest.raises(ValidationError, match="^learning rate must be a positive "
+                                                  "finite number, got 0.0$"):
+            mf.vae_train(model, x, np.ones(40, dtype=int), epochs=2, lr=0.0,
+                         seed=seed)
+        assert model.params.t == 0 and model.train_audit == {}
         for k, v in before.items():
             assert np.array_equal(model.params.values[k], v)
 
@@ -266,20 +276,18 @@ class TestResiduals:
                 < np.median(mf.residuals(model, distorted)))
 
 
-def youden_j(c) -> float:
-    """Sensitivity + specificity - 1, an undefined rate counting as 0."""
-    m = metrics(c)
-    return (m["sensitivity"] or 0.0) + (m["specificity"] or 0.0) - 1.0
+def youden_j(accept, y):
+    """Sensitivity + specificity - 1 of the accept verdicts (one per row of
+    a 2-D accept), the normal label 1 positive; y holds both classes."""
+    pos = y == 1
+    sensitivity = np.sum(accept & pos, axis=-1) / np.sum(pos)
+    specificity = np.sum(~accept & ~pos, axis=-1) / np.sum(~pos)
+    return sensitivity + specificity - 1.0
 
 
 def threshold_grid_oracle(r, y, n_grid=100_000):
-    lo = min(r) - 1.0
-    hi = max(r) + 1.0
-    best = -np.inf
-    for d in np.linspace(lo, hi, n_grid):
-        c = confusion((r <= d).astype(int), y)
-        best = max(best, youden_j(c))
-    return best
+    grid = np.linspace(min(r) - 1.0, max(r) + 1.0, n_grid)
+    return float(np.max(youden_j(r <= grid[:, None], y)))
 
 
 def threshold_loop_oracle(r, y):
@@ -334,8 +342,7 @@ class TestSelectThreshold:
             y[0] = 1 - y[0]
         d, j = mf.select_threshold(r, y)
         assert abs(j - threshold_grid_oracle(r, y)) < 1e-12
-        c = confusion((r <= d).astype(int), y)
-        assert youden_j(c) == pytest.approx(j, abs=1e-12)
+        assert youden_j(r <= d, y) == pytest.approx(j, abs=1e-12)
 
     def test_threshold_nonnegative(self, seed):
         rng = np.random.default_rng(seed)

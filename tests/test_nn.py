@@ -301,6 +301,14 @@ class TestFit:
             fit(params, 10, self.batch_loss, epochs, 0.1, 0, 4)
         assert params.t == 0
 
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -1.0])
+    def test_learning_rate_not_positive_and_finite_rejected(self, lr):
+        params = ParamSet({"w": np.zeros(3)})
+        with pytest.raises(ValidationError, match="learning rate must be a positive "
+                                                  "finite number"):
+            fit(params, 10, self.batch_loss, 1, lr, 0, 4)
+        assert params.t == 0
+
     def test_discriminative_meta_reports_best_val_auc(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(60, 150))
