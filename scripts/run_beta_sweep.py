@@ -1,22 +1,36 @@
 """Sweep the KL weight beta for the convolutional VAE and log per-beta metrics."""
 import argparse
 import json
+import sys
 
 from cvsqi import experiment, manifold
+from cvsqi.cli import _count, _seed
+from cvsqi.errors import CvsqiError, IoError
 
 BETAS = (1 / 3, 1 / 2, 1.0, 2.0, 3.0)
 
 
-def main():
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--subjects", type=int, default=20)
+    ap.add_argument("--seed", type=_seed, default=0)
+    ap.add_argument("--subjects", type=_count, default=20)
     ap.add_argument("--kind", choices=manifold.VAE_KINDS, default="bcvae")
     ap.add_argument("--epochs", type=int, default=manifold.DEFAULT_EPOCHS)
     ap.add_argument("--betas", type=float, nargs="*", default=list(BETAS))
     ap.add_argument("--out", help="write the sweep log as JSON")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    try:
+        run(args)
+    except (OSError, IoError) as exc:      # an --out path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except CvsqiError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
+
+def run(args) -> None:
     dataset = experiment.generate_dataset(args.seed, n_subjects=args.subjects)
     splits = experiment.prepare_splits(dataset, "interp", "subject", args.seed)
 
@@ -36,4 +50,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

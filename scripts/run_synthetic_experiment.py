@@ -6,22 +6,36 @@ normalization to measure the AUC degradation.
 """
 import argparse
 import json
+import sys
 import time
 
 from cvsqi import discriminative, experiment, manifold, preprocess
+from cvsqi.cli import _count, _seed
+from cvsqi.errors import CvsqiError, IoError
 
 
-def main():
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--subjects", type=int, default=20)
+    ap.add_argument("--seed", type=_seed, default=0)
+    ap.add_argument("--subjects", type=_count, default=20)
     ap.add_argument("--scheme", choices=preprocess.SCHEMES, default="interp")
     ap.add_argument("--vgg-epochs", type=int, default=discriminative.DEFAULT_EPOCHS)
     ap.add_argument("--vae-epochs", type=int, default=manifold.DEFAULT_EPOCHS)
     ap.add_argument("--skip-ablation", action="store_true")
     ap.add_argument("--out", help="write the full report as JSON")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    try:
+        run(args)
+    except (OSError, IoError) as exc:      # an --out path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except CvsqiError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
+
+def run(args) -> None:
     t0 = time.perf_counter()
     dataset = experiment.generate_dataset(args.seed, n_subjects=args.subjects)
     splits = experiment.prepare_splits(dataset, args.scheme, "subject", args.seed)
@@ -60,4 +74,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

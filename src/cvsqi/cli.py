@@ -281,6 +281,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _count(text: str) -> int:
+    """The type of the experiment scripts' --subjects: a positive integer."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvsqi",

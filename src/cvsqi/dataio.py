@@ -163,9 +163,9 @@ _STREAM_ROW = np.dtype([("t_ms", np.int64), ("x", np.float64),
 _LABEL_CODES = (-1,) + tuple(lab.code for lab in QualityLabel)
 
 
-def _stream_row_error(path: str, lines: list[str]) -> ValidationError:
-    """The first malformed row of a stream file, named by path:line."""
-    for ln, line in enumerate(lines, 1):
+def _stream_row_error(path: str, text: str) -> ValidationError:
+    """The first malformed row of a stream file's text, named by path:line."""
+    for ln, line in enumerate(text.removesuffix("\n").split("\n"), 1):
         parts = line.split(",")
         if len(parts) != 4:
             return ValidationError(f"{path}:{ln}: expected 4 fields, got {len(parts)}")
@@ -182,23 +182,23 @@ def _stream_row_error(path: str, lines: list[str]) -> ValidationError:
 def read_stream(path: str) -> CvsStream:
     """The CvsStream (t_ms, cvs, r_peaks, cycle_labels) of a scalar stream file.
 
-    The rows are parsed in one vectorized pass; a malformed row raises a
-    ValidationError naming path:line.
+    loadtxt parses the file in one vectorized pass.  Its text is read only
+    to count the lines, and split into lines only to name the first bad row
+    of a malformed file as path:line.
     """
     with open(path, encoding="utf-8") as f:
-        lines = f.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()
+        text = f.read()
+    n_lines = text.count("\n") + (text[-1:] not in ("", "\n"))
     rows = np.empty(0, dtype=_STREAM_ROW)
-    if lines:
+    if text and not text.isspace():   # loadtxt warns of a file with no data
         try:
-            rows = np.loadtxt(lines, dtype=_STREAM_ROW, delimiter=",",
-                              comments=None, ndmin=1)
+            rows = np.loadtxt(path, dtype=_STREAM_ROW, delimiter=",",
+                              comments=None, ndmin=1, encoding="utf-8")
         except ValueError:
-            raise _stream_row_error(path, lines) from None
+            raise _stream_row_error(path, text) from None
     # loadtxt skips blank lines, which this format does not allow
-    if rows.size != len(lines) or not np.isin(rows["code"], _LABEL_CODES).all():
-        raise _stream_row_error(path, lines)
+    if rows.size != n_lines or not np.isin(rows["code"], _LABEL_CODES).all():
+        raise _stream_row_error(path, text)
     t_ms, codes = rows["t_ms"].copy(), rows["code"]
     # a code labels the cycle that starts at its row, so the row must be an R-peak
     stray = np.flatnonzero((codes != -1) & (rows["peak"] != 1))

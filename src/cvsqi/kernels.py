@@ -6,21 +6,21 @@ and only this module knows the im2col layout and the pooling pairs.
 
 The convolution is an im2col GEMM: k strided slices of the input, as if
 zero-padded, form an (N * L_out, k * C_in) matrix that meets the kernel in
-one 2-D matrix product.  No padded copy is made: input rows are copied
-straight into the matrix and only its padding rows are zeroed, and a
-width-1, stride-1 conv uses a view of its input as the matrix.  The
-transposed convolution is its adjoint: one GEMM yields every tap's
-contribution, and strided slice-adds place them straight into the output,
-with no scatter.  So each conv's input gradient is the other's forward
-kernel, run with the kernel's channel axes swapped and laid out so that
-BLAS sees the operands a hand-written backward GEMM would pass.  ReLU is
-fmax(a, 0), with -0.0 cleared.  Max-pooling is np.maximum of the two rows
-of each pair, both views of the input.
+one 2-D matrix product.  im2col builds that matrix by whichever of two
+copies is faster for the input's geometry, and a width-1, stride-1 conv
+uses a view of its input as the matrix.  The transposed convolution is its
+adjoint: one GEMM yields every tap's contribution, and strided slice-adds
+place them straight into the output, with no scatter.  So each conv's input
+gradient is the other's forward kernel, run with the kernel's channel axes
+swapped and laid out so that BLAS sees the operands a hand-written backward
+GEMM would pass.  ReLU is fmax(a, 0), with -0.0 cleared.  Max-pooling is
+np.maximum of the two rows of each pair, both views of the input.
 
-Each kernel allocates only the arrays it returns (conv_transpose1d also its
-GEMM's tap matrix) and adds its bias in place, or none for b=None.  No
-arithmetic and no order of operations differs from the padded-copy form, so
-every output is bit-for-bit the same.
+Each kernel allocates only the arrays it returns and their temporaries (the
+transposed conv's tap matrix, a padded input copy, the pooling masks) and
+adds its bias in place, or none for b=None.  No arithmetic and no order of
+operations differs from the plain padded-copy form, so every output is
+bit-for-bit the same.
 """
 from __future__ import annotations
 
@@ -43,8 +43,14 @@ def relu(a: np.ndarray) -> np.ndarray:
 
 
 def relu_bwd(g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """ReLU's input gradient: g where a > 0, zero elsewhere (and at NaN)."""
-    return g * (a > 0)
+    """ReLU's input gradient: g where a > 0, zero elsewhere (and at NaN).
+
+    The product is g * (a > 0): a float mask multiplies as the bool would,
+    without the ufunc casting it element by element.
+    """
+    mask = (a > 0).astype(np.float64)
+    mask *= g
+    return mask
 
 
 def sigmoid(a: np.ndarray) -> np.ndarray:
@@ -75,6 +81,22 @@ def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def dense_bwd(g: np.ndarray, x: np.ndarray, w: np.ndarray):
     """(dx, dw, db) of dense for the output gradient g (N, out)."""
     return g @ w, g.T @ x, g.sum(axis=0)
+
+
+def bias_grad(g: np.ndarray) -> np.ndarray:
+    """g summed over its batch and length axes: (N, L, C) -> (C,).
+
+    The sums are g.sum(axis=(0, 1)) bit for bit, NaN's sign aside.  For a
+    C-contiguous g with C > 1 that reduction adds each channel's N * L terms
+    one after another, in memory order, and so does einsum, with less
+    overhead per term; with C = 1 the sum is pairwise, so it stays g.sum.
+    Below about 64 terms per channel einsum's own set-up costs more than it
+    saves, so those sums stay g.sum too.
+    """
+    n, length, c = g.shape
+    if c > 1 and n * length >= 64 and g.flags.c_contiguous:
+        return np.einsum("ijk->k", g)
+    return g.sum(axis=(0, 1))
 
 
 def conv_geometry(length: int, k: int, stride: int) -> tuple[int, int]:
@@ -139,13 +161,26 @@ def im2col(a: np.ndarray, k: int, stride: int) -> np.ndarray:
     """(N, L, C) -> (N * out_len, k * C): row o holds the k taps from o * stride
     of `a` zero-padded by conv_geometry's left padding.
 
-    Input rows are copied straight from `a` and only the padding entries are
-    zeroed.  A width-1, stride-1 conv has no padding: its matrix is a view
-    of `a`.
+    A width-1, stride-1 conv has no padding: its matrix is a view of `a`.
+    At stride 1 over several channels the matrix is a copy of a sliding
+    window over a zero-padded copy of `a`, so each of its rows is copied as
+    k * C consecutive values.  Elsewhere (strided convs, and one channel at
+    stride 1) the padded copy costs more than it saves: input rows are
+    copied straight from `a` by _tap_moves, one tap or one block of `stride`
+    taps per slice, and only the padding entries are zeroed.  Either way
+    every entry is an input value or +0.0.
     """
     n, length, c = a.shape
     if k == 1 and stride == 1:
         return a.reshape(n * length, c)
+    if stride == 1 and c > 1:
+        pl = conv_geometry(length, k, 1)[1]
+        padded = np.zeros((n, length + k - 1, c))
+        padded[:, pl:pl + length] = a
+        s0, s1, s2 = padded.strides
+        window = np.ndarray((n, length, k, c), buffer=padded, strides=(s0, s1, s1, s2))
+        # a copy: reshape alone may return overlapping rows, which BLAS refuses
+        return np.ascontiguousarray(window).reshape(n * length, k * c)
     out_len, pads, moves = _tap_moves(length, k, stride)
     cols = np.empty((n, out_len, k, c))
     for mat in pads:
@@ -205,7 +240,7 @@ def conv1d_bwd(g: np.ndarray, cols: np.ndarray, kern: np.ndarray, stride: int,
     k, cin, cout = kern.shape
     dx = conv_transpose1d(g, kern.transpose(0, 2, 1), None, stride, length)
     dk = (cols.T @ g.reshape(-1, cout)).reshape(k, cin, cout)
-    return dx, dk, g.sum(axis=(0, 1))
+    return dx, dk, bias_grad(g)
 
 
 def conv_transpose1d(x: np.ndarray, kern: np.ndarray, b: np.ndarray | None,
@@ -226,8 +261,13 @@ def conv_transpose1d(x: np.ndarray, kern: np.ndarray, b: np.ndarray | None,
             f"conv_transpose1d: input length {l_small} inconsistent with "
             f"out_len {out_len} at stride {stride}")
     kmat = kern.transpose(1, 0, 2).reshape(cin, k * cout)
-    taps = (x.reshape(-1, cin) @ kmat).reshape(n, l_small, k, cout)
-    out = col2im(taps, stride, out_len)
+    taps = x.reshape(-1, cin) @ kmat
+    if k == 1 and stride == 1:
+        # col2im would add the one tap to zeros; 0.0 + t only clears -0.0
+        out = taps.reshape(n, out_len, cout)
+        out += 0.0
+    else:
+        out = col2im(taps.reshape(n, l_small, k, cout), stride, out_len)
     if b is not None:
         out += b
     return out
@@ -242,7 +282,7 @@ def conv_transpose1d_bwd(g: np.ndarray, x: np.ndarray, kern: np.ndarray, stride:
     swapped = np.ascontiguousarray(kern.transpose(1, 0, 2)).transpose(1, 2, 0)
     dx, gcols = conv1d_cols(g, swapped, None, stride)
     dk = (x.reshape(-1, cin).T @ gcols).reshape(cin, k, cout).transpose(1, 0, 2)
-    return dx, dk, g.sum(axis=(0, 1))
+    return dx, dk, bias_grad(g)
 
 
 def pool_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,11 +304,15 @@ def maxpool1d(x: np.ndarray) -> np.ndarray:
 
 def maxpool1d_bwd(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """maxpool1d's input gradient: each pair's g goes to its argmax row, the
-    first on a tie or when it is NaN; a dropped odd trailing row gets zero."""
+    first on a tie or when it is NaN; a dropped odd trailing row gets zero.
+
+    Both rows of each pair are written, g or +0.0, so no row is zeroed first.
+    """
     first, second = pool_pairs(x)
     first_wins = (first >= second) | np.isnan(first)
-    dx = np.zeros(x.shape)
+    dx = np.empty(x.shape)
     dx_first, dx_second = pool_pairs(dx)               # views of dx
-    np.copyto(dx_first, g, where=first_wins)
-    np.copyto(dx_second, g, where=~first_wins)
+    dx_first[...] = np.where(first_wins, g, 0.0)
+    dx_second[...] = np.where(first_wins, 0.0, g)
+    dx[:, 2 * first.shape[1]:] = 0.0
     return dx

@@ -31,13 +31,27 @@ DEFAULT_LR = 1e-3                   # Adam step size of every model family
 
 
 class ParamSet:
-    """Named parameter tensors plus per-parameter Adam moments and a step counter."""
+    """Named parameter tensors plus Adam moments and a step counter.
+
+    Each moment is one flat buffer over all tensors, in the order of values;
+    m and v map each name to its view of that buffer.
+    """
 
     def __init__(self, values: dict[str, np.ndarray]):
         self.values = {k: np.asarray(v, dtype=np.float64) for k, v in values.items()}
-        self.m = {k: np.zeros_like(v) for k, v in self.values.items()}
-        self.v = {k: np.zeros_like(v) for k, v in self.values.items()}
+        self._m = np.zeros(sum(v.size for v in self.values.values()))
+        self._v = np.zeros_like(self._m)
+        self.m = self._views(self._m)
+        self.v = self._views(self._v)
         self.t = 0
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each tensor's view of a flat array laid out in the order of values."""
+        views, start = {}, 0
+        for k, v in self.values.items():
+            views[k] = flat[start:start + v.size].reshape(v.shape)
+            start += v.size
+        return views
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.values.items()}
@@ -52,34 +66,52 @@ class ParamSet:
         return {k: Var(v) for k, v in self.values.items()}
 
 
+def _adam(x: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int,
+          lr: float, beta1: float, beta2: float, eps: float) -> np.ndarray:
+    """One Adam step of x, as a new array; the moments m and v are updated in
+    place.  Elementwise only, so any partition of the values gives the same
+    bits."""
+    tmp = np.multiply(g, 1 - beta1)
+    m *= beta1
+    m += tmp
+    np.multiply(g, 1 - beta2, out=tmp)
+    tmp *= g
+    v *= beta2
+    v += tmp
+    step = np.divide(m, 1 - beta1 ** t)               # m_hat
+    step *= lr
+    denom = np.divide(v, 1 - beta2 ** t, out=tmp)    # v_hat
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    return np.subtract(x, step, out=step)
+
+
 def adam_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
     """Standard Adam update with bias correction, in place.
 
     The moments are updated in their own arrays.  Each value array is
     replaced, not written, since ParamSet may share it with its caller.
+    Gradients for every parameter update all of them in one pass over the
+    flat moments, after which the values are views of one new array;
+    gradients for some parameters update those alone.
     """
     params.t += 1
-    t = params.t
     for name, g in grads.items():
         if name not in params.values:
             raise ShapeMismatch(f"gradient for unknown parameter {name!r}")
         if g.shape != params.values[name].shape:
             raise ShapeMismatch(f"gradient shape mismatch for {name!r}")
-        m, v = params.m[name], params.v[name]
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        gg = (1 - beta2) * g
-        gg *= g
-        v += gg
-        step = np.divide(m, 1 - beta1 ** t)               # m_hat
-        step *= lr
-        denom = np.divide(v, 1 - beta2 ** t, out=gg)     # v_hat
-        np.sqrt(denom, out=denom)
-        denom += eps
-        step /= denom
-        params.values[name] = params.values[name] - step
+    hyper = (params.t, lr, beta1, beta2, eps)
+    if grads and grads.keys() == params.values.keys():
+        x, g = (np.concatenate([d[k].ravel() for k in params.values])
+                for d in (params.values, grads))
+        params.values.update(params._views(_adam(x, params._m, params._v, g, *hyper)))
+        return
+    for name, g in grads.items():
+        params.values[name] = _adam(params.values[name], params.m[name],
+                                    params.v[name], g, *hyper)
 
 
 def fit(params: ParamSet, n: int,

@@ -1,20 +1,24 @@
-"""The layer backward kernels against the autodiff closures they replaced.
+"""The layer backward kernels and Adam against the code they replaced.
 
 The oracle ops below are the taped layer ops as they were written before
 their backward passes moved into `kernels`: the same forward kernels, with
-the backward arithmetic spelled out in the closure.  Every gradient of the
-kernels must equal the oracle's bit for bit, at every layer shape that the
-beta-ConvVAE (batch 64, 1 and a partial 37) and VGG16-3 (batch 1 and 37)
-run, and so must the parameters of a short training run.
+the backward arithmetic spelled out in the closure.  oracle_adam_step is
+Adam as it was written before it ran over one flat buffer: one tensor at a
+time.  Every gradient of the kernels must equal the oracle's bit for bit, at
+every layer shape that the beta-ConvVAE (batch 64, 1 and a partial 37) and
+VGG16-3 (batch 1 and 37) run, and so must the parameters of a short
+training run.  Bit-level agreement holds at a fixed BLAS thread count; CI
+also runs this file under OPENBLAS_NUM_THREADS=1.
 """
 import numpy as np
 import pytest
 
 from cvsqi import autodiff as ad
-from cvsqi import discriminative, kernels, manifold
+from cvsqi import discriminative, kernels, manifold, nn
 from cvsqi.autodiff import Var
+from cvsqi.errors import ShapeMismatch
 from cvsqi.nn import forward_layers
-from test_autodiff import same_bits
+from test_autodiff import same_bits, same_bits_or_nan
 
 
 def oracle_dense(x, w, b):
@@ -76,6 +80,31 @@ def oracle_relu(a):
     return Var(kernels.relu(a.value), (a,), lambda g: (g * (a.value > 0),))
 
 
+def oracle_adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam one tensor at a time, each value array replaced by a new one."""
+    params.t += 1
+    t = params.t
+    for name, g in grads.items():
+        if name not in params.values:
+            raise ShapeMismatch(f"gradient for unknown parameter {name!r}")
+        if g.shape != params.values[name].shape:
+            raise ShapeMismatch(f"gradient shape mismatch for {name!r}")
+        m, v = params.m[name], params.v[name]
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        gg = (1 - beta2) * g
+        gg *= g
+        v += gg
+        step = np.divide(m, 1 - beta1 ** t)               # m_hat
+        step *= lr
+        denom = np.divide(v, 1 - beta2 ** t, out=gg)     # v_hat
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        params.values[name] = params.values[name] - step
+
+
 ORACLES = {"dense": oracle_dense, "conv1d": oracle_conv1d,
            "conv_transpose1d": oracle_conv_transpose1d,
            "maxpool1d": oracle_maxpool1d, "relu": oracle_relu}
@@ -135,6 +164,73 @@ def test_backward_kernels_match_oracle_at_model_shapes(monkeypatch, name, n):
             assert same_bits(got, want), (op, [a.shape for a in args])
 
 
+SPECIAL = [np.nan, -0.0, 0.0, 1.0, -2.5, -np.inf, np.inf]
+
+
+def special_values(rng, shape):
+    """Normal draws, with about half of the entries NaN, +-0.0 or +-inf."""
+    x = rng.normal(size=shape)
+    pick = rng.random(shape) < 0.5
+    x[pick] = rng.choice(SPECIAL, size=int(pick.sum()))
+    return x
+
+
+@pytest.mark.parametrize("shape", [(2, 9, 3), (1, 1, 2), (3, 10, 1)])
+def test_relu_bwd_special_values_match_oracle(shape):
+    rng = np.random.default_rng(4)
+    a, g = special_values(rng, shape), special_values(rng, shape)
+    with np.errstate(invalid="ignore"):           # inf * 0
+        (want,) = oracle_relu(a)._bwd(g)
+        assert same_bits(kernels.relu_bwd(g, a), want)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_width1_transposed_conv_matches_col2im(stride):
+    # at stride 1 the one tap is not added to zeros: the output must still
+    # be col2im's 0.0 + tap, with NaN and inf among the taps
+    rng = np.random.default_rng(stride)
+    x = special_values(rng, (3, 10, 4))
+    kern = np.abs(rng.normal(size=(1, 4, 2)))
+    out_len = 10 * stride
+    with np.errstate(invalid="ignore"):           # inf * 0, inf - inf
+        taps = (x.reshape(-1, 4) @ kern.reshape(4, 2)).reshape(3, 10, 1, 2)
+        got = kernels.conv_transpose1d(x, kern, None, stride, out_len)
+    assert same_bits(got, kernels.col2im(taps, stride, out_len))
+
+
+def training_grad_shapes() -> set:
+    """The output shapes, so the output-gradient shapes, of every conv and
+    transposed conv in training: both models at batch 64, 37 and 1."""
+    shapes = set()
+    for name, n in SHAPES + [("vgg3", 64)]:
+        with pytest.MonkeyPatch.context() as mp:
+            calls = model_calls(mp, build(name), n, np.random.default_rng(n))
+        shapes |= {getattr(ad, op)(*args, **kwargs).shape for op, args, kwargs in calls
+                   if op in ("conv1d", "conv_transpose1d")}
+    return shapes
+
+
+def test_bias_grad_matches_sum_at_training_shapes():
+    # C > 1 adds in g.sum's order through einsum; C = 1 keeps g.sum.  A NaN
+    # made from inf - inf may differ in its sign bit alone
+    shapes = training_grad_shapes()
+    assert (64, 150, 1) in shapes and (64, 150, 8) in shapes and (37, 37, 16) in shapes
+    rng = np.random.default_rng(0)
+    for shape in sorted(shapes):
+        for trial in range(4):
+            g = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+            if trial == 1:
+                g[rng.random(shape) < 0.2] = -0.0
+                g[..., 0] = -0.0                  # a channel of -0.0 sums to -0.0
+            elif trial == 2:
+                g = special_values(rng, shape)
+            elif trial == 3:                      # a few among wide magnitudes
+                g = np.where(rng.random(shape) < 0.01, rng.choice(SPECIAL, size=shape), g)
+            with np.errstate(invalid="ignore"):   # inf - inf
+                got, want = kernels.bias_grad(g), g.sum(axis=(0, 1))
+            assert same_bits_or_nan(got, want), (shape, trial)
+
+
 @pytest.mark.parametrize("shape", [(2, 9, 3), (1, 1, 2), (3, 10, 1)])
 def test_maxpool_bwd_special_values_match_oracle(shape):
     rng = np.random.default_rng(3)
@@ -164,6 +260,7 @@ def test_training_with_oracle_closures_gives_same_parameters(monkeypatch, name):
     new = train_params(name, seed=41, epochs=2)
     for op, oracle in ORACLES.items():
         monkeypatch.setattr(ad, op, oracle)
+    monkeypatch.setattr(nn, "adam_step", oracle_adam_step)
     old = train_params(name, seed=41, epochs=2)
     assert new.keys() == old.keys()
     for key in new:

@@ -1,6 +1,7 @@
 import json
 import os
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,16 @@ class TestStreamFiles:
         path.write_text(f"0,0.5,1,1\n10,0.7,0,-1\n{row}\n30,0.2,1,-1\n")
         with pytest.raises(ValidationError, match=f"{path}:3:"):
             dataio.read_stream(str(path))
+
+    @pytest.mark.parametrize("text,line", [("\n", 1), ("\n \n", 1), ("0,0.5,1,1\n\n", 2)])
+    def test_blank_line_rejected_without_warning(self, tmp_path, text, line):
+        # a file of blank lines alone used to make loadtxt warn of no data
+        path = tmp_path / "blank.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"{path}:{line}: expected 4 fields"):
+                dataio.read_stream(str(path))
 
     def test_label_code_off_an_r_peak(self, tmp_path):
         # the code 2 on line 2 would otherwise label the cycle from 20 ms

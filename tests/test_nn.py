@@ -10,6 +10,7 @@ from cvsqi.errors import ShapeMismatch, ValidationError
 from cvsqi.evaluation import roc_auc
 from cvsqi.nn import (BATCH_ROWS, ParamSet, adam_step, by_rows, fit, forward_layers,
                       init_params, param_shapes, receptive_field, shape_trace)
+from test_autodiff import same_bits
 
 SIMPLE_LAYERS = [
     {"type": "dense", "in": 6, "out": 4, "act": "relu"},
@@ -79,9 +80,9 @@ class TestAdam:
                                       lr=1e-2)
             adam_step(ps, grads, lr=1e-2)
             for k in values:
-                assert np.max(np.abs(ps.values[k] - ov[k])) < 1e-12
-                assert np.max(np.abs(ps.m[k] - om[k])) < 1e-12
-                assert np.max(np.abs(ps.v[k] - os_[k])) < 1e-12
+                assert same_bits(ps.values[k], ov[k])
+                assert same_bits(ps.m[k], om[k])
+                assert same_bits(ps.v[k], os_[k])
 
     def test_bit_identical_to_out_of_place_reference(self, seed):
         rng = np.random.default_rng(seed)
@@ -94,7 +95,7 @@ class TestAdam:
             assert ps.t == step
             for got, want in zip((ps.values, ps.m, ps.v), ref):
                 for k in want:
-                    assert np.array_equal(got[k], want[k])
+                    assert same_bits(got[k], want[k])
 
     def test_step_leaves_held_values_and_snapshots(self, seed):
         # moments are updated in place, but a value array is replaced: one
@@ -107,6 +108,41 @@ class TestAdam:
         assert not np.array_equal(ps.values["a"], before)
         assert np.array_equal(held, before)
         assert np.array_equal(snapshot["a"], before)
+
+    def test_full_step_replaces_every_value_and_keeps_moment_arrays(self, seed):
+        # gradients for every tensor take the one-buffer path: every value is
+        # a new array, the moments stay the arrays ParamSet handed out
+        rng = np.random.default_rng(seed)
+        ps = ParamSet({"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5),
+                       "c": rng.normal(size=(2, 1, 3))})
+        held, m, v = dict(ps.values), dict(ps.m), dict(ps.v)
+        before = ps.copy_values()
+        ref = tuple({k: a.copy() for k, a in d.items()} for d in (ps.values, ps.m, ps.v))
+        for step in range(1, 4):
+            grads = {k: rng.normal(size=a.shape) for k, a in reversed(ps.values.items())}
+            ref = adam_reference(*ref, step, grads, lr=1e-2)
+            adam_step(ps, grads, lr=1e-2)
+            for k in before:
+                assert ps.values[k] is not held[k] and ps.values[k].shape == before[k].shape
+                assert ps.m[k] is m[k] and ps.v[k] is v[k]
+                assert same_bits(held[k], before[k])
+                for got, want in zip((ps.values, ps.m, ps.v), ref):
+                    assert same_bits(got[k], want[k])
+            held = dict(ps.values)
+            before = ps.copy_values()
+
+    def test_value_written_in_place_is_stepped_from(self, seed):
+        # after a full step the values are views of one array; writing one
+        # in place (as a caller setting weights does) is what the next step reads
+        rng = np.random.default_rng(seed)
+        ps = ParamSet({"a": rng.normal(size=4), "b": rng.normal(size=(2, 3))})
+        adam_step(ps, {k: rng.normal(size=a.shape) for k, a in ps.values.items()}, lr=1e-2)
+        ps.values["b"][:] = 0.5
+        ref = adam_reference(ps.copy_values(), dict(ps.m), dict(ps.v), 2,
+                             {"a": np.ones(4), "b": np.ones((2, 3))}, lr=1e-2)[0]
+        adam_step(ps, {"a": np.ones(4), "b": np.ones((2, 3))}, lr=1e-2)
+        for k in ref:
+            assert same_bits(ps.values[k], ref[k])
 
     def test_partition_invariance(self, seed):
         # updating tensors jointly or one per call gives identical parameters
@@ -122,7 +158,9 @@ class TestAdam:
         split.t = 0   # same logical step for the second tensor
         adam_step(split, {"b": grads["b"]}, lr=1e-2)
         for k in values:
-            assert np.array_equal(joint.values[k], split.values[k])
+            for got, want in zip((split.values, split.m, split.v),
+                                 (joint.values, joint.m, joint.v)):
+                assert same_bits(got[k], want[k])
 
     def test_shape_mismatch_rejected(self):
         ps = ParamSet({"w": np.zeros(3)})

@@ -39,3 +39,17 @@ def test_beta_sweep(tmp_path):
     rows = json.loads(out.read_text())
     assert [set(r) for r in rows] == [{"beta", "auc", "accuracy", "threshold"}]
     assert rows[0]["beta"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("name", ["run_synthetic_experiment.py", "run_beta_sweep.py"])
+@pytest.mark.parametrize("args,message", [
+    (["--seed", -1], "argument --seed: must be a nonnegative integer, got '-1'"),
+    (["--subjects", 2], "error: need at least 3 subjects, got 2"),
+], ids=["negative-seed", "two-subjects"])
+def test_bad_input_exits_2_with_one_error_line(tmp_path, name, args, message):
+    out = tmp_path / "out.json"
+    proc = run_script(name, *args, "--out", out)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("error:") == 1 and "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    assert not out.exists()
