@@ -4,12 +4,12 @@ A recording reaches this module as a CvsStream (or anything with the same
 fields, such as a forward.SynthStream): the scalar CVS on the 10 ms grid, its
 R-peaks and one label per cycle.  A cardiac cycle spans two consecutive
 R-peaks inclusive of both endpoints, so neighbouring cycles share one
-boundary sample.  Scale normalization divides by
-either the per-cycle peak (naive) or the peak over a 20 s motion-free
-calibration window (subject-specific); the latter preserves sudden amplitude
-excursions instead of flattening them.  Size normalization embeds every cycle
-into a fixed 150-vector by linear resampling or constant padding, and
-normalize_dataset stacks those vectors into the model matrix.
+boundary sample.  Scale normalization divides by either the per-cycle peak
+(naive) or the peak over the recording's first 20 s, its calibration window
+(subject-specific; nothing checks that window for motion), which preserves
+sudden amplitude excursions instead of flattening them.  Size normalization
+embeds every cycle into a fixed 150-vector by linear resampling or constant
+padding, and normalize_dataset stacks those vectors into the model matrix.
 """
 from __future__ import annotations
 
@@ -152,18 +152,31 @@ def calibration_from_stream(stream, subject_id: str) -> CalibrationWindow:
                              samples=stream.cvs[:CALIBRATION_SAMPLES].copy())
 
 
-def _bad_cycle(cycle: CvsCycle, what: str) -> ValidationError:
-    return ValidationError(
-        f"cycle of subject {cycle.subject_id!r} at t_start_ms {cycle.t_start_ms} {what}")
+# why a cycle fails normalization, in the order its checks run
+_OK, _NO_CALIBRATION, _ZERO, _NONFINITE, _TOO_LONG, _HEADROOM = range(6)
+
+
+def _cycle_error(reason: int, cycle: CvsCycle, peak: float = math.nan) -> ValidationError:
+    """The error of a cycle that fails normalization for reason, at normalized peak."""
+    named = f"cycle of subject {cycle.subject_id!r} at t_start_ms {cycle.t_start_ms}"
+    return ValidationError({
+        _NO_CALIBRATION: f"no calibration window for subject {cycle.subject_id!r}",
+        _ZERO: f"cycle at {cycle.t_start_ms} ms is identically zero",
+        _NONFINITE: f"{named} holds a non-finite sample",
+        _TOO_LONG: f"cycle of {cycle.v} samples exceeds target length {TARGET_LEN}",
+        _HEADROOM: f"{named} has normalized peak {peak:.3g} above headroom bound {HEADROOM}",
+    }[reason])
+
+
+def _unknown_scheme(scheme: str) -> ValidationError:
+    return ValidationError(f"unknown size-normalization scheme {scheme!r}")
 
 
 def naive_scale_factor(cycle: CvsCycle) -> float:
     """Per-cycle scaling factor: max absolute sample."""
     s = float(np.max(np.abs(cycle.samples)))
-    if not s < math.inf:                       # NaN or inf
-        raise _bad_cycle(cycle, "holds a non-finite sample")
-    if s == 0.0:
-        raise ValidationError(f"cycle at {cycle.t_start_ms} ms is identically zero")
+    if not 0.0 < s < math.inf:                 # zero, NaN or inf
+        raise _cycle_error(_ZERO if s == 0.0 else _NONFINITE, cycle)
     return s
 
 
@@ -173,11 +186,6 @@ def subject_scale_factor(cal: CalibrationWindow) -> float:
     if s == 0.0:
         raise ValidationError(f"calibration window for {cal.subject_id} is identically zero")
     return s
-
-
-def _check_scale(s: float) -> None:
-    if not s > 0:
-        raise ValidationError(f"scale factor must be positive, got {s}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -236,39 +244,23 @@ def normalize_cycle(cycle: CvsCycle, scheme: str, scale: float | None) -> Normal
     """
     samples = cycle.samples
     if scale is not None:
-        _check_scale(scale)
+        if not scale > 0:
+            raise ValidationError(f"scale factor must be positive, got {scale}")
         samples = samples / scale
     if scheme == "interp":
         if samples.size >= INTERP_SKIPS_FROM and not np.isfinite(samples).all():
-            raise _bad_cycle(cycle, "holds a non-finite sample")
+            raise _cycle_error(_NONFINITE, cycle)
         values = np.interp(_unit_grid(TARGET_LEN), _unit_grid(samples.size), samples)
     elif scheme == "pad":
         if samples.size > TARGET_LEN:
-            raise ValidationError(
-                f"cycle of {samples.size} samples exceeds target length {TARGET_LEN}")
+            raise _cycle_error(_TOO_LONG, cycle)
         values = np.concatenate([samples, np.full(TARGET_LEN - samples.size, samples[-1])])
     else:
-        raise ValidationError(f"unknown size-normalization scheme {scheme!r}")
+        raise _unknown_scheme(scheme)
     peak = float(np.abs(values).max())
     if not peak <= HEADROOM:                   # NaN fails it too
-        raise _bad_cycle(cycle, "holds a non-finite sample" if not peak < math.inf else
-                         f"has normalized peak {peak:.3g} above headroom bound {HEADROOM}")
+        raise _cycle_error(_HEADROOM if peak < math.inf else _NONFINITE, cycle, peak)
     return NormalizedCycle(values)
-
-
-def _normalize_one(cycle: CvsCycle, scheme: str, scale_mode: str,
-                   factors: dict[str, float]) -> np.ndarray:
-    """normalize_dataset's row of one cycle, checked in the order a per-cycle
-    loop checks it: its scale factor first, then normalize_cycle."""
-    if scale_mode == "subject":
-        if cycle.subject_id not in factors:
-            raise ValidationError(f"no calibration window for subject {cycle.subject_id!r}")
-        scale = factors[cycle.subject_id]
-    elif scale_mode == "naive":
-        scale = naive_scale_factor(cycle)
-    else:
-        scale = None
-    return normalize_cycle(cycle, scheme, scale).values
 
 
 def normalize_dataset(cycles, scheme: str, scale_mode: str,
@@ -280,12 +272,14 @@ def normalize_dataset(cycles, scheme: str, scale_mode: str,
     y_train holds the soft training targets and y_eval the 0/1 evaluation
     labels.  scale_mode "subject" requires a calibration window per subject
     id; "naive" rescales each cycle by its own peak; "none" skips scaling
-    (ablation harness).  A cycle that fails a check raises the error that
-    normalizing the cycles one by one would raise first.
+    (ablation harness).  Cycles are checked in a one-by-one loop's order:
+    calibration window ("subject"), zero peak ("naive"), NaN or inf sample
+    ("naive"; "interp" at a sample it skips), length ("pad"), then a NaN,
+    inf or peak above HEADROOM in the normalized vector.  The first failing
+    cycle raises the error of the first check it fails.
 
-    Every scale factor is resolved at once, and the cycles of each length
-    are scaled and resampled in one step (a recording's cycles share few
-    lengths), so no cycle is normalized by a call of its own.
+    Every scale factor is resolved at once, and the cycles of each length are
+    scaled and resampled in one step (a recording's cycles share few lengths).
     """
     if scale_mode not in SCALE_MODES:
         raise ValidationError(
@@ -297,22 +291,27 @@ def normalize_dataset(cycles, scheme: str, scale_mode: str,
         factors = {sid: subject_scale_factor(cal) for sid, cal in calibrations.items()}
     if not cycles:
         raise ValidationError("empty cycle dataset")
-    if scheme not in SCHEMES:
-        _normalize_one(cycles[0], scheme, scale_mode, factors)   # raises for cycle 0
 
     n = len(cycles)
     sizes = np.fromiter((c.samples.size for c in cycles), np.int64, n)
-    failed = np.zeros(n, dtype=bool)
+    codes = np.full(n, _OK, dtype=np.int8)    # each cycle's reason to fail
+
+    def fail(where, reason):          # the first check a cycle fails names it
+        codes[where] = np.where(codes[where] == _OK, reason, codes[where])
+
     scales = None
     if scale_mode == "subject":        # NaN for a subject without a window
         scales = np.array([factors.get(c.subject_id, math.nan) for c in cycles])
-        failed |= ~(scales > 0)
+        fail(np.isnan(scales), _NO_CALIBRATION)
     elif scale_mode == "naive":
         starts = np.zeros(n, np.int64)
         np.cumsum(sizes[:-1], out=starts[1:])
         scales = np.maximum.reduceat(np.abs(np.concatenate([c.samples for c in cycles])),
                                      starts)
-        failed |= ~((scales > 0) & (scales < math.inf))
+        fail(scales == 0, _ZERO)
+        fail(~(scales < math.inf), _NONFINITE)
+    if scheme not in SCHEMES:          # cycle 0 fails its scale before its scheme
+        raise _cycle_error(int(codes[0]), cycles[0]) if codes[0] else _unknown_scheme(scheme)
 
     x = np.zeros((n, TARGET_LEN))
     order = np.argsort(sizes, kind="stable")
@@ -324,19 +323,19 @@ def normalize_dataset(cycles, scheme: str, scale_mode: str,
                 fp /= scales[rows, None]
         if scheme == "interp":
             if v >= INTERP_SKIPS_FROM:
-                failed[rows] |= ~np.isfinite(fp).all(axis=1)
+                fail(rows[~np.isfinite(fp).all(axis=1)], _NONFINITE)
             x[rows] = _interp_rows(fp)
         elif v > TARGET_LEN:
-            failed[rows] = True
+            fail(rows, _TOO_LONG)
         else:
             x[rows, :v] = fp
             x[rows, v:] = fp[:, -1:]
-    failed |= ~(np.abs(x).max(axis=1) <= HEADROOM)       # NaN fails it too
-    if failed.any():
-        first = int(failed.argmax())
-        with np.errstate(over="ignore"):     # raises the loop's error
-            _normalize_one(cycles[first], scheme, scale_mode, factors)
-        raise AssertionError(f"cycle {first} failed a batched check but normalizes alone")
+    peaks = np.abs(x).max(axis=1)
+    fail(~(peaks < math.inf), _NONFINITE)
+    fail(peaks > HEADROOM, _HEADROOM)
+    if codes.any():
+        i = int(np.flatnonzero(codes)[0])
+        raise _cycle_error(int(codes[i]), cycles[i], peaks[i])
     labels = [c.label for c in cycles]     # each encoding looked up, not recomputed
     train = {label: label.train_value for label in QualityLabel}
     y_train = np.asarray([train[label] for label in labels])

@@ -497,9 +497,33 @@ class TestNormalizeDataset:
             assert outcome(normalize_dataset, cycles, scheme, "subject", cals) == \
                 outcome(loop_normalize_dataset, cycles, scheme, "subject", cals)
 
+    # one cycle failing two checks at once: the one the loop meets first names it
+    TWO_FAULTS = [
+        ("interp", "subject", "b", np.r_[0.5, 1e3, 0.5],
+         "no calibration window for subject 'b'"),
+        ("pad", "naive", "a", np.r_[np.nan, np.ones(199)],
+         "cycle of subject 'a' at t_start_ms 0 holds a non-finite sample"),
+        ("pad", "naive", "a", np.zeros(200), "cycle at 0 ms is identically zero"),
+        ("interp", "none", "a", np.r_[1e3, np.nan, np.full(298, 1e3)],
+         "cycle of subject 'a' at t_start_ms 0 holds a non-finite sample"),
+        ("pad", "none", "a", np.full(200, 1e3), "cycle of 200 samples exceeds target length 150"),
+    ]
+
+    @pytest.mark.parametrize("scheme, mode, sid, samples, message", TWO_FAULTS,
+                             ids=["no-window+headroom", "nan+too-long", "zero+too-long",
+                                  "unreached-nan+headroom", "too-long+headroom"])
+    def test_a_cycle_failing_two_checks_raises_the_first(self, scheme, mode, sid, samples,
+                                                          message):
+        cycles = [cyc(samples, sid=sid)]
+        cals = {"a": cal(np.ones(CALIBRATION_SAMPLES), "a")}
+        got = outcome(normalize_dataset, cycles, scheme, mode, cals)
+        assert got == (ValidationError, message)
+        assert got == outcome(loop_normalize_dataset, cycles, scheme, mode, cals)
+
     FAULTS = ("nan", "inf", "-inf", "huge", "zero", "no-window", "long", "nan-skipped")
     # the errors the faults must reach, told apart by their messages
-    KINDS = ("non-finite", "identically zero", "exceeds target length")
+    KINDS = ("non-finite", "identically zero", "exceeds target length",
+             "above headroom bound", "no calibration window")
 
     def test_the_first_failing_cycle_raises_the_loops_error(self, seed):
         # random datasets with up to three faults in random cycles: whatever
