@@ -8,6 +8,7 @@ epoch with the best validation AUC.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -15,8 +16,8 @@ from . import autodiff as ad
 from .autodiff import Var
 from .errors import ShapeMismatch, SingleClassDataset, ValidationError
 from .evaluation import roc_auc
-from .nn import (BATCH_ROWS, ParamSet, by_rows, fit, forward_layers, init_params,
-                 receptive_field, shape_trace)
+from .nn import (BATCH_ROWS, ParamSet, by_rows, check_layers, fit,
+                 forward_layers, init_params)
 from .preprocess import TARGET_LEN
 
 CLIP_EPS = 1e-12
@@ -72,13 +73,18 @@ def architecture_descriptor(name: str) -> list[dict]:
     raise ShapeMismatch(f"unknown architecture {name!r}")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class DiscriminativeModel:
-    architecture: str
-    descriptor: list[dict]
-    params: ParamSet
+    """A classifier: its fields, under their JSON keys, are its model file's payload."""
+
+    architecture: Literal[ARCHITECTURES]
+    descriptor: list[dict]                   # maps a (150,) cycle to (1,)
     seed: int
-    training_meta: dict = field(default_factory=dict)
+    params: ParamSet                         # the shapes init_params gives them
+    training_meta: dict = field(default_factory=dict, metadata={"json": "training"})
+
+    def __post_init__(self):
+        check_layers("descriptor", self.descriptor, (TARGET_LEN,), (1,), self.params)
 
 
 def build(architecture: str, seed: int) -> DiscriminativeModel:
@@ -147,16 +153,6 @@ def compute_class_weights(train_values: np.ndarray) -> ClassWeights:
         raise SingleClassDataset("training labels contain a single class")
     n = float(y.size)
     return ClassWeights(zeta_pos=neg_eff / n, zeta_neg=pos_eff / n)
-
-
-def compute_receptive_field(architecture: str) -> int:
-    return receptive_field(architecture_descriptor(architecture))
-
-
-def architecture_shape_trace(architecture: str) -> list[tuple]:
-    desc = architecture_descriptor(architecture)
-    start = (TARGET_LEN, 1) if any(l["type"] == "conv" for l in desc) else (TARGET_LEN,)
-    return shape_trace(desc, start)
 
 
 def train(model: DiscriminativeModel, x_train: np.ndarray, y_train: np.ndarray,

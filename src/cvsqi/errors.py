@@ -19,12 +19,13 @@ class IoError(CvsqiError):
     pass
 
 
-class InvalidScenario(ValidationError):
-    """Caught by forward._from_json to prefix the failing field's path."""
+class InvalidField(ValidationError):
+    """A value that does not fit its field in a scenario or model dataclass;
+    caught by forward.from_json to prefix the field's path in the file."""
 
 
 class ShapeMismatch(ValidationError):
-    """Caught by model_io._Fields.layers to name the model file's field."""
+    """Caught by nn.check_layers to name the descriptor's field."""
 
 
 class SingleClassDataset(ValidationError):

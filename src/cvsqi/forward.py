@@ -17,11 +17,15 @@ component, the measurement noise, and a motion component that is nonzero only
 inside scheduled motion events.  No boundary-value PDE is solved; the generator
 only reproduces the additive structure that the quality-indexing task depends
 on.  scenario_from_file reads one scenario from JSON, every field checked by
-name before anything is synthesized.
+name before anything is synthesized.  from_json, the one typed reader of
+scenario and model files, reads a dataclass by its fields' JSON keys and runs
+its checks; to_json, the model files' writer, is its inverse.
 """
 from __future__ import annotations
 
+import base64
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -30,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidScenario, IoError, ValidationError
+from .errors import InvalidField, IoError, ValidationError
 from .labels import QualityLabel
+from .nn import ParamSet
 
 SAMPLE_MS = 10
 MAX_DURATION_MS = 3_600_000   # one hour, checked before any sample is allocated
@@ -42,8 +47,8 @@ MOTION_SHAPES = ("step", "ramp", "burst", "sway")
 def check_duration(duration_ms: int) -> None:
     """A recording's length: a positive multiple of 10 ms, at most one hour."""
     if not 0 < duration_ms <= MAX_DURATION_MS or duration_ms % SAMPLE_MS:
-        raise InvalidScenario(f"duration_ms must be a positive multiple of 10 ms up "
-                              f"to {MAX_DURATION_MS} (one hour), got {duration_ms}")
+        raise InvalidField(f"duration_ms must be a positive multiple of 10 ms up "
+                           f"to {MAX_DURATION_MS} (one hour), got {duration_ms}")
 
 
 @dataclass(frozen=True)
@@ -55,11 +60,11 @@ class MotionEvent:
 
     def __post_init__(self):
         if self.shape not in MOTION_SHAPES:
-            raise InvalidScenario(f"shape must be one of {MOTION_SHAPES}")
+            raise InvalidField(f"shape must be one of {MOTION_SHAPES}")
         if self.duration_ms <= 0:
-            raise InvalidScenario("duration_ms must be positive")
+            raise InvalidField("duration_ms must be positive")
         if self.amplitude < 0:
-            raise InvalidScenario("amplitude must be nonnegative")
+            raise InvalidField("amplitude must be nonnegative")
 
     @property
     def end_ms(self) -> int:
@@ -80,61 +85,109 @@ class SynthScenario:
     def __post_init__(self):
         check_duration(self.duration_ms)
         if self.subject_seed < 0:
-            raise InvalidScenario(f"subject_seed must be nonnegative, got {self.subject_seed}")
+            raise InvalidField(f"subject_seed must be nonnegative, got {self.subject_seed}")
         if not re.fullmatch(r"[\w.-]+", self.subject_id):
-            raise InvalidScenario(f"subject_id {self.subject_id!r} must be letters, digits, "
-                                  f"'_', '.' or '-'")
+            raise InvalidField(f"subject_id {self.subject_id!r} must be letters, digits, "
+                               f"'_', '.' or '-'")
         if not self.rr_intervals_ms:
-            raise InvalidScenario("rr_intervals_ms needs at least one RR interval")
+            raise InvalidField("rr_intervals_ms needs at least one RR interval")
         for rr in self.rr_intervals_ms:
             if not (300 <= rr <= 2000) or rr % SAMPLE_MS != 0:
-                raise InvalidScenario(f"rr_intervals_ms: {rr} ms outside [300, 2000] "
-                                      f"or off the 10 ms grid")
+                raise InvalidField(f"rr_intervals_ms: {rr} ms outside [300, 2000] "
+                                   f"or off the 10 ms grid")
         for i, ev in enumerate(self.motion_events):
             if ev.start_ms < 0 or ev.end_ms > self.duration_ms:
-                raise InvalidScenario(f"motion_events[{i}] lies outside [0, duration_ms]")
+                raise InvalidField(f"motion_events[{i}] lies outside [0, duration_ms]")
         if self.noise_std < 0:
-            raise InvalidScenario("noise_std must be nonnegative")
+            raise InvalidField("noise_std must be nonnegative")
         if self.gain <= 0:
-            raise InvalidScenario("gain must be positive")
+            raise InvalidField("gain must be positive")
         lo, hi = self.ambiguous_band
         if not (0 < lo < hi):
-            raise InvalidScenario("ambiguous_band must satisfy 0 < low < high")
+            raise InvalidField("ambiguous_band must satisfy 0 < low < high")
         object.__setattr__(self, "rr_intervals_ms", tuple(int(rr) for rr in self.rr_intervals_ms))
         object.__setattr__(self, "motion_events", tuple(self.motion_events))
 
 
-def _from_json(value, kind, name: str):
-    """A parsed JSON value as `kind`: int, float (finite), str, tuple[X, ...],
-    tuple[X, Y], or a dataclass above from an object of its fields.  Any
-    other value, or an unknown or missing field, is an InvalidScenario that
-    names it, as do the dataclass's own range checks."""
+_SCALARS = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
+
+
+@functools.cache
+def _json_fields(kind) -> dict[str, tuple[dataclasses.Field, object]]:
+    """A dataclass's fields by JSON key, field(metadata={"json": key}) or
+    else the field's name, each with its type, in field order."""
+    hints = typing.get_type_hints(kind)
+    return {f.metadata.get("json", f.name): (f, hints[f.name])
+            for f in dataclasses.fields(kind)}
+
+
+def from_json(value, kind, name: str):
+    """A parsed JSON value as `kind`; name is its path in messages.  kind is
+    int, float (finite), str, Literal[...] of strings, X | None, tuple[X, ...],
+    tuple[X, Y], list[X], dict (any object), dict[str, X], np.ndarray (an
+    object of its shape and base64 float64 data, every value finite), a
+    ParamSet (as dict[str, np.ndarray]), or a dataclass from an object of
+    its fields under their JSON keys.  Any other value, or an unknown or
+    missing field, is an InvalidField that names it, as is an InvalidField
+    from a dataclass's own checks, prefixed by the dataclass's path."""
     def fail(what):
-        return InvalidScenario(f"{name} must be {what}, got {value!r:.60}")
-    args = typing.get_args(kind)
+        return InvalidField(f"{name} must be {what}, got {value!r:.60}")
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
     if dataclasses.is_dataclass(kind):
         if not isinstance(value, dict):
             raise fail("an object")
-        fields = {f.name: f for f in dataclasses.fields(kind)}
+        fields = _json_fields(kind)
         for key in sorted(value.keys() - fields.keys()):
-            raise InvalidScenario(f"{name}.{key} is not a field of {kind.__name__}")
-        for key, f in fields.items():
-            if key not in value and f.default is dataclasses.MISSING:
-                raise InvalidScenario(f"{name}.{key} is required")
-        hints = typing.get_type_hints(kind)
-        kwargs = {key: _from_json(v, hints[key], f"{name}.{key}") for key, v in value.items()}
+            raise InvalidField(f"{name}.{key} is not a field of {kind.__name__}")
+        for key, (f, _) in fields.items():
+            if key not in value and f.default is f.default_factory is dataclasses.MISSING:
+                raise InvalidField(f"{name}.{key} is required")
+        kwargs = {fields[key][0].name: from_json(v, fields[key][1], f"{name}.{key}")
+                  for key, v in value.items()}
         try:
             return kind(**kwargs)
-        except InvalidScenario as exc:
-            raise InvalidScenario(f"{name}: {exc}") from None
-    if args:                                   # tuple[X, ...] or tuple[X, Y]
-        any_length = args[-1] is Ellipsis
+        except InvalidField as exc:
+            raise InvalidField(f"{name}.{exc}") from None
+    if kind is ParamSet:
+        return ParamSet(from_json(value, dict[str, np.ndarray], name))
+    if kind is np.ndarray:
+        shape = value.get("shape") if isinstance(value, dict) else None
+        if not (isinstance(shape, list) and isinstance(value.get("data"), str) and all(
+                isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)):
+            raise fail("a tensor object")
+        try:
+            raw = base64.b64decode(value["data"])
+            t = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
+        except ValueError:      # bad base64, or a byte count that is not the shape's
+            raise InvalidField(f"{name} does not hold {shape} float64 values") from None
+        if not np.isfinite(t).all():
+            raise InvalidField(f"{name} holds NaN or inf")
+        return t
+    if origin is typing.Literal:
+        if not (isinstance(value, str) and value in args):
+            raise fail(f"one of {args}")
+        return value
+    if type(None) in args:                     # X | None, X a scalar
+        if value is None:
+            return None
+        try:
+            return from_json(value, args[0], name)
+        except InvalidField:
+            what = "a finite number" if args[0] is float else _SCALARS[args[0]][1]
+            raise fail(f"null or {what}") from None
+    if origin in (list, tuple):                # list[X], tuple[X, ...] or tuple[X, Y]
+        any_length = origin is list or args[-1] is Ellipsis
         if not isinstance(value, list) or not any_length and len(value) != len(args):
             raise fail("a list" if any_length else f"a list of {len(args)}")
-        return tuple(_from_json(v, args[0] if any_length else args[i], f"{name}[{i}]")
-                     for i, v in enumerate(value))
-    types, what = {str: (str, "a string"), int: (int, "an integer"),
-                   float: ((int, float), "a number")}[kind]
+        return origin(from_json(v, args[0] if any_length else args[i], f"{name}[{i}]")
+                      for i, v in enumerate(value))
+    if dict in (kind, origin):                 # dict, or dict[str, X]
+        if not isinstance(value, dict):
+            raise fail("an object")
+        if not args:
+            return value
+        return {k: from_json(v, args[1], f"{name}.{k}") for k, v in value.items()}
+    types, what = _SCALARS[kind]
     if isinstance(value, bool) or not isinstance(value, types):
         raise fail(what)
     if kind is float and not abs(value) <= sys.float_info.max:     # NaN, inf, 10**400
@@ -142,11 +195,31 @@ def _from_json(value, kind, name: str):
     return value
 
 
+def to_json(value):
+    """from_json's inverse: value as the JSON value that from_json reads back
+    as value's type, a dataclass's fields under their JSON keys in field
+    order and a tensor as its shape and base64 float64 data."""
+    if dataclasses.is_dataclass(value):
+        return {key: to_json(getattr(value, f.name))
+                for key, (f, _) in _json_fields(type(value)).items()}
+    if isinstance(value, ParamSet):
+        value = value.values
+    if isinstance(value, np.ndarray):
+        a = np.ascontiguousarray(value, dtype=np.float64)
+        return {"shape": list(a.shape),
+                "data": base64.b64encode(a.tobytes()).decode("ascii")}
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    return value
+
+
 def scenario_from_file(path: str) -> SynthScenario:
     """The scenario of a JSON file: an object of SynthScenario's fields, with
     motion_events a list of objects of MotionEvent's fields.  An unknown,
     missing or mistyped field, or an out-of-range value, is an
-    InvalidScenario naming the field; nothing is synthesized before then.
+    InvalidField naming the field; nothing is synthesized before then.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -155,7 +228,7 @@ def scenario_from_file(path: str) -> SynthScenario:
         raise IoError(str(exc)) from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: invalid scenario JSON: {exc}") from exc
-    return _from_json(doc, SynthScenario, f"{path}: scenario")
+    return from_json(doc, SynthScenario, f"{path}: scenario")
 
 
 def cardiac_template(phase: np.ndarray) -> np.ndarray:

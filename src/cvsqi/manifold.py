@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .errors import ShapeMismatch, SingleClassDataset, ValidationError
-from .nn import (BATCH_ROWS, DEFAULT_LR, ParamSet, by_rows, fit, forward_layers,
-                 init_params)
+from .errors import InvalidField, ShapeMismatch, SingleClassDataset, ValidationError
+from .nn import (BATCH_ROWS, DEFAULT_LR, ParamSet, by_rows, check_layers, check_shape,
+                 fit, forward_layers, init_params)
 from .preprocess import TARGET_LEN
 
 LATENT_DIM = 10
@@ -33,13 +34,19 @@ DEFAULT_EPOCHS = 40
 
 # --- PCA ---
 
-@dataclass
+@dataclass(kw_only=True)
 class PcaModel:
-    mean: np.ndarray
+    """A PCA model: its fields, under their JSON keys, are its model file's payload."""
+
+    kind: Literal["pca"] = "pca"
+    mean: np.ndarray                         # (150,)
     components: np.ndarray                   # (10, 150), orthonormal rows
-    threshold_d: float | None = None
-    kind: str = "pca"
-    training_meta: dict = field(default_factory=dict)
+    threshold_d: float | None = field(default=None, metadata={"json": "threshold"})
+    training_meta: dict = field(default_factory=dict, metadata={"json": "training"})
+
+    def __post_init__(self):
+        check_shape("mean", self.mean, (TARGET_LEN,))
+        check_shape("components", self.components, (None, TARGET_LEN))
 
 
 def pca_fit(x_pos: np.ndarray, k: int = LATENT_DIM) -> PcaModel:
@@ -111,17 +118,26 @@ def vae_descriptors(kind: str) -> tuple[list[dict], list[dict]]:
     raise ShapeMismatch(f"unknown VAE kind {kind!r}")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class VaeModel:
-    kind: str
-    beta: float
-    enc: list[dict]
-    dec: list[dict]
-    params: ParamSet
+    """A VAE: its fields, under their JSON keys, are its model file's payload."""
+
+    kind: Literal[VAE_KINDS]
+    beta: float                              # the KL weight, positive and finite
+    enc: list[dict] = field(metadata={"json": "encoder"})    # (150,) to (20,)
+    dec: list[dict] = field(metadata={"json": "decoder"})    # (10,) to (150,)
     seed: int
-    threshold_d: float | None = None
-    training_meta: dict = field(default_factory=dict)
-    train_audit: dict = field(default_factory=dict)
+    params: ParamSet                         # the shapes init_params gives them
+    threshold_d: float | None = field(default=None, metadata={"json": "threshold"})
+    training_meta: dict = field(default_factory=dict, metadata={"json": "training"})
+    train_audit: dict = field(default_factory=dict, metadata={"json": "audit"})
+
+    def __post_init__(self):
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise InvalidField(f"beta must be a positive finite number, got {self.beta}")
+        check_layers("encoder", self.enc, (TARGET_LEN,), (2 * LATENT_DIM,), self.params,
+                     "enc.")
+        check_layers("decoder", self.dec, (LATENT_DIM,), (TARGET_LEN,), self.params, "dec.")
 
 
 def build_vae(kind: str, seed: int, beta: float | None = None) -> VaeModel:
@@ -129,8 +145,6 @@ def build_vae(kind: str, seed: int, beta: float | None = None) -> VaeModel:
     any other must be a positive finite KL weight."""
     enc, dec = vae_descriptors(kind)
     beta = DEFAULT_BETA[kind] if beta is None else beta
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValidationError(f"beta must be a positive finite number, got {beta}")
     values = {**init_params(enc, seed, prefix="enc."),
               **init_params(dec, seed + 1, prefix="dec.")}
     return VaeModel(kind=kind, beta=beta, enc=enc, dec=dec, params=ParamSet(values),

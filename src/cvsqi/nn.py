@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import Var
-from .errors import ShapeMismatch, ValidationError
+from .errors import InvalidField, ShapeMismatch, ValidationError
 
 ACTIVATIONS = ("relu", "sigmoid")   # named alike in autodiff and kernels
 BATCH_ROWS = 64
@@ -305,6 +305,34 @@ def shape_trace(layers: list[dict], input_shape) -> list[tuple]:
             shape = (layer["len"], layer["ch"])
         trace.append(shape)
     return trace
+
+
+def check_shape(key: str, t: np.ndarray, shape: tuple) -> None:
+    """An InvalidField naming the tensor key unless t has shape (None: any
+    size along that axis)."""
+    if t.ndim != len(shape) or any(want not in (None, got)
+                                   for want, got in zip(shape, t.shape)):
+        expected = ", ".join("n" if want is None else str(want) for want in shape)
+        raise InvalidField(f"{key} has shape {list(t.shape)}, expected [{expected}]")
+
+
+def check_layers(key: str, layers: list[dict], input_shape: tuple, output_shape: tuple,
+                 params: ParamSet, prefix: str = "") -> None:
+    """An InvalidField naming the field unless the descriptor at key maps one
+    row of input_shape to output_shape, every layer fitting what it
+    receives, and params holds each tensor init_params makes for it under
+    prefix, in the shape it makes."""
+    try:
+        out = shape_trace(layers, input_shape)[-1]
+    except ShapeMismatch as exc:
+        raise InvalidField(f"{key} {exc}") from None
+    if out != output_shape:
+        raise InvalidField(f"{key} maps {list(input_shape)} to {list(out)}, "
+                           f"expected {list(output_shape)}")
+    for name, shape in param_shapes(layers, prefix).items():
+        if name not in params.values:
+            raise InvalidField(f"params.{name} is required")
+        check_shape(f"params.{name}", params.values[name], shape)
 
 
 def receptive_field(layers: list[dict]) -> int:

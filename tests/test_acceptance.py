@@ -14,6 +14,7 @@ from cvsqi import cli, discriminative as dm
 from cvsqi import experiment, manifold as mf
 from cvsqi.autodiff import Var
 from cvsqi.evaluation import roc_auc, split_by_subject
+from cvsqi.nn import receptive_field, shape_trace
 from gradcheck import fd_grad, fd_grad_sampled, rel_err
 
 NETWORK_TOL = 1e-4
@@ -90,7 +91,7 @@ def test_criterion_1_gradient_correctness():
 # --- criterion 2: architecture fidelity ---
 
 def test_criterion_2_architecture_fidelity():
-    assert dm.architecture_shape_trace("vgg5") == [
+    assert shape_trace(dm.architecture_descriptor("vgg5"), (150, 1)) == [
         (150, 1),
         (150, 4), (150, 4), (75, 4),
         (75, 8), (75, 8), (37, 8),
@@ -99,9 +100,9 @@ def test_criterion_2_architecture_fidelity():
         (9, 64), (9, 64),
         (576,), (576,), (1,),
     ]
-    assert dm.architecture_shape_trace("mlp1") == [
+    assert shape_trace(dm.architecture_descriptor("mlp1"), (150,)) == [
         (150,), (150,), (300,), (300,), (150,), (150,), (150,), (1,)]
-    assert dm.architecture_shape_trace("mlp2") == [
+    assert shape_trace(dm.architecture_descriptor("mlp2"), (150,)) == [
         (150,), (150,), (150,), (100,), (50,), (25,), (10,), (1,)]
 
     lengths = [150]
@@ -109,9 +110,9 @@ def test_criterion_2_architecture_fidelity():
         lengths.append(lengths[-1] // 2)
     assert lengths == [150, 75, 37, 18, 9]
 
-    assert dm.compute_receptive_field("vgg3") == 32
-    assert dm.compute_receptive_field("vgg4") == 68
-    assert dm.compute_receptive_field("vgg5") == 140
+    assert receptive_field(dm.architecture_descriptor("vgg3")) == 32
+    assert receptive_field(dm.architecture_descriptor("vgg4")) == 68
+    assert receptive_field(dm.architecture_descriptor("vgg5")) == 140
 
 
 # --- criterion 3: oracle equivalence ---

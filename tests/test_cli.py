@@ -9,7 +9,7 @@ import pytest
 from cvsqi import (cli, dataio, discriminative, experiment, manifold,
                    model_io, preprocess)
 from cvsqi.evaluation import evaluate_scores
-from cvsqi.forward import MAX_DURATION_MS
+from cvsqi.forward import MAX_DURATION_MS, to_json
 from cvsqi.labels import QualityLabel
 from cvsqi.preprocess import (CvsStream, calibration_from_stream,
                               cycles_from_stream, normalize_cycle,
@@ -74,11 +74,11 @@ class TestGen:
         ({**SCENARIO, "duration_ms": 1e12}, "scenario.duration_ms must be an integer"),
         ({**SCENARIO, "noise_std": float("nan")}, "scenario.noise_std must be a finite number"),
         ({**SCENARIO, "ambiguous_band": [1.0]}, "scenario.ambiguous_band must be a list of 2"),
-        ({**SCENARIO, "subject_seed": -1}, "scenario: subject_seed must be nonnegative"),
-        ({**SCENARIO, "subject_id": "a,b"}, "scenario: subject_id 'a,b' must be letters"),
+        ({**SCENARIO, "subject_seed": -1}, "scenario.subject_seed must be nonnegative"),
+        ({**SCENARIO, "subject_id": "a,b"}, "scenario.subject_id 'a,b' must be letters"),
         ({**SCENARIO, "motion_events": [{"start_ms": 29_900, "duration_ms": 500,
                                           "amplitude": 1.0}]},
-         "scenario: motion_events[0] lies outside [0, duration_ms]"),
+         "scenario.motion_events[0] lies outside [0, duration_ms]"),
         # format change: fields that synthesis never read are no longer accepted
         ({**SCENARIO, "respiration_period_ms": 4000.0},
          "scenario.respiration_period_ms is not a field of SynthScenario"),
@@ -396,14 +396,14 @@ def vae_doc(tmp_path_factory):
 
 
 def encoded_zeros(*shape):
-    return model_io._encode_array(np.zeros(shape))
+    return to_json(np.zeros(shape))
 
 
 def with_first_value(tensor, value):
     """An encoded tensor of tensor's shape: zeros, the first value set to value."""
     a = np.zeros(tensor["shape"])
     a.flat[0] = value
-    return model_io._encode_array(a)
+    return to_json(a)
 
 
 # payload edit -> the start of the one error line, after "error: <path>: "
@@ -419,7 +419,11 @@ MALFORMED_PAYLOADS = {
     "unknown scale_mode": (lambda p: p["preprocessing"].update(scale_mode="bogus"),
                            "payload.preprocessing.scale_mode must be one of "),
     "no family": (lambda p: p.pop("family"), "payload.family is required"),
+    "unknown field": (lambda p: p.update(extra=1), "payload.extra is not a field of VaeModel"),
     "no kind": (lambda p: p.pop("kind"), "payload.kind is required"),
+    "unknown kind": (lambda p: p.update(kind="gan"),
+                     "payload.kind must be one of ('pca', 'vae', 'bvae', 'cvae', 'bcvae'), "
+                     "got 'gan'"),
     "no tensor": (lambda p: p["params"].pop("dec.layer8.b"),
                   "payload.params.dec.layer8.b is required"),
     "tensor of another size": (lambda p: p["params"]["enc.layer0.b"].update(shape=[9]),

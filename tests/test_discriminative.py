@@ -5,9 +5,9 @@ import pytest
 
 from cvsqi import discriminative as dm
 from cvsqi.discriminative import (ARCHITECTURES, ClassWeights, build,
-                                  compute_class_weights,
-                                  compute_receptive_field, forward, train)
+                                  compute_class_weights, forward, train)
 from cvsqi.errors import SingleClassDataset, ValidationError
+from cvsqi.nn import receptive_field, shape_trace
 
 MLP1_DIMS = [150, 150, 300, 300, 150, 150, 150, 1]
 MLP2_DIMS = [150, 150, 150, 100, 50, 25, 10, 1]
@@ -30,12 +30,12 @@ class TestArchitectureTables:
     @pytest.mark.parametrize("arch,flat", [("vgg3", 288), ("vgg4", 288),
                                            ("vgg5", 576)])
     def test_vgg_flatten_lengths(self, arch, flat):
-        trace = dm.architecture_shape_trace(arch)
+        trace = shape_trace(dm.architecture_descriptor(arch), (150, 1))
         flat_shapes = [s for s in trace if len(s) == 1]
         assert flat_shapes[0] == (flat,)
 
     def test_vgg5_trace_matches_table(self):
-        trace = dm.architecture_shape_trace("vgg5")
+        trace = shape_trace(dm.architecture_descriptor("vgg5"), (150, 1))
         expected = [
             (150, 1),
             (150, 4), (150, 4), (75, 4),
@@ -50,12 +50,12 @@ class TestArchitectureTables:
     @pytest.mark.parametrize("arch,rf", [("vgg3", 32), ("vgg4", 68),
                                          ("vgg5", 140)])
     def test_receptive_fields(self, arch, rf):
-        assert compute_receptive_field(arch) == rf
+        assert receptive_field(dm.architecture_descriptor(arch)) == rf
 
     def test_receptive_field_needs_convolutions(self):
         with pytest.raises(ValidationError,
                            match="^architecture has no convolutional layers$"):
-            compute_receptive_field("mlp1")
+            receptive_field(dm.architecture_descriptor("mlp1"))
 
 
 class TestForward:

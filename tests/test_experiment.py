@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cvsqi import experiment, manifold
-from cvsqi.errors import InvalidScenario, ValidationError
+from cvsqi.errors import InvalidField, ValidationError
 from cvsqi.forward import synthesize_stream
 from cvsqi.preprocess import (calibration_from_stream, cycles_from_stream,
                               normalize_dataset)
@@ -15,7 +15,7 @@ DURATION_MS = 25_000      # just past the 20 s calibration window
 
 class Recorder:
     """Wraps synthesize_stream: records the subjects started and raises
-    InvalidScenario for one subject."""
+    InvalidField for one subject."""
 
     def __init__(self, fail_sid):
         self.fail_sid = fail_sid
@@ -24,7 +24,7 @@ class Recorder:
     def __call__(self, scenario):
         self.started.append(scenario.subject_id)
         if scenario.subject_id == self.fail_sid:
-            raise InvalidScenario(f"subject {scenario.subject_id} fails")
+            raise InvalidField(f"subject {scenario.subject_id} fails")
         return synthesize_stream(scenario)
 
 
@@ -66,7 +66,7 @@ class TestGenerateDataset:
     def test_failure_propagates_and_stops_the_queue(self, monkeypatch, k):
         record = Recorder(fail_sid=f"s{k:02d}")
         monkeypatch.setattr(experiment, "synthesize_stream", record)
-        with pytest.raises(InvalidScenario, match=f"subject s{k:02d} fails"):
+        with pytest.raises(InvalidField, match=f"subject s{k:02d} fails"):
             experiment.generate_dataset(0, 6, DURATION_MS)
         assert record.started == [f"s{i:02d}" for i in range(k + 1)]
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvsqi.errors import InvalidScenario
+from cvsqi.errors import InvalidField
 from cvsqi.forward import (MOTION_SHAPES, SAMPLE_MS, MotionEvent,
                            SynthScenario, _event_profile, _r_peak_times,
                            cardiac_template, synthesize_stream)
@@ -189,7 +189,7 @@ class TestSynthesizeStream:
         assert_matches_reference(scenario)
 
     def test_zero_duration_rejected(self):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidField):
             SynthScenario(subject_seed=0, duration_ms=0, rr_intervals_ms=(800,))
 
 

@@ -146,3 +146,33 @@ class TestScorer:
             assert np.array_equal(got, want)
         for got, want in zip(scorer.score(x), experiment.score(scorer.model, x)):
             assert np.array_equal(got, want)
+
+
+class TestPayloadLayout:
+    """The file format: each family's payload keys in file order.  The golden
+    covers vgg3 and bcvae files only, so this is the one pin of a PCA file."""
+
+    KEYS = {
+        "mlp2": ["family", "architecture", "descriptor", "seed", "params", "training",
+                 "preprocessing"],
+        "pca": ["family", "kind", "mean", "components", "threshold", "training",
+                "preprocessing"],
+        "bcvae": ["family", "kind", "beta", "encoder", "decoder", "seed", "params",
+                  "threshold", "training", "audit", "preprocessing"],
+    }
+
+    @pytest.mark.parametrize("name", KEYS)
+    def test_payload_keys_in_file_order(self, tmp_path, name):
+        path = tmp_path / "m.json"
+        model = three_models(0)[name]
+        model_io.save_model(model, str(path), norm_scheme="pad", scale_mode="naive")
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["format_version", "payload", "checksum"]
+        payload = doc["payload"]
+        assert list(payload) == self.KEYS[name]
+        assert list(payload["preprocessing"]) == ["norm_scheme", "scale_mode"]
+        tensors = ([payload["mean"], payload["components"]] if name == "pca"
+                   else list(payload["params"].values()))
+        assert all(list(t) == ["shape", "data"] for t in tensors)
+        if name != "pca":
+            assert list(payload["params"]) == list(model.params.values)
