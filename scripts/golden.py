@@ -1,10 +1,15 @@
-"""Golden outputs of the README command-line pipeline: check them, or rewrite them.
+"""Golden outputs of the command line: check them, or rewrite them.
 
-Runs the sh block under "## Command line" in README.md as printed, in an
-empty directory, with `cvsqi` bound to this checkout's `python -m cvsqi.cli`
-and a CVSQI_CONFIG of {"epochs": 1}; the `cvsqi bench` line is left out,
-since it prints timings.  Every file the block writes, and its stdout, is
-reduced to a record:
+Two sh blocks run, each in an empty directory, with `cvsqi` bound to this
+checkout's `python -m cvsqi.cli` and a CVSQI_CONFIG of {"epochs": 1}:
+
+  - the block under "## Command line" in README.md as printed, without its
+    `cvsqi bench` line, since that prints timings (tests/golden/readme.json);
+  - GEN_BLOCK, `cvsqi gen --seed 0` at its default subjects and duration
+    with every output file: cycles, calibrations and one stream per subject
+    (tests/golden/gen.json).
+
+Every file a block writes, and its stdout, is reduced to a record:
 
   - "sha256": the text with each float token replaced by "#": the integer
     and text columns (ids, t_start_ms, labels, R-peak flags, JSON keys),
@@ -23,7 +28,7 @@ score are held apart: a verdict may differ from the golden one only where the cy
 residual lies within RTOL of the model's threshold.
 
     python3 scripts/golden.py          # check; exit 1 naming each difference
-    python3 scripts/golden.py --write  # rewrite tests/golden/readme.json
+    python3 scripts/golden.py --write  # rewrite both records
 """
 from __future__ import annotations
 
@@ -43,6 +48,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "readme.json"
+GEN_GOLDEN = GOLDEN.with_name("gen.json")
+GEN_BLOCK = ("cvsqi gen --seed 0 --out-cycles cycles.csv --out-calib calib.csv "
+             "--out-stream stream.csv")
 RTOL = 1e-12
 MAX_LISTED = 100
 FLOAT = re.compile(r"(?<![\w.])-?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+"
@@ -58,9 +66,14 @@ def readme_block() -> str:
     return "\n".join(ln for ln in lines[first + 1:last] if not ln.startswith("cvsqi bench"))
 
 
-def run_pipeline(workdir: Path) -> dict[str, str]:
-    """Run the block in workdir; the text of every file it writes, and "stdout"."""
-    (workdir / "block.sh").write_text(readme_block() + "\n", encoding="utf-8")
+def blocks() -> dict[Path, str]:
+    """Each golden record's path and the block whose outputs it holds."""
+    return {GOLDEN: readme_block(), GEN_GOLDEN: GEN_BLOCK}
+
+
+def run_pipeline(workdir: Path, block: str) -> dict[str, str]:
+    """Run block in workdir; the text of every file it writes, and "stdout"."""
+    (workdir / "block.sh").write_text(block + "\n", encoding="utf-8")
     (workdir / "epochs.json").write_text('{"epochs": 1}', encoding="utf-8")
     env = dict(os.environ, CVSQI_CONFIG=str(workdir / "epochs.json"),
                GOLDEN_PYTHON=sys.executable,
@@ -70,7 +83,7 @@ def run_pipeline(workdir: Path) -> dict[str, str]:
                            'cvsqi() { "$GOLDEN_PYTHON" -m cvsqi.cli "$@"; }; . ./block.sh'],
                           cwd=workdir, env=env, capture_output=True, text=True, timeout=600)
     if proc.returncode:
-        raise RuntimeError(f"README block failed ({proc.returncode}):\n{proc.stderr}")
+        raise RuntimeError(f"block failed ({proc.returncode}):\n{proc.stderr}")
     texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(workdir.iterdir())
              if p.name not in ("block.sh", "epochs.json")}
     texts["stdout"] = proc.stdout
@@ -122,7 +135,8 @@ def digest(name: str, text: str, threshold: float | None = None) -> dict:
 
 
 def record(texts: dict[str, str]) -> dict:
-    threshold = json.loads(texts["vae.json"])["payload"]["threshold"]
+    threshold = (json.loads(texts["vae.json"])["payload"]["threshold"]
+                 if "verdicts.csv" in texts else None)
     return {name: digest(name, text, threshold) for name, text in sorted(texts.items())}
 
 
@@ -167,20 +181,24 @@ def compare(got: dict, want: dict) -> list[str]:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--write", action="store_true", help=f"rewrite {GOLDEN.name}")
+    ap.add_argument("--write", action="store_true", help="rewrite the golden records")
     args = ap.parse_args()
-    with tempfile.TemporaryDirectory() as tmp:
-        got = record(run_pipeline(Path(tmp)))
-    if args.write:
-        GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"wrote {GOLDEN.relative_to(ROOT)}: {len(got)} outputs")
-        return 0
-    problems = compare(got, json.loads(GOLDEN.read_text(encoding="utf-8")))
-    for p in problems:
-        print(p)
-    print(f"{len(problems)} differences from {GOLDEN.relative_to(ROOT)}")
-    return 1 if problems else 0
+    failed = False
+    for path, block in blocks().items():
+        with tempfile.TemporaryDirectory() as tmp:
+            got = record(run_pipeline(Path(tmp), block))
+        if args.write:
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n",
+                            encoding="utf-8")
+            print(f"wrote {path.relative_to(ROOT)}: {len(got)} outputs")
+            continue
+        problems = compare(got, json.loads(path.read_text(encoding="utf-8")))
+        for p in problems:
+            print(p)
+        print(f"{len(problems)} differences from {path.relative_to(ROOT)}")
+        failed = failed or bool(problems)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ BETAS = (1 / 3, 1 / 2, 1.0, 2.0, 3.0)
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=_seed, default=0)
-    ap.add_argument("--subjects", type=_count, default=20)
+    ap.add_argument("--subjects", type=_count, default=experiment.DEFAULT_SUBJECTS)
     ap.add_argument("--kind", choices=manifold.VAE_KINDS, default="bcvae")
     ap.add_argument("--epochs", type=int, default=manifold.DEFAULT_EPOCHS)
     ap.add_argument("--betas", type=float, nargs="*", default=list(BETAS))

@@ -17,7 +17,7 @@ from cvsqi.errors import CvsqiError, IoError
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=_seed, default=0)
-    ap.add_argument("--subjects", type=_count, default=20)
+    ap.add_argument("--subjects", type=_count, default=experiment.DEFAULT_SUBJECTS)
     ap.add_argument("--scheme", choices=preprocess.SCHEMES, default="interp")
     ap.add_argument("--vgg-epochs", type=int, default=discriminative.DEFAULT_EPOCHS)
     ap.add_argument("--vae-epochs", type=int, default=manifold.DEFAULT_EPOCHS)

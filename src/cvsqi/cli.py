@@ -18,7 +18,6 @@ import numpy as np
 from . import dataio, discriminative, experiment, manifold, model_io
 from .errors import CvsqiError, IoError, MissingCalibration, ValidationError
 from .evaluation import METRICS, evaluate_scores, split_by_subject
-from .experiment import score
 from .forward import scenario_from_file, synthesize_stream
 from .labels import QualityLabel
 from .nn import DEFAULT_LR
@@ -144,7 +143,7 @@ def cmd_train_manifold(args) -> int:
 
 def cmd_threshold(args) -> int:
     scorer = model_io.load_model(args.model)
-    if not hasattr(scorer.model, "threshold_d"):
+    if scorer.model.family != "manifold":
         raise ValidationError("threshold selection applies to manifold models only")
     calibrations = _load_calibrations(args.calib)
     x, _, yev = scorer.normalize(dataio.read_cycles(args.scored), calibrations)
@@ -159,17 +158,17 @@ def cmd_evaluate(args) -> int:
     calibrations = _load_calibrations(args.calib)
     cycles = dataio.read_cycles(args.test)
     x, _, yev = scorer.normalize(cycles, calibrations)
-    report = evaluate_scores(*scorer.score(x), yev)
+    report = evaluate_scores(*scorer.model.score(x), yev)
 
     values = {c: report[c] for c in METRICS}
     print(f"{'model':<10}" + "".join(f"{c:>13}" for c in METRICS))
     row = "".join(f"{v:>13.4f}" if v is not None else f"{'n/a':>13}" for v in values.values())
-    print(f"{scorer.name:<10}" + row)
+    print(f"{scorer.model.name:<10}" + row)
     if report["undefined"]:
         print(f"undefined metrics (zero denominator): {', '.join(report['undefined'])}")
 
     if args.out:
-        record = {"model": scorer.name, "n_test": len(cycles), "metrics": values,
+        record = {"model": scorer.model.name, "n_test": len(cycles), "metrics": values,
                   "undefined": report["undefined"], "preprocessing": scorer.preprocessing}
         dataio.atomic_write(args.out, [json.dumps(record, indent=1)])
     return 0
@@ -185,7 +184,7 @@ def cmd_assess(args) -> int:
     lines = []
     if cycles:   # the whole recording as one batch, rows in stream order
         vectors, _, _ = scorer.normalize(cycles, calibrations)
-        scores, verdicts = scorer.score(vectors)
+        scores, verdicts = scorer.model.score(vectors)
         lines = [f"{c.t_start_ms},{v},{s!r}" for c, v, s
                  in zip(cycles, verdicts.tolist(), scores.tolist())]
     if args.out:
@@ -208,14 +207,14 @@ def bench_models(named_models, cycles, repeats: int = 1) -> list[dict]:
     for name, model in named_models:
         # warm start: the first 10 cycles, outside timing
         for c, s, scheme in cycles[:10]:
-            score(model, normalize_cycle(c, scheme, s).values[None, :])
+            model.score(normalize_cycle(c, scheme, s).values[None, :])
         times = np.empty(len(cycles) * repeats)
         i = 0
         for _ in range(repeats):
             for c, s, scheme in cycles:
                 t0 = time.perf_counter()
                 vec = normalize_cycle(c, scheme, s).values
-                score(model, vec[None, :])
+                model.score(vec[None, :])
                 times[i] = time.perf_counter() - t0
                 i += 1
         us = times * 1e6
@@ -254,7 +253,7 @@ def cmd_bench(args) -> int:
                 raise ValidationError(
                     f"{path}: records {scorer.preprocessing}; bench times every "
                     f"model on cycles under {BENCH_PREPROCESSING} only")
-            named.append((scorer.name, scorer.model))
+            named.append((scorer.model.name, scorer.model))
     else:
         for arch in discriminative.ARCHITECTURES:
             named.append((arch, discriminative.build(arch, seed=args.seed)))
@@ -297,7 +296,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic cycle dataset")
     p.add_argument("--scenario", help="JSON scenario file for one subject")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--subjects", type=int, default=20)
+    p.add_argument("--subjects", type=int, default=experiment.DEFAULT_SUBJECTS)
     p.add_argument("--duration-ms", type=int, default=experiment.DEFAULT_DURATION_MS)
     p.add_argument("--out-cycles", required=True)
     p.add_argument("--out-calib")

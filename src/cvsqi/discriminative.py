@@ -65,9 +65,9 @@ def architecture_descriptor(name: str) -> list[dict]:
     if name == "lr":
         return [{"type": "dense", "in": TARGET_LEN, "out": 1, "act": "sigmoid"}]
     if name == "mlp1":
-        return _mlp_descriptor([150, 150, 300, 300, 150, 150, 150, 1])
+        return _mlp_descriptor([TARGET_LEN, 150, 300, 300, 150, 150, 150, 1])
     if name == "mlp2":
-        return _mlp_descriptor([150, 150, 150, 100, 50, 25, 10, 1])
+        return _mlp_descriptor([TARGET_LEN, 150, 150, 100, 50, 25, 10, 1])
     if name in ("vgg3", "vgg4", "vgg5"):
         return _vgg_descriptor(int(name[-1]))
     raise ShapeMismatch(f"unknown architecture {name!r}")
@@ -77,6 +77,7 @@ def architecture_descriptor(name: str) -> list[dict]:
 class DiscriminativeModel:
     """A classifier: its fields, under their JSON keys, are its model file's payload."""
 
+    family = "discriminative"                # the payload's first key; not a field
     architecture: Literal[ARCHITECTURES]
     descriptor: list[dict]                   # maps a (150,) cycle to (1,)
     seed: int
@@ -85,6 +86,16 @@ class DiscriminativeModel:
 
     def __post_init__(self):
         check_layers("descriptor", self.descriptor, (TARGET_LEN,), (1,), self.params)
+
+    @property
+    def name(self) -> str:
+        return self.architecture
+
+    def score(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(p, verdict) per row of normalized cycles: p is forward's
+        probability, and verdict 1 (normal) iff p >= ACCEPT_PROBABILITY."""
+        p = forward(self, x)
+        return p, (p >= ACCEPT_PROBABILITY).astype(int)
 
 
 def build(architecture: str, seed: int) -> DiscriminativeModel:

@@ -7,10 +7,10 @@ ablation measurably degrades classifier AUC.  iter_subjects synthesizes
 the subjects one at a time: gen writes each as it comes, and generate_dataset
 collects them.
 
-score is the one scoring interface of every model, for the CLI and the
-runners alike.  run_discriminative and run_manifold each train one model on
-prepared splits and report its test metrics; run_manifold fits and
-thresholds through manifold.train_kind and set_threshold, as the CLI does.
+run_discriminative and run_manifold each train one model on prepared splits
+and report its test metrics from model.score, the verdict rule that the CLI
+applies too; run_manifold fits and thresholds through manifold.train_kind and
+set_threshold, as the CLI does.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from .preprocess import (CALIBRATION_MS, CalibrationWindow, CvsCycle, CvsStream,
 
 
 DEFAULT_DURATION_MS = 110_000   # one synthetic subject's recording
+DEFAULT_SUBJECTS = 20           # subjects in a generated dataset
 
 
 def _subject_seed(seed: int, index: int) -> int:
@@ -115,7 +116,7 @@ class SyntheticDataset:
         return {lab.value: counts[lab] / n for lab in QualityLabel}
 
 
-def generate_dataset(seed: int, n_subjects: int = 20,
+def generate_dataset(seed: int, n_subjects: int = DEFAULT_SUBJECTS,
                      duration_ms: int = DEFAULT_DURATION_MS,
                      keep_streams: bool = False) -> SyntheticDataset:
     """The subjects of iter_subjects, collected; keep_streams keeps each CvsStream."""
@@ -136,18 +137,6 @@ def prepare_splits(dataset: SyntheticDataset, scheme: str, scale_mode: str,
             for part in split_by_subject(dataset.cycles, seed=seed)]
 
 
-def score(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(score, verdict) per cycle; higher score means more likely normal.
-
-    A discriminative model accepts at probability >= ACCEPT_PROBABILITY, a
-    manifold model by manifold.score (residual <= its threshold).
-    """
-    if isinstance(model, discriminative.DiscriminativeModel):
-        p = discriminative.forward(model, x)
-        return p, (p >= discriminative.ACCEPT_PROBABILITY).astype(int)
-    return manifold.score(model, x)
-
-
 def run_discriminative(splits, arch: str = "vgg3",
                        epochs: int = discriminative.DEFAULT_EPOCHS,
                        lr: float = DEFAULT_LR, seed: int = 0):
@@ -156,7 +145,7 @@ def run_discriminative(splits, arch: str = "vgg3",
     model = discriminative.build(arch, seed=seed)
     discriminative.train(model, x_tr, y_tr, x_va, yev_va,
                          epochs=epochs, lr=lr, seed=seed)
-    return model, evaluate_scores(*score(model, x_te), yev_te)
+    return model, evaluate_scores(*model.score(x_te), yev_te)
 
 
 def run_manifold(splits, kind: str = "bcvae", beta: float | None = None,
@@ -174,6 +163,6 @@ def run_manifold(splits, kind: str = "bcvae", beta: float | None = None,
                                    x_val_pos=x_va[yev_va == 1])
     d, j = manifold.set_threshold(model, np.concatenate([x_tr, x_va]),
                                   np.concatenate([yev_tr, yev_va]))
-    report = evaluate_scores(*score(model, x_te), yev_te)
+    report = evaluate_scores(*model.score(x_te), yev_te)
     report.update({"threshold": d, "youden_j_trainval": j})
     return model, report

@@ -6,8 +6,9 @@ picked by maximizing Youden's J over residuals from the train+val pool.
 
 Every decision about a manifold model of any kind lives here, and the CLI and
 the experiment runners call it: train_kind fits one (positives only, for
-every kind), set_threshold picks and stores d, and score applies the one
-verdict rule r <= d.
+every kind), set_threshold picks and stores d, and each model's score
+(ManifoldModel's, shared by PcaModel and VaeModel) applies the one verdict
+rule r <= d.
 """
 from __future__ import annotations
 
@@ -32,10 +33,28 @@ DEFAULT_BETA = {"vae": 1.0, "bvae": 0.5, "cvae": 1.0, "bcvae": 0.5}
 DEFAULT_EPOCHS = 40
 
 
+class ManifoldModel:
+    """The verdict rule of every manifold model; it has no fields, so each
+    subclass's own fields keep their order in the model file."""
+
+    family = "manifold"                      # the payload's first key; not a field
+
+    @property
+    def name(self) -> str:
+        return self.kind
+
+    def score(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(-residual, verdict) per row; verdict 1 (normal) iff residual <= threshold_d."""
+        if self.threshold_d is None:
+            raise ValidationError("manifold model has no threshold; run `threshold` first")
+        r = residuals(self, x)
+        return -r, (r <= self.threshold_d).astype(int)
+
+
 # --- PCA ---
 
 @dataclass(kw_only=True)
-class PcaModel:
+class PcaModel(ManifoldModel):
     """A PCA model: its fields, under their JSON keys, are its model file's payload."""
 
     kind: Literal["pca"] = "pca"
@@ -53,7 +72,7 @@ def pca_fit(x_pos: np.ndarray, k: int = LATENT_DIM) -> PcaModel:
     """Top-k principal directions of the positive cycles, via SVD of centered data."""
     x = np.asarray(x_pos, dtype=np.float64)
     if x.ndim != 2:
-        raise ShapeMismatch("pca_fit expects (N, 150)")
+        raise ShapeMismatch(f"pca_fit expects (N, {TARGET_LEN})")
     if x.shape[0] < k:
         raise ValidationError(f"need at least {k} samples, got {x.shape[0]}")
     mean = x.mean(axis=0)
@@ -73,16 +92,16 @@ def pca_project(model: PcaModel, x: np.ndarray) -> np.ndarray:
 
 def _mlp_vae_descriptors() -> tuple[list[dict], list[dict]]:
     enc = [
-        {"type": "dense", "in": 150, "out": 125, "act": "relu"},
+        {"type": "dense", "in": TARGET_LEN, "out": 125, "act": "relu"},
         {"type": "dense", "in": 125, "out": 75, "act": "relu"},
         {"type": "dense", "in": 75, "out": 50, "act": "relu"},
         {"type": "dense", "in": 50, "out": 2 * LATENT_DIM},
     ]
     dec = [
-        {"type": "dense", "in": 10, "out": 50, "act": "relu"},
+        {"type": "dense", "in": LATENT_DIM, "out": 50, "act": "relu"},
         {"type": "dense", "in": 50, "out": 75, "act": "relu"},
         {"type": "dense", "in": 75, "out": 125, "act": "relu"},
-        {"type": "dense", "in": 125, "out": 150},
+        {"type": "dense", "in": 125, "out": TARGET_LEN},
     ]
     return enc, dec
 
@@ -97,15 +116,16 @@ def _conv_vae_descriptors() -> tuple[list[dict], list[dict]]:
         {"type": "dense", "in": 320, "out": 2 * LATENT_DIM},
     ]
     dec = [
-        {"type": "dense", "in": 10, "out": 320},
+        {"type": "dense", "in": LATENT_DIM, "out": 320},
         {"type": "reshape", "len": 10, "ch": 32},
         {"type": "deconv", "k": 3, "cin": 32, "cout": 24, "stride": 2, "out_len": 19, "act": "relu"},
         {"type": "deconv", "k": 3, "cin": 24, "cout": 16, "stride": 2, "out_len": 38, "act": "relu"},
         {"type": "deconv", "k": 3, "cin": 16, "cout": 8, "stride": 2, "out_len": 75, "act": "relu"},
-        {"type": "deconv", "k": 3, "cin": 8, "cout": 8, "stride": 2, "out_len": 150, "act": "relu"},
+        {"type": "deconv", "k": 3, "cin": 8, "cout": 8, "stride": 2, "out_len": TARGET_LEN,
+         "act": "relu"},
         {"type": "conv", "k": 1, "cin": 8, "cout": 1, "act": "relu"},
         {"type": "flatten"},
-        {"type": "dense", "in": 150, "out": 150},
+        {"type": "dense", "in": TARGET_LEN, "out": TARGET_LEN},
     ]
     return enc, dec
 
@@ -119,7 +139,7 @@ def vae_descriptors(kind: str) -> tuple[list[dict], list[dict]]:
 
 
 @dataclass(kw_only=True)
-class VaeModel:
+class VaeModel(ManifoldModel):
     """A VAE: its fields, under their JSON keys, are its model file's payload."""
 
     kind: Literal[VAE_KINDS]
@@ -311,14 +331,6 @@ def set_threshold(model, x: np.ndarray, eval_labels: np.ndarray) -> tuple[float,
     return d, j
 
 
-def score(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(-residual, verdict) per row; verdict 1 (normal) iff residual <= threshold_d."""
-    if model.threshold_d is None:
-        raise ValidationError("manifold model has no threshold; run `threshold` first")
-    r = residuals(model, x)
-    return -r, (r <= model.threshold_d).astype(int)
-
-
 def assess(model, x: np.ndarray) -> int:
-    """score's verdict for one cycle x."""
-    return int(score(model, x)[1][0])
+    """model.score's verdict for one cycle x."""
+    return int(model.score(x)[1][0])

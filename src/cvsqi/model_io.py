@@ -3,10 +3,13 @@
 A file's payload is its family, then its model, then the preprocessing it was
 trained under (size scheme + scale mode).  The model's dataclass
 (DiscriminativeModel, PcaModel or VaeModel) is the one description of its
-part, and _Preprocessing of the preprocessing: save_model writes their fields
-with forward.to_json, and load_model, after checking the format version and a
-SHA-256 checksum over the canonical payload, reads them back through the same
-dataclasses with forward.from_json, their own checks included, into a Scorer.
+part, its class attribute family names the family, and _Preprocessing is the
+one description of the preprocessing: save_model writes their fields with
+forward.to_json, and load_model, after checking the format version and a
+SHA-256 checksum over the canonical payload, reads them back through the
+same dataclasses with forward.from_json, their own checks included, into a
+Scorer.  The model scores itself: model.score(x) is (score, verdict) per
+row by its class's rule.
 """
 from __future__ import annotations
 
@@ -16,9 +19,6 @@ import json
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
-import numpy as np
-
-from . import experiment
 from .discriminative import DiscriminativeModel
 from .errors import IoError
 from .forward import from_json, to_json
@@ -48,8 +48,7 @@ def _checksum(payload: dict) -> str:
 
 
 def save_model(model, path: str, norm_scheme: str, scale_mode: str) -> None:
-    family = "discriminative" if isinstance(model, DiscriminativeModel) else "manifold"
-    payload = {"family": family, **to_json(model),
+    payload = {"family": model.family, **to_json(model),
                "preprocessing": to_json(_Preprocessing(norm_scheme, scale_mode))}
     doc = {"format_version": FORMAT_VERSION, "payload": payload,
            "checksum": _checksum(payload)}
@@ -59,25 +58,16 @@ def save_model(model, path: str, norm_scheme: str, scale_mode: str) -> None:
 
 class Scorer(NamedTuple):
     """A model file's model and its preprocessing {"norm_scheme", "scale_mode"}:
-    the one path from cycles to verdicts for every command that loads one."""
+    normalize turns cycles into the rows that model.score gives verdicts for,
+    for every command that loads one."""
 
     model: DiscriminativeModel | PcaModel | VaeModel
     preprocessing: dict
-
-    @property
-    def name(self) -> str:
-        """The classifier's architecture, or the manifold model's kind."""
-        model = self.model
-        return model.architecture if isinstance(model, DiscriminativeModel) else model.kind
 
     def normalize(self, cycles, calibrations=None):
         """normalize_dataset's (x, y_train, y_eval) under the recorded preprocessing."""
         return normalize_dataset(cycles, self.preprocessing["norm_scheme"],
                                  self.preprocessing["scale_mode"], calibrations)
-
-    def score(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(score, verdict) per row of normalized cycles, by experiment.score."""
-        return experiment.score(self.model, x)
 
 
 def load_model(path: str) -> Scorer:

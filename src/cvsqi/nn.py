@@ -69,8 +69,7 @@ class ParamSet:
 def _adam(x: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int,
           lr: float, beta1: float, beta2: float, eps: float) -> np.ndarray:
     """One Adam step of x, as a new array; the moments m and v are updated in
-    place.  Elementwise only, so any partition of the values gives the same
-    bits."""
+    place.  Elementwise only."""
     tmp = np.multiply(g, 1 - beta1)
     m *= beta1
     m += tmp
@@ -89,29 +88,29 @@ def _adam(x: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int,
 
 def adam_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """Standard Adam update with bias correction, in place.
+    """Standard Adam update with bias correction of every parameter, in place.
 
-    The moments are updated in their own arrays.  Each value array is
-    replaced, not written, since ParamSet may share it with its caller.
-    Gradients for every parameter update all of them in one pass over the
-    flat moments, after which the values are views of one new array;
-    gradients for some parameters update those alone.
+    grads holds one gradient per parameter; a missing or None one, an
+    unknown name or a shape other than its parameter's is a ShapeMismatch
+    naming it.  The moments are updated in their own arrays, in one pass
+    over the flat buffers.  Each value array is replaced, not written, since
+    ParamSet may share it with its caller: the values become views of one
+    new array.
     """
-    params.t += 1
     for name, g in grads.items():
         if name not in params.values:
             raise ShapeMismatch(f"gradient for unknown parameter {name!r}")
-        if g.shape != params.values[name].shape:
+    for name, value in params.values.items():
+        g = grads.get(name)
+        if g is None:
+            raise ShapeMismatch(f"no gradient for parameter {name!r}")
+        if g.shape != value.shape:
             raise ShapeMismatch(f"gradient shape mismatch for {name!r}")
-    hyper = (params.t, lr, beta1, beta2, eps)
-    if grads and grads.keys() == params.values.keys():
-        x, g = (np.concatenate([d[k].ravel() for k in params.values])
-                for d in (params.values, grads))
-        params.values.update(params._views(_adam(x, params._m, params._v, g, *hyper)))
-        return
-    for name, g in grads.items():
-        params.values[name] = _adam(params.values[name], params.m[name],
-                                    params.v[name], g, *hyper)
+    params.t += 1
+    x, g = (np.concatenate([d[k].ravel() for k in params.values])
+            for d in (params.values, grads))
+    params.values.update(params._views(_adam(x, params._m, params._v, g, params.t, lr,
+                                             beta1, beta2, eps)))
 
 
 def fit(params: ParamSet, n: int,
@@ -143,8 +142,7 @@ def fit(params: ParamSet, n: int,
             pvars = params.as_vars()
             loss = batch_loss(idx, pvars, rng)
             ad.backward(loss)
-            adam_step(params, {k: v.grad for k, v in pvars.items()
-                               if v.grad is not None}, lr)
+            adam_step(params, {k: v.grad for k, v in pvars.items()}, lr)
             epoch_loss += float(loss.value) * idx.size
         train_losses.append(epoch_loss / n)
         if val_loss is not None:

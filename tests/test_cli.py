@@ -368,7 +368,7 @@ class TestSharedScoring:
         x, _, y_eval = preprocess.normalize_dataset(
             dataio.read_cycles(str(workspace["cycles"])), prep["norm_scheme"],
             prep["scale_mode"], dataio.read_calibrations(str(workspace["calib"])))
-        expected = evaluate_scores(*experiment.score(model, x), y_eval)
+        expected = evaluate_scores(*model.score(x), y_eval)
         assert report["metrics"] == {k: expected[k] for k in report["metrics"]}
         assert report["undefined"] == expected["undefined"]
 
@@ -596,7 +596,7 @@ class TestAssess:
         model = discriminative.build("lr", seed=0)
         model.params.values["layer0.W"][:] = 0.0
         model.params.values["layer0.b"][:] = bias
-        scores, verdicts = experiment.score(model, np.zeros((3, 150)))
+        scores, verdicts = model.score(np.zeros((3, 150)))
         assert scores.tolist() == [p] * 3 and verdicts.tolist() == [verdict] * 3
         path, out = tmp_path / "lr.json", tmp_path / "verdicts.csv"
         model_io.save_model(model, str(path), norm_scheme="interp", scale_mode="subject")
@@ -668,7 +668,7 @@ class TestAssess:
                     "--out", out]) == 0
         rows = np.loadtxt(out, delimiter=",", ndmin=2)
         model = model_io.load_model(str(path))[0]
-        alone = [experiment.score(model, v[None]) for v in vectors]
+        alone = [model.score(v[None]) for v in vectors]
         assert np.array_equal(rows[:, 0], [c.t_start_ms for c in cycles])
         assert np.array_equal(rows[:, 1], [int(v[0]) for _, v in alone])
         assert np.allclose(rows[:, 2], [float(sc[0]) for sc, _ in alone],

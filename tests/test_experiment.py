@@ -1,6 +1,6 @@
 """generate_dataset: subject order, the kept streams, the empty dataset, and
-its stop at the first failing subject; score: one verdict rule for manifold
-models."""
+its stop at the first failing subject; model.score: one verdict rule for
+manifold models."""
 import numpy as np
 import pytest
 
@@ -89,7 +89,7 @@ class TestVerdictRule:
     @pytest.mark.parametrize("kind", ["pca", "bcvae"])
     def test_assess_row_by_row_is_the_batch_verdict(self, cycle_matrix, kind):
         model = mid_pool_model(kind, cycle_matrix)
-        verdicts = experiment.score(model, cycle_matrix)[1]
+        verdicts = model.score(cycle_matrix)[1]
         assert 0 < verdicts.sum() < len(verdicts)
         assert [manifold.assess(model, x) for x in cycle_matrix] == verdicts.tolist()
 
@@ -99,7 +99,7 @@ class TestVerdictRule:
         model.threshold_d = None
         with pytest.raises(ValidationError, match="^manifold model has no threshold; "
                                                  "run `threshold` first$") as batch:
-            experiment.score(model, cycle_matrix)
+            model.score(cycle_matrix)
         with pytest.raises(ValidationError, match="^manifold model has no threshold; "
                                                  "run `threshold` first$") as single:
             manifold.assess(model, cycle_matrix[0])

@@ -1,5 +1,6 @@
-"""The README command-line pipeline against its golden record, and the rules
-of the comparison (scripts/golden.py; `--write` regenerates the record)."""
+"""The README command-line pipeline and `cvsqi gen` at its defaults against
+their golden records, and the rules of the comparison (scripts/golden.py;
+`--write` regenerates the records)."""
 import copy
 import importlib.util
 import json
@@ -12,8 +13,16 @@ _spec.loader.exec_module(golden)
 
 
 def test_readme_pipeline_matches_golden_record(tmp_path):
-    got = golden.record(golden.run_pipeline(tmp_path))
+    got = golden.record(golden.run_pipeline(tmp_path, golden.readme_block()))
     want = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))
+    assert golden.compare(got, want) == []
+
+
+def test_gen_matches_golden_record(tmp_path):
+    # cycles, calibrations and 20 per-subject streams, and the class table
+    got = golden.record(golden.run_pipeline(tmp_path, golden.GEN_BLOCK))
+    want = json.loads(golden.GEN_GOLDEN.read_text(encoding="utf-8"))
+    assert len(want) == 23
     assert golden.compare(got, want) == []
 
 

@@ -121,6 +121,23 @@ def three_models(seed):
     return {"mlp2": discriminative.build("mlp2", seed=seed), "pca": pca, "bcvae": vae}
 
 
+def model_of(name, x):
+    """An untrained classifier of architecture name, or a manifold model of
+    kind name (PCA fit on x) thresholded at the median of its residuals on x."""
+    if name in discriminative.ARCHITECTURES:
+        return discriminative.build(name, seed=0)
+    model = manifold.pca_fit(x) if name == "pca" else manifold.build_vae(name, seed=0)
+    model.threshold_d = float(np.median(manifold.residuals(model, x)))
+    return model
+
+
+@pytest.fixture(scope="module")
+def pad_naive_cycles():
+    """One subject's cycles and normalize_dataset's rows of them under pad, naive."""
+    cycles = experiment.generate_dataset(0, n_subjects=1, duration_ms=40_000).cycles
+    return cycles, normalize_dataset(cycles, "pad", "naive")
+
+
 class TestScorer:
     @pytest.mark.parametrize("name", ["mlp2", "pca", "bcvae"])
     def test_save_load_save_identical_bytes(self, tmp_path, seed, name):
@@ -131,20 +148,28 @@ class TestScorer:
         model_io.save_model(model, str(second), **prep)
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("name", ["mlp2", "pca", "bcvae"])
-    def test_name_normalize_and_score(self, tmp_path, name):
-        path = str(tmp_path / "m.json")
-        model_io.save_model(three_models(0)[name], path, norm_scheme="pad",
-                            scale_mode="naive")
-        scorer = model_io.load_model(path)
-        assert scorer.name == name
+    @pytest.mark.parametrize("name", discriminative.ARCHITECTURES + manifold.MANIFOLD_KINDS)
+    def test_name_normalize_and_score(self, tmp_path, pad_naive_cycles, name):
+        cycles, expected = pad_naive_cycles
+        model = model_of(name, expected[0])
+        path = tmp_path / "m.json"
+        model_io.save_model(model, str(path), norm_scheme="pad", scale_mode="naive")
+        scorer = model_io.load_model(str(path))
+        assert type(scorer.model) is type(model)
+        assert scorer.model.name == name
+        assert json.loads(path.read_text())["payload"]["family"] == type(model).family
         assert scorer.preprocessing == {"norm_scheme": "pad", "scale_mode": "naive"}
-        ds = experiment.generate_dataset(0, n_subjects=1, duration_ms=30_000)
-        x, y_train, y_eval = scorer.normalize(ds.cycles)
-        expected = normalize_dataset(ds.cycles, "pad", "naive")
+        x, y_train, y_eval = scorer.normalize(cycles)
         for got, want in zip((x, y_train, y_eval), expected):
             assert np.array_equal(got, want)
-        for got, want in zip(scorer.score(x), experiment.score(scorer.model, x)):
+        scores, verdicts = scorer.model.score(x)
+        if type(model).family == "discriminative":
+            rule = scores >= discriminative.ACCEPT_PROBABILITY
+        else:
+            rule = -scores <= model.threshold_d
+            assert 0 < verdicts.sum() < len(verdicts)
+        assert np.array_equal(verdicts, rule.astype(int))
+        for got, want in zip((scores, verdicts), model.score(x)):
             assert np.array_equal(got, want)
 
 

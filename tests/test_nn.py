@@ -110,8 +110,8 @@ class TestAdam:
         assert np.array_equal(snapshot["a"], before)
 
     def test_full_step_replaces_every_value_and_keeps_moment_arrays(self, seed):
-        # gradients for every tensor take the one-buffer path: every value is
-        # a new array, the moments stay the arrays ParamSet handed out
+        # a step over the one flat buffer: every value is a new array, the
+        # moments stay the arrays ParamSet handed out
         rng = np.random.default_rng(seed)
         ps = ParamSet({"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5),
                        "c": rng.normal(size=(2, 1, 3))})
@@ -144,23 +144,19 @@ class TestAdam:
         for k in ref:
             assert same_bits(ps.values[k], ref[k])
 
-    def test_partition_invariance(self, seed):
-        # updating tensors jointly or one per call gives identical parameters
+    def test_partial_gradients_rejected(self, seed):
+        # every step updates every parameter: a missing or None gradient is a
+        # ShapeMismatch naming the parameter, and nothing moves
         rng = np.random.default_rng(seed)
-        values = {"a": rng.normal(size=(4,)), "b": rng.normal(size=(2, 3))}
-        grads = {k: rng.normal(size=v.shape) for k, v in values.items()}
-
-        joint = ParamSet(values)
-        adam_step(joint, grads, lr=1e-2)
-
-        split = ParamSet(values)
-        adam_step(split, {"a": grads["a"]}, lr=1e-2)
-        split.t = 0   # same logical step for the second tensor
-        adam_step(split, {"b": grads["b"]}, lr=1e-2)
-        for k in values:
-            for got, want in zip((split.values, split.m, split.v),
-                                 (joint.values, joint.m, joint.v)):
-                assert same_bits(got[k], want[k])
+        ps = ParamSet({"a": rng.normal(size=(4,)), "b": rng.normal(size=(2, 3))})
+        before = ps.copy_values()
+        for grads in ({"a": rng.normal(size=4)}, {"a": rng.normal(size=4), "b": None}):
+            with pytest.raises(ShapeMismatch, match="^no gradient for parameter 'b'$"):
+                adam_step(ps, grads, lr=1e-2)
+        assert ps.t == 0
+        for k, value in before.items():
+            assert same_bits(ps.values[k], value)
+            assert not ps.m[k].any() and not ps.v[k].any()
 
     def test_shape_mismatch_rejected(self):
         ps = ParamSet({"w": np.zeros(3)})
