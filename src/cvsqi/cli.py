@@ -21,9 +21,9 @@ from .evaluation import METRICS, evaluate_scores, split_by_subject
 from .forward import scenario_from_file, synthesize_stream
 from .labels import QualityLabel
 from .nn import DEFAULT_LR
-from .preprocess import (SCALE_MODES, SCHEMES, calibration_from_stream,
-                         cycles_from_stream, normalize_cycle, normalize_dataset,
-                         subject_scale_factor)
+from .preprocess import (DEFAULT_SCALE_MODE, DEFAULT_SCHEME, SCALE_MODES, SCHEMES,
+                         calibration_from_stream, cycles_from_stream, normalize_cycle,
+                         normalize_dataset, subject_scale_factor)
 
 CONFIG_ENV = "CVSQI_CONFIG"
 
@@ -58,8 +58,6 @@ def _load_calibrations(path: str | None):
 # --- commands ---
 
 def cmd_gen(args) -> int:
-    if args.subjects < 1:
-        raise ValidationError(f"--subjects must be at least 1, got {args.subjects}")
     if args.scenario:
         scenario = scenario_from_file(args.scenario)
         sid = scenario.subject_id
@@ -201,8 +199,9 @@ def bench_models(named_models, cycles, repeats: int = 1) -> list[dict]:
     cycles is a list of (CvsCycle, scale, scheme) ready for assessment.
     Returns one LatencyReport record per model.
     """
-    if len(cycles) < 1000:
-        raise ValidationError(f"benchmark needs >= 1000 cycles, got {len(cycles)}")
+    if len(cycles) < BENCH_MIN_CYCLES:
+        raise ValidationError(f"benchmark needs >= {BENCH_MIN_CYCLES} cycles, "
+                              f"got {len(cycles)}")
     reports = []
     for name, model in named_models:
         # warm start: the first 10 cycles, outside timing
@@ -228,7 +227,8 @@ def bench_models(named_models, cycles, repeats: int = 1) -> list[dict]:
     return reports
 
 
-BENCH_PREPROCESSING = {"norm_scheme": "interp", "scale_mode": "subject"}
+BENCH_MIN_CYCLES = 1000   # bench_models' floor and bench --n-cycles' default
+BENCH_PREPROCESSING = {"norm_scheme": DEFAULT_SCHEME, "scale_mode": DEFAULT_SCALE_MODE}
 
 
 def _bench_cycles(n_cycles: int, seed: int):
@@ -281,7 +281,7 @@ def _seed(text: str) -> int:
 
 
 def _count(text: str) -> int:
-    """The type of the experiment scripts' --subjects: a positive integer."""
+    """The type of every --subjects: a positive integer."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
@@ -296,7 +296,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic cycle dataset")
     p.add_argument("--scenario", help="JSON scenario file for one subject")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--subjects", type=int, default=experiment.DEFAULT_SUBJECTS)
+    p.add_argument("--subjects", type=_count, default=experiment.DEFAULT_SUBJECTS)
     p.add_argument("--duration-ms", type=int, default=experiment.DEFAULT_DURATION_MS)
     p.add_argument("--out-cycles", required=True)
     p.add_argument("--out-calib")
@@ -311,8 +311,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a discriminative classifier")
     p.add_argument("--arch", choices=discriminative.ARCHITECTURES, default="vgg3")
-    p.add_argument("--norm", choices=SCHEMES, default="interp")
-    p.add_argument("--scale", choices=SCALE_MODES, default="subject")
+    p.add_argument("--norm", choices=SCHEMES, default=DEFAULT_SCHEME)
+    p.add_argument("--scale", choices=SCALE_MODES, default=DEFAULT_SCALE_MODE)
     p.add_argument("--calib")
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
@@ -324,8 +324,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("train-manifold", help="train a manifold model on positives")
     p.add_argument("--kind", choices=manifold.MANIFOLD_KINDS, default="bcvae")
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--norm", choices=SCHEMES, default="interp")
-    p.add_argument("--scale", choices=SCALE_MODES, default="subject")
+    p.add_argument("--norm", choices=SCHEMES, default=DEFAULT_SCHEME)
+    p.add_argument("--scale", choices=SCALE_MODES, default=DEFAULT_SCALE_MODE)
     p.add_argument("--calib")
     p.add_argument("--pos-train", required=True)
     p.add_argument("--val")
@@ -352,9 +352,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("bench", help="per-cycle inference latency report")
-    p.add_argument("--models", nargs="*", default=None,
-                   help="model files; default benches freshly built models")
-    p.add_argument("--n-cycles", type=int, default=1000)
+    p.add_argument("--models", nargs="+", help="model files; default: ten new models")
+    p.add_argument("--n-cycles", type=int, default=BENCH_MIN_CYCLES)
     p.add_argument("--seed", type=_seed, default=0)
 
     if defaults:
@@ -374,18 +373,22 @@ def _parser(config_json: str) -> argparse.ArgumentParser:
     return build_parser(json.loads(config_json))
 
 
-def main(argv=None) -> int:
+def exit_code(command, *args) -> int:
+    """command(*args), or on an error one error: line and exit 3 (I/O) or 2."""
     try:
+        return command(*args)
+    except (OSError, CvsqiError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, (OSError, IoError)) else 2
+
+
+def main(argv=None) -> int:
+    def command():
         args = _parser(json.dumps(_load_config(), sort_keys=True)).parse_args(argv)
         # looked up per call, not stored in the cached parser, so a cmd_*
         # function replaced on this module (a profiling wrapper) is the one run
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (OSError, IoError) as exc:      # a path that cannot be read or written
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CvsqiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return exit_code(command)
 
 
 if __name__ == "__main__":

@@ -137,7 +137,7 @@ def prepare_splits(dataset: SyntheticDataset, scheme: str, scale_mode: str,
             for part in split_by_subject(dataset.cycles, seed=seed)]
 
 
-def run_discriminative(splits, arch: str = "vgg3",
+def run_discriminative(splits, arch: str,
                        epochs: int = discriminative.DEFAULT_EPOCHS,
                        lr: float = DEFAULT_LR, seed: int = 0):
     """Train one discriminative model on prepared splits; returns (model, report)."""
@@ -148,7 +148,7 @@ def run_discriminative(splits, arch: str = "vgg3",
     return model, evaluate_scores(*model.score(x_te), yev_te)
 
 
-def run_manifold(splits, kind: str = "bcvae", beta: float | None = None,
+def run_manifold(splits, kind: str, beta: float | None = None,
                  epochs: int = manifold.DEFAULT_EPOCHS, lr: float = DEFAULT_LR,
                  seed: int = 0):
     """Train one manifold model on the train positives, threshold it on train+val.

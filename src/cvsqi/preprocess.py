@@ -31,6 +31,8 @@ HEADROOM = 10.0           # sanity bound on normalized values
 
 SCHEMES = ("interp", "pad")
 SCALE_MODES = ("naive", "subject", "none")
+DEFAULT_SCHEME = "interp"         # train's, bench's and the experiment runner's
+DEFAULT_SCALE_MODE = "subject"
 
 
 @dataclass

@@ -747,6 +747,19 @@ class TestBench:
         assert err.startswith(f"error: {bad}: records ") and err.count("\n") == 1
         assert repr(norm_scheme) in err and repr(scale_mode) in err
 
+    def test_models_without_a_file_exits_2(self, capsys, monkeypatch):
+        # an empty list is no request for the ten untrained built-in models
+        def untimed(*args):
+            raise AssertionError("bench went on to time")
+        monkeypatch.setattr(cli, "_bench_cycles", untimed)
+        monkeypatch.setattr(cli, "bench_models", untimed)
+        with pytest.raises(SystemExit) as exc:
+            run(["bench", "--models"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert err.endswith("error: argument --models: expected at least one argument\n")
+
     def test_models_named_from_their_files(self, tmp_path, capsys, monkeypatch):
         timed = []
         monkeypatch.setattr(cli, "_bench_cycles", lambda n, seed: ["cycles", n, seed])

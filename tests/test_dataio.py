@@ -390,9 +390,11 @@ class TestGenFiles:
 
     @pytest.mark.parametrize("n_subjects", [0, -1])
     def test_subjects_below_one_exit_2(self, tmp_path, capsys, n_subjects):
-        assert run_cli(["gen", "--subjects", n_subjects,
-                        *gen_argv(tmp_path, True, True)]) == 2
-        assert f"--subjects must be at least 1, got {n_subjects}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["gen", "--subjects", n_subjects, *gen_argv(tmp_path, True, True)])
+        assert exc.value.code == 2
+        assert (f"error: argument --subjects: must be a positive integer, "
+                f"got '{n_subjects}'\n") in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     def test_failing_subject_leaves_no_file(self, tmp_path):
