@@ -23,7 +23,8 @@ def main(argv=None) -> int:
     ap.add_argument("--scheme", choices=preprocess.SCHEMES, default=preprocess.DEFAULT_SCHEME)
     ap.add_argument("--models", nargs="+", default=["vgg3", "bcvae"],
                     choices=discriminative.ARCHITECTURES + manifold.MANIFOLD_KINDS)
-    ap.add_argument("--epochs", type=int, help="default: each family's DEFAULT_EPOCHS")
+    ap.add_argument("--epochs", type=cli._count,
+                    help="default: each family's DEFAULT_EPOCHS")
     ap.add_argument("--betas", type=float, nargs="+",
                     help="VAE KL weights; default: each kind's DEFAULT_BETA")
     ap.add_argument("--skip-ablation", action="store_true")
@@ -41,6 +42,19 @@ def _train(splits, name, beta, args) -> dict:
 
 
 def run(args) -> int:
+    """Print the report table, and write it to --out if given.  The report's
+    temp file is made before anything is generated, so an --out that cannot
+    be written fails first; it is renamed into place at the end."""
+    with dataio.replacing() as open_temp:
+        out = open_temp(args.out) if args.out else None
+        report = _report(args)
+        if out:
+            out.write(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+def _report(args) -> dict:
+    """The report's header and rows, printed as they come."""
     t0 = time.perf_counter()
     dataset = experiment.generate_dataset(args.seed, n_subjects=args.subjects)
     header = {"seed": args.seed, "subjects": args.subjects, "scheme": args.scheme,
@@ -78,9 +92,7 @@ def run(args) -> int:
     # the whole run: generation, every model and the ablation retrains
     header["elapsed_s"] = time.perf_counter() - t0
     print(f"elapsed {header['elapsed_s']:.1f} s")
-    if args.out:
-        dataio.atomic_write(args.out, [json.dumps({"header": header, "rows": rows}, indent=1)])
-    return 0
+    return {"header": header, "rows": rows}
 
 
 def _cell(value, width: int, spec: str) -> str:

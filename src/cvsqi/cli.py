@@ -281,7 +281,8 @@ def _seed(text: str) -> int:
 
 
 def _count(text: str) -> int:
-    """The type of every --subjects: a positive integer."""
+    """The type of every --subjects, and of the experiment runner's --epochs:
+    a positive integer."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)

@@ -30,19 +30,25 @@ from .preprocess import (CALIBRATION_SAMPLES, SAMPLE_MS, CalibrationWindow, CvsC
 
 
 @contextlib.contextmanager
-def _replacing():
+def replacing():
     """Yield open_temp(path): a new temp file beside path, open for writing.
 
     When the block completes, every temp file is closed and only then are
     they renamed over their paths, in the order opened.  When anything in the
     block raises, every temp file is closed and unlinked, and an OSError is
-    raised again as IoError.
+    raised again as IoError.  open_temp names path, not its temp file, when
+    path is a directory or no temp file can be made beside it.
     """
     pending = []   # (file, temp path, target path)
 
     def open_temp(path):
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        if os.path.isdir(path):        # found here, before any file is renamed
+            raise IoError(f"{path}: Is a directory")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       suffix=".tmp")
+        except OSError as exc:
+            raise IoError(f"{path}: {exc.strerror}") from exc
         f = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
         pending.append((f, tmp, path))
         return f
@@ -74,7 +80,7 @@ def _write_lines(f, lines) -> None:
 
 
 def atomic_write(path: str, lines) -> None:
-    with _replacing() as open_temp:
+    with replacing() as open_temp:
         _write_lines(open_temp(path), lines)
 
 
@@ -129,7 +135,7 @@ def write_subjects(subjects, cycles_path: str, calib_path: str | None = None,
     """
     labels = Counter()
     calibration_lines = {}
-    with _replacing() as open_temp:
+    with replacing() as open_temp:
         cycles_file = open_temp(cycles_path)
         calib_file = open_temp(calib_path) if calib_path else None
         for sid, stream, cycles, calibration in subjects:
@@ -217,7 +223,7 @@ def write_cycles(cycles, path: str) -> None:
 
 def write_cycle_files(files) -> None:
     """Write each (cycles, path) pair; every file is renamed into place, or none."""
-    with _replacing() as open_temp:
+    with replacing() as open_temp:
         for cycles, path in files:
             _write_lines(open_temp(path), (
                 _cycle_line(c.subject_id, c.t_start_ms, c.label.code, _text(c.samples))

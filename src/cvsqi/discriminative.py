@@ -3,7 +3,8 @@
 All map a normalized 150-sample cycle to a probability that the cycle is
 motion-free.  Training minimizes a class-weighted cross-entropy with soft
 targets (ambiguous cycles carry target 0.25) and keeps the parameters from the
-epoch with the best validation AUC.
+epoch with the best validation AUC.  forward and train read their cycles
+through preprocess.cycle_rows, the one (N, 150) input check.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .errors import ShapeMismatch, SingleClassDataset, ValidationError
 from .evaluation import roc_auc
 from .nn import (BATCH_ROWS, ParamSet, by_rows, check_layers, fit,
                  forward_layers, init_params)
-from .preprocess import TARGET_LEN
+from .preprocess import TARGET_LEN, cycle_rows
 
 CLIP_EPS = 1e-12
 
@@ -104,30 +105,23 @@ def build(architecture: str, seed: int) -> DiscriminativeModel:
                                params=ParamSet(init_params(desc, seed)), seed=seed)
 
 
-def _require_cycles(x: np.ndarray) -> None:
-    if x.ndim != 2 or x.shape[1] != TARGET_LEN:
-        raise ShapeMismatch(f"expected (N, {TARGET_LEN}) input, got {x.shape}")
-
-
 def _forward_var(model: DiscriminativeModel, x: np.ndarray,
                  params: dict[str, Var]) -> Var:
-    """The taped forward pass that training differentiates."""
-    _require_cycles(x)
+    """The taped forward pass that training differentiates, on rows of
+    cycle_rows' (N, 150) matrix."""
     out = forward_layers(model.descriptor, params, Var(x))
     return ad.reshape(out, (x.shape[0],))
 
 
 def forward(model: DiscriminativeModel, x: np.ndarray) -> np.ndarray:
-    """Probabilities in (0, 1) for a batch of normalized cycles (N, 150).
+    """Probabilities in (0, 1) for cycle_rows(x), the normalized cycles.
 
     Inference runs the numpy kernels in BATCH_ROWS-row chunks and records no
     tape.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    _require_cycles(x)
     params = model.params.values
     return by_rows(lambda c: forward_layers(model.descriptor, params, c).reshape(len(c)),
-                   x)
+                   cycle_rows(x))
 
 
 @dataclass(frozen=True)
@@ -174,7 +168,7 @@ def train(model: DiscriminativeModel, x_train: np.ndarray, y_train: np.ndarray,
     y_train holds soft train targets; y_val_eval holds hard {0, 1} eval labels.
     Deterministic under (model params, seed).
     """
-    x_train = np.asarray(x_train, dtype=np.float64)
+    x_train, x_val = cycle_rows(x_train), cycle_rows(x_val)
     y_train = np.asarray(y_train, dtype=np.float64)
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ValidationError("train and validation sets must be non-empty")

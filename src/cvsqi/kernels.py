@@ -60,7 +60,7 @@ def sigmoid(a: np.ndarray) -> np.ndarray:
     below (and for NaN).
     """
     e = np.exp(-np.abs(a))
-    return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(a >= 0, 1.0, e) / (1.0 + e)
 
 
 def reshape(a: np.ndarray, shape) -> np.ndarray:

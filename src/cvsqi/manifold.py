@@ -1,8 +1,10 @@
 """Manifold-learning quality models: PCA and (convolutional) (beta-)VAEs.
 
 These learn only from motion-free cycles.  A cycle is scored by the Euclidean
-residual between itself and its reconstruction; the accept/reject threshold is
-picked by maximizing Youden's J over residuals from the train+val pool.
+residual between itself and model.reconstruct of it (PCA's projection, a
+VAE's decoder at its encoder's mean); the accept/reject threshold is picked
+by maximizing Youden's J over residuals from the train+val pool.  pca_fit,
+vae_train and residuals read their cycles through preprocess.cycle_rows.
 
 Every decision about a manifold model of any kind lives here, and the CLI and
 the experiment runners call it: train_kind fits one (positives only, for
@@ -23,7 +25,7 @@ from .autodiff import Var
 from .errors import InvalidField, ShapeMismatch, SingleClassDataset, ValidationError
 from .nn import (BATCH_ROWS, DEFAULT_LR, ParamSet, by_rows, check_layers, check_shape,
                  fit, forward_layers, init_params)
-from .preprocess import TARGET_LEN
+from .preprocess import TARGET_LEN, cycle_rows
 
 LATENT_DIM = 10
 
@@ -67,25 +69,19 @@ class PcaModel(ManifoldModel):
         check_shape("mean", self.mean, (TARGET_LEN,))
         check_shape("components", self.components, (None, TARGET_LEN))
 
+    def reconstruct(self, x: np.ndarray) -> np.ndarray:
+        """mean + each row of an (N, 150) x projected onto the principal subspace."""
+        return self.mean + (x - self.mean) @ self.components.T @ self.components
+
 
 def pca_fit(x_pos: np.ndarray, k: int = LATENT_DIM) -> PcaModel:
     """Top-k principal directions of the positive cycles, via SVD of centered data."""
-    x = np.asarray(x_pos, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeMismatch(f"pca_fit expects (N, {TARGET_LEN})")
+    x = cycle_rows(x_pos)
     if x.shape[0] < k:
         raise ValidationError(f"need at least {k} samples, got {x.shape[0]}")
     mean = x.mean(axis=0)
     _, _, vt = np.linalg.svd(x - mean, full_matrices=False)
     return PcaModel(mean=mean, components=vt[:k].copy())
-
-
-def pca_project(model: PcaModel, x: np.ndarray) -> np.ndarray:
-    """Reconstruction: mean + projection onto the principal subspace."""
-    x = np.asarray(x, dtype=np.float64)
-    centered = x - model.mean
-    z = centered @ model.components.T
-    return model.mean + z @ model.components
 
 
 # --- VAE ---
@@ -159,6 +155,12 @@ class VaeModel(ManifoldModel):
                      "enc.")
         check_layers("decoder", self.dec, (LATENT_DIM,), (TARGET_LEN,), self.params, "dec.")
 
+    def reconstruct(self, x: np.ndarray) -> np.ndarray:
+        """The decoder at the encoder's mean of each row of an (N, 150) x; no tape."""
+        params = self.params.values
+        mu = forward_layers(self.enc, params, x, prefix="enc.")[:, :LATENT_DIM]
+        return forward_layers(self.dec, params, mu, prefix="dec.")
+
 
 def build_vae(kind: str, seed: int, beta: float | None = None) -> VaeModel:
     """An untrained VAE of kind; beta None is the kind's DEFAULT_BETA, and
@@ -169,23 +171,6 @@ def build_vae(kind: str, seed: int, beta: float | None = None) -> VaeModel:
               **init_params(dec, seed + 1, prefix="dec.")}
     return VaeModel(kind=kind, beta=beta, enc=enc, dec=dec, params=ParamSet(values),
                     seed=seed)
-
-
-def vae_forward(model: VaeModel, x: np.ndarray):
-    """Reconstruction plus (mu, sigma, z) with z = mu, computed with no tape.
-
-    The sigma head is parameterized as exp(log sigma) so sigma stays positive.
-    It runs x as one batch; residuals and the validation loss call it on
-    BATCH_ROWS-row chunks.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != TARGET_LEN:
-        raise ShapeMismatch(f"expected (N, {TARGET_LEN}), got {x.shape}")
-    params = model.params.values
-    h = forward_layers(model.enc, params, x, prefix="enc.")
-    mu, log_sigma = h[:, :LATENT_DIM], h[:, LATENT_DIM:2 * LATENT_DIM]
-    recon = forward_layers(model.dec, params, mu, prefix="dec.")
-    return recon, mu, np.exp(log_sigma), mu
 
 
 def _vae_loss(model: VaeModel, x: np.ndarray, params: dict[str, Var],
@@ -223,7 +208,9 @@ def vae_train(model: VaeModel, x_pos: np.ndarray, eval_labels: np.ndarray,
     loss when validation positives are supplied.  train_audit records how many
     negative samples entered gradient updates (always 0 by construction).
     """
-    x_pos = np.asarray(x_pos, dtype=np.float64)
+    x_pos = cycle_rows(x_pos)
+    if x_val_pos is not None:
+        x_val_pos = cycle_rows(x_val_pos)
     labels = np.asarray(eval_labels, dtype=np.int64)
     if x_pos.shape[0] == 0:
         raise ValidationError("no positive training samples")
@@ -241,8 +228,7 @@ def vae_train(model: VaeModel, x_pos: np.ndarray, eval_labels: np.ndarray,
         return _vae_loss(model, x_pos[idx], pvars, noise)
 
     def val_loss():
-        sq = by_rows(lambda c: np.sum((vae_forward(model, c)[0] - c) ** 2, axis=1),
-                     x_val_pos)
+        sq = by_rows(lambda c: np.sum((model.reconstruct(c) - c) ** 2, axis=1), x_val_pos)
         return float(np.mean(sq))
 
     train_loss, val_recon, _ = fit(
@@ -278,20 +264,14 @@ def train_kind(kind: str, x_pos: np.ndarray, eval_labels: np.ndarray, *,
 # --- scoring ---
 
 def residuals(model, x: np.ndarray) -> np.ndarray:
-    """Euclidean reconstruction distances for a batch, inference mode.
+    """Euclidean reconstruction distances of cycle_rows(x), inference mode.
 
-    Each BATCH_ROWS-row chunk is reconstructed (PCA projection, or VAE
-    encoder and decoder), subtracted and normed before the next starts, so
-    no temporary grows with the batch.
+    Each BATCH_ROWS-row chunk is reconstructed by model.reconstruct,
+    subtracted and normed before the next starts, so no temporary grows with
+    the batch.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-
-    def chunk_residuals(c):
-        recon = (pca_project(model, c) if isinstance(model, PcaModel)
-                 else vae_forward(model, c)[0])
-        return np.linalg.norm(c - recon, axis=1)
-
-    return by_rows(chunk_residuals, x)
+    return by_rows(lambda c: np.linalg.norm(c - model.reconstruct(c), axis=1),
+                   cycle_rows(x))
 
 
 def select_threshold(scores: np.ndarray, eval_labels: np.ndarray) -> tuple[float, float]:

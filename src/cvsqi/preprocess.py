@@ -10,6 +10,8 @@ boundary sample.  Scale normalization divides by either the per-cycle peak
 sudden amplitude excursions instead of flattening them.  Size normalization
 embeds every cycle into a fixed 150-vector by linear resampling or constant
 padding, and normalize_dataset stacks those vectors into the model matrix.
+Every model entry that takes that matrix reads it through cycle_rows, so
+any other shape is the one ShapeMismatch "expected (N, 150) input, got (...)".
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MissingCalibration, ValidationError
+from .errors import MissingCalibration, ShapeMismatch, ValidationError
 from .forward import SAMPLE_MS
 from .labels import QualityLabel
 
@@ -73,6 +75,17 @@ class CalibrationWindow:
 @dataclass
 class NormalizedCycle:
     values: np.ndarray    # (TARGET_LEN,) float64, finite, peak within HEADROOM
+
+
+def cycle_rows(x) -> np.ndarray:
+    """x as an (N, TARGET_LEN) float64 matrix of normalized cycles, a
+    (TARGET_LEN,) vector as one row; any other shape is a ShapeMismatch."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape == (TARGET_LEN,):
+        return x[None]
+    if x.ndim != 2 or x.shape[1] != TARGET_LEN:
+        raise ShapeMismatch(f"expected (N, {TARGET_LEN}) input, got {x.shape}")
+    return x
 
 
 class CvsStream(NamedTuple):

@@ -55,8 +55,9 @@ class TestElementwiseValues:
             out[~pos] = ez / (1.0 + ez)
             return out
 
-        a = np.concatenate([[np.nan, -0.0, 0.0, np.inf, -np.inf, 745.0, -745.0, 1e4],
-                            np.random.default_rng(seed).normal(scale=8.0, size=500)])
+        edges = [0.0, 5e-324, 1e-300, 700.0, 710.0, 745.0, 800.0, 1e4, np.inf, np.nan]
+        a = np.concatenate([edges, np.negative(edges),
+                            np.random.default_rng(seed).normal(scale=8.0, size=100_000)])
         for x in (a, a.reshape(-1, 4), a[:1]):
             assert same_bits_or_nan(kernels.sigmoid(x), two_branch(x))
 

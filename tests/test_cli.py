@@ -194,6 +194,29 @@ class TestExitCodes:
         assert err.endswith("\n") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("fault", ["missing-directory", "a-directory"])
+    @pytest.mark.parametrize("command,flag", [("gen", "--out-cycles"), ("gen", "--out-stream"),
+                                              ("assess", "--out"), ("evaluate", "--out")])
+    def test_unwritable_output_is_named_by_its_path(self, workspace, assess_stream, tmp_path,
+                                                     capsys, command, flag, fault):
+        # the temp file written beside the path is neither named nor left
+        target = tmp_path / "missing" / "out.csv"
+        if fault == "a-directory":
+            target = tmp_path / "out.csv"
+            target.mkdir()
+        argv = {"gen": ["--subjects", 1, "--duration-ms", 30000],
+                "assess": ["--model", workspace["model"], "--stream", assess_stream["path"]],
+                "evaluate": ["--model", workspace["model"], "--test", workspace["cycles"],
+                             "--calib", workspace["calib"]]}[command]
+        if flag == "--out-stream":
+            argv += ["--out-cycles", tmp_path / "c.csv"]
+        before = sorted(tmp_path.rglob("*"))
+        assert run([command, *argv, flag, target]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err and ".tmp" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("command", ["gen", "split", "train", "train-manifold", "bench"])
     def test_negative_seed_exits_2(self, workspace, tmp_path, capsys, command):
         # numpy's generators take no negative seed; pca ignored it and exited 0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cvsqi import manifold as mf
 from cvsqi.autodiff import Var
 from cvsqi.errors import SingleClassDataset, ValidationError
+from cvsqi.nn import forward_layers
 from gradcheck import fd_grad_sampled, rel_err
 
 
@@ -56,7 +57,7 @@ class TestPca:
         x = rng.normal(size=(30, 150))
         model = mf.pca_fit(x)
         probe = model.mean + rng.normal(size=10) @ model.components
-        recon = mf.pca_project(model, probe[None, :])
+        recon = model.reconstruct(probe[None, :])
         assert np.max(np.abs(recon - probe)) < 1e-10
 
     def test_orthogonal_input_maps_to_mean(self, seed):
@@ -65,7 +66,7 @@ class TestPca:
         model = mf.pca_fit(x)
         probe = rng.normal(size=150)
         probe -= model.components.T @ (model.components @ probe)
-        recon = mf.pca_project(model, (model.mean + probe)[None, :])[0]
+        recon = model.reconstruct((model.mean + probe)[None, :])[0]
         assert np.max(np.abs(recon - model.mean)) < 1e-10
 
     def test_projection_idempotent(self, seed):
@@ -73,8 +74,8 @@ class TestPca:
         x = rng.normal(size=(30, 150))
         model = mf.pca_fit(x)
         probe = rng.normal(size=(5, 150))
-        once = mf.pca_project(model, probe)
-        twice = mf.pca_project(model, once)
+        once = model.reconstruct(probe)
+        twice = model.reconstruct(once)
         assert np.max(np.abs(once - twice)) < 1e-10
 
     def test_reconstruction_error_non_increasing_in_k(self):
@@ -83,7 +84,7 @@ class TestPca:
         errs = []
         for k in range(1, 11):
             model = mf.pca_fit(x, k=k)
-            errs.append(float(np.sum((x - mf.pca_project(model, x)) ** 2)))
+            errs.append(float(np.sum((x - model.reconstruct(x)) ** 2)))
         assert all(a >= b - 1e-9 for a, b in zip(errs[:-1], errs[1:]))
 
 
@@ -92,12 +93,9 @@ class TestVaeArchitecture:
     def test_latent_is_ten(self, kind, seed):
         model = mf.build_vae(kind, seed=seed)
         x = np.random.default_rng(seed).normal(size=(4, 150))
-        recon, mu, sigma, z = mf.vae_forward(model, x)
-        assert mu.shape == (4, 10)
-        assert sigma.shape == (4, 10)
-        assert z.shape == (4, 10)
-        assert recon.shape == (4, 150)
-        assert np.all(sigma > 0)
+        h = forward_layers(model.enc, model.params.values, x, prefix="enc.")
+        assert h.shape == (4, 20)                # mu and log sigma, ten each
+        assert model.reconstruct(x).shape == (4, 150)
 
     def test_default_betas(self):
         assert mf.build_vae("vae", seed=0).beta == 1.0
@@ -120,10 +118,7 @@ class TestVaeForward:
     def test_inference_deterministic(self, seed):
         model = mf.build_vae("vae", seed=seed)
         x = np.random.default_rng(seed).normal(size=(3, 150))
-        r1, _, _, z1 = mf.vae_forward(model, x)
-        r2, _, _, z2 = mf.vae_forward(model, x)
-        assert np.array_equal(r1, r2)
-        assert np.array_equal(z1, z2)
+        assert np.array_equal(model.reconstruct(x), model.reconstruct(x))
 
     def test_reparameterized_gradient_matches_fd(self):
         model = mf.build_vae("vae", seed=0)

@@ -364,8 +364,7 @@ class TestFit:
         history = manifold.vae_train(model, x, np.ones(48, dtype=int), epochs=4,
                                      lr=1e-2, seed=seed, batch_size=16,
                                      x_val_pos=x_val)
-        recon, _, _, _ = manifold.vae_forward(model, x_val)
-        val = float(np.mean(np.sum((recon - x_val) ** 2, axis=1)))
+        val = float(np.mean(np.sum((model.reconstruct(x_val) - x_val) ** 2, axis=1)))
         assert len(history["val_recon"]) == 4
         assert val == min(history["val_recon"])
 
@@ -391,12 +390,8 @@ class TestTapeFreeForward:
         pvars = model.params.as_vars()
         h = forward_layers(model.enc, pvars, Var(x), prefix="enc.")
         mu = ad.slice_cols(h, 0, manifold.LATENT_DIM)
-        log_sigma = ad.slice_cols(h, manifold.LATENT_DIM, 2 * manifold.LATENT_DIM)
         recon = forward_layers(model.dec, pvars, mu, prefix="dec.")
-        free_recon, free_mu, free_sigma, free_z = manifold.vae_forward(model, x)
-        assert np.array_equal(free_recon, recon.value)
-        assert np.array_equal(free_mu, mu.value) and np.array_equal(free_z, mu.value)
-        assert np.array_equal(free_sigma, np.exp(log_sigma.value))
+        assert np.array_equal(model.reconstruct(x), recon.value)
         assert np.array_equal(manifold.residuals(model, x),
                               np.linalg.norm(x - recon.value, axis=1))
 
@@ -459,9 +454,7 @@ class TestChunkedInference:
         r = manifold.residuals(model, x)
         parts = [manifold.residuals(model, c) for c in self.slices(x)]
         assert np.array_equal(r, np.concatenate(parts))
-        recon = (manifold.pca_project(model, x) if kind == "pca"
-                 else manifold.vae_forward(model, x)[0])
-        np.testing.assert_allclose(r, np.linalg.norm(x - recon, axis=1),
+        np.testing.assert_allclose(r, np.linalg.norm(x - model.reconstruct(x), axis=1),
                                    rtol=1e-12, atol=0)
 
 
@@ -499,3 +492,58 @@ class TestGraphIsolation:
         for k, v in first.items():
             assert np.array_equal(v.grad, alone[k].grad)
             assert np.array_equal(v.grad, grads[k])
+
+
+CYCLES = np.random.default_rng(5).normal(size=(40, 150))
+LABELS = np.ones(40, dtype=np.int64)
+LABELS[:20] = 0
+
+
+def any_model(kind):
+    """An untrained model of kind; a manifold one with a threshold, so that
+    score reaches its residuals."""
+    if kind in discriminative.ARCHITECTURES:
+        return discriminative.build(kind, seed=3)
+    model = manifold_model(kind)
+    model.threshold_d = 1.0
+    return model
+
+
+# every entry that takes normalized cycles, called with x in the place named
+INPUT_ENTRIES = {
+    "forward": (discriminative.ARCHITECTURES, discriminative.forward),
+    "train x_train": (discriminative.ARCHITECTURES, lambda m, x: discriminative.train(
+        m, x, LABELS, CYCLES, LABELS, epochs=1, lr=1e-3)),
+    "train x_val": (discriminative.ARCHITECTURES, lambda m, x: discriminative.train(
+        m, CYCLES, LABELS, x, LABELS, epochs=1, lr=1e-3)),
+    "score": (discriminative.ARCHITECTURES + manifold.MANIFOLD_KINDS,
+              lambda m, x: m.score(x)),
+    "assess": (discriminative.ARCHITECTURES + manifold.MANIFOLD_KINDS, manifold.assess),
+    "residuals": (manifold.MANIFOLD_KINDS, manifold.residuals),
+    "set_threshold": (manifold.MANIFOLD_KINDS,
+                      lambda m, x: manifold.set_threshold(m, x, LABELS)),
+    "pca_fit": (("pca",), lambda m, x: manifold.pca_fit(x)),
+    "vae_train x_pos": (manifold.VAE_KINDS, lambda m, x: manifold.vae_train(
+        m, x, np.ones(len(x), dtype=np.int64), epochs=1, lr=1e-3)),
+    "vae_train x_val_pos": (manifold.VAE_KINDS, lambda m, x: manifold.vae_train(
+        m, CYCLES, np.ones(40, dtype=np.int64), epochs=1, lr=1e-3, x_val_pos=x)),
+}
+
+
+class TestInputContract:
+    """Every entry reads its cycles through cycle_rows: a misshapen input is
+    the one ShapeMismatch, raised before any training step."""
+
+    @pytest.mark.parametrize("shape", [(40, 149), (2, 20, 150), (40,)],
+                             ids=["149-wide", "3-d", "vector"])
+    @pytest.mark.parametrize("entry,kind", [(entry, kind)
+                                            for entry, (kinds, _) in INPUT_ENTRIES.items()
+                                            for kind in kinds])
+    def test_misshapen_input_is_one_shape_mismatch(self, entry, kind, shape):
+        model = any_model(kind)
+        with pytest.raises(ValidationError) as exc:
+            INPUT_ENTRIES[entry][1](model, np.zeros(shape))
+        assert exc.type is ShapeMismatch
+        assert str(exc.value) == f"expected (N, 150) input, got {shape}"
+        if kind != "pca":
+            assert model.params.t == 0

@@ -45,7 +45,8 @@ def test_report_table(tmp_path):
     (["--subjects", 2], "error: need at least 3 subjects, got 2"),
     (["--betas"], "argument --betas: expected at least one argument"),
     (["--models"], "argument --models: expected at least one argument"),
-], ids=["negative-seed", "two-subjects", "no-betas", "no-models"])
+    (["--epochs", 0], "argument --epochs: must be a positive integer, got '0'"),
+], ids=["negative-seed", "two-subjects", "no-betas", "no-models", "zero-epochs"])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, args, message):
     out = tmp_path / "out.json"
     proc = run_experiment(*args, "--out", out)
@@ -56,8 +57,11 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, args, message):
 
 
 def test_out_in_missing_directory_exits_3(tmp_path):
+    # before the dataset is generated: nothing is printed
+    out = tmp_path / "missing" / "out.json"
     proc = run_experiment("--subjects", 4, "--epochs", 1, "--models", "lr",
-                          "--skip-ablation", "--out", tmp_path / "missing" / "out.json")
+                          "--skip-ablation", "--out", out)
     assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {out}: No such file or directory\n"
     assert list(tmp_path.iterdir()) == []
