@@ -20,6 +20,13 @@ Every file a block writes, and its stdout, is reduced to a record:
     a hash of those floats, dropped.
 
 Floats are not hashed, because BLAS builds round the last bits differently.
+Training computes in float32 (nn.TRAIN_DTYPE), where OpenBLAS's kernels for
+different CPUs (SkylakeX, Haswell, Sandybridge) round a matrix product
+differently, and the trained models of the README block then differ by far
+more than RTOL.  So the blocks run on OpenBLAS's Sandybridge kernel
+(BLAS_KERNEL), which every x86-64 CPU with AVX runs and which gives the same
+bits at 1, 2 and 4 threads (Haswell's do not); another BLAS ignores the
+setting.
 For stats, n and the non-finite tokens must match exactly; the exactly
 rounded sums (math.fsum) of x, |x|, x*x and x times a ramp in (0, 1], and
 the min and max, must agree within RTOL of their scale, which any per-value
@@ -52,6 +59,7 @@ GEN_GOLDEN = GOLDEN.with_name("gen.json")
 GEN_BLOCK = ("cvsqi gen --seed 0 --out-cycles cycles.csv --out-calib calib.csv "
              "--out-stream stream.csv")
 RTOL = 1e-12
+BLAS_KERNEL = {"OPENBLAS_CORETYPE": "Sandybridge"}
 MAX_LISTED = 100
 FLOAT = re.compile(r"(?<![\w.])-?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+"
                    r"|inf|nan|Infinity|NaN)(?![\w.])")
@@ -75,7 +83,7 @@ def run_pipeline(workdir: Path, block: str) -> dict[str, str]:
     """Run block in workdir; the text of every file it writes, and "stdout"."""
     (workdir / "block.sh").write_text(block + "\n", encoding="utf-8")
     (workdir / "epochs.json").write_text('{"epochs": 1}', encoding="utf-8")
-    env = dict(os.environ, CVSQI_CONFIG=str(workdir / "epochs.json"),
+    env = dict(os.environ, **BLAS_KERNEL, CVSQI_CONFIG=str(workdir / "epochs.json"),
                GOLDEN_PYTHON=sys.executable,
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))

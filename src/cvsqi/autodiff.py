@@ -10,6 +10,13 @@ The elementwise and loss ops are written out here.  Each layer op (dense,
 conv1d, conv_transpose1d, maxpool1d, relu) is two calls into `kernels`: its
 forward kernel now, and its backward kernel in the closure.  Inference calls
 the forward kernels directly and records no tape.
+
+A Var holds float32 or float64: a float32 array stays float32, anything
+else becomes float64.  Every op computes in its operands' dtype, so a
+float32 graph keeps float32 values and gradients throughout, and a float64
+graph gives the same bits as it always has.  cast moves a value to another
+dtype and its gradient back: training runs its layers in float32 and casts
+their outputs into a float64 loss.
 """
 from __future__ import annotations
 
@@ -23,7 +30,10 @@ class Var:
     __slots__ = ("value", "grad", "_parents", "_bwd")
 
     def __init__(self, value, parents=(), bwd=None):
-        self.value = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value)
+        if value.dtype != np.float32:
+            value = value.astype(np.float64, copy=False)
+        self.value = value
         self.grad = None
         self._parents = parents
         self._bwd = bwd
@@ -135,6 +145,16 @@ def sigmoid(a) -> Var:
     a = _as_var(a)
     out = kernels.sigmoid(a.value)
     return Var(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def cast(a, dtype) -> Var:
+    """a's value as dtype (float32 or float64), its gradient cast back to
+    a's dtype; a itself when it already holds dtype."""
+    a = _as_var(a)
+    if a.value.dtype == dtype:
+        return a
+    src = a.value.dtype
+    return Var(a.value.astype(dtype), (a,), lambda g: (g.astype(src),))
 
 
 def clip(a, lo: float, hi: float) -> Var:

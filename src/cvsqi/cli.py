@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import dataio, discriminative, experiment, manifold, model_io
+from . import bench, dataio, discriminative, experiment, manifold, model_io
 from .errors import CvsqiError, IoError, MissingCalibration, ValidationError
 from .evaluation import METRICS, evaluate_scores, split_by_subject
 from .forward import scenario_from_file, synthesize_stream
@@ -262,12 +262,25 @@ def cmd_bench(args) -> int:
             m.threshold_d = 1.0
             named.append((kind, m))
 
-    cycles = _bench_cycles(args.n_cycles, args.seed)
-    reports = bench_models(named, cycles)
-    print(f"{'model':<10}{'mean us':>12}{'median us':>12}{'p99 us':>12}{'n':>8}")
-    for r in reports:
-        print(f"{r['model']:<10}{r['mean_us']:>12.1f}{r['median_us']:>12.1f}"
-              f"{r['p99_us']:>12.1f}{r['n_samples']:>8}")
+    # the --out temp file is made first, so an --out that cannot be written
+    # fails before anything is timed
+    with dataio.replacing() as open_temp:
+        out = open_temp(args.out) if args.out else None
+        before = bench.calibration_s() if out else None
+        reports = bench_models(named, _bench_cycles(args.n_cycles, args.seed))
+        print(f"{'model':<10}{'mean us':>12}{'median us':>12}{'p99 us':>12}{'n':>8}")
+        for r in reports:
+            print(f"{r['model']:<10}{r['mean_us']:>12.1f}{r['median_us']:>12.1f}"
+                  f"{r['p99_us']:>12.1f}{r['n_samples']:>8}")
+        if out:
+            steps = bench.train_steps(args.seed)
+            for name, step in steps["models"].items():
+                print(f"train step {name} ({steps['dtype']}, batch {steps['batch']}): "
+                      f"{step['median_ms']:.2f} ms")
+            env = {**bench.environment(args.seed), "n_cycles": args.n_cycles,
+                   "calibration_s": {"before": before, "after": bench.calibration_s()}}
+            out.write(json.dumps({"env": env, "per_cycle": reports, "train_step": steps},
+                                 indent=1) + "\n")
     return 0
 
 
@@ -356,6 +369,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--models", nargs="+", help="model files; default: ten new models")
     p.add_argument("--n-cycles", type=int, default=BENCH_MIN_CYCLES)
     p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--out", help="JSON record (BENCH_<label>.json): the environment, "
+                                 "these latencies and the training step times")
 
     if defaults:
         # each value as the text a command line would carry, so that the

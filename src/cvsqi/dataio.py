@@ -34,10 +34,11 @@ def replacing():
     """Yield open_temp(path): a new temp file beside path, open for writing.
 
     When the block completes, every temp file is closed and only then are
-    they renamed over their paths, in the order opened.  When anything in the
-    block raises, every temp file is closed and unlinked, and an OSError is
-    raised again as IoError.  open_temp names path, not its temp file, when
-    path is a directory or no temp file can be made beside it.
+    they renamed over their paths, in the order opened, all of them or none
+    (_rename_all).  When anything in the block raises, every temp file is
+    closed and unlinked, and an OSError is raised again as IoError.
+    open_temp names path, not its temp file, when path is a directory or no
+    temp file can be made beside it.
     """
     pending = []   # (file, temp path, target path)
 
@@ -57,8 +58,7 @@ def replacing():
         yield open_temp
         for f, _, _ in pending:
             f.close()
-        for _, tmp, path in pending:
-            os.replace(tmp, path)
+        _rename_all([(tmp, path) for _, tmp, path in pending])
     except BaseException as exc:
         for f, tmp, _ in pending:
             # a failed flush fails again on close; a renamed temp is gone
@@ -69,6 +69,47 @@ def replacing():
         if isinstance(exc, OSError):
             raise IoError(str(exc)) from exc
         raise
+
+
+def _rename_all(pairs) -> None:
+    """os.replace(tmp, path) for each (tmp, path), all of them or none.
+
+    Each path that exists is first moved aside to a backup beside it.  When
+    a move or a rename fails, each path renamed onto so far is removed, each
+    backup is moved back, and the IoError names the path that failed, not a
+    temp file.  The backups go once every rename is done.
+    """
+    aside = {}     # path -> the backup its old file was moved to
+    placed = []    # the paths renamed onto so far
+    path = None
+    try:
+        for _, path in pairs:
+            if path in aside or not os.path.lexists(path):
+                continue
+            fd, backup = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                          suffix=".tmp")
+            os.close(fd)
+            try:
+                os.replace(path, backup)
+            except OSError:
+                os.unlink(backup)
+                raise
+            aside[path] = backup
+        for tmp, path in pairs:
+            os.replace(tmp, path)
+            placed.append(path)
+    except OSError as exc:
+        for target in placed:
+            if target not in aside:
+                with contextlib.suppress(OSError):
+                    os.unlink(target)
+        for target, backup in aside.items():
+            with contextlib.suppress(OSError):
+                os.replace(backup, target)
+        raise IoError(f"{path}: {exc.strerror}") from exc
+    for backup in aside.values():
+        with contextlib.suppress(OSError):
+            os.unlink(backup)
 
 
 def _write_lines(f, lines) -> None:

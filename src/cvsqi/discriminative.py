@@ -4,7 +4,9 @@ All map a normalized 150-sample cycle to a probability that the cycle is
 motion-free.  Training minimizes a class-weighted cross-entropy with soft
 targets (ambiguous cycles carry target 0.25) and keeps the parameters from the
 epoch with the best validation AUC.  forward and train read their cycles
-through preprocess.cycle_rows, the one (N, 150) input check.
+through preprocess.cycle_rows, the one (N, 150) input check.  Training runs
+the network in nn.TRAIN_DTYPE and the loss in float64; forward, and so the
+validation AUC, runs in float64.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from typing import Literal
 import numpy as np
 
 from . import autodiff as ad
+from . import nn
 from .autodiff import Var
 from .errors import ShapeMismatch, SingleClassDataset, ValidationError
 from .evaluation import roc_auc
@@ -135,7 +138,8 @@ class ClassWeights:
 
 
 def _weighted_ce_loss(pred: Var, y: np.ndarray, weights: ClassWeights) -> Var:
-    p = ad.clip(pred, CLIP_EPS, 1.0 - CLIP_EPS)
+    # in float64: 1 - CLIP_EPS rounds to 1 in float32, and log(1 - p) to log(0)
+    p = ad.clip(ad.cast(pred, np.float64), CLIP_EPS, 1.0 - CLIP_EPS)
     pos = ad.scale(ad.mul(Var(y), ad.log(p)), -weights.zeta_pos)
     neg = ad.scale(ad.mul(Var(1.0 - y), ad.log(ad.sub(Var(np.ones_like(y)), p))),
                    -weights.zeta_neg)
@@ -168,7 +172,7 @@ def train(model: DiscriminativeModel, x_train: np.ndarray, y_train: np.ndarray,
     y_train holds soft train targets; y_val_eval holds hard {0, 1} eval labels.
     Deterministic under (model params, seed).
     """
-    x_train, x_val = cycle_rows(x_train), cycle_rows(x_val)
+    x_train, x_val = cycle_rows(x_train).astype(nn.TRAIN_DTYPE), cycle_rows(x_val)
     y_train = np.asarray(y_train, dtype=np.float64)
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ValidationError("train and validation sets must be non-empty")

@@ -18,9 +18,11 @@ np.maximum of the two rows of each pair, both views of the input.
 
 Each kernel allocates only the arrays it returns and their temporaries (the
 transposed conv's tap matrix, a padded input copy, the pooling masks) and
-adds its bias in place, or none for b=None.  No arithmetic and no order of
-operations differs from the plain padded-copy form, so every output is
-bit-for-bit the same.
+adds its bias in place, or none for b=None.  Those arrays take the dtype of
+the input (of the gradient, in relu_bwd and maxpool1d_bwd): float32 operands
+give float32 results with no upcast, float64 ones float64.  No arithmetic
+and no order of operations differs from the plain padded-copy form, so
+every output is bit-for-bit the same, dtype by dtype.
 """
 from __future__ import annotations
 
@@ -45,10 +47,10 @@ def relu(a: np.ndarray) -> np.ndarray:
 def relu_bwd(g: np.ndarray, a: np.ndarray) -> np.ndarray:
     """ReLU's input gradient: g where a > 0, zero elsewhere (and at NaN).
 
-    The product is g * (a > 0): a float mask multiplies as the bool would,
-    without the ufunc casting it element by element.
+    The product is g * (a > 0): a mask of g's dtype multiplies as the bool
+    would, without the ufunc casting it element by element.
     """
-    mask = (a > 0).astype(np.float64)
+    mask = (a > 0).astype(g.dtype)
     mask *= g
     return mask
 
@@ -175,14 +177,15 @@ def im2col(a: np.ndarray, k: int, stride: int) -> np.ndarray:
         return a.reshape(n * length, c)
     if stride == 1 and c > 1:
         pl = conv_geometry(length, k, 1)[1]
-        padded = np.zeros((n, length + k - 1, c))
+        padded = np.zeros((n, length + k - 1, c), dtype=a.dtype)
         padded[:, pl:pl + length] = a
         s0, s1, s2 = padded.strides
-        window = np.ndarray((n, length, k, c), buffer=padded, strides=(s0, s1, s1, s2))
+        window = np.ndarray((n, length, k, c), dtype=a.dtype, buffer=padded,
+                            strides=(s0, s1, s1, s2))
         # a copy: reshape alone may return overlapping rows, which BLAS refuses
         return np.ascontiguousarray(window).reshape(n * length, k * c)
     out_len, pads, moves = _tap_moves(length, k, stride)
-    cols = np.empty((n, out_len, k, c))
+    cols = np.empty((n, out_len, k, c), dtype=a.dtype)
     for mat in pads:
         cols[mat] = 0.0
     for mat, src, block in moves:
@@ -199,7 +202,7 @@ def col2im(cols: np.ndarray, stride: int, length: int) -> np.ndarray:
     terms that would land in the padding are never added.
     """
     n, _, k, c = cols.shape
-    out = np.zeros((n, length, c))
+    out = np.zeros((n, length, c), dtype=cols.dtype)
     for mat, dst, block in reversed(_tap_moves(length, k, stride)[2]):
         win = out[dst] if block is None else out[dst].reshape(-1, *block, c)
         win += cols[mat]                                 # win is a view of out
@@ -310,7 +313,7 @@ def maxpool1d_bwd(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     first, second = pool_pairs(x)
     first_wins = (first >= second) | np.isnan(first)
-    dx = np.empty(x.shape)
+    dx = np.empty(x.shape, dtype=g.dtype)
     dx_first, dx_second = pool_pairs(dx)               # views of dx
     dx_first[...] = np.where(first_wins, g, 0.0)
     dx_second[...] = np.where(first_wins, 0.0, g)

@@ -21,6 +21,7 @@ from typing import Literal
 import numpy as np
 
 from . import autodiff as ad
+from . import nn
 from .autodiff import Var
 from .errors import InvalidField, ShapeMismatch, SingleClassDataset, ValidationError
 from .nn import (BATCH_ROWS, DEFAULT_LR, ParamSet, by_rows, check_layers, check_shape,
@@ -175,13 +176,18 @@ def build_vae(kind: str, seed: int, beta: float | None = None) -> VaeModel:
 
 def _vae_loss(model: VaeModel, x: np.ndarray, params: dict[str, Var],
               noise: np.ndarray) -> Var:
-    """Mean over the batch of squared reconstruction norm + beta * KL."""
+    """Mean over the batch of squared reconstruction norm + beta * KL.
+
+    The network runs in x's dtype, the noise cast to it; recon, mu and
+    log_sigma are cast to float64 for the sums.
+    """
     n = x.shape[0]
     h = forward_layers(model.enc, params, Var(x), prefix="enc.")
     mu = ad.slice_cols(h, 0, LATENT_DIM)
     log_sigma = ad.slice_cols(h, LATENT_DIM, 2 * LATENT_DIM)
-    z = ad.add(mu, ad.mul(ad.exp(log_sigma), Var(noise)))
+    z = ad.add(mu, ad.mul(ad.exp(log_sigma), Var(noise.astype(x.dtype))))
     recon = forward_layers(model.dec, params, z, prefix="dec.")
+    recon, mu, log_sigma = (ad.cast(v, np.float64) for v in (recon, mu, log_sigma))
     sq = ad.sum_(ad.square(ad.sub(recon, Var(x))))
     # KL(N(mu, sigma^2) || N(0, I)) = 1/2 sum(mu^2 + sigma^2 - log sigma^2 - 1),
     # with sigma^2 = exp(2 log sigma)
@@ -204,11 +210,13 @@ def vae_train(model: VaeModel, x_pos: np.ndarray, eval_labels: np.ndarray,
               x_val_pos: np.ndarray | None = None) -> dict:
     """Train on positive cycles only; negatives in the input are a hard error.
 
-    Model selection keeps the epoch with the best validation reconstruction
-    loss when validation positives are supplied.  train_audit records how many
-    negative samples entered gradient updates (always 0 by construction).
+    The rows are cast to nn.TRAIN_DTYPE once, for every step.  Model
+    selection keeps the epoch with the best validation reconstruction loss
+    (in float64) when validation positives are supplied.  train_audit
+    records how many negative samples entered gradient updates (always 0 by
+    construction).
     """
-    x_pos = cycle_rows(x_pos)
+    x_pos = cycle_rows(x_pos).astype(nn.TRAIN_DTYPE)
     if x_val_pos is not None:
         x_val_pos = cycle_rows(x_val_pos)
     labels = np.asarray(eval_labels, dtype=np.int64)

@@ -12,6 +12,13 @@ per call when by_rows runs tape-free inference over a set of any size, so no
 layer's temporaries grow with the set.  A row's output can differ from the
 same row run in a batch of another size in the last bits (matrix products
 round per batch shape), within 1e-12 relative.
+
+TRAIN_DTYPE is the one compute dtype of training (mixed precision, as in
+Micikevicius et al. 2018): fit runs each step's forward and backward pass on
+parameter Vars of that dtype, and each model's loss casts its outputs into
+float64 sums.  The master parameters, the Adam moments and the step stay
+float64, and so do model files and inference.  Bit-identity claims hold per
+dtype and BLAS thread count.
 """
 from __future__ import annotations
 
@@ -28,6 +35,7 @@ from .errors import InvalidField, ShapeMismatch, ValidationError
 ACTIVATIONS = ("relu", "sigmoid")   # named alike in autodiff and kernels
 BATCH_ROWS = 64
 DEFAULT_LR = 1e-3                   # Adam step size of every model family
+TRAIN_DTYPE = np.float32            # the forward and backward passes of training
 
 
 class ParamSet:
@@ -62,8 +70,9 @@ class ParamSet:
                 raise ShapeMismatch(f"parameter {k!r} shape mismatch on load")
             self.values[k] = np.asarray(v, dtype=np.float64).copy()
 
-    def as_vars(self) -> dict[str, Var]:
-        return {k: Var(v) for k, v in self.values.items()}
+    def as_vars(self, dtype=np.float64) -> dict[str, Var]:
+        """A Var of each value, cast to dtype."""
+        return {k: Var(v.astype(dtype, copy=False)) for k, v in self.values.items()}
 
 
 def _adam(x: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int,
@@ -93,9 +102,10 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float,
     grads holds one gradient per parameter; a missing or None one, an
     unknown name or a shape other than its parameter's is a ShapeMismatch
     naming it.  The moments are updated in their own arrays, in one pass
-    over the flat buffers.  Each value array is replaced, not written, since
-    ParamSet may share it with its caller: the values become views of one
-    new array.
+    over the flat buffers; the gradients are gathered into a float64 buffer
+    first, so a float32 gradient steps exactly as its upcast would.  Each
+    value array is replaced, not written, since ParamSet may share it with
+    its caller: the values become views of one new array.
     """
     for name, g in grads.items():
         if name not in params.values:
@@ -107,7 +117,7 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float,
         if g.shape != value.shape:
             raise ShapeMismatch(f"gradient shape mismatch for {name!r}")
     params.t += 1
-    x, g = (np.concatenate([d[k].ravel() for k in params.values])
+    x, g = (np.concatenate([d[k].ravel() for k in params.values], dtype=np.float64)
             for d in (params.values, grads))
     params.values.update(params._views(_adam(x, params._m, params._v, g, params.t, lr,
                                              beta1, beta2, eps)))
@@ -122,10 +132,10 @@ def fit(params: ParamSet, n: int,
 
     Each epoch draws a permutation from the seeded rng and steps once per
     batch of indices; batch_loss(idx, pvars, rng) builds the batch's mean loss
-    and may draw further numbers from the same rng.  With val_loss, the
-    parameters of the epoch with the lowest validation loss are restored;
-    without it the last epoch's are kept.  epochs must be at least 1, and
-    lr a positive finite number.
+    on the parameters cast to TRAIN_DTYPE and may draw further numbers from
+    the same rng.  With val_loss, the parameters of the epoch with the
+    lowest validation loss are restored; without it the last epoch's are
+    kept.  epochs must be at least 1, and lr a positive finite number.
     """
     if epochs < 1:
         raise ValidationError(f"epochs must be at least 1, got {epochs}")
@@ -139,7 +149,7 @@ def fit(params: ParamSet, n: int,
         epoch_loss = 0.0
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            pvars = params.as_vars()
+            pvars = params.as_vars(TRAIN_DTYPE)
             loss = batch_loss(idx, pvars, rng)
             ad.backward(loss)
             adam_step(params, {k: v.grad for k, v in pvars.items()}, lr)

@@ -187,14 +187,6 @@ def _unknown_scheme(scheme: str) -> ValidationError:
     return ValidationError(f"unknown size-normalization scheme {scheme!r}")
 
 
-def naive_scale_factor(cycle: CvsCycle) -> float:
-    """Per-cycle scaling factor: max absolute sample."""
-    s = float(np.max(np.abs(cycle.samples)))
-    if not 0.0 < s < math.inf:                 # zero, NaN or inf
-        raise _cycle_error(_ZERO if s == 0.0 else _NONFINITE, cycle)
-    return s
-
-
 def subject_scale_factor(cal: CalibrationWindow) -> float:
     """Subject-specific scaling factor: max absolute sample over the 20 s window."""
     s = float(np.max(np.abs(cal.samples)))

@@ -7,8 +7,11 @@ Adam as it was written before it ran over one flat buffer: one tensor at a
 time.  Every gradient of the kernels must equal the oracle's bit for bit, at
 every layer shape that the beta-ConvVAE (batch 64, 1 and a partial 37) and
 VGG16-3 (batch 1 and 37) run, and so must the parameters of a short
-training run.  Bit-level agreement holds at a fixed BLAS thread count; CI
-also runs this file under OPENBLAS_NUM_THREADS=1.
+training run, whose tape is float32.  So the oracles follow their input's
+dtype: the pooling gradient takes g's, and Adam upcasts each gradient to
+float64, the dtype of its moments.  Bit-level agreement holds at a fixed
+dtype and BLAS thread count; CI also runs this file under
+OPENBLAS_NUM_THREADS=1.
 """
 import numpy as np
 import pytest
@@ -67,7 +70,7 @@ def oracle_maxpool1d(x):
     def bwd(g):
         first, second = kernels.pool_pairs(x.value)
         first_wins = (first >= second) | np.isnan(first)
-        dx = np.zeros(x.value.shape)
+        dx = np.zeros(x.value.shape, dtype=g.dtype)
         dx_first, dx_second = kernels.pool_pairs(dx)
         np.copyto(dx_first, g, where=first_wins)
         np.copyto(dx_second, g, where=~first_wins)
@@ -90,6 +93,7 @@ def oracle_adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         if g.shape != params.values[name].shape:
             raise ShapeMismatch(f"gradient shape mismatch for {name!r}")
         m, v = params.m[name], params.v[name]
+        g = g.astype(np.float64)                           # float64 moments and steps
         m *= beta1
         m += (1 - beta1) * g
         v *= beta2

@@ -1,0 +1,97 @@
+"""`cvsqi bench --out BENCH_<label>.json`: the record's schema, at a tiny size.
+
+CI also runs this file under OPENBLAS_NUM_THREADS=1.
+"""
+import json
+
+import pytest
+
+from cvsqi import bench, cli, discriminative, model_io
+
+ENV_KEYS = {"nproc": int, "python": str, "numpy": str, "blas": str, "seed": int,
+            "n_cycles": int}
+LATENCY_KEYS = {"model": str, "n_samples": int, "mean_us": float, "median_us": float,
+                "p99_us": float}
+
+
+@pytest.fixture
+def tiny(monkeypatch):
+    """bench at a tiny size: 20 cycles, one one-step call per training model."""
+    monkeypatch.setattr(cli, "BENCH_MIN_CYCLES", 20)
+    monkeypatch.setattr(bench, "CALIBRATION_REPS", 10)
+    monkeypatch.setattr(bench, "STEP_BATCHES", 1)
+    monkeypatch.setattr(bench, "STEP_REPEATS", 2)
+
+
+def run(argv):
+    return cli.main([str(a) for a in argv])
+
+
+def test_out_record_schema(tmp_path, tiny, capsys):
+    model = tmp_path / "lr.json"
+    model_io.save_model(discriminative.build("lr", seed=0), str(model),
+                        **cli.BENCH_PREPROCESSING)
+    out = tmp_path / "BENCH_tiny.json"
+    assert run(["bench", "--models", model, "--n-cycles", 20, "--seed", 3,
+                "--out", out]) == 0
+    assert "train step bcvae (float32, batch 64): " in capsys.readouterr().out
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert list(record) == ["env", "per_cycle", "train_step"]
+
+    env = record["env"]
+    assert set(env) == {*ENV_KEYS, "blas_threads", "git_describe", "calibration_s"}
+    for key, kind in ENV_KEYS.items():
+        assert isinstance(env[key], kind), key
+    assert env["seed"] == 3 and env["n_cycles"] == 20
+    assert env["blas_threads"] is None or env["blas_threads"] >= 1
+    assert env["git_describe"] is None or isinstance(env["git_describe"], str)
+    assert list(env["calibration_s"]) == ["before", "after"]
+    assert all(t > 0 for t in env["calibration_s"].values())
+
+    [row] = record["per_cycle"]
+    assert set(row) == set(LATENCY_KEYS) and row["model"] == "lr"
+    for key, kind in LATENCY_KEYS.items():
+        assert isinstance(row[key], kind), key
+    assert row["n_samples"] == 20
+
+    steps = record["train_step"]
+    assert steps == {"dtype": "float32", "batch": 64, "steps_per_call": 1,
+                     "models": steps["models"]}
+    assert list(steps["models"]) == list(bench.STEP_MODELS) == ["bcvae", "vgg3"]
+    for step in steps["models"].values():
+        assert set(step) == {"median_ms", "ms"} and len(step["ms"]) == 2
+        assert step["median_ms"] > 0
+
+
+def test_without_out_writes_nothing_and_times_no_training(tmp_path, tiny, monkeypatch,
+                                                          capsys):
+    def untimed(seed):
+        raise AssertionError("bench timed training without --out")
+    monkeypatch.setattr(bench, "train_steps", untimed)
+    monkeypatch.chdir(tmp_path)
+    model = tmp_path / "lr.json"
+    model_io.save_model(discriminative.build("lr", seed=0), str(model),
+                        **cli.BENCH_PREPROCESSING)
+    assert run(["bench", "--models", model, "--n-cycles", 20]) == 0
+    assert list(tmp_path.iterdir()) == [model]
+
+
+def test_unwritable_out_exits_3_before_timing(tmp_path, monkeypatch, capsys):
+    def untimed(*args):
+        raise AssertionError("bench went on to time")
+    monkeypatch.setattr(cli, "bench_models", untimed)
+    out = tmp_path / "missing" / "BENCH_x.json"
+    assert run(["bench", "--out", out]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {out}: ")
+
+
+@pytest.mark.parametrize("env,threads", [({}, None), ({"OMP_NUM_THREADS": "2"}, 2),
+                                         ({"OPENBLAS_NUM_THREADS": "1",
+                                           "OMP_NUM_THREADS": "4"}, 1),
+                                         ({"OPENBLAS_NUM_THREADS": "x"}, None)])
+def test_blas_threads_from_the_environment(monkeypatch, env, threads):
+    for var in bench.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert bench.environment(0)["blas_threads"] == threads

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cvsqi import cli, dataio, experiment
-from cvsqi.errors import ValidationError
+from cvsqi.errors import IoError, ValidationError
 from cvsqi.forward import SynthScenario, synthesize_stream
 from cvsqi.labels import QualityLabel
 from cvsqi.preprocess import (CALIBRATION_SAMPLES, CalibrationWindow, CvsCycle, CvsStream,
@@ -241,6 +241,49 @@ class TestAtomicWrite:
         dataio.atomic_write(path, ["short"])
         with open(path) as f:
             assert f.read() == "short\n"
+
+
+class TestReplacing:
+    """A write of several files leaves all of them or none, whichever rename
+    fails: two files that exist and one that does not."""
+
+    @staticmethod
+    def write_three(tmp_path):
+        with dataio.replacing() as open_temp:
+            for name in ("a", "b", "c"):
+                open_temp(str(tmp_path / name)).write(f"new {name}\n")
+
+    # calls 1 and 2 move a and b aside; 3 to 5 rename the temp files onto a,
+    # b and c, so at call 4 a holds its new text
+    @pytest.mark.parametrize("failing_call", [1, 2, 3, 4, 5])
+    def test_failed_rename_restores_every_target(self, tmp_path, monkeypatch,
+                                                 failing_call):
+        (tmp_path / "a").write_text("old a\n")
+        (tmp_path / "b").write_text("old b\n")
+        real_replace, calls = os.replace, []
+
+        def replace(src, dst):
+            calls.append((src, dst))
+            if len(calls) == failing_call:
+                raise PermissionError(13, "Permission denied")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(IoError) as exc:
+            self.write_three(tmp_path)
+        monkeypatch.undo()
+        target = calls[failing_call - 1][0 if failing_call <= 2 else 1]
+        assert str(exc.value) == f"{target}: Permission denied"
+        assert sorted(os.listdir(tmp_path)) == ["a", "b"]      # no temp file left
+        assert (tmp_path / "a").read_text() == "old a\n"
+        assert (tmp_path / "b").read_text() == "old b\n"
+
+    def test_success_replaces_every_target_and_leaves_no_backup(self, tmp_path):
+        (tmp_path / "a").write_text("old a\n")
+        self.write_three(tmp_path)
+        assert sorted(os.listdir(tmp_path)) == ["a", "b", "c"]
+        for name in ("a", "b", "c"):
+            assert (tmp_path / name).read_text() == f"new {name}\n"
 
 
 # --- gen's files against the per-file writers ---

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,13 @@ from cvsqi.labels import QualityLabel
 from cvsqi.preprocess import (CALIBRATION_MS, CALIBRATION_SAMPLES, INTERP_SKIPS_FROM,
                               TARGET_LEN, CalibrationWindow, CvsCycle, CvsStream,
                               _interp_rows, _unit_grid, calibration_from_stream,
-                              cycles_from_stream, naive_scale_factor,
-                              normalize_cycle, normalize_dataset,
+                              cycles_from_stream, normalize_cycle, normalize_dataset,
                               segment_cycles, subject_scale_factor)
 
 
 # --- the per-cycle loops that segment_cycles and normalize_dataset replaced,
-# kept as their reference: every result and every error must match them ---
+# kept as their reference: every result and every error must match them;
+# naive_scale_factor is the "naive" mode's factor, one cycle at a time ---
 
 def loop_segment_cycles(cvs_stream, r_peaks, subject_id="", labels=None):
     rows = np.asarray(cvs_stream, dtype=np.float64)
@@ -47,6 +49,18 @@ def loop_segment_cycles(cvs_stream, r_peaks, subject_id="", labels=None):
         cycles.append(CvsCycle(subject_id=subject_id, t_start_ms=int(a),
                                samples=x[i0:i1 + 1].copy(), label=label))
     return cycles
+
+
+def naive_scale_factor(cycle):
+    """A cycle's own scale factor, its max absolute sample, or the error of
+    a zero or non-finite one."""
+    s = float(np.max(np.abs(cycle.samples)))
+    if not 0.0 < s < math.inf:                 # zero, NaN or inf
+        if s == 0.0:
+            raise ValidationError(f"cycle at {cycle.t_start_ms} ms is identically zero")
+        raise ValidationError(f"cycle of subject {cycle.subject_id!r} at t_start_ms "
+                              f"{cycle.t_start_ms} holds a non-finite sample")
+    return s
 
 
 def loop_normalize_dataset(cycles, scheme, scale_mode, calibrations=None):
@@ -248,11 +262,12 @@ class TestStreamHelpers:
 
 class TestScaleFactors:
     def test_naive_max_abs(self):
-        assert naive_scale_factor(cyc([1.0, -3.0, 2.0])) == 3.0
+        x, _, _ = normalize_dataset([cyc([1.0, -3.0, 2.0])], "pad", "naive")
+        assert np.array_equal(x[0, :3], np.array([1.0, -3.0, 2.0]) / 3.0)
 
     def test_naive_all_zero(self):
         with pytest.raises(ValidationError, match="^cycle at 0 ms is identically zero$"):
-            naive_scale_factor(cyc([0.0, 0.0]))
+            normalize_dataset([cyc([0.0, 0.0])], "pad", "naive")
 
     def test_naive_matches_scan_oracle(self, seed):
         rng = np.random.default_rng(seed)
@@ -260,7 +275,8 @@ class TestScaleFactors:
         best = 0.0
         for v in samples:
             best = max(best, abs(v))
-        assert naive_scale_factor(cyc(samples)) == best
+        x, _, _ = normalize_dataset([cyc(samples)], "pad", "naive")
+        assert np.array_equal(x[0, :40], samples / best)
 
     def test_subject_single_spike(self):
         w = np.full(CALIBRATION_SAMPLES, 0.1)
