@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import discriminative, manifold, nn
-from .nn import BATCH_ROWS
+from .nn import BATCH_ROWS, DEFAULT_LR
 from .preprocess import TARGET_LEN
 
 CALIBRATION_REPS = 2000
@@ -87,11 +87,11 @@ def _train_call(name: str, seed: int):
     if name in manifold.VAE_KINDS:
         model = manifold.build_vae(name, seed=seed)
         return lambda: manifold.vae_train(model, x, np.ones(len(x), dtype=np.int64),
-                                          epochs=1, lr=1e-3, seed=seed)
+                                          epochs=1, lr=DEFAULT_LR, seed=seed)
     model = discriminative.build(name, seed=seed)
     y = (np.arange(len(x)) % 3 == 0).astype(np.float64)
     return lambda: discriminative.train(model, x, y, x[:2], np.array([1, 0]),
-                                        epochs=1, lr=1e-3, seed=seed)
+                                        epochs=1, lr=DEFAULT_LR, seed=seed)
 
 
 def train_steps(seed: int) -> dict:

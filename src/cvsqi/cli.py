@@ -193,7 +193,7 @@ def cmd_assess(args) -> int:
     return 0
 
 
-def bench_models(named_models, cycles, repeats: int = 1) -> list[dict]:
+def bench_models(named_models, cycles) -> list[dict]:
     """Per-cycle wall-clock latency (normalize + forward + verdict) per model.
 
     cycles is a list of (CvsCycle, scale, scheme) ready for assessment.
@@ -207,15 +207,12 @@ def bench_models(named_models, cycles, repeats: int = 1) -> list[dict]:
         # warm start: the first 10 cycles, outside timing
         for c, s, scheme in cycles[:10]:
             model.score(normalize_cycle(c, scheme, s).values[None, :])
-        times = np.empty(len(cycles) * repeats)
-        i = 0
-        for _ in range(repeats):
-            for c, s, scheme in cycles:
-                t0 = time.perf_counter()
-                vec = normalize_cycle(c, scheme, s).values
-                model.score(vec[None, :])
-                times[i] = time.perf_counter() - t0
-                i += 1
+        times = np.empty(len(cycles))
+        for i, (c, s, scheme) in enumerate(cycles):
+            t0 = time.perf_counter()
+            vec = normalize_cycle(c, scheme, s).values
+            model.score(vec[None, :])
+            times[i] = time.perf_counter() - t0
         us = times * 1e6
         reports.append({
             "model": name,
@@ -306,47 +303,44 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         prog="cvsqi",
         description="Per-cardiac-cycle signal quality indexing for EIT volume signals")
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)   # the --seed of each seeded command
+    seeded.add_argument("--seed", type=_seed, default=0)
 
-    p = sub.add_parser("gen", help="generate a synthetic cycle dataset")
+    p = sub.add_parser("gen", parents=[seeded], help="generate a synthetic cycle dataset")
     p.add_argument("--scenario", help="JSON scenario file for one subject")
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--subjects", type=_count, default=experiment.DEFAULT_SUBJECTS)
     p.add_argument("--duration-ms", type=int, default=experiment.DEFAULT_DURATION_MS)
     p.add_argument("--out-cycles", required=True)
     p.add_argument("--out-calib")
     p.add_argument("--out-stream")
 
-    p = sub.add_parser("split", help="subject-disjoint 80/10/10 split")
+    p = sub.add_parser("split", parents=[seeded], help="subject-disjoint 80/10/10 split")
     p.add_argument("--cycles", required=True)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-val", required=True)
     p.add_argument("--out-test", required=True)
 
-    p = sub.add_parser("train", help="train a discriminative classifier")
+    def training_flags(p, epochs: int):      # the flags train and train-manifold share
+        p.add_argument("--norm", choices=SCHEMES, default=DEFAULT_SCHEME)
+        p.add_argument("--scale", choices=SCALE_MODES, default=DEFAULT_SCALE_MODE)
+        p.add_argument("--calib")
+        p.add_argument("--epochs", type=int, default=epochs)
+        p.add_argument("--lr", type=float, default=DEFAULT_LR)
+        p.add_argument("--out", required=True)
+
+    p = sub.add_parser("train", parents=[seeded], help="train a discriminative classifier")
     p.add_argument("--arch", choices=discriminative.ARCHITECTURES, default="vgg3")
-    p.add_argument("--norm", choices=SCHEMES, default=DEFAULT_SCHEME)
-    p.add_argument("--scale", choices=SCALE_MODES, default=DEFAULT_SCALE_MODE)
-    p.add_argument("--calib")
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
-    p.add_argument("--epochs", type=int, default=discriminative.DEFAULT_EPOCHS)
-    p.add_argument("--lr", type=float, default=DEFAULT_LR)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", required=True)
+    training_flags(p, discriminative.DEFAULT_EPOCHS)
 
-    p = sub.add_parser("train-manifold", help="train a manifold model on positives")
+    p = sub.add_parser("train-manifold", parents=[seeded],
+                       help="train a manifold model on positives")
     p.add_argument("--kind", choices=manifold.MANIFOLD_KINDS, default="bcvae")
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--norm", choices=SCHEMES, default=DEFAULT_SCHEME)
-    p.add_argument("--scale", choices=SCALE_MODES, default=DEFAULT_SCALE_MODE)
-    p.add_argument("--calib")
     p.add_argument("--pos-train", required=True)
     p.add_argument("--val")
-    p.add_argument("--epochs", type=int, default=manifold.DEFAULT_EPOCHS)
-    p.add_argument("--lr", type=float, default=DEFAULT_LR)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", required=True)
+    training_flags(p, manifold.DEFAULT_EPOCHS)
 
     p = sub.add_parser("threshold", help="select and persist the residual threshold")
     p.add_argument("--model", required=True)
@@ -365,10 +359,9 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--stream", required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("bench", help="per-cycle inference latency report")
+    p = sub.add_parser("bench", parents=[seeded], help="per-cycle inference latency report")
     p.add_argument("--models", nargs="+", help="model files; default: ten new models")
     p.add_argument("--n-cycles", type=int, default=BENCH_MIN_CYCLES)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="JSON record (BENCH_<label>.json): the environment, "
                                  "these latencies and the training step times")
 

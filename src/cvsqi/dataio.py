@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
+import stat
 import tempfile
 from collections import Counter
 from collections.abc import Callable
@@ -38,20 +39,25 @@ def replacing():
     (_rename_all).  When anything in the block raises, every temp file is
     closed and unlinked, and an OSError is raised again as IoError.
     open_temp names path, not its temp file, when path is a directory or no
-    temp file can be made beside it.
+    temp file can be made beside it.  A temp file gets the mode open(path,
+    "w") would leave: path's own if it exists, else 0o666 less the umask.
     """
     pending = []   # (file, temp path, target path)
 
     def open_temp(path):
         if os.path.isdir(path):        # found here, before any file is renamed
             raise IoError(f"{path}: Is a directory")
+        tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                           f"tmp{os.urandom(8).hex()}.tmp")
         try:
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                       suffix=".tmp")
+            # a name no file has (O_EXCL, as mkstemp); the umask comes off 0o666
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            f = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
+            pending.append((f, tmp, path))
+            with contextlib.suppress(FileNotFoundError):   # a path that exists keeps its mode
+                os.chmod(fd, stat.S_IMODE(os.stat(path).st_mode))
         except OSError as exc:
             raise IoError(f"{path}: {exc.strerror}") from exc
-        f = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
-        pending.append((f, tmp, path))
         return f
 
     try:

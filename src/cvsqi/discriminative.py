@@ -166,7 +166,7 @@ def compute_class_weights(train_values: np.ndarray) -> ClassWeights:
 
 def train(model: DiscriminativeModel, x_train: np.ndarray, y_train: np.ndarray,
           x_val: np.ndarray, y_val_eval: np.ndarray, epochs: int, lr: float,
-          batch_size: int = BATCH_ROWS, seed: int = 0) -> dict:
+          seed: int = 0) -> dict:
     """Train in place; restore the epoch with the best validation AUC.
 
     y_train holds soft train targets; y_val_eval holds hard {0, 1} eval labels.
@@ -189,8 +189,8 @@ def train(model: DiscriminativeModel, x_train: np.ndarray, y_train: np.ndarray,
             return -0.5
 
     train_loss, neg_aucs, best = fit(model.params, x_train.shape[0], batch_loss,
-                                     epochs, lr, seed, batch_size, val_loss)
-    model.training_meta = {"epochs": epochs, "lr": lr, "batch_size": batch_size,
+                                     epochs, lr, seed, val_loss)
+    model.training_meta = {"epochs": epochs, "lr": lr, "batch_size": BATCH_ROWS,
                            "seed": seed, "best_val_auc": -best,
                            "zeta_pos": weights.zeta_pos, "zeta_neg": weights.zeta_neg}
     return {"train_loss": train_loss, "val_auc": [-v for v in neg_aucs]}

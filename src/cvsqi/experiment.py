@@ -70,8 +70,7 @@ def default_subject_scenario(seed: int, index: int,
     return SynthScenario(subject_seed=_subject_seed(seed, index),
                          duration_ms=duration_ms,
                          rr_intervals_ms=tuple(int(x) for x in rr),
-                         motion_events=tuple(events),
-                         noise_std=0.02, gain=gain,
+                         motion_events=tuple(events), gain=gain,
                          subject_id=f"s{index:02d}")
 
 
@@ -138,19 +137,17 @@ def prepare_splits(dataset: SyntheticDataset, scheme: str, scale_mode: str,
 
 
 def run_discriminative(splits, arch: str,
-                       epochs: int = discriminative.DEFAULT_EPOCHS,
-                       lr: float = DEFAULT_LR, seed: int = 0):
+                       epochs: int = discriminative.DEFAULT_EPOCHS, seed: int = 0):
     """Train one discriminative model on prepared splits; returns (model, report)."""
     (x_tr, y_tr, _), (x_va, _, yev_va), (x_te, _, yev_te) = splits
     model = discriminative.build(arch, seed=seed)
     discriminative.train(model, x_tr, y_tr, x_va, yev_va,
-                         epochs=epochs, lr=lr, seed=seed)
+                         epochs=epochs, lr=DEFAULT_LR, seed=seed)
     return model, evaluate_scores(*model.score(x_te), yev_te)
 
 
 def run_manifold(splits, kind: str, beta: float | None = None,
-                 epochs: int = manifold.DEFAULT_EPOCHS, lr: float = DEFAULT_LR,
-                 seed: int = 0):
+                 epochs: int = manifold.DEFAULT_EPOCHS, seed: int = 0):
     """Train one manifold model on the train positives, threshold it on train+val.
 
     Validation positives pick the VAE epoch; beta None is the kind's
@@ -159,7 +156,7 @@ def run_manifold(splits, kind: str, beta: float | None = None,
     (x_tr, _, yev_tr), (x_va, _, yev_va), (x_te, _, yev_te) = splits
     pos = yev_tr == 1
     model, _ = manifold.train_kind(kind, x_tr[pos], yev_tr[pos], beta=beta,
-                                   epochs=epochs, lr=lr, seed=seed,
+                                   epochs=epochs, seed=seed,
                                    x_val_pos=x_va[yev_va == 1])
     d, j = manifold.set_threshold(model, np.concatenate([x_tr, x_va]),
                                   np.concatenate([yev_tr, yev_va]))

@@ -7,6 +7,9 @@ from __future__ import annotations
 
 import enum
 
+_CODES = {"normal": 1, "ambiguous": 2, "motion": 0}   # in dataset and stream files
+_VALUES = {code: value for value, code in _CODES.items()}
+
 
 class QualityLabel(enum.Enum):
     NORMAL = "normal"
@@ -23,12 +26,12 @@ class QualityLabel(enum.Enum):
 
     @property
     def code(self) -> int:
-        """Integer code used in dataset/stream files (1 normal, 2 ambiguous, 0 motion)."""
-        return {"normal": 1, "ambiguous": 2, "motion": 0}[self.value]
+        """Integer code used in dataset/stream files."""
+        return _CODES[self.value]
 
     @classmethod
     def from_code(cls, code: int) -> "QualityLabel":
         try:
-            return {1: cls.NORMAL, 2: cls.AMBIGUOUS, 0: cls.MOTION}[int(code)]
+            return cls(_VALUES[int(code)])
         except KeyError:
             raise ValueError(f"unknown label code {code!r}") from None

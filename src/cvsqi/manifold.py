@@ -206,7 +206,7 @@ def require_positives(eval_labels: np.ndarray) -> None:
 
 
 def vae_train(model: VaeModel, x_pos: np.ndarray, eval_labels: np.ndarray,
-              epochs: int, lr: float, seed: int = 0, batch_size: int = BATCH_ROWS,
+              epochs: int, lr: float, seed: int = 0,
               x_val_pos: np.ndarray | None = None) -> dict:
     """Train on positive cycles only; negatives in the input are a hard error.
 
@@ -240,10 +240,10 @@ def vae_train(model: VaeModel, x_pos: np.ndarray, eval_labels: np.ndarray,
         return float(np.mean(sq))
 
     train_loss, val_recon, _ = fit(
-        model.params, x_pos.shape[0], batch_loss, epochs, lr, seed, batch_size,
+        model.params, x_pos.shape[0], batch_loss, epochs, lr, seed,
         val_loss if x_val_pos is not None and len(x_val_pos) else None)
     model.train_audit = audit
-    model.training_meta = {"epochs": epochs, "lr": lr, "batch_size": batch_size,
+    model.training_meta = {"epochs": epochs, "lr": lr, "batch_size": BATCH_ROWS,
                            "seed": seed, "beta": model.beta}
     return {"train_loss": train_loss, "val_recon": val_recon}
 

@@ -5,9 +5,10 @@ Architectures are plain JSON-able descriptors: a list of layer dicts consumed
 both by the initializer (which allocates glorot-uniform weights and zero
 biases) and by forward_layers (which runs the numpy kernels on arrays for
 inference, or builds the autodiff graph on Vars for training).  fit is the
-one minibatch Adam loop; every model family trains through it.
+one minibatch Adam loop; every model family trains through it, with the
+fixed constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS and a step size lr.
 
-BATCH_ROWS is the one batch size: the default training batch, and the rows
+BATCH_ROWS is the one batch size: the training batch of fit, and the rows
 per call when by_rows runs tape-free inference over a set of any size, so no
 layer's temporaries grow with the set.  A row's output can differ from the
 same row run in a batch of another size in the last bits (matrix products
@@ -35,6 +36,8 @@ from .errors import InvalidField, ShapeMismatch, ValidationError
 ACTIVATIONS = ("relu", "sigmoid")   # named alike in autodiff and kernels
 BATCH_ROWS = 64
 DEFAULT_LR = 1e-3                   # Adam step size of every model family
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Adam's fixed decays and epsilon
+DEFAULT_STRIDE = {"conv": 1, "deconv": 2}   # of a layer that gives no "stride"
 TRAIN_DTYPE = np.float32            # the forward and backward passes of training
 
 
@@ -76,27 +79,26 @@ class ParamSet:
 
 
 def _adam(x: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int,
-          lr: float, beta1: float, beta2: float, eps: float) -> np.ndarray:
+          lr: float) -> np.ndarray:
     """One Adam step of x, as a new array; the moments m and v are updated in
     place.  Elementwise only."""
-    tmp = np.multiply(g, 1 - beta1)
-    m *= beta1
+    tmp = np.multiply(g, 1 - ADAM_BETA1)
+    m *= ADAM_BETA1
     m += tmp
-    np.multiply(g, 1 - beta2, out=tmp)
+    np.multiply(g, 1 - ADAM_BETA2, out=tmp)
     tmp *= g
-    v *= beta2
+    v *= ADAM_BETA2
     v += tmp
-    step = np.divide(m, 1 - beta1 ** t)               # m_hat
+    step = np.divide(m, 1 - ADAM_BETA1 ** t)             # m_hat
     step *= lr
-    denom = np.divide(v, 1 - beta2 ** t, out=tmp)    # v_hat
+    denom = np.divide(v, 1 - ADAM_BETA2 ** t, out=tmp)   # v_hat
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += ADAM_EPS
     step /= denom
     return np.subtract(x, step, out=step)
 
 
-def adam_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float) -> None:
     """Standard Adam update with bias correction of every parameter, in place.
 
     grads holds one gradient per parameter; a missing or None one, an
@@ -119,23 +121,22 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float,
     params.t += 1
     x, g = (np.concatenate([d[k].ravel() for k in params.values], dtype=np.float64)
             for d in (params.values, grads))
-    params.values.update(params._views(_adam(x, params._m, params._v, g, params.t, lr,
-                                             beta1, beta2, eps)))
+    params.values.update(params._views(_adam(x, params._m, params._v, g, params.t, lr)))
 
 
 def fit(params: ParamSet, n: int,
         batch_loss: Callable[[np.ndarray, dict[str, Var], np.random.Generator], Var],
-        epochs: int, lr: float, seed: int, batch_size: int,
+        epochs: int, lr: float, seed: int,
         val_loss: Callable[[], float] | None = None
         ) -> tuple[list[float], list[float], float]:
     """Minibatch Adam over n samples; returns (train losses, val losses, best val).
 
     Each epoch draws a permutation from the seeded rng and steps once per
-    batch of indices; batch_loss(idx, pvars, rng) builds the batch's mean loss
-    on the parameters cast to TRAIN_DTYPE and may draw further numbers from
-    the same rng.  With val_loss, the parameters of the epoch with the
-    lowest validation loss are restored; without it the last epoch's are
-    kept.  epochs must be at least 1, and lr a positive finite number.
+    BATCH_ROWS indices of it; batch_loss(idx, pvars, rng) builds the batch's
+    mean loss on the parameters cast to TRAIN_DTYPE and may draw further
+    numbers from the same rng.  With val_loss, the parameters of the epoch
+    with the lowest validation loss are restored; without it the last
+    epoch's are kept.  epochs must be at least 1, and lr positive and finite.
     """
     if epochs < 1:
         raise ValidationError(f"epochs must be at least 1, got {epochs}")
@@ -147,8 +148,8 @@ def fit(params: ParamSet, n: int,
     for _ in range(epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, n, BATCH_ROWS):
+            idx = order[start:start + BATCH_ROWS]
             pvars = params.as_vars(TRAIN_DTYPE)
             loss = batch_loss(idx, pvars, rng)
             ad.backward(loss)
@@ -220,10 +221,10 @@ def forward_layers(layers: list[dict], params: dict, x: np.ndarray | Var,
             if len(h.shape) == 2:   # an (N, L) signal is one channel
                 h = ops.reshape(h, (*h.shape, 1))
             h = ops.conv1d(h, params[f"{name}.W"], params[f"{name}.b"],
-                           stride=layer.get("stride", 1))
+                           stride=layer.get("stride", DEFAULT_STRIDE[kind]))
         elif kind == "deconv":
             h = ops.conv_transpose1d(h, params[f"{name}.W"], params[f"{name}.b"],
-                                     stride=layer.get("stride", 2),
+                                     stride=layer.get("stride", DEFAULT_STRIDE[kind]),
                                      out_len=layer["out_len"])
         elif kind == "pool":
             h = ops.maxpool1d(h)
@@ -293,13 +294,13 @@ def shape_trace(layers: list[dict], input_shape) -> list[tuple]:
                 shape = (shape[0], 1)
             if len(shape) != 2 or shape[1] != layer["cin"]:
                 raise mismatch(f"cin is {layer['cin']}, receives {list(shape)}")
+            stride = layer.get("stride", DEFAULT_STRIDE[kind])
             if kind == "conv":
-                shape = (-(-shape[0] // layer.get("stride", 1)), layer["cout"])
+                shape = (-(-shape[0] // stride), layer["cout"])
+            elif kernels.conv_geometry(layer["out_len"], layer["k"], stride)[0] != shape[0]:
+                raise mismatch(f"out_len {layer['out_len']} at stride {stride} does "
+                               f"not come from input length {shape[0]}")
             else:
-                stride = layer.get("stride", 2)
-                if kernels.conv_geometry(layer["out_len"], layer["k"], stride)[0] != shape[0]:
-                    raise mismatch(f"out_len {layer['out_len']} at stride {stride} does "
-                                   f"not come from input length {shape[0]}")
                 shape = (layer["out_len"], layer["cout"])
         elif kind == "pool":
             if len(shape) != 2:
@@ -350,9 +351,8 @@ def receptive_field(layers: list[dict]) -> int:
     for layer in layers:
         kind = layer["type"]
         if kind == "conv":
-            stride = layer.get("stride", 1)
             rf += (layer["k"] - 1) * jump
-            jump *= stride
+            jump *= layer.get("stride", DEFAULT_STRIDE[kind])
             last_conv_rf = rf
         elif kind == "pool":
             rf += 1 * jump

@@ -253,7 +253,8 @@ def normalize_cycle(cycle: CvsCycle, scheme: str, scale: float | None) -> Normal
     if scale is not None:
         if not scale > 0:
             raise ValidationError(f"scale factor must be positive, got {scale}")
-        samples = samples / scale
+        with np.errstate(over="ignore"):   # a quotient that overflows fails below
+            samples = samples / scale
     if scheme == "interp":
         if samples.size >= INTERP_SKIPS_FROM and not np.isfinite(samples).all():
             raise _cycle_error(_NONFINITE, cycle)

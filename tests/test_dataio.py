@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import types
 import warnings
 
@@ -284,6 +285,24 @@ class TestReplacing:
         assert sorted(os.listdir(tmp_path)) == ["a", "b", "c"]
         for name in ("a", "b", "c"):
             assert (tmp_path / name).read_text() == f"new {name}\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002], ids=oct)
+    def test_files_get_the_mode_open_would_leave(self, tmp_path, umask):
+        # a and c are new: 0o666 less the umask, as open(path, "w") makes
+        # them; b is overwritten and keeps its 0o640
+        (tmp_path / "b").write_text("old b\n")
+        os.chmod(tmp_path / "b", 0o640)
+        old = os.umask(umask)
+        try:
+            self.write_three(tmp_path)
+            with open(tmp_path / "ref", "w"):
+                pass
+        finally:
+            os.umask(old)
+        modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+                 for name in ("a", "b", "c", "ref")}
+        new = 0o666 & ~umask
+        assert modes == {"a": new, "b": 0o640, "c": new, "ref": new}
 
 
 # --- gen's files against the per-file writers ---

@@ -242,6 +242,20 @@ class TestShapeTrace:
         layers = [{"type": "conv", "k": 3, "cin": 1, "cout": 2, "stride": 2}]
         assert shape_trace(layers, (15, 1))[-1] == (8, 2)
 
+    @pytest.mark.parametrize("layer,input_shape,out_shape", [
+        ({"type": "conv", "k": 3, "cin": 2, "cout": 4}, (9, 2), (9, 4)),
+        ({"type": "deconv", "k": 3, "cin": 2, "cout": 4, "out_len": 9}, (5, 2), (9, 4)),
+    ])
+    def test_default_stride_is_forward_layers_stride(self, layer, input_shape, out_shape):
+        # a layer without "stride": conv at stride 1, deconv at stride 2, on
+        # both forward routes as in shape_trace
+        x = np.random.default_rng(0).normal(size=(3, *input_shape))
+        params = ParamSet(init_params([layer], seed=0))
+        assert shape_trace([layer], input_shape)[-1] == out_shape
+        assert forward_layers([layer], params.values, x).shape == (3, *out_shape)
+        taped = forward_layers([layer], params.as_vars(), Var(x))
+        assert taped.value.shape == (3, *out_shape)
+
 
 class TestReceptiveField:
     def test_single_conv(self):
@@ -295,7 +309,7 @@ class TestFit:
             snapshots.append(params.copy_values())
             return val_seq[len(snapshots) - 1]
 
-        out = fit(params, 10, self.batch_loss, len(val_seq), 0.1, 0, 4, val_loss)
+        out = fit(params, 10, self.batch_loss, len(val_seq), 0.1, 0, val_loss)
         return params, snapshots, out
 
     def test_restores_epoch_with_lowest_val_loss(self):
@@ -308,12 +322,13 @@ class TestFit:
     def test_without_val_loss_keeps_last_epoch(self):
         _, snapshots, _ = self.recording_run([4.0, 3.0, 2.0, 1.5])
         params = ParamSet({"w": np.zeros(3)})
-        train, val, best = fit(params, 10, self.batch_loss, 4, 0.1, 0, 4)
+        train, val, best = fit(params, 10, self.batch_loss, 4, 0.1, 0)
         assert val == [] and best == np.inf and len(train) == 4
         assert np.array_equal(params.values["w"], snapshots[-1]["w"])
 
-    @pytest.mark.parametrize("n,batch_size,epochs", [(10, 4, 3), (8, 4, 2), (5, 64, 2)])
-    def test_one_adam_step_per_batch(self, n, batch_size, epochs):
+    @pytest.mark.parametrize("n,epochs", [(10, 3), (BATCH_ROWS, 2), (BATCH_ROWS + 1, 2),
+                                          (2 * BATCH_ROWS + 2, 3)])
+    def test_one_adam_step_per_batch(self, n, epochs):
         params = ParamSet({"w": np.zeros(3)})
         batches = []
 
@@ -321,8 +336,8 @@ class TestFit:
             batches.append(idx.copy())
             return self.batch_loss(idx % 10, pvars, rng)
 
-        fit(params, n, batch_loss, epochs, 0.1, 0, batch_size)
-        per_epoch = math.ceil(n / batch_size)
+        fit(params, n, batch_loss, epochs, 0.1, 0)
+        per_epoch = math.ceil(n / BATCH_ROWS)
         assert params.t == len(batches) == per_epoch * epochs
         for e in range(epochs):   # every epoch visits each sample once
             seen = np.concatenate(batches[e * per_epoch:(e + 1) * per_epoch])
@@ -332,7 +347,7 @@ class TestFit:
     def test_fewer_than_one_epoch_rejected(self, epochs):
         params = ParamSet({"w": np.zeros(3)})
         with pytest.raises(ValidationError, match="epochs"):
-            fit(params, 10, self.batch_loss, epochs, 0.1, 0, 4)
+            fit(params, 10, self.batch_loss, epochs, 0.1, 0)
         assert params.t == 0
 
     @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -1.0])
@@ -340,7 +355,7 @@ class TestFit:
         params = ParamSet({"w": np.zeros(3)})
         with pytest.raises(ValidationError, match="learning rate must be a positive "
                                                   "finite number"):
-            fit(params, 10, self.batch_loss, 1, lr, 0, 4)
+            fit(params, 10, self.batch_loss, 1, lr, 0)
         assert params.t == 0
 
     def test_discriminative_meta_reports_best_val_auc(self, seed):
@@ -349,8 +364,7 @@ class TestFit:
         y = (x[:, :10].sum(axis=1) > 0).astype(float)
         model = discriminative.build("lr", seed=seed)
         history = discriminative.train(model, x[:40], y[:40], x[40:],
-                                       y[40:].astype(int), epochs=5, lr=3e-2,
-                                       batch_size=16, seed=seed)
+                                       y[40:].astype(int), epochs=5, lr=3e-2, seed=seed)
         assert len(history["val_auc"]) == 5
         assert model.training_meta["best_val_auc"] == max(history["val_auc"])
         _, auc = roc_auc(discriminative.forward(model, x[40:]), y[40:].astype(int))
@@ -362,8 +376,7 @@ class TestFit:
         x_val = rng.normal(size=(12, 150))
         model = manifold.build_vae("vae", seed=seed)
         history = manifold.vae_train(model, x, np.ones(48, dtype=int), epochs=4,
-                                     lr=1e-2, seed=seed, batch_size=16,
-                                     x_val_pos=x_val)
+                                     lr=1e-2, seed=seed, x_val_pos=x_val)
         val = float(np.mean(np.sum((model.reconstruct(x_val) - x_val) ** 2, axis=1)))
         assert len(history["val_recon"]) == 4
         assert val == min(history["val_recon"])

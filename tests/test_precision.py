@@ -188,7 +188,7 @@ class TestTraining:
             seen.append(pvars["w"].value.dtype)
             return ad.sum_(ad.square(ad.cast(pvars["w"], np.float64)))
 
-        nn.fit(params, 4, batch_loss, 2, 0.1, 0, 2)
+        nn.fit(params, 2 * nn.BATCH_ROWS, batch_loss, 2, 0.1, 0)
         assert seen == [F32] * 4
         assert params.values["w"].dtype == np.float64
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -623,3 +624,13 @@ class TestNonFiniteCycle:
         with pytest.raises(ValidationError, match=r"^cycle of subject 'a' at t_start_ms "
                            r"800 has normalized peak 11 above headroom bound 10.0$"):
             normalize_cycle(cyc([0.0, 11.0, 1.0], sid="a", t0=800), "pad", None)
+
+    @pytest.mark.parametrize("scheme,v", [("interp", 3), ("interp", 400), ("pad", 3),
+                                          ("pad", 150)])
+    def test_scaling_overflow_is_a_non_finite_sample_and_no_warning(self, scheme, v):
+        # 1e300 / 1e-10 overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match=r"^cycle of subject 'a' at "
+                               r"t_start_ms 0 holds a non-finite sample$"):
+                normalize_cycle(cyc(np.r_[1e300, np.arange(1.0, v)], sid="a"), scheme, 1e-10)
