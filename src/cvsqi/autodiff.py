@@ -218,7 +218,7 @@ def dense(x, w, b) -> Var:
                lambda g: kernels.dense_bwd(g, x.value, w.value))
 
 
-def conv1d(x, kern, b, stride: int = 1) -> Var:
+def conv1d(x, kern, b, stride: int) -> Var:
     """Same-padded cross-correlation, (N, L, C_in) by (k, C_in, C_out)."""
     x, kern, b = _as_var(x), _as_var(kern), _as_var(b)
     out, cols = kernels.conv1d_cols(x.value, kern.value, b.value, stride)

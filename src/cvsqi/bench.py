@@ -1,6 +1,6 @@
-"""What `cvsqi bench --out` records beside the per-cycle latencies: the
-environment it ran in, a calibration loop's time, and the time of one
-training step.
+"""`cvsqi bench`: each model's per-cycle latency, and what `--out` records
+beside it: the environment it ran in, a calibration loop's time, and the
+time of one training step.
 
 A small shared machine drifts by tens of percent between runs, so a timing
 means little without the machine's speed at the time.  The calibration loop
@@ -11,6 +11,7 @@ compare best as timings over calibration times.
 """
 from __future__ import annotations
 
+import json
 import os
 import platform
 import subprocess
@@ -18,16 +19,65 @@ import time
 
 import numpy as np
 
-from . import discriminative, manifold, nn
+from . import dataio, discriminative, experiment, manifold, model_io, nn
+from .errors import ValidationError
 from .nn import BATCH_ROWS, DEFAULT_LR
-from .preprocess import TARGET_LEN
+from .preprocess import (DEFAULT_SCALE_MODE, DEFAULT_SCHEME, TARGET_LEN, normalize_cycle,
+                         subject_scale_factor)
 
+BENCH_MIN_CYCLES = 1000   # bench_models' floor and bench --n-cycles' default
+BENCH_PREPROCESSING = {"norm_scheme": DEFAULT_SCHEME, "scale_mode": DEFAULT_SCALE_MODE}
 CALIBRATION_REPS = 2000
 STEP_MODELS = ("bcvae", "vgg3")
 STEP_BATCHES = 12          # training steps per timed call: one epoch
 STEP_REPEATS = 5           # timed calls per model, after one untimed
 # the variables OpenBLAS reads its thread count from, in its order
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def bench_models(named_models, cycles) -> list[dict]:
+    """Per-cycle wall-clock latency (normalize + forward + verdict) per model.
+
+    cycles holds _bench_cycles' (CvsCycle, scale) pairs.  Returns one record
+    per model: its name, n_samples, and the mean, median and p99 in us.
+    """
+    if len(cycles) < BENCH_MIN_CYCLES:
+        raise ValidationError(f"benchmark needs >= {BENCH_MIN_CYCLES} cycles, "
+                              f"got {len(cycles)}")
+    scheme = BENCH_PREPROCESSING["norm_scheme"]
+    reports = []
+    for name, model in named_models:
+        # warm start: the first 10 cycles, outside timing
+        for c, s in cycles[:10]:
+            model.score(normalize_cycle(c, scheme, s).values[None, :])
+        times = np.empty(len(cycles))
+        for i, (c, s) in enumerate(cycles):
+            t0 = time.perf_counter()
+            vec = normalize_cycle(c, scheme, s).values
+            model.score(vec[None, :])
+            times[i] = time.perf_counter() - t0
+        us = times * 1e6
+        reports.append({
+            "model": name,
+            "n_samples": int(us.size),
+            "mean_us": float(us.mean()),
+            "median_us": float(np.median(us)),
+            "p99_us": float(np.percentile(us, 99)),
+        })
+    return reports
+
+
+def _bench_cycles(n_cycles: int, seed: int):
+    """Synthetic (CvsCycle, scale) pairs for benchmarking, under BENCH_PREPROCESSING:
+    60 s subjects (each has cycles) until n_cycles, then a seeded shuffle."""
+    out = []
+    for subject in experiment.iter_subjects(seed, n_cycles, 60_000):
+        s = subject_scale_factor(subject.calibration)
+        out.extend((c, s) for c in subject.cycles)
+        if len(out) >= n_cycles:
+            break
+    np.random.default_rng(seed).shuffle(out)
+    return out[:n_cycles]
 
 
 def calibration_s() -> float:
@@ -109,3 +159,47 @@ def train_steps(seed: int) -> dict:
         ms[name] = {"median_ms": float(np.median(per_step)), "ms": per_step}
     return {"dtype": np.dtype(nn.TRAIN_DTYPE).name, "batch": BATCH_ROWS,
             "steps_per_call": STEP_BATCHES, "models": ms}
+
+
+def cmd_bench(args) -> int:
+    named = []
+    if args.models:
+        for path in args.models:   # every file checked before anything is timed
+            scorer = model_io.load_model(path)
+            if scorer.preprocessing != BENCH_PREPROCESSING:
+                raise ValidationError(
+                    f"{path}: records {scorer.preprocessing}; bench times every "
+                    f"model on cycles under {BENCH_PREPROCESSING} only")
+            try:       # a model that cannot score (no threshold) fails here
+                scorer.model.score(np.zeros((1, TARGET_LEN)))
+            except ValidationError as exc:
+                raise type(exc)(f"{path}: {exc}") from None
+            named.append((scorer.model.name, scorer.model))
+    else:
+        for arch in discriminative.ARCHITECTURES:
+            named.append((arch, discriminative.build(arch, seed=args.seed)))
+        for kind in manifold.VAE_KINDS:
+            m = manifold.build_vae(kind, seed=args.seed)
+            m.threshold_d = 1.0
+            named.append((kind, m))
+
+    # the --out temp file is made first, so an --out that cannot be written
+    # fails before anything is timed
+    with dataio.replacing() as open_temp:
+        out = open_temp(args.out) if args.out else None
+        before = calibration_s() if out else None
+        reports = bench_models(named, _bench_cycles(args.n_cycles, args.seed))
+        print(f"{'model':<10}{'mean us':>12}{'median us':>12}{'p99 us':>12}{'n':>8}")
+        for r in reports:
+            print(f"{r['model']:<10}{r['mean_us']:>12.1f}{r['median_us']:>12.1f}"
+                  f"{r['p99_us']:>12.1f}{r['n_samples']:>8}")
+        if out:
+            steps = train_steps(args.seed)
+            for name, step in steps["models"].items():
+                print(f"train step {name} ({steps['dtype']}, batch {steps['batch']}): "
+                      f"{step['median_ms']:.2f} ms")
+            env = {**environment(args.seed), "n_cycles": args.n_cycles,
+                   "calibration_s": {"before": before, "after": calibration_s()}}
+            out.write(json.dumps({"env": env, "per_cycle": reports, "train_step": steps},
+                                 indent=1) + "\n")
+    return 0

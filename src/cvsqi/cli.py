@@ -1,5 +1,5 @@
 """Command-line workflows: gen, split, train, train-manifold, threshold,
-evaluate, assess, bench.
+evaluate, assess, and bench, whose code is cvsqi.bench's.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.  A JSON config file
 named by the CVSQI_CONFIG environment variable supplies default flag values.
@@ -11,19 +11,17 @@ import functools
 import json
 import os
 import sys
-import time
 
-import numpy as np
-
-from . import bench, dataio, discriminative, experiment, manifold, model_io
+from . import dataio, discriminative, experiment, manifold, model_io
+from .bench import BENCH_MIN_CYCLES, _bench_cycles, bench_models, cmd_bench
 from .errors import CvsqiError, IoError, MissingCalibration, ValidationError
 from .evaluation import METRICS, evaluate_scores, split_by_subject
-from .forward import scenario_from_file, synthesize_stream
+from .forward import synthesize_stream
 from .labels import QualityLabel
+from .model_io import scenario_from_file
 from .nn import DEFAULT_LR
 from .preprocess import (DEFAULT_SCALE_MODE, DEFAULT_SCHEME, SCALE_MODES, SCHEMES,
-                         calibration_from_stream, cycles_from_stream, normalize_cycle,
-                         normalize_dataset, subject_scale_factor)
+                         calibration_from_stream, cycles_from_stream, normalize_dataset)
 
 CONFIG_ENV = "CVSQI_CONFIG"
 
@@ -190,94 +188,6 @@ def cmd_assess(args) -> int:
     else:
         for line in lines:
             print(line)
-    return 0
-
-
-def bench_models(named_models, cycles) -> list[dict]:
-    """Per-cycle wall-clock latency (normalize + forward + verdict) per model.
-
-    cycles is a list of (CvsCycle, scale, scheme) ready for assessment.
-    Returns one LatencyReport record per model.
-    """
-    if len(cycles) < BENCH_MIN_CYCLES:
-        raise ValidationError(f"benchmark needs >= {BENCH_MIN_CYCLES} cycles, "
-                              f"got {len(cycles)}")
-    reports = []
-    for name, model in named_models:
-        # warm start: the first 10 cycles, outside timing
-        for c, s, scheme in cycles[:10]:
-            model.score(normalize_cycle(c, scheme, s).values[None, :])
-        times = np.empty(len(cycles))
-        for i, (c, s, scheme) in enumerate(cycles):
-            t0 = time.perf_counter()
-            vec = normalize_cycle(c, scheme, s).values
-            model.score(vec[None, :])
-            times[i] = time.perf_counter() - t0
-        us = times * 1e6
-        reports.append({
-            "model": name,
-            "n_samples": int(us.size),
-            "mean_us": float(us.mean()),
-            "median_us": float(np.median(us)),
-            "p99_us": float(np.percentile(us, 99)),
-        })
-    return reports
-
-
-BENCH_MIN_CYCLES = 1000   # bench_models' floor and bench --n-cycles' default
-BENCH_PREPROCESSING = {"norm_scheme": DEFAULT_SCHEME, "scale_mode": DEFAULT_SCALE_MODE}
-
-
-def _bench_cycles(n_cycles: int, seed: int):
-    """Synthetic assessment-ready cycles for benchmarking, under BENCH_PREPROCESSING:
-    60 s subjects (each has cycles) until n_cycles, then a seeded shuffle."""
-    out = []
-    for subject in experiment.iter_subjects(seed, n_cycles, 60_000):
-        s = subject_scale_factor(subject.calibration)
-        out.extend((c, s, BENCH_PREPROCESSING["norm_scheme"]) for c in subject.cycles)
-        if len(out) >= n_cycles:
-            break
-    np.random.default_rng(seed).shuffle(out)
-    return out[:n_cycles]
-
-
-def cmd_bench(args) -> int:
-    named = []
-    if args.models:
-        for path in args.models:   # every file checked before anything is timed
-            scorer = model_io.load_model(path)
-            if scorer.preprocessing != BENCH_PREPROCESSING:
-                raise ValidationError(
-                    f"{path}: records {scorer.preprocessing}; bench times every "
-                    f"model on cycles under {BENCH_PREPROCESSING} only")
-            named.append((scorer.model.name, scorer.model))
-    else:
-        for arch in discriminative.ARCHITECTURES:
-            named.append((arch, discriminative.build(arch, seed=args.seed)))
-        for kind in manifold.VAE_KINDS:
-            m = manifold.build_vae(kind, seed=args.seed)
-            m.threshold_d = 1.0
-            named.append((kind, m))
-
-    # the --out temp file is made first, so an --out that cannot be written
-    # fails before anything is timed
-    with dataio.replacing() as open_temp:
-        out = open_temp(args.out) if args.out else None
-        before = bench.calibration_s() if out else None
-        reports = bench_models(named, _bench_cycles(args.n_cycles, args.seed))
-        print(f"{'model':<10}{'mean us':>12}{'median us':>12}{'p99 us':>12}{'n':>8}")
-        for r in reports:
-            print(f"{r['model']:<10}{r['mean_us']:>12.1f}{r['median_us']:>12.1f}"
-                  f"{r['p99_us']:>12.1f}{r['n_samples']:>8}")
-        if out:
-            steps = bench.train_steps(args.seed)
-            for name, step in steps["models"].items():
-                print(f"train step {name} ({steps['dtype']}, batch {steps['batch']}): "
-                      f"{step['median_ms']:.2f} ms")
-            env = {**bench.environment(args.seed), "n_cycles": args.n_cycles,
-                   "calibration_s": {"before": before, "after": bench.calibration_s()}}
-            out.write(json.dumps({"env": env, "per_cycle": reports, "train_step": steps},
-                                 indent=1) + "\n")
     return 0
 
 

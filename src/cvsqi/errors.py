@@ -21,7 +21,7 @@ class IoError(CvsqiError):
 
 class InvalidField(ValidationError):
     """A value that does not fit its field in a scenario or model dataclass;
-    caught by forward.from_json to prefix the field's path in the file."""
+    caught by model_io.from_json to prefix the field's path in the file."""
 
 
 class ShapeMismatch(ValidationError):

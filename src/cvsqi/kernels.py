@@ -210,7 +210,7 @@ def col2im(cols: np.ndarray, stride: int, length: int) -> np.ndarray:
 
 
 def conv1d_cols(x: np.ndarray, kern: np.ndarray, b: np.ndarray | None,
-                stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                stride: int) -> tuple[np.ndarray, np.ndarray]:
     """conv1d's output and the im2col matrix its backward pass reuses."""
     if x.ndim != 3 or kern.ndim != 3:
         raise ShapeMismatch("conv1d expects x (N, L, Cin) and kernel (k, Cin, Cout)")
@@ -228,7 +228,7 @@ def conv1d_cols(x: np.ndarray, kern: np.ndarray, b: np.ndarray | None,
 
 
 def conv1d(x: np.ndarray, kern: np.ndarray, b: np.ndarray,
-           stride: int = 1) -> np.ndarray:
+           stride: int) -> np.ndarray:
     """Cross-correlation with same-style zero padding, as one im2col GEMM.
 
     x: (N, L, C_in); kern: (k, C_in, C_out); output length ceil(L / stride).

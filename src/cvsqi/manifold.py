@@ -75,14 +75,14 @@ class PcaModel(ManifoldModel):
         return self.mean + (x - self.mean) @ self.components.T @ self.components
 
 
-def pca_fit(x_pos: np.ndarray, k: int = LATENT_DIM) -> PcaModel:
-    """Top-k principal directions of the positive cycles, via SVD of centered data."""
+def pca_fit(x_pos: np.ndarray) -> PcaModel:
+    """Top-LATENT_DIM principal directions of the positive cycles, via centered SVD."""
     x = cycle_rows(x_pos)
-    if x.shape[0] < k:
-        raise ValidationError(f"need at least {k} samples, got {x.shape[0]}")
+    if x.shape[0] < LATENT_DIM:
+        raise ValidationError(f"need at least {LATENT_DIM} samples, got {x.shape[0]}")
     mean = x.mean(axis=0)
     _, _, vt = np.linalg.svd(x - mean, full_matrices=False)
-    return PcaModel(mean=mean, components=vt[:k].copy())
+    return PcaModel(mean=mean, components=vt[:LATENT_DIM].copy())
 
 
 # --- VAE ---

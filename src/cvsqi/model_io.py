@@ -5,27 +5,159 @@ trained under (size scheme + scale mode).  The model's dataclass
 (DiscriminativeModel, PcaModel or VaeModel) is the one description of its
 part, its class attribute family names the family, and _Preprocessing is the
 one description of the preprocessing: save_model writes their fields with
-forward.to_json, and load_model, after checking the format version and a
-SHA-256 checksum over the canonical payload, reads them back through the
-same dataclasses with forward.from_json, their own checks included, into a
-Scorer.  The model scores itself: model.score(x) is (score, verdict) per
-row by its class's rule.
+to_json, and load_model, after checking the format version and a SHA-256
+checksum over the canonical payload, reads them back through the same
+dataclasses with from_json, their own checks included, into a Scorer.  The
+model scores itself: model.score(x) is (score, verdict) per row by its
+class's rule.
+
+from_json, the one typed reader of scenario and model files, reads a
+dataclass by its fields' JSON keys and runs its checks; to_json is its
+inverse, and scenario_from_file reads one scenario file through from_json.
 """
 from __future__ import annotations
 
+import base64
 import dataclasses
+import functools
 import hashlib
 import json
+import sys
+import typing
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
+import numpy as np
+
 from .discriminative import DiscriminativeModel
-from .errors import IoError
-from .forward import from_json, to_json
+from .errors import InvalidField, IoError, ValidationError
+from .forward import SynthScenario
 from .manifold import MANIFOLD_KINDS, PcaModel, VaeModel
+from .nn import ParamSet
 from .preprocess import SCALE_MODES, SCHEMES, normalize_dataset
 
 FORMAT_VERSION = 1
+
+_SCALARS = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
+
+
+@functools.cache
+def _json_fields(kind) -> dict[str, tuple[dataclasses.Field, object]]:
+    """A dataclass's fields by JSON key, field(metadata={"json": key}) or
+    else the field's name, each with its type, in field order."""
+    hints = typing.get_type_hints(kind)
+    return {f.metadata.get("json", f.name): (f, hints[f.name])
+            for f in dataclasses.fields(kind)}
+
+
+def from_json(value, kind, name: str):
+    """A parsed JSON value as `kind`; name is its path in messages.  kind is
+    int, float (finite), str, Literal[...] of strings, X | None, tuple[X, ...],
+    tuple[X, Y], list[X], dict (any object), dict[str, X], np.ndarray (an
+    object of its shape and base64 float64 data, every value finite), a
+    ParamSet (as dict[str, np.ndarray]), or a dataclass from an object of
+    its fields under their JSON keys.  Any other value, or an unknown or
+    missing field, is an InvalidField that names it, as is an InvalidField
+    from a dataclass's own checks, prefixed by the dataclass's path."""
+    def fail(what):
+        return InvalidField(f"{name} must be {what}, got {value!r:.60}")
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if dataclasses.is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise fail("an object")
+        fields = _json_fields(kind)
+        for key in sorted(value.keys() - fields.keys()):
+            raise InvalidField(f"{name}.{key} is not a field of {kind.__name__}")
+        for key, (f, _) in fields.items():
+            if key not in value and f.default is f.default_factory is dataclasses.MISSING:
+                raise InvalidField(f"{name}.{key} is required")
+        kwargs = {fields[key][0].name: from_json(v, fields[key][1], f"{name}.{key}")
+                  for key, v in value.items()}
+        try:
+            return kind(**kwargs)
+        except InvalidField as exc:
+            raise InvalidField(f"{name}.{exc}") from None
+    if kind is ParamSet:
+        return ParamSet(from_json(value, dict[str, np.ndarray], name))
+    if kind is np.ndarray:
+        shape = value.get("shape") if isinstance(value, dict) else None
+        if not (isinstance(shape, list) and isinstance(value.get("data"), str) and all(
+                isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)):
+            raise fail("a tensor object")
+        try:
+            raw = base64.b64decode(value["data"])
+            t = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
+        except ValueError:      # bad base64, or a byte count that is not the shape's
+            raise InvalidField(f"{name} does not hold {shape} float64 values") from None
+        if not np.isfinite(t).all():
+            raise InvalidField(f"{name} holds NaN or inf")
+        return t
+    if origin is typing.Literal:
+        if not (isinstance(value, str) and value in args):
+            raise fail(f"one of {args}")
+        return value
+    if type(None) in args:                     # X | None, X a scalar
+        if value is None:
+            return None
+        try:
+            return from_json(value, args[0], name)
+        except InvalidField:
+            what = "a finite number" if args[0] is float else _SCALARS[args[0]][1]
+            raise fail(f"null or {what}") from None
+    if origin in (list, tuple):                # list[X], tuple[X, ...] or tuple[X, Y]
+        any_length = origin is list or args[-1] is Ellipsis
+        if not isinstance(value, list) or not any_length and len(value) != len(args):
+            raise fail("a list" if any_length else f"a list of {len(args)}")
+        return origin(from_json(v, args[0] if any_length else args[i], f"{name}[{i}]")
+                      for i, v in enumerate(value))
+    if dict in (kind, origin):                 # dict, or dict[str, X]
+        if not isinstance(value, dict):
+            raise fail("an object")
+        if not args:
+            return value
+        return {k: from_json(v, args[1], f"{name}.{k}") for k, v in value.items()}
+    types, what = _SCALARS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise fail(what)
+    if kind is float and not abs(value) <= sys.float_info.max:     # NaN, inf, 10**400
+        raise fail("a finite number")
+    return value
+
+
+def to_json(value):
+    """from_json's inverse: value as the JSON value that from_json reads back
+    as value's type, a dataclass's fields under their JSON keys in field
+    order and a tensor as its shape and base64 float64 data."""
+    if dataclasses.is_dataclass(value):
+        return {key: to_json(getattr(value, f.name))
+                for key, (f, _) in _json_fields(type(value)).items()}
+    if isinstance(value, ParamSet):
+        value = value.values
+    if isinstance(value, np.ndarray):
+        a = np.ascontiguousarray(value, dtype=np.float64)
+        return {"shape": list(a.shape),
+                "data": base64.b64encode(a.tobytes()).decode("ascii")}
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    return value
+
+
+def scenario_from_file(path: str) -> SynthScenario:
+    """The scenario of a JSON file: an object of SynthScenario's fields, with
+    motion_events a list of objects of MotionEvent's fields.  An unknown,
+    missing or mistyped field, or an out-of-range value, is an
+    InvalidField naming the field; nothing is synthesized before then.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: invalid scenario JSON: {exc}") from exc
+    return from_json(doc, SynthScenario, f"{path}: scenario")
 
 
 @dataclass(frozen=True)

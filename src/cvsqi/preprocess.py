@@ -23,9 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MissingCalibration, ShapeMismatch, ValidationError
-from .forward import SAMPLE_MS
 from .labels import QualityLabel
 
+SAMPLE_MS = 10            # the sampling grid: one sample per 10 ms (100 Hz)
 TARGET_LEN = 150          # embedding dimension; "pad" rejects longer cycles (RR > 1490 ms)
 CALIBRATION_SAMPLES = 2000  # 20 s at 100 Hz
 CALIBRATION_MS = CALIBRATION_SAMPLES * SAMPLE_MS

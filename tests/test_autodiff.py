@@ -181,12 +181,12 @@ class TestConv1d:
         x = np.random.default_rng(0).normal(size=(1, 9, 1))
         kern = np.zeros((3, 1, 1))
         kern[1, 0, 0] = 1.0
-        out = ad.conv1d(Var(x), Var(kern), Var(np.zeros(1))).value
+        out = ad.conv1d(Var(x), Var(kern), Var(np.zeros(1)), stride=1).value
         assert np.allclose(out, x, atol=1e-15)
 
     def test_zero_kernel(self):
         x = np.ones((2, 6, 3))
-        out = ad.conv1d(Var(x), Var(np.zeros((3, 3, 2))), Var(np.zeros(2))).value
+        out = ad.conv1d(Var(x), Var(np.zeros((3, 3, 2))), Var(np.zeros(2)), stride=1).value
         assert np.all(out == 0.0)
 
     @staticmethod
@@ -210,7 +210,7 @@ class TestConv1d:
     @given(st.integers(1, 60))
     def test_stride1_k3_preserves_length(self, length):
         x = np.zeros((1, length, 2))
-        out = ad.conv1d(Var(x), Var(np.zeros((3, 2, 1))), Var(np.zeros(1))).value
+        out = ad.conv1d(Var(x), Var(np.zeros((3, 2, 1))), Var(np.zeros(1)), stride=1).value
         assert out.shape == (1, length, 1)
 
     @staticmethod
@@ -317,7 +317,7 @@ class TestIm2col:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(3, 7, 4))
         xv = Var(x.copy())
-        out = ad.conv1d(xv, Var(rng.normal(size=(1, 4, 2))), Var(rng.normal(size=2)))
+        out = ad.conv1d(xv, Var(rng.normal(size=(1, 4, 2))), Var(rng.normal(size=2)), stride=1)
         ad.backward(ad.sum_(ad.square(out)))
         assert np.array_equal(xv.value, x)
 

@@ -17,7 +17,7 @@ LATENCY_KEYS = {"model": str, "n_samples": int, "mean_us": float, "median_us": f
 @pytest.fixture
 def tiny(monkeypatch):
     """bench at a tiny size: 20 cycles, one one-step call per training model."""
-    monkeypatch.setattr(cli, "BENCH_MIN_CYCLES", 20)
+    monkeypatch.setattr(bench, "BENCH_MIN_CYCLES", 20)
     monkeypatch.setattr(bench, "CALIBRATION_REPS", 10)
     monkeypatch.setattr(bench, "STEP_BATCHES", 1)
     monkeypatch.setattr(bench, "STEP_REPEATS", 2)
@@ -30,7 +30,7 @@ def run(argv):
 def test_out_record_schema(tmp_path, tiny, capsys):
     model = tmp_path / "lr.json"
     model_io.save_model(discriminative.build("lr", seed=0), str(model),
-                        **cli.BENCH_PREPROCESSING)
+                        **bench.BENCH_PREPROCESSING)
     out = tmp_path / "BENCH_tiny.json"
     assert run(["bench", "--models", model, "--n-cycles", 20, "--seed", 3,
                 "--out", out]) == 0
@@ -71,7 +71,7 @@ def test_without_out_writes_nothing_and_times_no_training(tmp_path, tiny, monkey
     monkeypatch.chdir(tmp_path)
     model = tmp_path / "lr.json"
     model_io.save_model(discriminative.build("lr", seed=0), str(model),
-                        **cli.BENCH_PREPROCESSING)
+                        **bench.BENCH_PREPROCESSING)
     assert run(["bench", "--models", model, "--n-cycles", 20]) == 0
     assert list(tmp_path.iterdir()) == [model]
 
@@ -79,7 +79,7 @@ def test_without_out_writes_nothing_and_times_no_training(tmp_path, tiny, monkey
 def test_unwritable_out_exits_3_before_timing(tmp_path, monkeypatch, capsys):
     def untimed(*args):
         raise AssertionError("bench went on to time")
-    monkeypatch.setattr(cli, "bench_models", untimed)
+    monkeypatch.setattr(bench, "bench_models", untimed)
     out = tmp_path / "missing" / "BENCH_x.json"
     assert run(["bench", "--out", out]) == 3
     assert capsys.readouterr().err.startswith(f"error: {out}: ")

@@ -6,11 +6,12 @@ import shutil
 import numpy as np
 import pytest
 
-from cvsqi import (cli, dataio, discriminative, experiment, manifold,
+from cvsqi import (bench, cli, dataio, discriminative, experiment, manifold,
                    model_io, preprocess)
 from cvsqi.evaluation import evaluate_scores
-from cvsqi.forward import MAX_DURATION_MS, to_json
+from cvsqi.forward import MAX_DURATION_MS
 from cvsqi.labels import QualityLabel
+from cvsqi.model_io import to_json
 from cvsqi.preprocess import (CvsStream, calibration_from_stream,
                               cycles_from_stream, normalize_cycle,
                               subject_scale_factor)
@@ -759,8 +760,8 @@ class TestBench:
                                                        scale_mode):
         def untimed(*args):
             raise AssertionError("bench went on to time")
-        monkeypatch.setattr(cli, "_bench_cycles", untimed)
-        monkeypatch.setattr(cli, "bench_models", untimed)
+        monkeypatch.setattr(bench, "_bench_cycles", untimed)
+        monkeypatch.setattr(bench, "bench_models", untimed)
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
         model = discriminative.build("lr", seed=0)
         model_io.save_model(model, str(good), norm_scheme="interp", scale_mode="subject")
@@ -774,8 +775,8 @@ class TestBench:
         # an empty list is no request for the ten untrained built-in models
         def untimed(*args):
             raise AssertionError("bench went on to time")
-        monkeypatch.setattr(cli, "_bench_cycles", untimed)
-        monkeypatch.setattr(cli, "bench_models", untimed)
+        monkeypatch.setattr(bench, "_bench_cycles", untimed)
+        monkeypatch.setattr(bench, "bench_models", untimed)
         with pytest.raises(SystemExit) as exc:
             run(["bench", "--models"])
         assert exc.value.code == 2
@@ -785,17 +786,36 @@ class TestBench:
 
     def test_models_named_from_their_files(self, tmp_path, capsys, monkeypatch):
         timed = []
-        monkeypatch.setattr(cli, "_bench_cycles", lambda n, seed: ["cycles", n, seed])
-        monkeypatch.setattr(cli, "bench_models",
+        monkeypatch.setattr(bench, "_bench_cycles", lambda n, seed: ["cycles", n, seed])
+        monkeypatch.setattr(bench, "bench_models",
                             lambda named, cycles: timed.append((named, cycles)) or [])
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         models = [discriminative.build("mlp1", seed=0), manifold.build_vae("cvae", seed=0)]
+        models[1].threshold_d = 1.0
         for model, path in zip(models, paths):
-            model_io.save_model(model, str(path), **cli.BENCH_PREPROCESSING)
+            model_io.save_model(model, str(path), **bench.BENCH_PREPROCESSING)
         assert run(["bench", "--models", *paths, "--n-cycles", 1234]) == 0
         [(named, cycles)] = timed
         assert [name for name, _ in named] == ["mlp1", "cvae"]
         assert cycles == ["cycles", 1234, 0]
+
+    def test_model_without_threshold_exits_2_before_timing(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # the file that cannot score comes second: the first is not timed either
+        def untimed(*args):
+            raise AssertionError("bench went on to time")
+        monkeypatch.setattr(bench, "_bench_cycles", untimed)
+        monkeypatch.setattr(bench, "bench_models", untimed)
+        good, bad = tmp_path / "vgg5.json", tmp_path / "bcvae.json"
+        out = tmp_path / "BENCH_x.json"
+        model_io.save_model(discriminative.build("vgg5", seed=0), str(good),
+                            **bench.BENCH_PREPROCESSING)
+        model_io.save_model(manifold.build_vae("bcvae", seed=0), str(bad),
+                            **bench.BENCH_PREPROCESSING)
+        assert run(["bench", "--models", good, bad, "--out", out]) == 2
+        assert capsys.readouterr().err == (f"error: {bad}: manifold model has no "
+                                           f"threshold; run `threshold` first\n")
+        assert not out.exists()
 
 
 class TestConfigEnv:

@@ -1,16 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvsqi
 from cvsqi.errors import MissingCalibration, ValidationError
-from cvsqi.forward import SAMPLE_MS
 from cvsqi.labels import QualityLabel
 from cvsqi.preprocess import (CALIBRATION_MS, CALIBRATION_SAMPLES, INTERP_SKIPS_FROM,
-                              TARGET_LEN, CalibrationWindow, CvsCycle, CvsStream,
+                              SAMPLE_MS, TARGET_LEN, CalibrationWindow, CvsCycle, CvsStream,
                               _interp_rows, _unit_grid, calibration_from_stream,
                               cycles_from_stream, normalize_cycle, normalize_dataset,
                               segment_cycles, subject_scale_factor)
@@ -634,3 +638,20 @@ class TestNonFiniteCycle:
             with pytest.raises(ValidationError, match=r"^cycle of subject 'a' at "
                                r"t_start_ms 0 holds a non-finite sample$"):
                 normalize_cycle(cyc(np.r_[1e300, np.arange(1.0, v)], sid="a"), scheme, 1e-10)
+
+
+@pytest.mark.parametrize("module,loads", [
+    ("preprocess", {"errors", "labels", "preprocess"}),
+    ("forward", {"errors", "labels", "preprocess", "forward"}),
+    ("dataio", {"errors", "labels", "preprocess", "dataio"}),
+])
+def test_import_loads_no_model_code(module, loads):
+    # a fresh interpreter, as this one has loaded every module; nn, autodiff
+    # and kernels are model code that signal handling and file formats never run
+    code = (f"import sys, cvsqi.{module}\n"
+            "print(*(m[6:] for m in sys.modules if m.startswith('cvsqi.')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cvsqi.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == loads
