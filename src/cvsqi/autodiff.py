@@ -6,10 +6,12 @@ a scalar loss.  The op set is exactly what the models here need: dense layers,
 1D (transposed) convolution with width-1/3 kernels, 2-to-1 max pooling, the
 elementwise activations, and the reductions used by the losses.
 
-The elementwise and loss ops are written out here.  Each layer op (dense,
-conv1d, conv_transpose1d, maxpool1d, relu) is two calls into `kernels`: its
-forward kernel now, and its backward kernel in the closure.  Inference calls
-the forward kernels directly and records no tape.
+The elementwise and loss ops are written out here.  add, sub and mul take
+operands of one shape, a ShapeMismatch otherwise, and pass the gradient
+straight back: nothing on the tape broadcasts.  Each layer op (dense, conv1d,
+conv_transpose1d, maxpool1d, relu) is two calls into `kernels`: its forward
+kernel now, and its backward kernel in the closure.  Inference calls the
+forward kernels directly and records no tape.
 
 A Var holds float32 or float64: a float32 array stays float32, anything
 else becomes float64.  Every op computes in its operands' dtype, so a
@@ -87,32 +89,27 @@ def backward(root: Var) -> None:
 
 # --- elementwise ---
 
-def add(a, b) -> Var:
+def _same_shape(a, b) -> tuple[Var, Var]:
     a, b = _as_var(a), _as_var(b)
-    out = a.value + b.value
+    if a.value.shape != b.value.shape:
+        raise ShapeMismatch(f"elementwise operands of shapes {a.value.shape} and "
+                            f"{b.value.shape}: the tape does not broadcast")
+    return a, b
 
-    def bwd(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
-    return Var(out, (a, b), bwd)
+
+def add(a, b) -> Var:
+    a, b = _same_shape(a, b)
+    return Var(a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def sub(a, b) -> Var:
-    a, b = _as_var(a), _as_var(b)
-    out = a.value - b.value
-
-    def bwd(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)
-    return Var(out, (a, b), bwd)
+    a, b = _same_shape(a, b)
+    return Var(a.value - b.value, (a, b), lambda g: (g, -g))
 
 
 def mul(a, b) -> Var:
-    a, b = _as_var(a), _as_var(b)
-    out = a.value * b.value
-
-    def bwd(g):
-        return (_unbroadcast(g * b.value, a.value.shape),
-                _unbroadcast(g * a.value, b.value.shape))
-    return Var(out, (a, b), bwd)
+    a, b = _same_shape(a, b)
+    return Var(a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
 
 
 def scale(a, k: float) -> Var:
@@ -162,18 +159,6 @@ def clip(a, lo: float, hi: float) -> Var:
     a = _as_var(a)
     mask = (a.value > lo) & (a.value < hi)
     return Var(np.clip(a.value, lo, hi), (a,), lambda g: (g * mask,))
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
 
 
 # --- reductions / reshaping ---

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import discriminative, manifold
 from .evaluation import evaluate_scores, split_by_subject
-from .forward import MotionEvent, SynthScenario, check_duration, synthesize_stream
+from .forward import MotionEvent, SynthScenario, beat_budget, check_duration, synthesize_stream
 from .labels import QualityLabel
 from .nn import DEFAULT_LR
 from .preprocess import (CALIBRATION_MS, CalibrationWindow, CvsCycle, CvsStream,
@@ -45,8 +45,7 @@ def default_subject_scenario(seed: int, index: int,
     check_duration(duration_ms)                # before the RR list is drawn
     rng = np.random.default_rng([seed, index, 7])
     base_rr = int(rng.integers(65, 96)) * 10
-    n_beats = duration_ms // 300 + 2
-    rr = (base_rr + rng.integers(-3, 4, size=n_beats) * 10).tolist()
+    rr = (base_rr + rng.integers(-3, 4, size=beat_budget(duration_ms)) * 10).tolist()
 
     gain = float(10 ** rng.uniform(math.log10(0.2), math.log10(2.5)))
 
@@ -69,8 +68,7 @@ def default_subject_scenario(seed: int, index: int,
 
     return SynthScenario(subject_seed=_subject_seed(seed, index),
                          duration_ms=duration_ms,
-                         rr_intervals_ms=tuple(int(x) for x in rr),
-                         motion_events=tuple(events), gain=gain,
+                         rr_intervals_ms=rr, motion_events=events, gain=gain,
                          subject_id=f"s{index:02d}")
 
 

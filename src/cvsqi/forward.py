@@ -16,7 +16,9 @@ Synthesis is additive by construction: the CVS is the exact sum of a cardiogenic
 component, the measurement noise, and a motion component that is nonzero only
 inside scheduled motion events.  No boundary-value PDE is solved; the generator
 only reproduces the additive structure that the quality-indexing task depends
-on.  model_io.scenario_from_file reads a scenario from a JSON file.
+on.  model_io.scenario_from_file reads a scenario from a JSON file.  One beat
+schedule, _beat_times, gives the R-peaks and the cardiac phase: the cycled RR
+list summed from 0 ms, up to the first beat past the last sample.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .labels import QualityLabel
 from .preprocess import SAMPLE_MS
 
 MAX_DURATION_MS = 3_600_000   # one hour, checked before any sample is allocated
+MIN_RR_MS, MAX_RR_MS = 300, 2000   # the RR range a scenario accepts
 
 MOTION_SHAPES = ("step", "ramp", "burst", "sway")
 
@@ -39,6 +42,11 @@ def check_duration(duration_ms: int) -> None:
     if not 0 < duration_ms <= MAX_DURATION_MS or duration_ms % SAMPLE_MS:
         raise InvalidField(f"duration_ms must be a positive multiple of 10 ms up "
                            f"to {MAX_DURATION_MS} (one hour), got {duration_ms}")
+
+
+def beat_budget(duration_ms: int) -> int:
+    """RR intervals enough to carry the beat schedule past the last sample."""
+    return duration_ms // MIN_RR_MS + 2
 
 
 @dataclass(frozen=True)
@@ -53,8 +61,8 @@ class MotionEvent:
             raise InvalidField(f"shape must be one of {MOTION_SHAPES}")
         if self.duration_ms <= 0:
             raise InvalidField("duration_ms must be positive")
-        if self.amplitude < 0:
-            raise InvalidField("amplitude must be nonnegative")
+        if not 0 <= self.amplitude < np.inf:
+            raise InvalidField("amplitude must be nonnegative and finite")
 
     @property
     def end_ms(self) -> int:
@@ -82,19 +90,19 @@ class SynthScenario:
         if not self.rr_intervals_ms:
             raise InvalidField("rr_intervals_ms needs at least one RR interval")
         for rr in self.rr_intervals_ms:
-            if not (300 <= rr <= 2000) or rr % SAMPLE_MS != 0:
-                raise InvalidField(f"rr_intervals_ms: {rr} ms outside [300, 2000] "
-                                   f"or off the 10 ms grid")
+            if not (MIN_RR_MS <= rr <= MAX_RR_MS) or rr % SAMPLE_MS != 0:
+                raise InvalidField(f"rr_intervals_ms: {rr} ms outside [{MIN_RR_MS}, "
+                                   f"{MAX_RR_MS}] or off the 10 ms grid")
         for i, ev in enumerate(self.motion_events):
             if ev.start_ms < 0 or ev.end_ms > self.duration_ms:
                 raise InvalidField(f"motion_events[{i}] lies outside [0, duration_ms]")
-        if self.noise_std < 0:
-            raise InvalidField("noise_std must be nonnegative")
-        if self.gain <= 0:
-            raise InvalidField("gain must be positive")
+        if not 0 <= self.noise_std < np.inf:
+            raise InvalidField("noise_std must be nonnegative and finite")
+        if not 0 < self.gain < np.inf:
+            raise InvalidField("gain must be positive and finite")
         lo, hi = self.ambiguous_band
-        if not (0 < lo < hi):
-            raise InvalidField("ambiguous_band must satisfy 0 < low < high")
+        if not 0 < lo < hi < np.inf:
+            raise InvalidField("ambiguous_band must satisfy 0 < low < high < inf")
         object.__setattr__(self, "rr_intervals_ms", tuple(int(rr) for rr in self.rr_intervals_ms))
         object.__setattr__(self, "motion_events", tuple(self.motion_events))
 
@@ -122,8 +130,6 @@ def _event_profile(ev: MotionEvent, t_ms: np.ndarray,
     """
     inside = (t_ms >= ev.start_ms) & (t_ms < ev.end_ms)
     prof = np.zeros(t_ms.shape, dtype=np.float64)
-    if not inside.any():
-        return prof
     s = (t_ms[inside] - ev.start_ms) / ev.duration_ms   # in [0, 1)
     if ev.shape == "step":
         prof[inside] = 1.0
@@ -152,17 +158,12 @@ class SynthStream:
         return self.t_ms.size
 
 
-def _r_peak_times(scenario: SynthScenario) -> np.ndarray:
-    peaks = [0]
-    rrs = scenario.rr_intervals_ms
-    i = 0
-    while True:
-        nxt = peaks[-1] + rrs[i % len(rrs)]
-        if nxt > scenario.duration_ms - SAMPLE_MS:
-            break
-        peaks.append(nxt)
-        i += 1
-    return np.asarray(peaks, dtype=np.int64)
+def _beat_times(scenario: SynthScenario) -> np.ndarray:
+    """The beat schedule in ms; every beat but the last is an R-peak."""
+    rrs = np.resize(np.asarray(scenario.rr_intervals_ms, dtype=np.int64),
+                    beat_budget(scenario.duration_ms))
+    beats = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(rrs)])
+    return beats[:np.searchsorted(beats, scenario.duration_ms - SAMPLE_MS, side="right") + 1]
 
 
 def synthesize_stream(scenario: SynthScenario) -> SynthStream:
@@ -176,12 +177,10 @@ def synthesize_stream(scenario: SynthScenario) -> SynthStream:
     t_ms = np.arange(n, dtype=np.int64) * SAMPLE_MS
 
     # R-peaks and the cardiac phase.
-    r_peaks = _r_peak_times(scenario)
-    bounds = np.concatenate([r_peaks, [r_peaks[-1] + scenario.rr_intervals_ms[
-        (len(r_peaks) - 1) % len(scenario.rr_intervals_ms)]]])
-    seg = np.searchsorted(bounds, t_ms, side="right") - 1
-    seg = np.clip(seg, 0, len(bounds) - 2)
-    phase = (t_ms - bounds[seg]) / (bounds[seg + 1] - bounds[seg])
+    beats = _beat_times(scenario)
+    r_peaks = beats[:-1]
+    seg = np.searchsorted(beats, t_ms, side="right") - 1
+    phase = (t_ms - beats[seg]) / (beats[seg + 1] - beats[seg])
 
     cardio = scenario.gain * cardiac_template(phase)
     # w.eps for i.i.d. channel noise eps, drawn as the n scalars it reduces to

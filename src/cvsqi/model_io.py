@@ -153,8 +153,6 @@ def scenario_from_file(path: str) -> SynthScenario:
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: invalid scenario JSON: {exc}") from exc
     return from_json(doc, SynthScenario, f"{path}: scenario")

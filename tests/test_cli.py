@@ -98,6 +98,13 @@ class TestGen:
         assert err.startswith(f"error: {scen}: {message}") and err.count("\n") == 1
         assert not (tmp_path / "c.csv").exists()
 
+    def test_missing_scenario_file_exits_3(self, tmp_path, capsys):
+        scen = tmp_path / "missing.json"
+        assert run(["gen", "--scenario", scen, "--out-cycles", tmp_path / "c.csv"]) == 3
+        assert capsys.readouterr().err == \
+            f"error: [Errno 2] No such file or directory: '{scen}'\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_duration_over_the_cap_exits_2_before_synthesis(self, tmp_path, capsys,
                                                             monkeypatch):
         def no_synthesis(scenario):

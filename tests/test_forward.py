@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import types
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from cvsqi.errors import InvalidField
 from cvsqi.forward import (MOTION_SHAPES, SAMPLE_MS, MotionEvent,
-                           SynthScenario, _event_profile, _r_peak_times,
+                           SynthScenario, _beat_times, _event_profile,
                            cardiac_template, synthesize_stream)
 from cvsqi.labels import QualityLabel
 
@@ -39,11 +40,10 @@ def whole_array_synthesis(scenario):
     w = a_blood - (a_blood @ a_air) * a_air
     w = w / (w @ a_blood)
 
-    r_peaks = _r_peak_times(scenario)
-    rrs = scenario.rr_intervals_ms
-    bounds = np.concatenate([r_peaks, [r_peaks[-1] + rrs[(len(r_peaks) - 1) % len(rrs)]]])
-    seg = np.clip(np.searchsorted(bounds, t_ms, side="right") - 1, 0, len(bounds) - 2)
-    phase = (t_ms - bounds[seg]) / (bounds[seg + 1] - bounds[seg])
+    beats = _beat_times(scenario)
+    r_peaks = beats[:-1]
+    seg = np.searchsorted(beats, t_ms, side="right") - 1
+    phase = (t_ms - beats[seg]) / (beats[seg + 1] - beats[seg])
 
     g_blood = (scenario.gain * cardiac_template(phase))[:, None] * a_blood[None, :]
     resp = 0.5 * scenario.gain * np.sin(2.0 * np.pi * t_ms / RESPIRATION_MS)
@@ -140,6 +140,21 @@ class TestSynthesisOracle:
         assert_matches_reference(scenario)
 
 
+class TestBeatSchedule:
+    @settings(max_examples=100, deadline=None)
+    @given(scenarios())
+    @example(SynthScenario(subject_seed=0, duration_ms=10, rr_intervals_ms=(300,)))
+    @example(SynthScenario(subject_seed=0, duration_ms=2_310, rr_intervals_ms=(300, 2000)))
+    def test_r_peaks_follow_the_cycled_rr_list(self, scenario):
+        r_peaks = synthesize_stream(scenario).r_peaks
+        rrs = scenario.rr_intervals_ms
+        cycled = [rrs[i % len(rrs)] for i in range(len(r_peaks))]
+        assert r_peaks[0] == 0
+        assert np.diff(r_peaks).tolist() == cycled[:-1]
+        # the last R-peak is on the recording, the next one would be past it
+        assert r_peaks[-1] <= scenario.duration_ms - SAMPLE_MS < r_peaks[-1] + cycled[-1]
+
+
 @pytest.fixture(scope="module")
 def motion_stream():
     events = (MotionEvent(2_000, 1_500, 2.0, "step"), MotionEvent(2_500, 3_005, 0.8, "sway"))
@@ -191,6 +206,19 @@ class TestSynthesizeStream:
     def test_zero_duration_rejected(self):
         with pytest.raises(InvalidField):
             SynthScenario(subject_seed=0, duration_ms=0, rr_intervals_ms=(800,))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field,build", [
+        ("gain", lambda v: SynthScenario(0, 1_000, (800,), gain=v)),
+        ("noise_std", lambda v: SynthScenario(0, 1_000, (800,), noise_std=v)),
+        ("ambiguous_band", lambda v: SynthScenario(0, 1_000, (800,), ambiguous_band=(v, 1.5))),
+        ("ambiguous_band", lambda v: SynthScenario(0, 1_000, (800,), ambiguous_band=(0.5, v))),
+        ("amplitude", lambda v: MotionEvent(0, 100, v)),
+    ], ids=["gain", "noise_std", "band-low", "band-high", "amplitude"])
+    def test_non_finite_value_rejected_naming_its_field(self, field, build, value):
+        with pytest.raises(InvalidField, match=f"^{field} must "):
+            build(value)
 
 
 class TestStreamInvariants:

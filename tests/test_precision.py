@@ -44,8 +44,8 @@ OPS = [
     ("maxpool1d", ad.maxpool1d, [(2, 9, 3)]),
     ("relu", ad.relu, [(4, 7)]),
     ("sigmoid", ad.sigmoid, [(4, 7)]),
-    ("add", ad.add, [(4, 7), (7,)]),
-    ("sub", ad.sub, [(4, 7), (4, 1)]),
+    ("add", ad.add, [(4, 7), (4, 7)]),
+    ("sub", ad.sub, [(4, 7), (4, 7)]),
     ("mul", ad.mul, [(4, 7), (4, 7)]),
     ("scale", lambda a: ad.scale(a, 0.3), [(4, 7)]),
     ("square", ad.square, [(4, 7)]),
