@@ -1,6 +1,6 @@
 """`cvsqi bench`: each model's per-cycle latency, and what `--out` records
-beside it: the environment it ran in, a calibration loop's time, and the
-time of one training step.
+beside it: the environment it ran in, a calibration loop's time, the time
+of one training step, and each model's file save and load times.
 
 A small shared machine drifts by tens of percent between runs, so a timing
 means little without the machine's speed at the time.  The calibration loop
@@ -15,6 +15,7 @@ import json
 import os
 import platform
 import subprocess
+import tempfile
 import time
 
 import numpy as np
@@ -31,6 +32,7 @@ CALIBRATION_REPS = 2000
 STEP_MODELS = ("bcvae", "vgg3")
 STEP_BATCHES = 12          # training steps per timed call: one epoch
 STEP_REPEATS = 5           # timed calls per model, after one untimed
+IO_REPEATS = 5             # timed saves and loads of each model's file
 # the variables OpenBLAS reads its thread count from, in its order
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -161,6 +163,27 @@ def train_steps(seed: int) -> dict:
             "steps_per_call": STEP_BATCHES, "models": ms}
 
 
+def model_io_ms(named_models) -> dict:
+    """Each model's file, saved to and loaded from a temp directory
+    IO_REPEATS times: its bytes and the median save and load ms."""
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (name, model) in enumerate(named_models):
+            path = os.path.join(tmp, f"{i}.json")
+            save, load = [], []
+            for _ in range(IO_REPEATS):
+                t0 = time.perf_counter()
+                model_io.save_model(model, path, **BENCH_PREPROCESSING)
+                t1 = time.perf_counter()
+                model_io.load_model(path)
+                load.append((time.perf_counter() - t1) * 1e3)
+                save.append((t1 - t0) * 1e3)
+            records.append({"model": name, "bytes": os.path.getsize(path),
+                            "save_ms": float(np.median(save)),
+                            "load_ms": float(np.median(load))})
+    return {"repeats": IO_REPEATS, "models": records}
+
+
 def cmd_bench(args) -> int:
     named = []
     if args.models:
@@ -198,8 +221,12 @@ def cmd_bench(args) -> int:
             for name, step in steps["models"].items():
                 print(f"train step {name} ({steps['dtype']}, batch {steps['batch']}): "
                       f"{step['median_ms']:.2f} ms")
+            files = model_io_ms(named)
+            for r in files["models"]:
+                print(f"model file {r['model']} ({r['bytes']} B): save {r['save_ms']:.2f} ms, "
+                      f"load {r['load_ms']:.2f} ms")
             env = {**environment(args.seed), "n_cycles": args.n_cycles,
                    "calibration_s": {"before": before, "after": calibration_s()}}
-            out.write(json.dumps({"env": env, "per_cycle": reports, "train_step": steps},
-                                 indent=1) + "\n")
+            out.write(json.dumps({"env": env, "per_cycle": reports, "train_step": steps,
+                                  "model_io": files}, indent=1) + "\n")
     return 0

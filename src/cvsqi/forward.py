@@ -22,6 +22,7 @@ list summed from 0 ms, up to the first beat past the last sample.
 """
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -37,8 +38,15 @@ MIN_RR_MS, MAX_RR_MS = 300, 2000   # the RR range a scenario accepts
 MOTION_SHAPES = ("step", "ramp", "burst", "sway")
 
 
+def _check_integer(name: str, value) -> None:
+    """An integer field: an int or numpy integer, not a bool, float or NaN."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidField(f"{name} must be an integer, got {value!r}")
+
+
 def check_duration(duration_ms: int) -> None:
     """A recording's length: a positive multiple of 10 ms, at most one hour."""
+    _check_integer("duration_ms", duration_ms)
     if not 0 < duration_ms <= MAX_DURATION_MS or duration_ms % SAMPLE_MS:
         raise InvalidField(f"duration_ms must be a positive multiple of 10 ms up "
                            f"to {MAX_DURATION_MS} (one hour), got {duration_ms}")
@@ -57,6 +65,8 @@ class MotionEvent:
     shape: str = "step"
 
     def __post_init__(self):
+        _check_integer("start_ms", self.start_ms)
+        _check_integer("duration_ms", self.duration_ms)
         if self.shape not in MOTION_SHAPES:
             raise InvalidField(f"shape must be one of {MOTION_SHAPES}")
         if self.duration_ms <= 0:
@@ -82,6 +92,7 @@ class SynthScenario:
 
     def __post_init__(self):
         check_duration(self.duration_ms)
+        _check_integer("subject_seed", self.subject_seed)
         if self.subject_seed < 0:
             raise InvalidField(f"subject_seed must be nonnegative, got {self.subject_seed}")
         if not re.fullmatch(r"[\w.-]+", self.subject_id):
@@ -89,7 +100,9 @@ class SynthScenario:
                                f"'_', '.' or '-'")
         if not self.rr_intervals_ms:
             raise InvalidField("rr_intervals_ms needs at least one RR interval")
-        for rr in self.rr_intervals_ms:
+        for i, rr in enumerate(self.rr_intervals_ms):
+            if type(rr) is not int:        # the common case, checked first for speed
+                _check_integer(f"rr_intervals_ms[{i}]", rr)
             if not (MIN_RR_MS <= rr <= MAX_RR_MS) or rr % SAMPLE_MS != 0:
                 raise InvalidField(f"rr_intervals_ms: {rr} ms outside [{MIN_RR_MS}, "
                                    f"{MAX_RR_MS}] or off the 10 ms grid")

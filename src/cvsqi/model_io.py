@@ -14,10 +14,22 @@ class's rule.
 from_json, the one typed reader of scenario and model files, reads a
 dataclass by its fields' JSON keys and runs its checks; to_json is its
 inverse, and scenario_from_file reads one scenario file through from_json.
+
+The checksum is the SHA-256 of the payload as compact, key-sorted,
+ASCII-escaped JSON, and the file is the document as json.dumps(doc,
+indent=1).  Neither text is built whole: the tensors' base64 strings, almost
+all of a file's bytes, are cut out of a skeleton of the payload (_skeleton),
+json.dumps writes the small skeleton, and the strings are spliced back in as
+pieces (_pieces) that the checksum hashes and save_model writes in turn.  A
+string is cut out only when json.dumps would write it unchanged, so the
+pieces join to exactly the text json.dumps writes of the whole payload: a
+load encodes nothing to check its checksum, and a save encodes each base64
+string once, not twice.
 """
 from __future__ import annotations
 
 import base64
+import binascii
 import dataclasses
 import functools
 import hashlib
@@ -29,6 +41,7 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
+from .dataio import replacing
 from .discriminative import DiscriminativeModel
 from .errors import InvalidField, IoError, ValidationError
 from .forward import SynthScenario
@@ -85,7 +98,7 @@ def from_json(value, kind, name: str):
                 isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)):
             raise fail("a tensor object")
         try:
-            raw = base64.b64decode(value["data"])
+            raw = binascii.a2b_base64(value["data"])   # b64decode, without its str copy
             t = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
         except ValueError:      # bad base64, or a byte count that is not the shape's
             raise InvalidField(f"{name} does not hold {shape} float64 values") from None
@@ -172,18 +185,75 @@ class _Frame:
     preprocessing: _Preprocessing
 
 
-def _checksum(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+_CANONICAL = {"sort_keys": True, "separators": (",", ":")}   # the checksum's JSON
+_MARK = "@cvsqi-spliced-"      # a cut-out string's marker: _MARK and its index
+
+
+def _verbatim(s: str) -> bool:
+    """Whether json.dumps writes s as it is between its quotes: s is ASCII
+    from space to '~' without '"' or '\\', as every base64 string is."""
+    if not s.isascii() or '"' in s or "\\" in s:
+        return False
+    codes = np.frombuffer(s.encode("ascii"), dtype=np.uint8)
+    return codes.min(initial=0x20) >= 0x20 and codes.max(initial=0x7E) <= 0x7E
+
+
+def _skeleton(value) -> tuple[object, list[str]]:
+    """value with each "data" string of an object that _verbatim passes
+    replaced by its marker, and the strings cut out, by index."""
+    cut = []
+
+    def copy(v):
+        if isinstance(v, dict):
+            return {k: mark(x) if k == "data" and isinstance(x, str) and _verbatim(x)
+                    else copy(x) for k, x in v.items()}
+        return [copy(x) for x in v] if isinstance(v, list) else v
+
+    def mark(s):
+        cut.append(s)
+        return f"{_MARK}{len(cut) - 1}"
+    return copy(value), cut
+
+
+def _pieces(value, skeleton, cut: list[str], **options) -> list[str]:
+    """json.dumps(value, **options) as pieces that join to it: json.dumps of
+    value's _skeleton, with each cut-out string back in its marker's place.
+    Each marker's opening quote and _MARK is one '"' + _MARK in that text;
+    a key or another string that holds _MARK adds one more, and then the
+    text is json.dumps(value) in one piece."""
+    head, *rest = json.dumps(skeleton, **options).split('"' + _MARK)
+    if len(rest) != len(cut):
+        return [json.dumps(value, **options)]
+    pieces = [head]
+    for part in rest:
+        index, tail = part.split('"', 1)
+        pieces += ['"', cut[int(index)], '"', tail]
+    return pieces
+
+
+def _sha256(pieces: list[str]) -> str:
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece.encode("utf-8"))
+    return digest.hexdigest()
+
+
+def _checksum(payload) -> str:
+    """The SHA-256 of payload's compact, key-sorted, ASCII-escaped JSON."""
+    return _sha256(_pieces(payload, *_skeleton(payload), **_CANONICAL))
 
 
 def save_model(model, path: str, norm_scheme: str, scale_mode: str) -> None:
+    """Write the model file json.dumps(doc, indent=1) and a newline, each
+    base64 string encoded once for the checksum and the file alike."""
     payload = {"family": model.family, **to_json(model),
                "preprocessing": to_json(_Preprocessing(norm_scheme, scale_mode))}
-    doc = {"format_version": FORMAT_VERSION, "payload": payload,
-           "checksum": _checksum(payload)}
-    from .dataio import atomic_write
-    atomic_write(path, [json.dumps(doc, indent=1)])
+    skeleton, cut = _skeleton(payload)
+    checksum = _sha256(_pieces(payload, skeleton, cut, **_CANONICAL))
+    doc = {"format_version": FORMAT_VERSION, "payload": payload, "checksum": checksum}
+    pieces = _pieces(doc, {**doc, "payload": skeleton}, cut, indent=1)
+    with replacing() as open_temp:
+        open_temp(path).writelines([*pieces, "\n"])
 
 
 class Scorer(NamedTuple):

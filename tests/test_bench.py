@@ -12,12 +12,15 @@ ENV_KEYS = {"nproc": int, "python": str, "numpy": str, "blas": str, "seed": int,
             "n_cycles": int}
 LATENCY_KEYS = {"model": str, "n_samples": int, "mean_us": float, "median_us": float,
                 "p99_us": float}
+MODEL_IO_KEYS = {"model": str, "bytes": int, "save_ms": float, "load_ms": float}
 
 
 @pytest.fixture
 def tiny(monkeypatch):
-    """bench at a tiny size: 20 cycles, one one-step call per training model."""
+    """bench at a tiny size: 20 cycles, one one-step call per training model,
+    two saves and loads of each model file."""
     monkeypatch.setattr(bench, "BENCH_MIN_CYCLES", 20)
+    monkeypatch.setattr(bench, "IO_REPEATS", 2)
     monkeypatch.setattr(bench, "CALIBRATION_REPS", 10)
     monkeypatch.setattr(bench, "STEP_BATCHES", 1)
     monkeypatch.setattr(bench, "STEP_REPEATS", 2)
@@ -34,9 +37,10 @@ def test_out_record_schema(tmp_path, tiny, capsys):
     out = tmp_path / "BENCH_tiny.json"
     assert run(["bench", "--models", model, "--n-cycles", 20, "--seed", 3,
                 "--out", out]) == 0
-    assert "train step bcvae (float32, batch 64): " in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "train step bcvae (float32, batch 64): " in printed
     record = json.loads(out.read_text(encoding="utf-8"))
-    assert list(record) == ["env", "per_cycle", "train_step"]
+    assert list(record) == ["env", "per_cycle", "train_step", "model_io"]
 
     env = record["env"]
     assert set(env) == {*ENV_KEYS, "blas_threads", "git_describe", "calibration_s"}
@@ -62,12 +66,23 @@ def test_out_record_schema(tmp_path, tiny, capsys):
         assert set(step) == {"median_ms", "ms"} and len(step["ms"]) == 2
         assert step["median_ms"] > 0
 
+    files = record["model_io"]
+    assert list(files) == ["repeats", "models"] and files["repeats"] == 2
+    [row] = files["models"]
+    assert list(row) == list(MODEL_IO_KEYS) and row["model"] == "lr"
+    for key, kind in MODEL_IO_KEYS.items():
+        assert isinstance(row[key], kind), key
+    assert row["bytes"] == model.stat().st_size      # the same file, saved again
+    assert row["save_ms"] > 0 and row["load_ms"] > 0
+    assert f"model file lr ({row['bytes']} B): save " in printed
+
 
 def test_without_out_writes_nothing_and_times_no_training(tmp_path, tiny, monkeypatch,
                                                           capsys):
-    def untimed(seed):
-        raise AssertionError("bench timed training without --out")
+    def untimed(*args):
+        raise AssertionError("bench timed training or model files without --out")
     monkeypatch.setattr(bench, "train_steps", untimed)
+    monkeypatch.setattr(bench, "model_io_ms", untimed)
     monkeypatch.chdir(tmp_path)
     model = tmp_path / "lr.json"
     model_io.save_model(discriminative.build("lr", seed=0), str(model),

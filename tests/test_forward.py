@@ -220,6 +220,26 @@ class TestSynthesizeStream:
         with pytest.raises(InvalidField, match=f"^{field} must "):
             build(value)
 
+    @pytest.mark.parametrize("value", [math.nan, 100.5, 1000.0, True],
+                             ids=["nan", "fraction", "integral-float", "bool"])
+    @pytest.mark.parametrize("field,build", [
+        ("start_ms", lambda v: MotionEvent(v, 100, 1.0)),
+        ("duration_ms", lambda v: MotionEvent(0, v, 1.0)),
+        ("duration_ms", lambda v: SynthScenario(0, v, (800,))),
+        ("subject_seed", lambda v: SynthScenario(v, 1_000, (800,))),
+        (r"rr_intervals_ms\[1\]", lambda v: SynthScenario(0, 1_000, (800, v))),
+    ], ids=["start_ms", "event-duration_ms", "duration_ms", "subject_seed", "rr"])
+    def test_integer_field_rejects_float_nan_and_bool(self, field, build, value):
+        # before synthesis, where a float index or seed raised a bare TypeError
+        with pytest.raises(InvalidField, match=f"^{field} must be an integer, got "):
+            build(value)
+
+    def test_numpy_integer_fields_accepted(self):
+        scenario = SynthScenario(np.int64(3), np.int64(2_000), (np.int64(800),),
+                                 motion_events=(MotionEvent(np.int64(0), np.int32(100), 1.0),))
+        assert scenario.rr_intervals_ms == (800,)
+        assert synthesize_stream(scenario).n_samples == 200
+
 
 class TestStreamInvariants:
     def test_additive_decomposition_exact(self, motion_stream):

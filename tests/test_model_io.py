@@ -1,10 +1,12 @@
+import base64
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from cvsqi import discriminative, experiment, manifold, model_io
-from cvsqi.errors import IoError
+from cvsqi import cli, discriminative, experiment, manifold, model_io
+from cvsqi.errors import IoError, ValidationError
 from cvsqi.preprocess import normalize_dataset
 
 
@@ -201,3 +203,110 @@ class TestPayloadLayout:
         assert all(list(t) == ["shape", "data"] for t in tensors)
         if name != "pca":
             assert list(payload["params"]) == list(model.params.values)
+
+
+def canonical_checksum(payload):
+    """The checksum's definition: SHA-256 of the compact, key-sorted JSON."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def write_doc(path, payload, checksum=None):
+    """A model file of payload, its checksum by the definition unless given."""
+    doc = {"format_version": model_io.FORMAT_VERSION, "payload": payload,
+           "checksum": canonical_checksum(payload) if checksum is None else checksum}
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+class TestSplice:
+    """The checksum and the file are spliced around the base64 tensors; each
+    must be the text json.dumps writes of the whole payload, for every model
+    and for payloads crafted against the splice."""
+
+    @staticmethod
+    def check_file(path):
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=1) + "\n"
+        assert doc["checksum"] == canonical_checksum(doc["payload"])
+        assert model_io._checksum(doc["payload"]) == doc["checksum"]
+        return doc
+
+    @pytest.mark.parametrize("name,thresholded", [
+        *((arch, False) for arch in discriminative.ARCHITECTURES),
+        *((kind, t) for kind in manifold.MANIFOLD_KINDS for t in (False, True))])
+    def test_every_model_file_is_json_dumps(self, tmp_path, pad_naive_cycles, name,
+                                            thresholded):
+        x = pad_naive_cycles[1][0]
+        if thresholded:
+            model = model_of(name, x)
+        elif name in discriminative.ARCHITECTURES:
+            model = discriminative.build(name, seed=0)
+        else:
+            model = manifold.pca_fit(x) if name == "pca" else manifold.build_vae(name, seed=0)
+        path = tmp_path / "m.json"
+        model_io.save_model(model, str(path), norm_scheme="interp", scale_mode="subject")
+        self.check_file(path)
+
+    @pytest.mark.parametrize("training", [
+        {"data": 'a"b\\c\x01\x7f\u00e9\n'},                # a "data" string escaped
+        {"data": model_io._MARK + "0"},                  # cut out, holding the marker text
+        {"note": model_io._MARK + "0"},                  # another string that holds it
+        {"note": 'x"' + model_io._MARK + "0"},
+        {model_io._MARK + "0": 1, "data": "QUJD"},       # a key that holds it
+        {"t": {"shape": [1], "data": "AAAAAAAA8D8="}},   # a tensor object in training
+        {"data": 1.5, "b": [{"data": ""}, {"data": "\u2603"}]},
+    ], ids=["escaped", "marker-data", "marker-string", "marker-quoted", "marker-key",
+            "tensor", "mixed"])
+    def test_crafted_training_saves_json_dumps_and_loads(self, tmp_path, training):
+        model = discriminative.build("lr", seed=0)
+        model.training_meta = training
+        path = tmp_path / "m.json"
+        model_io.save_model(model, str(path), norm_scheme="interp", scale_mode="subject")
+        assert self.check_file(path)["payload"]["training"] == training
+        assert model_io.load_model(str(path)).model.training_meta == training
+
+    @pytest.mark.parametrize("payload", [[1, 2], "text", 3, {}, {"data": "AAAA"}],
+                             ids=["list", "string", "number", "empty", "data-only"])
+    def test_crafted_payload_checksum(self, tmp_path, payload):
+        assert model_io._checksum(payload) == canonical_checksum(payload)
+        path = tmp_path / "m.json"
+        write_doc(path, payload, checksum="0" * 64)
+        with pytest.raises(IoError, match=": checksum mismatch$"):
+            model_io.load_model(str(path))
+        write_doc(path, payload)              # verifies, then its fields fail
+        with pytest.raises(ValidationError) as err:
+            model_io.load_model(str(path))
+        assert not isinstance(err.value, IoError)
+
+    # what the tensor decodes to: base64's non-strict decoding skips a
+    # character outside the alphabet, and a non-ASCII string does not decode
+    SPOILED = {"quote": ('"', True), "backslash": ("\\", True), "control": ("\x01", True),
+               "newline": ("\n", True), "delete": ("\x7f", True),
+               "non-ascii": ("\u00e9", False)}
+
+    @pytest.mark.parametrize("case", SPOILED)
+    def test_spoiled_tensor_data_verifies_or_fails_as_its_checksum(self, tmp_path, capsys,
+                                                                   case):
+        extra, decodes = self.SPOILED[case]
+        path = tmp_path / "m.json"
+        model_io.save_model(discriminative.build("lr", seed=0), str(path),
+                            norm_scheme="interp", scale_mode="subject")
+        payload = json.loads(path.read_text())["payload"]
+        tensor = payload["params"]["layer0.W"]
+        clean = tensor["data"]
+        tensor["data"] = clean[:8] + extra + clean[8:]
+        assert model_io._checksum(payload) == canonical_checksum(payload)
+
+        write_doc(path, payload, checksum=canonical_checksum({**payload, "seed": 1}))
+        assert cli.main(["bench", "--models", str(path)]) == 3
+        assert capsys.readouterr().err.endswith(": checksum mismatch\n")
+
+        write_doc(path, payload)
+        if decodes:
+            loaded = model_io.load_model(str(path)).model.params.values["layer0.W"]
+            want = np.frombuffer(base64.b64decode(clean), dtype=np.float64)
+            assert np.array_equal(loaded.ravel(), want)
+        else:
+            with pytest.raises(ValidationError, match=r"params\.layer0\.W does not hold \["):
+                model_io.load_model(str(path))
