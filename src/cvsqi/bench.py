@@ -11,12 +11,14 @@ compare best as timings over calibration times.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
 import subprocess
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -122,13 +124,16 @@ def _git_describe() -> str | None:
 
 
 def environment(seed: int) -> dict:
-    """The machine, interpreter, numpy and BLAS build, and the seed."""
+    """The machine, interpreter, numpy and BLAS build, the seed, and the source:
+    SHA-256 over this package's .py files in file-name order, each name then its bytes."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    source = hashlib.sha256(b"".join(p.name.encode() + p.read_bytes()
+                                     for p in sorted(Path(__file__).parent.glob("*.py"))))
     return {"nproc": os.cpu_count(), "python": platform.python_version(),
             "numpy": np.__version__,
             "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
             "blas_threads": _blas_threads(), "seed": seed,
-            "git_describe": _git_describe()}
+            "git_describe": _git_describe(), "source_sha256": source.hexdigest()}
 
 
 def _train_call(name: str, seed: int):

@@ -51,7 +51,7 @@ class ParamSet:
     def __init__(self, values: dict[str, np.ndarray]):
         self.values = {k: np.asarray(v, dtype=np.float64) for k, v in values.items()}
         self._m = np.zeros(sum(v.size for v in self.values.values()))
-        self._v = np.zeros_like(self._m)
+        self._v = np.zeros(self._m.size)
         self.m = self._views(self._m)
         self.v = self._views(self._v)
         self.t = 0

@@ -167,7 +167,8 @@ def calibration_from_stream(stream, subject_id: str) -> CalibrationWindow:
                              samples=stream.cvs[:CALIBRATION_SAMPLES].copy())
 
 
-# why a cycle fails normalization, in the order its checks run
+# why a cycle fails normalization, in the order its checks run: calibration window, zero
+# peak, NaN or inf sample (one "interp" skips too), length ("pad"), normalized NaN, inf or peak
 _OK, _NO_CALIBRATION, _ZERO, _NONFINITE, _TOO_LONG, _HEADROOM = range(6)
 
 
@@ -228,8 +229,8 @@ def _interp_plan(v: int) -> tuple[np.ndarray, ...]:
 
 
 def _interp_rows(fp: np.ndarray) -> np.ndarray:
-    """np.interp(_unit_grid(TARGET_LEN), _unit_grid(v), row) of every row of
-    an (m, v) matrix, bit for bit on finite rows: np.interp's slope
+    """np.interp of every row of an (m, v) matrix from _unit_grid(v) onto
+    _unit_grid(TARGET_LEN), bit for bit on finite rows: np.interp's slope
     (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) of the gap, times the offset,
     plus fp[j], and fp[j] itself at a point on sample j.  A row with a NaN or
     inf sample comes out non-finite wherever np.interp's does, though not
@@ -241,13 +242,32 @@ def _interp_rows(fp: np.ndarray) -> np.ndarray:
     return out
 
 
+def _size_normalize(fp: np.ndarray, scheme: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """(x, codes) of an (m, v) matrix of scaled cycles of one length: the rows'
+    TARGET_LEN-vectors, and None if every row passes, else each row's reason to fail."""
+    m, v = fp.shape
+    if scheme == "pad":
+        if v > TARGET_LEN:
+            return np.zeros((m, TARGET_LEN)), np.full(m, _TOO_LONG)
+        x = np.empty((m, TARGET_LEN))
+        x[:, :v], x[:, v:] = fp, fp[:, -1:]
+    else:
+        x = (np.interp(_unit_grid(TARGET_LEN), _unit_grid(v), fp[0])[None] if m == 1
+             else _interp_rows(fp))
+        if v >= INTERP_SKIPS_FROM:     # a NaN or inf at a sample it skips fails too
+            x[~np.isfinite(fp).all(axis=1)] = math.nan
+    if np.abs(x).max() <= HEADROOM:    # NaN fails it
+        return x, None
+    peaks = np.abs(x).max(axis=1)
+    return x, np.select([~(peaks < math.inf), peaks > HEADROOM], [_NONFINITE, _HEADROOM])
+
+
 def normalize_cycle(cycle: CvsCycle, scheme: str, scale: float | None) -> NormalizedCycle:
     """Scale (unless scale is None) then size-normalize one cycle.
 
     "interp" resamples linearly over [0, 1] to TARGET_LEN points, grid point
     j at j / (TARGET_LEN - 1), both endpoints exact (np.interp's); "pad"
-    repeats the last sample up to TARGET_LEN.  A NaN or inf sample, or a
-    normalized peak above HEADROOM, is a ValidationError naming the cycle.
+    repeats the last sample up to TARGET_LEN.  Checks raise ValidationError.
     """
     samples = cycle.samples
     if scale is not None:
@@ -255,20 +275,12 @@ def normalize_cycle(cycle: CvsCycle, scheme: str, scale: float | None) -> Normal
             raise ValidationError(f"scale factor must be positive, got {scale}")
         with np.errstate(over="ignore"):   # a quotient that overflows fails below
             samples = samples / scale
-    if scheme == "interp":
-        if samples.size >= INTERP_SKIPS_FROM and not np.isfinite(samples).all():
-            raise _cycle_error(_NONFINITE, cycle)
-        values = np.interp(_unit_grid(TARGET_LEN), _unit_grid(samples.size), samples)
-    elif scheme == "pad":
-        if samples.size > TARGET_LEN:
-            raise _cycle_error(_TOO_LONG, cycle)
-        values = np.concatenate([samples, np.full(TARGET_LEN - samples.size, samples[-1])])
-    else:
+    if scheme not in SCHEMES:
         raise _unknown_scheme(scheme)
-    peak = float(np.abs(values).max())
-    if not peak <= HEADROOM:                   # NaN fails it too
-        raise _cycle_error(_HEADROOM if peak < math.inf else _NONFINITE, cycle, peak)
-    return NormalizedCycle(values)
+    x, codes = _size_normalize(samples[None], scheme)
+    if codes is not None:
+        raise _cycle_error(int(codes[0]), cycle, np.abs(x).max())
+    return NormalizedCycle(x[0])
 
 
 def normalize_dataset(cycles, scheme: str, scale_mode: str,
@@ -280,14 +292,10 @@ def normalize_dataset(cycles, scheme: str, scale_mode: str,
     y_train holds the soft training targets and y_eval the 0/1 evaluation
     labels.  scale_mode "subject" requires a calibration window per subject
     id; "naive" rescales each cycle by its own peak; "none" skips scaling
-    (ablation harness).  Cycles are checked in a one-by-one loop's order:
-    calibration window ("subject"), zero peak ("naive"), NaN or inf sample
-    ("naive"; "interp" at a sample it skips), length ("pad"), then a NaN,
-    inf or peak above HEADROOM in the normalized vector.  The first failing
-    cycle raises the error of the first check it fails.
+    (ablation harness).  The first failing cycle raises its first failed check.
 
     Every scale factor is resolved at once, and the cycles of each length are
-    scaled and resampled in one step (a recording's cycles share few lengths).
+    scaled and size-normalized together (a recording's cycles share few lengths).
     """
     if scale_mode not in SCALE_MODES:
         raise ValidationError(
@@ -321,7 +329,7 @@ def normalize_dataset(cycles, scheme: str, scale_mode: str,
     if scheme not in SCHEMES:          # cycle 0 fails its scale before its scheme
         raise _cycle_error(int(codes[0]), cycles[0]) if codes[0] else _unknown_scheme(scheme)
 
-    x = np.zeros((n, TARGET_LEN))
+    x = np.empty((n, TARGET_LEN))
     order = np.argsort(sizes, kind="stable")
     lengths, firsts = np.unique(sizes[order], return_index=True)
     for v, rows in zip(lengths.tolist(), np.split(order, firsts[1:])):
@@ -329,21 +337,12 @@ def normalize_dataset(cycles, scheme: str, scale_mode: str,
         if scales is not None:
             with np.errstate(all="ignore"):   # an overflow or a bad scale fails below
                 fp /= scales[rows, None]
-        if scheme == "interp":
-            if v >= INTERP_SKIPS_FROM:
-                fail(rows[~np.isfinite(fp).all(axis=1)], _NONFINITE)
-            x[rows] = _interp_rows(fp)
-        elif v > TARGET_LEN:
-            fail(rows, _TOO_LONG)
-        else:
-            x[rows, :v] = fp
-            x[rows, v:] = fp[:, -1:]
-    peaks = np.abs(x).max(axis=1)
-    fail(~(peaks < math.inf), _NONFINITE)
-    fail(peaks > HEADROOM, _HEADROOM)
+        x[rows], reasons = _size_normalize(fp, scheme)
+        if reasons is not None:
+            fail(rows, reasons)
     if codes.any():
         i = int(np.flatnonzero(codes)[0])
-        raise _cycle_error(int(codes[i]), cycles[i], peaks[i])
+        raise _cycle_error(int(codes[i]), cycles[i], np.abs(x[i]).max())
     labels = [c.label for c in cycles]     # each encoding looked up, not recomputed
     train = {label: label.train_value for label in QualityLabel}
     y_train = np.asarray([train[label] for label in labels])

@@ -2,7 +2,10 @@
 
 CI also runs this file under OPENBLAS_NUM_THREADS=1.
 """
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +33,15 @@ def run(argv):
     return cli.main([str(a) for a in argv])
 
 
+def source_sha256(package: Path) -> str:
+    """SHA-256 of each .py file's name and bytes, in file-name order."""
+    digest = hashlib.sha256()
+    for name in sorted(p.name for p in package.iterdir() if p.suffix == ".py"):
+        digest.update(name.encode("utf-8"))
+        digest.update((package / name).read_bytes())
+    return digest.hexdigest()
+
+
 def test_out_record_schema(tmp_path, tiny, capsys):
     model = tmp_path / "lr.json"
     model_io.save_model(discriminative.build("lr", seed=0), str(model),
@@ -43,12 +55,14 @@ def test_out_record_schema(tmp_path, tiny, capsys):
     assert list(record) == ["env", "per_cycle", "train_step", "model_io"]
 
     env = record["env"]
-    assert set(env) == {*ENV_KEYS, "blas_threads", "git_describe", "calibration_s"}
+    assert set(env) == {*ENV_KEYS, "blas_threads", "git_describe", "source_sha256",
+                        "calibration_s"}
     for key, kind in ENV_KEYS.items():
         assert isinstance(env[key], kind), key
     assert env["seed"] == 3 and env["n_cycles"] == 20
     assert env["blas_threads"] is None or env["blas_threads"] >= 1
     assert env["git_describe"] is None or isinstance(env["git_describe"], str)
+    assert env["source_sha256"] == source_sha256(Path(bench.__file__).parent)
     assert list(env["calibration_s"]) == ["before", "after"]
     assert all(t > 0 for t in env["calibration_s"].values())
 
@@ -98,6 +112,24 @@ def test_unwritable_out_exits_3_before_timing(tmp_path, monkeypatch, capsys):
     out = tmp_path / "missing" / "BENCH_x.json"
     assert run(["bench", "--out", out]) == 3
     assert capsys.readouterr().err.startswith(f"error: {out}: ")
+
+
+def test_source_sha256_names_the_bytes_of_the_source(tmp_path, monkeypatch):
+    # a copy of the package hashes alike; one changed byte in any file, or a
+    # renamed file, changes the hash
+    tree = tmp_path / "cvsqi"
+    shutil.copytree(Path(bench.__file__).parent, tree,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    here = bench.environment(0)["source_sha256"]
+    monkeypatch.setattr(bench, "__file__", str(tree / "bench.py"))
+    assert bench.environment(0)["source_sha256"] == source_sha256(tree) == here
+    text = bytearray((tree / "preprocess.py").read_bytes())
+    text[-2] ^= 1
+    (tree / "preprocess.py").write_bytes(bytes(text))
+    changed = bench.environment(0)["source_sha256"]
+    assert changed == source_sha256(tree) != here
+    (tree / "preprocess.py").rename(tree / "preprocess2.py")
+    assert bench.environment(0)["source_sha256"] not in (here, changed)
 
 
 @pytest.mark.parametrize("env,threads", [({}, None), ({"OMP_NUM_THREADS": "2"}, 2),

@@ -211,6 +211,13 @@ class TestStreamFiles:
             with pytest.raises(ValidationError, match=f"{path}:{line}: expected 4 fields"):
                 dataio.read_stream(str(path))
 
+    @pytest.mark.parametrize("code", [7, -2])
+    def test_unknown_label_code(self, tmp_path, code):
+        path = tmp_path / "code.csv"
+        path.write_text(f"0,0.1,1,1\n10,0.2,0,-1\n20,0.3,1,{code}\n30,0.4,0,-1\n")
+        with pytest.raises(ValidationError, match=f"^{path}:3: unknown label code {code}$"):
+            dataio.read_stream(str(path))
+
     def test_label_code_off_an_r_peak(self, tmp_path):
         # the code 2 on line 2 would otherwise label the cycle from 20 ms
         path = tmp_path / "stray.csv"

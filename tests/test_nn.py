@@ -158,6 +158,13 @@ class TestAdam:
             assert same_bits(ps.values[k], value)
             assert not ps.m[k].any() and not ps.v[k].any()
 
+    def test_moments_start_as_two_zero_buffers(self, seed):
+        rng = np.random.default_rng(seed)
+        ps = ParamSet({"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5)})
+        for flat in (ps._m, ps._v):
+            assert flat.dtype == np.float64 and flat.shape == (17,) and not flat.any()
+        assert not np.shares_memory(ps._m, ps._v)
+
     def test_shape_mismatch_rejected(self):
         ps = ParamSet({"w": np.zeros(3)})
         with pytest.raises(ShapeMismatch):

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 import cvsqi
 from cvsqi.errors import MissingCalibration, ValidationError
 from cvsqi.labels import QualityLabel
-from cvsqi.preprocess import (CALIBRATION_MS, CALIBRATION_SAMPLES, INTERP_SKIPS_FROM,
-                              SAMPLE_MS, TARGET_LEN, CalibrationWindow, CvsCycle, CvsStream,
-                              _interp_rows, _unit_grid, calibration_from_stream,
-                              cycles_from_stream, normalize_cycle, normalize_dataset,
-                              segment_cycles, subject_scale_factor)
+from cvsqi.preprocess import (CALIBRATION_MS, CALIBRATION_SAMPLES, HEADROOM,
+                              INTERP_SKIPS_FROM, SAMPLE_MS, TARGET_LEN, CalibrationWindow,
+                              CvsCycle, CvsStream, _interp_rows, _unit_grid,
+                              calibration_from_stream, cycles_from_stream, normalize_cycle,
+                              normalize_dataset, segment_cycles, subject_scale_factor)
 
 
 # --- the per-cycle loops that segment_cycles and normalize_dataset replaced,
@@ -66,6 +66,37 @@ def naive_scale_factor(cycle):
         raise ValidationError(f"cycle of subject {cycle.subject_id!r} at t_start_ms "
                               f"{cycle.t_start_ms} holds a non-finite sample")
     return s
+
+
+def reference_normalize_cycle(cycle, scheme, scale):
+    """normalize_cycle's values as it computed them with its own size step,
+    before it shared one with normalize_dataset; its errors spelled out."""
+    named = f"cycle of subject {cycle.subject_id!r} at t_start_ms {cycle.t_start_ms}"
+    samples = cycle.samples
+    if scale is not None:
+        if not scale > 0:
+            raise ValidationError(f"scale factor must be positive, got {scale}")
+        with np.errstate(over="ignore"):   # a quotient that overflows fails below
+            samples = samples / scale
+    if scheme == "interp":
+        if samples.size >= INTERP_SKIPS_FROM and not np.isfinite(samples).all():
+            raise ValidationError(f"{named} holds a non-finite sample")
+        values = np.interp(np.linspace(0.0, 1.0, TARGET_LEN),
+                           np.linspace(0.0, 1.0, samples.size), samples)
+    elif scheme == "pad":
+        if samples.size > TARGET_LEN:
+            raise ValidationError(f"cycle of {cycle.v} samples exceeds target length "
+                                  f"{TARGET_LEN}")
+        values = np.concatenate([samples, np.full(TARGET_LEN - samples.size, samples[-1])])
+    else:
+        raise ValidationError(f"unknown size-normalization scheme {scheme!r}")
+    peak = float(np.abs(values).max())
+    if not peak <= HEADROOM:                   # NaN fails it too
+        if peak < math.inf:
+            raise ValidationError(f"{named} has normalized peak {peak:.3g} above "
+                                  f"headroom bound {HEADROOM}")
+        raise ValidationError(f"{named} holds a non-finite sample")
+    return values
 
 
 def loop_normalize_dataset(cycles, scheme, scale_mode, calibrations=None):
@@ -576,6 +607,50 @@ class TestNormalizeDataset:
             if not isinstance(got, list):
                 raised.update(kind for kind in self.KINDS if kind in got[1])
         assert set(self.KINDS) <= raised
+
+
+SPECIAL_SAMPLES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
+                   HEADROOM, -HEADROOM)
+SCALES = (None, 1e-300, 0.37, 1.0, 1e300, 0.0, -1.0, math.nan, math.inf)
+
+
+def cycle_outcome(fn, *args):
+    """The bits of a normalized cycle's values, or the class and message of
+    what fn raises; a RuntimeWarning is raised too, so both sides must warn alike."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            values = fn(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return getattr(values, "values", values).tobytes()
+
+
+class TestReferenceNormalizeCycle:
+    """normalize_cycle against its own copy from before the shared size step,
+    over lengths on both sides of TARGET_LEN and INTERP_SKIPS_FROM, samples
+    mixed with NaN, infinities, signed zeros, extremes and the headroom bound,
+    and every kind of scale and scheme."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(v=st.one_of(st.integers(2, 700), st.sampled_from([150, 151, 298, 299, 300])),
+           seed=st.integers(0, 2 ** 32 - 1),
+           amplitude=st.sampled_from([1.0, 4.0, 30.0]),
+           specials=st.lists(st.tuples(st.integers(0, 699), st.sampled_from(SPECIAL_SAMPLES)),
+                             max_size=4),
+           scale=st.sampled_from(SCALES), scheme=st.sampled_from(["interp", "pad", "spline"]))
+    def test_matches_the_reference(self, v, seed, amplitude, specials, scale, scheme):
+        samples = np.random.default_rng(seed).uniform(-amplitude, amplitude, v)
+        for i, value in specials:
+            samples[i % v] = value
+        c = cyc(samples, sid="s07", t0=21_000)
+        got = cycle_outcome(normalize_cycle, c, scheme, scale)
+        assert got == cycle_outcome(reference_normalize_cycle, c, scheme, scale)
+        if scale is not None and 0.0 < scale < math.inf:
+            window = {"s07": cal(np.full(CALIBRATION_SAMPLES, scale), "s07")}
+            assert subject_scale_factor(window["s07"]) == scale
+            assert got == cycle_outcome(
+                lambda: normalize_dataset([c], scheme, "subject", window)[0][0])
 
 
 class TestNonFiniteCycle:
