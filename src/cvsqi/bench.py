@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dataio, discriminative, experiment, manifold, model_io, nn
 from .errors import ValidationError
-from .nn import BATCH_ROWS, DEFAULT_LR
+from .nn import BATCH_ROWS, DEFAULT_LR, inference_workers
 from .preprocess import (DEFAULT_SCALE_MODE, DEFAULT_SCHEME, TARGET_LEN, normalize_cycle,
                          subject_scale_factor)
 
@@ -35,6 +35,7 @@ STEP_MODELS = ("bcvae", "vgg3")
 STEP_BATCHES = 12          # training steps per timed call: one epoch
 STEP_REPEATS = 5           # timed calls per model, after one untimed
 IO_REPEATS = 5             # timed saves and loads of each model's file
+BATCH_REPEATS = 5          # timed model.score calls over all cycles, after one untimed
 # the variables OpenBLAS reads its thread count from, in its order
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -43,12 +44,15 @@ def bench_models(named_models, cycles) -> list[dict]:
     """Per-cycle wall-clock latency (normalize + forward + verdict) per model.
 
     cycles holds _bench_cycles' (CvsCycle, scale) pairs.  Returns one record
-    per model: its name, n_samples, and the mean, median and p99 in us.
+    per model: its name, n_samples, the mean, median and p99 in us, and the
+    median us per cycle of BATCH_REPEATS model.score calls over all the
+    cycles, normalized beforehand (batched inference), after one untimed call.
     """
     if len(cycles) < BENCH_MIN_CYCLES:
         raise ValidationError(f"benchmark needs >= {BENCH_MIN_CYCLES} cycles, "
                               f"got {len(cycles)}")
     scheme = BENCH_PREPROCESSING["norm_scheme"]
+    x = np.stack([normalize_cycle(c, scheme, s).values for c, s in cycles])
     reports = []
     for name, model in named_models:
         # warm start: the first 10 cycles, outside timing
@@ -60,6 +64,12 @@ def bench_models(named_models, cycles) -> list[dict]:
             vec = normalize_cycle(c, scheme, s).values
             model.score(vec[None, :])
             times[i] = time.perf_counter() - t0
+        model.score(x)                     # warm start of the batched path
+        batch_s = np.empty(BATCH_REPEATS)
+        for i in range(BATCH_REPEATS):
+            t0 = time.perf_counter()
+            model.score(x)
+            batch_s[i] = time.perf_counter() - t0
         us = times * 1e6
         reports.append({
             "model": name,
@@ -67,6 +77,7 @@ def bench_models(named_models, cycles) -> list[dict]:
             "mean_us": float(us.mean()),
             "median_us": float(np.median(us)),
             "p99_us": float(np.percentile(us, 99)),
+            "batch_us_per_cycle": float(np.median(batch_s)) * 1e6 / len(x),
         })
     return reports
 
@@ -217,10 +228,11 @@ def cmd_bench(args) -> int:
         out = open_temp(args.out) if args.out else None
         before = calibration_s() if out else None
         reports = bench_models(named, _bench_cycles(args.n_cycles, args.seed))
-        print(f"{'model':<10}{'mean us':>12}{'median us':>12}{'p99 us':>12}{'n':>8}")
+        print(f"{'model':<10}{'mean us':>12}{'median us':>12}{'p99 us':>12}{'n':>8}"
+              f"{'batch us':>12}")
         for r in reports:
             print(f"{r['model']:<10}{r['mean_us']:>12.1f}{r['median_us']:>12.1f}"
-                  f"{r['p99_us']:>12.1f}{r['n_samples']:>8}")
+                  f"{r['p99_us']:>12.1f}{r['n_samples']:>8}{r['batch_us_per_cycle']:>12.2f}")
         if out:
             steps = train_steps(args.seed)
             for name, step in steps["models"].items():
@@ -231,6 +243,8 @@ def cmd_bench(args) -> int:
                 print(f"model file {r['model']} ({r['bytes']} B): save {r['save_ms']:.2f} ms, "
                       f"load {r['load_ms']:.2f} ms")
             env = {**environment(args.seed), "n_cycles": args.n_cycles,
+                   # by_rows' threads for the slices after its first
+                   "inference_workers": inference_workers(-(-args.n_cycles // BATCH_ROWS) - 1),
                    "calibration_s": {"before": before, "after": calibration_s()}}
             out.write(json.dumps({"env": env, "per_cycle": reports, "train_step": steps,
                                   "model_io": files}, indent=1) + "\n")

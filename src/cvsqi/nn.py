@@ -12,7 +12,12 @@ BATCH_ROWS is the one batch size: the training batch of fit, and the rows
 per call when by_rows runs tape-free inference over a set of any size, so no
 layer's temporaries grow with the set.  A row's output can differ from the
 same row run in a batch of another size in the last bits (matrix products
-round per batch shape), within 1e-12 relative.
+round per batch shape), within 1e-12 relative.  When a first chunk takes at
+least POOL_MIN_CHUNK_S, by_rows runs the rest on several threads: the calling
+thread and one more per CPU of the process's affinity mask that none of its
+threads (the BLAS's own among them) holds.  Peak memory is then the worker
+count times one chunk's temporaries, and every output is bit for bit that of
+the chunks run one after another.
 
 TRAIN_DTYPE is the one compute dtype of training (mixed precision, as in
 Micikevicius et al. 2018): fit runs each step's forward and backward pass on
@@ -24,6 +29,8 @@ dtype and BLAS thread count.
 from __future__ import annotations
 
 import math
+import os
+import time
 from typing import Callable
 
 import numpy as np
@@ -39,6 +46,10 @@ DEFAULT_LR = 1e-3                   # Adam step size of every model family
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Adam's fixed decays and epsilon
 DEFAULT_STRIDE = {"conv": 1, "deconv": 2}   # of a layer that gives no "stride"
 TRAIN_DTYPE = np.float32            # the forward and backward passes of training
+# by_rows runs a set's later chunks on a thread pool only after a first chunk
+# that took this long: below it (lr, pca, vae, bvae and mlp2 at 64 rows) the
+# pool's start-up and the GIL held between numpy calls ate the gain
+POOL_MIN_CHUNK_S = 1e-3
 
 
 class ParamSet:
@@ -242,15 +253,79 @@ def forward_layers(layers: list[dict], params: dict, x: np.ndarray | Var,
     return h
 
 
+def inference_workers(chunks: int) -> int:
+    """Threads by_rows may run `chunks` chunks on: the calling thread, and one
+    more per CPU of the process's affinity mask that none of its threads holds
+    (the BLAS's own threads count, so a BLAS that keeps a thread per core
+    leaves none), at most one per chunk.  1 where the affinity mask or the
+    process's threads (/proc/self/task) cannot be read."""
+    try:
+        free = len(os.sched_getaffinity(0)) - len(os.listdir("/proc/self/task"))
+    except (AttributeError, OSError):      # no affinity call, or no /proc
+        free = 0
+    return max(1, min(chunks, 1 + free))
+
+
 def by_rows(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """fn over consecutive BATCH_ROWS-row slices of x, results concatenated.
 
-    Up to BATCH_ROWS rows, fn gets x itself: one call, no copy.
+    Up to BATCH_ROWS rows, fn gets x itself: one call, no copy, on the
+    calling thread.  With more rows, the calling thread runs the first slice;
+    when that took at least POOL_MIN_CHUNK_S, the other slices run on
+    inference_workers threads (the calling thread among them), each holding
+    one slice's temporaries at a time.  Each slice goes through the same fn
+    and the results join in slice order, so the output is bit for bit the
+    serial one.  An exception fn raises, or a KeyboardInterrupt, reaches the
+    caller as raised once the other threads end the slice they are on.
     """
     if len(x) <= BATCH_ROWS:
         return fn(x)
-    return np.concatenate([fn(x[i:i + BATCH_ROWS])
-                           for i in range(0, len(x), BATCH_ROWS)])
+    chunks = [x[i:i + BATCH_ROWS] for i in range(0, len(x), BATCH_ROWS)]
+    t0 = time.perf_counter()
+    out = [fn(chunks[0])] + [None] * (len(chunks) - 1)
+    workers = 1
+    if time.perf_counter() - t0 >= POOL_MIN_CHUNK_S:
+        workers = inference_workers(len(chunks) - 1)
+    if workers == 1:
+        return np.concatenate(out[:1] + [fn(c) for c in chunks[1:]])
+    # imported here, so that a process that runs no pool does not pay for it
+    import queue
+    from concurrent.futures import ThreadPoolExecutor
+
+    todo = queue.SimpleQueue()
+    for k in range(1, len(chunks)):
+        todo.put(k)
+
+    def stop():
+        """Take the slices no thread has started: each thread ends after its
+        current one, so an error does not wait for the whole set."""
+        try:
+            while True:
+                todo.get_nowait()
+        except queue.Empty:
+            pass
+
+    def drain():
+        try:
+            while True:
+                try:
+                    k = todo.get_nowait()
+                except queue.Empty:
+                    return
+                out[k] = fn(chunks[k])
+        except BaseException:
+            stop()
+            raise
+
+    # the calling thread takes slices too, beside workers - 1 new threads:
+    # with new threads alone, a two-slice call took as long as the serial loop.
+    # It waits on the helpers only once the queue is empty.
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
+    return np.concatenate(out)
 
 
 # the positive integer fields each layer type needs; "stride" may be given too

@@ -263,7 +263,8 @@ def _size_normalize(fp: np.ndarray, scheme: str) -> tuple[np.ndarray, np.ndarray
 
 
 def normalize_cycle(cycle: CvsCycle, scheme: str, scale: float | None) -> NormalizedCycle:
-    """Scale (unless scale is None) then size-normalize one cycle.
+    """Scale by a positive finite factor (unless scale is None), then
+    size-normalize one cycle.
 
     "interp" resamples linearly over [0, 1] to TARGET_LEN points, grid point
     j at j / (TARGET_LEN - 1), both endpoints exact (np.interp's); "pad"
@@ -273,6 +274,8 @@ def normalize_cycle(cycle: CvsCycle, scheme: str, scale: float | None) -> Normal
     if scale is not None:
         if not scale > 0:
             raise ValidationError(f"scale factor must be positive, got {scale}")
+        if scale == math.inf:
+            raise ValidationError(f"scale factor must be finite, got {scale}")
         with np.errstate(over="ignore"):   # a quotient that overflows fails below
             samples = samples / scale
     if scheme not in SCHEMES:

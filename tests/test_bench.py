@@ -12,9 +12,9 @@ import pytest
 from cvsqi import bench, cli, discriminative, model_io
 
 ENV_KEYS = {"nproc": int, "python": str, "numpy": str, "blas": str, "seed": int,
-            "n_cycles": int}
+            "n_cycles": int, "inference_workers": int}
 LATENCY_KEYS = {"model": str, "n_samples": int, "mean_us": float, "median_us": float,
-                "p99_us": float}
+                "p99_us": float, "batch_us_per_cycle": float}
 MODEL_IO_KEYS = {"model": str, "bytes": int, "save_ms": float, "load_ms": float}
 
 
@@ -71,6 +71,8 @@ def test_out_record_schema(tmp_path, tiny, capsys):
     for key, kind in LATENCY_KEYS.items():
         assert isinstance(row[key], kind), key
     assert row["n_samples"] == 20
+    assert row["batch_us_per_cycle"] > 0
+    assert env["inference_workers"] == 1                    # 20 rows: one chunk
 
     steps = record["train_step"]
     assert steps == {"dtype": "float32", "batch": 64, "steps_per_call": 1,

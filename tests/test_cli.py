@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cvsqi import (bench, cli, dataio, discriminative, experiment, manifold,
-                   model_io, preprocess)
+                   model_io, nn, preprocess)
 from cvsqi.evaluation import evaluate_scores
 from cvsqi.forward import MAX_DURATION_MS
 from cvsqi.labels import QualityLabel
@@ -567,15 +567,24 @@ class TestMalformedModelFile:
         assert not out.exists()
 
 
-@pytest.fixture(scope="module")
-def assess_stream(tmp_path_factory):
-    root = tmp_path_factory.mktemp("assess")
-    scenario = experiment.default_subject_scenario(3, 0, duration_ms=50_000)
+def stream_file(root, duration_ms):
+    scenario = experiment.default_subject_scenario(3, 0, duration_ms=duration_ms)
     stream_path = root / "stream.csv"
     from cvsqi.forward import synthesize_stream
     stream = synthesize_stream(scenario)
     dataio.write_stream(stream, str(stream_path))
     return {"root": root, "path": stream_path, "stream": stream}
+
+
+@pytest.fixture(scope="module")
+def assess_stream(tmp_path_factory):
+    return stream_file(tmp_path_factory.mktemp("assess"), 50_000)
+
+
+@pytest.fixture(scope="module")
+def long_assess_stream(tmp_path_factory):
+    """A recording of more than two BATCH_ROWS chunks of cycles."""
+    return stream_file(tmp_path_factory.mktemp("assess-long"), 200_000)
 
 
 class TestAssess:
@@ -680,7 +689,20 @@ class TestAssess:
 
     @pytest.mark.parametrize("arch", discriminative.ARCHITECTURES + manifold.MANIFOLD_KINDS)
     def test_file_rows_match_per_cycle_scores(self, assess_stream, tmp_path, arch):
-        # the file is scored as one batch; each cycle scored alone must agree
+        self.file_rows_match_per_cycle_scores(assess_stream, tmp_path, arch)
+
+    @pytest.mark.parametrize("arch", discriminative.ARCHITECTURES + manifold.MANIFOLD_KINDS)
+    def test_chunked_file_rows_match_per_cycle_scores(self, long_assess_stream, tmp_path,
+                                                      arch):
+        # several chunks, on a thread pool where the process has a CPU that
+        # none of its threads holds (nn.by_rows)
+        n = self.file_rows_match_per_cycle_scores(long_assess_stream, tmp_path, arch)
+        assert n > 2 * nn.BATCH_ROWS
+
+    @staticmethod
+    def file_rows_match_per_cycle_scores(assess_stream, tmp_path, arch) -> int:
+        """The file is scored as one batch; each cycle scored alone must
+        agree.  Returns the number of cycles."""
         stream = assess_stream["stream"]
         cycles = cycles_from_stream(stream, "stream", skip_calibration=False)
         s = subject_scale_factor(calibration_from_stream(stream, "stream"))
@@ -704,6 +726,7 @@ class TestAssess:
         assert np.array_equal(rows[:, 1], [int(v[0]) for _, v in alone])
         assert np.allclose(rows[:, 2], [float(sc[0]) for sc, _ in alone],
                            rtol=1e-12, atol=0)
+        return len(cycles)
 
 
 class TestNonFiniteCycle:

@@ -1,10 +1,13 @@
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from cvsqi import autodiff as ad
-from cvsqi import discriminative, manifold
+from cvsqi import discriminative, manifold, nn
 from cvsqi.autodiff import Var
 from cvsqi.errors import ShapeMismatch, ValidationError
 from cvsqi.evaluation import roc_auc
@@ -427,12 +430,19 @@ def manifold_model(kind):
 
 class TestChunkedInference:
     """Inference runs BATCH_ROWS-row chunks: bit for bit the concatenation of
-    the chunks scored alone, and within 1e-12 relative of one whole pass."""
+    the chunks scored alone, and within 1e-12 relative of one whole pass; on
+    one thread and on a pool of two alike."""
+
+    @pytest.fixture(autouse=True, params=[1, 2], ids=["1worker", "2workers"])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(nn, "POOL_MIN_CHUNK_S", 0.0)
+        monkeypatch.setattr(nn, "inference_workers", lambda chunks: min(chunks, request.param))
+        return request.param
 
     @staticmethod
     def first_column(calls):
         def fn(c):
-            calls.append(c)
+            calls.append((c, threading.get_ident()))
             return c[:, 0]
         return fn
 
@@ -440,16 +450,34 @@ class TestChunkedInference:
         x = np.zeros((BATCH_ROWS, 3))
         calls = []
         by_rows(self.first_column(calls), x)
-        assert len(calls) == 1 and calls[0] is x
+        [(c, thread)] = calls
+        assert c is x and thread == threading.get_ident()
 
     @pytest.mark.parametrize("n", CHUNK_BOUNDARY_ROWS)
-    def test_by_rows_slices_in_order(self, n):
+    def test_by_rows_slices_in_order(self, n, workers):
         x = np.arange(2.0 * n).reshape(n, 2)
         calls = []
         assert np.array_equal(by_rows(self.first_column(calls), x), x[:, 0])
-        sizes = [len(c) for c in calls]
+        calls.sort(key=lambda call: call[0][0, 0])      # threads append in any order
+        sizes = [len(c) for c, _ in calls]
         assert sum(sizes) == n and all(s == BATCH_ROWS for s in sizes[:-1])
         assert 0 < sizes[-1] <= BATCH_ROWS
+        threads = {ident for _, ident in calls}
+        assert len(threads) <= workers
+        if n <= BATCH_ROWS or workers == 1:
+            assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("bad_chunk", [0, 2])
+    def test_by_rows_raises_a_chunks_exception_as_raised(self, bad_chunk):
+        x = np.arange(200.0)[:, None]
+
+        def fn(c):
+            if c[0, 0] == bad_chunk * BATCH_ROWS:
+                raise ShapeMismatch(f"chunk at row {c[0, 0]:.0f} rejected")
+            return c[:, 0]
+        with pytest.raises(ShapeMismatch, match=rf"^chunk at row {bad_chunk * BATCH_ROWS} "
+                                                r"rejected$"):
+            by_rows(fn, x)
 
     @staticmethod
     def slices(x):
@@ -476,6 +504,97 @@ class TestChunkedInference:
         assert np.array_equal(r, np.concatenate(parts))
         np.testing.assert_allclose(r, np.linalg.norm(x - model.reconstruct(x), axis=1),
                                    rtol=1e-12, atol=0)
+
+
+def test_by_rows_runs_two_chunks_at_once(monkeypatch):
+    # after the first chunk, each chunk waits until a second thread holds the
+    # other: a serial loop would break the barrier at its timeout
+    monkeypatch.setattr(nn, "POOL_MIN_CHUNK_S", 0.0)
+    monkeypatch.setattr(nn, "inference_workers", lambda chunks: 2)
+    both = threading.Barrier(2, timeout=30)
+    threads = set()
+
+    def fn(c):
+        if c[0, 0] >= BATCH_ROWS:
+            threads.add(threading.get_ident())
+            both.wait()
+        return c[:, 0]
+    x = np.arange(3.0 * BATCH_ROWS)[:, None]
+    assert np.array_equal(by_rows(fn, x), x[:, 0])
+    assert len(threads) == 2 and threading.get_ident() in threads
+
+
+@pytest.mark.parametrize("chunk_s,workers", [(0.0, 1), (2e-3, 2)])
+def test_by_rows_pools_only_after_a_slow_first_chunk(monkeypatch, chunk_s, workers):
+    # a first chunk quicker than POOL_MIN_CHUNK_S keeps the rest on the
+    # calling thread, however many CPUs are free
+    monkeypatch.setattr(nn, "inference_workers", lambda chunks: 2)
+    threads = set()
+
+    def fn(c):
+        threads.add(threading.get_ident())
+        if c[0, 0] == 0:
+            time.sleep(chunk_s)
+        return c[:, 0]
+    x = np.arange(4.0 * BATCH_ROWS)[:, None]
+    assert np.array_equal(by_rows(fn, x), x[:, 0])
+    assert threading.get_ident() in threads and len(threads) <= workers
+    if workers == 1:
+        assert threads == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_by_rows_stops_taking_chunks_after_an_exception(monkeypatch, failing):
+    # the failing thread ends the queue: the other finishes its current chunk
+    # and takes no more, so the error does not wait for the rest of the set
+    monkeypatch.setattr(nn, "POOL_MIN_CHUNK_S", 0.0)
+    monkeypatch.setattr(nn, "inference_workers", lambda chunks: 2)
+    caller = threading.get_ident()
+    calls = []
+
+    def fn(c):
+        calls.append(c[0, 0])
+        if len(calls) > 1 and (threading.get_ident() == caller) == (failing == "caller"):
+            raise ShapeMismatch("rejected")
+        time.sleep(1e-3)
+        return c[:, 0]
+    x = np.arange(100.0 * BATCH_ROWS)[:, None]
+    with pytest.raises(ShapeMismatch, match="^rejected$"):
+        by_rows(fn, x)
+    assert len(calls) < 20
+
+
+@pytest.mark.parametrize("cpus,threads,chunks,workers", [
+    (2, 2, 40, 1),       # a BLAS thread per core: no CPU is free
+    (2, 1, 40, 2),       # a one-thread BLAS leaves the second CPU
+    (2, 1, 1, 1),        # at most one per chunk
+    (8, 1, 3, 3),
+    (8, 3, 40, 6),
+    (1, 1, 40, 1),       # a process held to one CPU
+    (2, 4, 40, 1),       # more threads than CPUs
+])
+def test_inference_workers_from_cpus_and_threads(monkeypatch, cpus, threads, chunks,
+                                                 workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    listdir = os.listdir
+    monkeypatch.setattr(os, "listdir", lambda path: (list(range(threads))
+                                                     if path == "/proc/self/task"
+                                                     else listdir(path)))
+    assert nn.inference_workers(chunks) == workers
+
+
+@pytest.mark.parametrize("missing", ["affinity", "proc"])
+def test_inference_workers_without_the_counts_is_one(monkeypatch, missing):
+    if missing == "affinity":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        def listdir(path):
+            raise FileNotFoundError(path)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        monkeypatch.setattr(os, "listdir", listdir)
+    assert nn.inference_workers(40) == 1
 
 
 class TestGraphIsolation:

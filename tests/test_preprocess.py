@@ -76,6 +76,8 @@ def reference_normalize_cycle(cycle, scheme, scale):
     if scale is not None:
         if not scale > 0:
             raise ValidationError(f"scale factor must be positive, got {scale}")
+        if scale == math.inf:
+            raise ValidationError(f"scale factor must be finite, got {scale}")
         with np.errstate(over="ignore"):   # a quotient that overflows fails below
             samples = samples / scale
     if scheme == "interp":
@@ -360,6 +362,12 @@ class TestScaleNormalize:
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValidationError, match=r"^scale factor must be positive, got 0\.0$"):
             normalize_cycle(cyc([1.0, 2.0]), "pad", 0.0)
+
+    @pytest.mark.parametrize("scheme", ["interp", "pad"])
+    def test_infinite_scale_rejected(self, scheme):
+        # every finite sample over inf is 0: an all-zero cycle that would pass
+        with pytest.raises(ValidationError, match=r"^scale factor must be finite, got inf$"):
+            normalize_cycle(cyc([0.5, 2.0, 1.0]), scheme, math.inf)
 
     def test_subject_scaling_preserves_spike_naive_flattens_it(self):
         # calibration peak 1, cycle spike 3x that peak
