@@ -244,7 +244,8 @@ def _interp_rows(fp: np.ndarray) -> np.ndarray:
 
 def _size_normalize(fp: np.ndarray, scheme: str) -> tuple[np.ndarray, np.ndarray | None]:
     """(x, codes) of an (m, v) matrix of scaled cycles of one length: the rows'
-    TARGET_LEN-vectors, and None if every row passes, else each row's reason to fail."""
+    TARGET_LEN-vectors, and None if every row passes, else each row's reason to fail.
+    One row (a cycle scored online) goes to np.interp: 2.7 us, not 11 in _interp_rows."""
     m, v = fp.shape
     if scheme == "pad":
         if v > TARGET_LEN:

@@ -258,9 +258,12 @@ def padded_col2im(cols, stride, length, pl, pad):
 
 
 def same_bits(a, b) -> bool:
-    """Equal shapes and equal bit patterns, so -0.0 differs from +0.0."""
-    return a.shape == b.shape and np.array_equal(
-        np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64))
+    """Equal dtypes, shapes and bit patterns, so -0.0 differs from +0.0.
+
+    The bytes are compared, so an odd number of float32 values compares too.
+    """
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint8), np.ascontiguousarray(b).view(np.uint8))
 
 
 def same_bits_or_nan(a, b) -> bool:

@@ -219,8 +219,12 @@ def test_bias_grad_matches_sum_at_training_shapes():
     # made from inf - inf may differ in its sign bit alone
     shapes = training_grad_shapes()
     assert (64, 150, 1) in shapes and (64, 150, 8) in shapes and (37, 37, 16) in shapes
+    # and a few terms per channel, in both dtypes
+    small = [(1, 37, 16), (1, 10, 32), (2, 10, 3)]
+    cases = [(shape, np.float64) for shape in sorted(shapes)]
+    cases += [(shape, dtype) for shape in small for dtype in (np.float64, np.float32)]
     rng = np.random.default_rng(0)
-    for shape in sorted(shapes):
+    for shape, dtype in cases:
         for trial in range(4):
             g = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)
             if trial == 1:
@@ -230,6 +234,7 @@ def test_bias_grad_matches_sum_at_training_shapes():
                 g = special_values(rng, shape)
             elif trial == 3:                      # a few among wide magnitudes
                 g = np.where(rng.random(shape) < 0.01, rng.choice(SPECIAL, size=shape), g)
+            g = g.astype(dtype)
             with np.errstate(invalid="ignore"):   # inf - inf
                 got, want = kernels.bias_grad(g), g.sum(axis=(0, 1))
             assert same_bits_or_nan(got, want), (shape, trial)

@@ -116,6 +116,21 @@ def test_unwritable_out_exits_3_before_timing(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith(f"error: {out}: ")
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "2.5"])
+def test_n_cycles_not_a_positive_integer_exits_2_naming_the_flag(monkeypatch, capsys, value):
+    # argparse rejects it, as gen --subjects 0, before any cycle is made
+    def untimed(*args):
+        raise AssertionError("bench went on to make cycles")
+    monkeypatch.setattr(bench, "_bench_cycles", untimed)
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", f"--n-cycles={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert err.endswith(f"error: argument --n-cycles: must be a positive integer, "
+                        f"got {value!r}\n")
+
+
 def test_source_sha256_names_the_bytes_of_the_source(tmp_path, monkeypatch):
     # a copy of the package hashes alike; one changed byte in any file, or a
     # renamed file, changes the hash
