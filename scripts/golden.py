@@ -1,10 +1,12 @@
 """Golden outputs of the command line: check them, or rewrite them.
 
 Two sh blocks run, each in an empty directory, with `cvsqi` bound to this
-checkout's `python -m cvsqi.cli` and a CVSQI_CONFIG of {"epochs": 1}:
+checkout's `python -m cvsqi.cli`:
 
   - the block under "## Command line" in README.md as printed, without its
-    `cvsqi bench` line, since that prints timings (tests/golden/readme.json);
+    `cvsqi bench` line, since that prints timings, and with `--epochs 1`
+    appended to its `cvsqi train` and `cvsqi train-manifold` lines
+    (tests/golden/readme.json);
   - GEN_BLOCK, `cvsqi gen --seed 0` at its default subjects and duration
     with every output file: cycles, calibrations and one stream per subject
     (tests/golden/gen.json).
@@ -66,12 +68,14 @@ FLOAT = re.compile(r"(?<![\w.])-?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+"
 
 
 def readme_block() -> str:
-    """The README's command-line block without its `cvsqi bench` line."""
+    """The README's command-line block without its `cvsqi bench` line, each
+    `cvsqi train` line training for one epoch."""
     lines = (ROOT / "README.md").read_text(encoding="utf-8").split("\n")
     start = lines.index("## Command line")
     first = next(i for i in range(start, len(lines)) if lines[i].startswith("```sh"))
     last = next(i for i in range(first + 1, len(lines)) if lines[i].startswith("```"))
-    return "\n".join(ln for ln in lines[first + 1:last] if not ln.startswith("cvsqi bench"))
+    return "\n".join(ln + " --epochs 1" if ln.startswith("cvsqi train") else ln
+                     for ln in lines[first + 1:last] if not ln.startswith("cvsqi bench"))
 
 
 def blocks() -> dict[Path, str]:
@@ -82,9 +86,7 @@ def blocks() -> dict[Path, str]:
 def run_pipeline(workdir: Path, block: str) -> dict[str, str]:
     """Run block in workdir; the text of every file it writes, and "stdout"."""
     (workdir / "block.sh").write_text(block + "\n", encoding="utf-8")
-    (workdir / "epochs.json").write_text('{"epochs": 1}', encoding="utf-8")
-    env = dict(os.environ, **BLAS_KERNEL, CVSQI_CONFIG=str(workdir / "epochs.json"),
-               GOLDEN_PYTHON=sys.executable,
+    env = dict(os.environ, **BLAS_KERNEL, GOLDEN_PYTHON=sys.executable,
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(["bash", "-e", "-c",
@@ -93,7 +95,7 @@ def run_pipeline(workdir: Path, block: str) -> dict[str, str]:
     if proc.returncode:
         raise RuntimeError(f"block failed ({proc.returncode}):\n{proc.stderr}")
     texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(workdir.iterdir())
-             if p.name not in ("block.sh", "epochs.json")}
+             if p.name != "block.sh"}
     texts["stdout"] = proc.stdout
     return texts
 

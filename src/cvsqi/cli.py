@@ -1,15 +1,14 @@
 """Command-line workflows: gen, split, train, train-manifold, threshold,
 evaluate, assess, and bench, whose code is cvsqi.bench's.
 
-Exit codes: 0 success, 2 validation error, 3 I/O error.  A JSON config file
-named by the CVSQI_CONFIG environment variable supplies default flag values.
+Exit codes: 0 success, 2 validation error, 3 I/O error.  A command reads its
+settings from its flags alone.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import dataio, discriminative, experiment, manifold, model_io
@@ -22,31 +21,6 @@ from .model_io import scenario_from_file
 from .nn import DEFAULT_LR
 from .preprocess import (DEFAULT_SCALE_MODE, DEFAULT_SCHEME, SCALE_MODES, SCHEMES,
                          calibration_from_stream, cycles_from_stream, normalize_dataset)
-
-CONFIG_ENV = "CVSQI_CONFIG"
-
-# flag defaults that a config file may override
-_CONFIG_KEYS = ("seed", "norm", "scale", "epochs", "lr", "arch", "kind", "beta")
-
-
-def _load_config() -> dict:
-    path = os.environ.get(CONFIG_ENV)
-    if not path:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as f:
-            cfg = json.load(f)
-    except OSError as exc:
-        raise IoError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ValidationError(f"config {path} must hold a JSON object")
-    for key in cfg:
-        if key not in _CONFIG_KEYS:
-            raise ValidationError(f"config {path}: unknown key {key!r}; "
-                                  f"allowed keys are {', '.join(_CONFIG_KEYS)}")
-    return cfg
 
 
 def _load_calibrations(path: str | None):
@@ -208,7 +182,7 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvsqi",
         description="Per-cardiac-cycle signal quality indexing for EIT volume signals")
@@ -274,23 +248,15 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--n-cycles", type=_count, default=BENCH_MIN_CYCLES)
     p.add_argument("--out", help="JSON record (BENCH_<label>.json): the environment, "
                                  "these latencies and the training step times")
-
-    if defaults:
-        # each value as the text a command line would carry, so that the
-        # flag's own type parses it and rejects a bad one with exit 2
-        text = {k: v if isinstance(v, str) else json.dumps(v)
-                for k, v in defaults.items() if v is not None}
-        for p in sub.choices.values():
-            p.set_defaults(**{k: v for k, v in text.items()
-                              if any(a.dest == k for a in p._actions)})
     return parser
 
 
-@functools.lru_cache(maxsize=8)
-def _parser(config_json: str) -> argparse.ArgumentParser:
-    """One parser per distinct config, reused by every later main() call:
-    a build takes 1.3 ms, against 50 ms for a whole gen of four subjects."""
-    return build_parser(json.loads(config_json))
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser, built by the first main() call and reused by every
+    later one: a build takes 1.3 ms, against 50 ms for a whole gen of four
+    subjects."""
+    return build_parser()
 
 
 def exit_code(command, *args) -> int:
@@ -304,7 +270,7 @@ def exit_code(command, *args) -> int:
 
 def main(argv=None) -> int:
     def command():
-        args = _parser(json.dumps(_load_config(), sort_keys=True)).parse_args(argv)
+        args = _parser().parse_args(argv)
         # looked up per call, not stored in the cached parser, so a cmd_*
         # function replaced on this module (a profiling wrapper) is the one run
         return globals()["cmd_" + args.command.replace("-", "_")](args)

@@ -170,12 +170,16 @@ def train(model: DiscriminativeModel, x_train: np.ndarray, y_train: np.ndarray,
     """Train in place; restore the epoch with the best validation AUC.
 
     y_train holds soft train targets; y_val_eval holds hard {0, 1} eval labels.
-    Deterministic under (model params, seed).
+    Each holds one label per row of its cycles, or ShapeMismatch is raised
+    before any step.  Deterministic under (model params, seed).
     """
     x_train, x_val = cycle_rows(x_train).astype(nn.TRAIN_DTYPE), cycle_rows(x_val)
     y_train = np.asarray(y_train, dtype=np.float64)
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ValidationError("train and validation sets must be non-empty")
+    for name, y, x in (("y_train", y_train, x_train), ("y_val_eval", y_val_eval, x_val)):
+        if np.shape(y) != (x.shape[0],):
+            raise ShapeMismatch(f"{name} {np.shape(y)} vs cycles ({x.shape[0]},)")
     weights = compute_class_weights(y_train)
 
     def batch_loss(idx, pvars, rng):

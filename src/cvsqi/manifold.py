@@ -290,6 +290,8 @@ def select_threshold(scores: np.ndarray, eval_labels: np.ndarray) -> tuple[float
     """
     r = np.asarray(scores, dtype=np.float64)
     y = np.asarray(eval_labels, dtype=np.int64)
+    if r.shape != y.shape:
+        raise ValidationError(f"scores {r.shape} vs labels {y.shape}")
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:

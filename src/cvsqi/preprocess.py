@@ -103,8 +103,8 @@ def segment_cycles(cvs_stream, r_peaks, subject_id: str = "",
 
     The stream is any (n, 2) array-like, such as np.column_stack((t_ms, x))
     or a list of pairs.  Cycle i spans [r_i, r_{i+1}] inclusive; consecutive
-    cycles share the boundary sample.  Optional per-cycle labels must align
-    with the output.
+    cycles share the boundary sample.  Optional labels hold one per cycle,
+    one fewer than the R-peaks; any other count is a ValidationError.
     """
     rows = np.asarray(cvs_stream, dtype=np.float64)
     if rows.size and (rows.ndim != 2 or rows.shape[1] != 2):
@@ -112,6 +112,9 @@ def segment_cycles(cvs_stream, r_peaks, subject_id: str = "",
     rows = rows.reshape(-1, 2)
     t_ms, x = rows[:, 0].astype(np.int64), rows[:, 1]
     peaks = np.asarray(list(r_peaks), dtype=np.int64)
+    n_cycles = max(peaks.size - 1, 0)
+    if labels is not None and len(labels) != n_cycles:
+        raise ValidationError(f"labels ({len(labels)},) vs cycles ({n_cycles},)")
     if peaks.size < 2:
         return []
     if np.any(np.diff(peaks) <= 0):

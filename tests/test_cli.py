@@ -1,7 +1,6 @@
 import filecmp
 import json
 import math
-import shutil
 
 import numpy as np
 import pytest
@@ -848,100 +847,26 @@ class TestBench:
         assert not out.exists()
 
 
-class TestConfigEnv:
-    def test_config_file_overrides_defaults(self, tmp_path, monkeypatch):
+class TestStrayConfigEnv:
+    @pytest.mark.parametrize("text", ['{"seed": 5}', "not json"])
+    def test_config_variable_changes_nothing(self, workspace, tmp_path, monkeypatch, text):
+        # flags are a command's only settings: a CVSQI_CONFIG left in the
+        # environment, naming JSON or not, changes no exit code and no byte
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 5, "norm": "pad"}))
-        monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
-        parser = cli.build_parser(cli._load_config())
-        args = parser.parse_args(["gen", "--out-cycles", "x.csv"])
-        assert args.seed == 5
-        args = parser.parse_args(["train", "--train", "t", "--val", "v",
-                                  "--out", "o"])
-        assert args.norm == "pad"
-
-    def test_each_config_file_gets_its_own_defaults(self, tmp_path, monkeypatch):
-        # main() reuses one parser per config, so a second config must not see
-        # the first one's defaults, nor a repeated config a stale parser
-        def gen(name, *flags):
-            out = tmp_path / f"{name}.csv"
-            assert run(["gen", "--subjects", 1, "--duration-ms", 30000,
-                        "--out-cycles", out, *flags]) == 0
-            return out
-
-        monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
-        for seed in (5, 6):
-            cfg = tmp_path / f"cfg{seed}.json"
-            cfg.write_text(json.dumps({"seed": seed}))
-        explicit = {seed: gen(f"explicit{seed}", "--seed", seed) for seed in (5, 6)}
-        assert not filecmp.cmp(explicit[5], explicit[6], shallow=False)
-        for i, seed in enumerate((5, 6, 5)):
-            monkeypatch.setenv(cli.CONFIG_ENV, str(tmp_path / f"cfg{seed}.json"))
-            assert filecmp.cmp(gen(f"config{i}"), explicit[seed], shallow=False)
-
-    def test_config_leaves_threshold_evaluate_and_assess_unchanged(
-            self, workspace, assess_stream, tmp_path, monkeypatch):
-        # every config key set away from its default reaches none of the
-        # commands that read their preprocessing from the model file
-        config = {"seed": 5, "norm": "pad", "scale": "none", "epochs": 3, "lr": 0.01,
-                  "arch": "mlp2", "kind": "vae", "beta": 0.9}
-        assert set(config) == set(cli._CONFIG_KEYS)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        outputs = []
-        for name in ("plain", "config"):
-            if name == "config":
-                monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+        cfg.write_text(text)
+        runs = []
+        for name in ("plain", "stray"):
+            if name == "stray":
+                monkeypatch.setenv("CVSQI_CONFIG", str(cfg))
             else:
-                monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+                monkeypatch.delenv("CVSQI_CONFIG", raising=False)
             d = tmp_path / name
             d.mkdir()
-            shutil.copy(workspace["model"], d / "pca.json")
-            assert run(["threshold", "--model", d / "pca.json",
-                        "--scored", workspace["cycles"], "--calib", workspace["calib"]]) == 0
-            assert run(["evaluate", "--model", d / "pca.json", "--test", workspace["cycles"],
-                        "--calib", workspace["calib"], "--out", d / "report.json"]) == 0
-            assert run(["assess", "--model", d / "pca.json",
-                        "--stream", assess_stream["path"], "--out", d / "verdicts.csv"]) == 0
-            outputs.append([(d / f).read_bytes()
-                            for f in ("pca.json", "report.json", "verdicts.csv")])
-        assert outputs[0] == outputs[1]
-
-    @pytest.mark.parametrize("config,message", [
-        ({"epochs": 1.5}, "argument --epochs: invalid int value: '1.5'"),
-        ({"epochs": [1]}, "argument --epochs: invalid int value: '[1]'"),
-        ({"epochs": True}, "argument --epochs: invalid int value: 'true'"),
-        ({"seed": -1}, "argument --seed: must be a nonnegative integer, got '-1'")])
-    def test_config_value_goes_through_the_flags_type(self, workspace, tmp_path, monkeypatch,
-                                                      capsys, config, message):
-        # a JSON number, list or bool reaches the flag's type as its text
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
-        out = tmp_path / "model.json"
-        with pytest.raises(SystemExit) as exc:
-            run(["train", "--arch", "lr", "--train", workspace["cycles"],
-                 "--val", workspace["cycles"], "--calib", workspace["calib"], "--out", out])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.count("error:") == 1 and err.endswith(f"error: {message}\n")
-        assert not out.exists()
-
-    def test_unknown_config_key_exits_2(self, tmp_path, monkeypatch, capsys):
-        # a misspelt key must not be dropped, leaving the command on its defaults
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epoch": 1, "seed": 3}))
-        monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
-        out = tmp_path / "c.csv"
-        assert run(["gen", "--subjects", 1, "--duration-ms", 30000,
-                    "--out-cycles", out]) == 2
-        assert capsys.readouterr().err == (
-            f"error: config {cfg}: unknown key 'epoch'; allowed keys are "
-            "seed, norm, scale, epochs, lr, arch, kind, beta\n")
-        assert not out.exists()
-
-    def test_bad_config_exits_2(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("not json")
-        monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
-        assert run(["gen", "--out-cycles", tmp_path / "c.csv"]) == 2
+            codes = [run(["gen", "--subjects", 1, "--duration-ms", 30000,
+                          "--out-cycles", d / "c.csv"]),
+                     run(["train", "--arch", "lr", "--epochs", 1, "--train", workspace["cycles"],
+                          "--val", workspace["cycles"], "--calib", workspace["calib"],
+                          "--out", d / "model.json"])]
+            runs.append((codes, {f: (d / f).read_bytes() for f in ("c.csv", "model.json")}))
+        assert runs[0][0] == [0, 0]
+        assert runs[1] == runs[0]

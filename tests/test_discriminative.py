@@ -6,7 +6,7 @@ import pytest
 from cvsqi import discriminative as dm
 from cvsqi.discriminative import (ARCHITECTURES, ClassWeights, build,
                                   compute_class_weights, forward, train)
-from cvsqi.errors import SingleClassDataset, ValidationError
+from cvsqi.errors import ShapeMismatch, SingleClassDataset, ValidationError
 from cvsqi.nn import receptive_field, shape_trace
 
 MLP1_DIMS = [150, 150, 300, 300, 150, 150, 150, 1]
@@ -191,6 +191,20 @@ class TestTrain:
         assert model.params.t == 0 and model.training_meta == {}
         for k, v in before.items():
             assert np.array_equal(model.params.values[k], v)
+
+    @pytest.mark.parametrize("n_train,n_val", [(59, 20), (61, 20), (60, 19), (60, 21)])
+    def test_label_count_mismatch_raises_before_any_step(self, n_train, n_val):
+        # a short y_train used to fail mid-epoch, a long one was cut, and a
+        # y_val_eval of the wrong length failed only after the first epoch
+        rng = np.random.default_rng(0)
+        x, y = separable_set(rng)
+        xv, yv = separable_set(rng, n=20)
+        y, yv = np.resize(y, n_train), np.resize(yv.astype(int), n_val)
+        name, got, want = ("y_train", n_train, 60) if n_train != 60 else ("y_val_eval", n_val, 20)
+        model = build("lr", seed=0)
+        with pytest.raises(ShapeMismatch, match=rf"^{name} \({got},\) vs cycles \({want},\)$"):
+            train(model, x, y, xv, yv, epochs=2, lr=0.05, seed=0)
+        assert model.params.t == 0 and model.training_meta == {}
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(3)

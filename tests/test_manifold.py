@@ -353,6 +353,11 @@ class TestSelectThreshold:
         with pytest.raises(SingleClassDataset):
             mf.select_threshold(np.arange(5.0), np.ones(5, dtype=int))
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_label_count_mismatch_rejected(self, n):
+        with pytest.raises(ValidationError, match=rf"^scores \(5,\) vs labels \({n},\)$"):
+            mf.select_threshold(np.arange(5.0), np.arange(n) % 2)
+
 
 class TestAssess:
     def make_model(self, d):

@@ -31,6 +31,9 @@ def loop_segment_cycles(cvs_stream, r_peaks, subject_id="", labels=None):
     rows = rows.reshape(-1, 2)
     t_ms, x = rows[:, 0].astype(np.int64), rows[:, 1]
     peaks = np.asarray(list(r_peaks), dtype=np.int64)
+    n_cycles = max(peaks.size - 1, 0)
+    if labels is not None and len(labels) != n_cycles:
+        raise ValidationError(f"labels ({len(labels)},) vs cycles ({n_cycles},)")
     if peaks.size < 2:
         return []
     if np.any(np.diff(peaks) <= 0):
@@ -197,6 +200,13 @@ class TestSegmentCycles:
         for a, b in zip(from_array, from_pairs):
             assert np.array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize("n_labels", [0, 1, 3])
+    def test_label_count_must_match_the_cycles(self, n_labels):
+        # too few labels used to raise IndexError, too many were dropped
+        with pytest.raises(ValidationError, match=rf"^labels \({n_labels},\) vs cycles \(2,\)$"):
+            segment_cycles(make_stream(np.arange(30.0)), [0, 100, 250], "s",
+                           [QualityLabel.MOTION] * n_labels)
+
     @pytest.mark.parametrize("stream", [[], np.empty((0, 2))], ids=["list", "array"])
     def test_empty_stream_rejected(self, stream):
         with pytest.raises(ValidationError, match="empty CVS stream"):
@@ -229,7 +239,7 @@ class TestSegmentCycles:
     @pytest.mark.parametrize("case", [
         "empty", "three-columns", "one-peak", "no-peaks", "equal-peaks", "decreasing",
         "off-grid", "gap", "t0-off-grid", "before-stream", "after-stream",
-        "both-outside", "short-labels", "at-the-ends"])
+        "both-outside", "short-labels", "long-labels", "at-the-ends"])
     def test_every_error_case_matches_the_per_cycle_loop(self, case):
         t0, n = 500, 60
         x = np.sin(np.arange(n) / 7.0)
@@ -261,6 +271,8 @@ class TestSegmentCycles:
             peaks = [0, 700, 5000]
         elif case == "short-labels":
             labels = [QualityLabel.MOTION]
+        elif case == "long-labels":
+            labels = [QualityLabel.MOTION] * 3
         elif case == "at-the-ends":
             peaks = [t0, t0 + SAMPLE_MS * (n - 1)]
         assert outcome(segment_cycles, stream, peaks, "e", labels) == \
