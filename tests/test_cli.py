@@ -84,10 +84,25 @@ class TestGen:
          "scenario.respiration_period_ms is not a field of SynthScenario"),
         ({**SCENARIO, "baseline_g": 50.0}, "scenario.baseline_g is not a field of SynthScenario"),
         ({**SCENARIO, "current_ma": 1.0}, "scenario.current_ma is not a field of SynthScenario"),
+        ({**SCENARIO, "motion_events": [{"start_ms": 100, "duration_ms": 500,
+                                          "amplitude": 1.0, "shape": "wobble"}]},
+         "scenario.motion_events[0].shape must be one of ('step', 'ramp', 'burst', 'sway')\n"),
+        ({**SCENARIO, "motion_events": [{"start_ms": 100, "duration_ms": 0,
+                                          "amplitude": 1.0}]},
+         "scenario.motion_events[0].duration_ms must be positive\n"),
+        ({**SCENARIO, "rr_intervals_ms": []},
+         "scenario.rr_intervals_ms needs at least one RR interval\n"),
+        ({**SCENARIO, "rr_intervals_ms": [800, 290]},
+         "scenario.rr_intervals_ms: 290 ms outside [300, 2000] or off the 10 ms grid\n"),
+        ({**SCENARIO, "rr_intervals_ms": [2010]},
+         "scenario.rr_intervals_ms: 2010 ms outside [300, 2000] or off the 10 ms grid\n"),
+        ({**SCENARIO, "rr_intervals_ms": [805]},
+         "scenario.rr_intervals_ms: 805 ms outside [300, 2000] or off the 10 ms grid\n"),
     ], ids=["event-not-object", "top-level-array", "event-without-duration",
             "amplitude-string", "duration-float", "noise-nan", "band-length",
             "negative-seed", "comma-id", "event-past-end", "respiration_period_ms",
-            "baseline_g", "current_ma"])
+            "baseline_g", "current_ma", "event-shape", "event-zero-duration", "no-rr",
+            "rr-below-range", "rr-above-range", "rr-off-grid"])
     def test_malformed_scenario_exits_2_naming_the_field(self, tmp_path, capsys, doc,
                                                           message):
         scen = tmp_path / "scen.json"
@@ -96,6 +111,15 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {scen}: {message}") and err.count("\n") == 1
         assert not (tmp_path / "c.csv").exists()
+
+    def test_scenario_file_not_json_exits_2(self, tmp_path, capsys):
+        scen = tmp_path / "scen.json"
+        scen.write_text('{"subject_seed": 1,')
+        assert run(["gen", "--scenario", scen, "--out-cycles", tmp_path / "c.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scen}: invalid scenario JSON: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [scen]
 
     def test_missing_scenario_file_exits_3(self, tmp_path, capsys):
         scen = tmp_path / "missing.json"
@@ -456,6 +480,11 @@ MALFORMED_PAYLOADS = {
                      "got 'gan'"),
     "no tensor": (lambda p: p["params"].pop("dec.layer8.b"),
                   "payload.params.dec.layer8.b is required"),
+    "tensor not an object": (lambda p: p["params"].update({"enc.layer0.b": [0.0] * 8}),
+                             "payload.params.enc.layer0.b must be a tensor object, got [0.0, "),
+    "tensor without data": (lambda p: p["params"]["enc.layer0.b"].pop("data"),
+                            "payload.params.enc.layer0.b must be a tensor object, got "
+                            "{'shape': [8]}"),
     "tensor of another size": (lambda p: p["params"]["enc.layer0.b"].update(shape=[9]),
                                "payload.params.enc.layer0.b does not hold [9] float64 values"),
     "encoder conv cin": (lambda p: p["encoder"][1].update(cin=9),

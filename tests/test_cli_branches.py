@@ -1,5 +1,8 @@
 """CLI paths beside the error paths: assess printing its verdicts,
-train-manifold with a --val file, and threshold refusing a classifier."""
+train-manifold with a --val file, threshold refusing a classifier, and
+evaluate naming its undefined metrics."""
+import json
+
 import numpy as np
 import pytest
 
@@ -82,3 +85,20 @@ def test_threshold_refuses_a_classifier(data, capsys):
     assert capsys.readouterr().err == \
         "error: threshold selection applies to manifold models only\n"
     assert data["lr"].read_bytes() == before
+
+
+def test_evaluate_names_its_undefined_metrics(data, tmp_path, capsys):
+    # zero weights score every cycle 0.5, which accepts it: with no cycle
+    # rejected, npv = TN / (TN + FN) has a zero denominator
+    model = discriminative.build("lr", seed=0)
+    model.params.values["layer0.W"][:] = 0.0
+    model.params.values["layer0.b"][:] = 0.0
+    path, out = tmp_path / "lr.json", tmp_path / "report.json"
+    model_io.save_model(model, str(path), norm_scheme="interp", scale_mode="subject")
+    assert run(["evaluate", "--model", path, "--test", data["cycles"],
+                "--calib", data["calib"], "--out", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "undefined metrics (zero denominator): npv"
+    assert lines[1].split()[3] == "n/a"     # model, accuracy, ppv, npv, ...
+    record = json.loads(out.read_text())
+    assert record["undefined"] == ["npv"] and record["metrics"]["npv"] is None

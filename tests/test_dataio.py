@@ -1,8 +1,12 @@
 import json
 import os
+import re
 import stat
+import subprocess
+import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,9 +134,10 @@ class TestCycleFiles:
 
     @pytest.mark.parametrize("row", ["s1,8x0,1,2,1.0,2.0", "s1,800,1,2,1.0,two",
                                      "s1,800,7,2,1.0,2.0", "s1,800,1,2.0,1.0,2.0",
-                                     "s1,800,1,1,1.0"],
+                                     "s1,800,1,1,1.0", "s1,800,1"],
                              ids=["t_start-not-int", "sample-not-float",
-                                  "unknown-label-code", "v-not-int", "one-sample"])
+                                  "unknown-label-code", "v-not-int", "one-sample",
+                                  "three-fields"])
     def test_malformed_row(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(f"s0,0,1,2,1.0,2.0\n{row}\n")
@@ -192,13 +197,23 @@ class TestStreamFiles:
         assert np.array_equal(peaks, stream.r_peaks)
         assert labels == stream.cycle_labels
 
-    @pytest.mark.parametrize("row", ["20,1.0,0", "20,1.0,0,-1,7", "2x,1.0,0,-1",
-                                     "20,1.0,1.0,-1"],
-                             ids=["3-fields", "5-fields", "t_ms-not-int", "flag-not-int"])
-    def test_malformed_row(self, tmp_path, row):
+    # int and float take underscores and non-ASCII digits, which loadtxt
+    # rejects; such a row used to leave the file unreadable with no line
+    @pytest.mark.parametrize("row,message", [
+        ("20,1.0,0", "expected 4 fields, got 3"),
+        ("20,1.0,0,-1,7", "expected 4 fields, got 5"),
+        ("2x,1.0,0,-1", "bad t_ms field '2x'"),
+        ("20,1.0,1.0,-1", "bad peak field '1.0'"),
+        ("2_0,1.0,0,-1", "bad t_ms field '2_0'"),
+        ("20,0.2_5,0,-1", "bad x field '0.2_5'"),
+        ("\u0662\u0660,1.0,0,-1", "bad t_ms field '\u0662\u0660'"),
+        ("20,1.0,1,-1_0", "bad code field '-1_0'"),
+    ], ids=["3-fields", "5-fields", "t_ms-not-int", "flag-not-int", "t_ms-underscore",
+            "x-underscore", "t_ms-arabic-indic-digits", "code-underscore"])
+    def test_malformed_row(self, tmp_path, row, message):
         path = tmp_path / "bad.csv"
-        path.write_text(f"0,0.5,1,1\n10,0.7,0,-1\n{row}\n30,0.2,1,-1\n")
-        with pytest.raises(ValidationError, match=f"{path}:3:"):
+        path.write_text(f"0,0.5,1,1\n10,0.7,0,-1\n{row}\n30,0.2,1,-1\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"^{path}:3: {re.escape(message)}$"):
             dataio.read_stream(str(path))
 
     @pytest.mark.parametrize("text,line", [("\n", 1), ("\n \n", 1), ("0,0.5,1,1\n\n", 2)])
@@ -216,6 +231,15 @@ class TestStreamFiles:
         path = tmp_path / "code.csv"
         path.write_text(f"0,0.1,1,1\n10,0.2,0,-1\n20,0.3,1,{code}\n30,0.4,0,-1\n")
         with pytest.raises(ValidationError, match=f"^{path}:3: unknown label code {code}$"):
+            dataio.read_stream(str(path))
+
+    @pytest.mark.parametrize("flag", [2, -1])
+    def test_r_peak_flag_other_than_0_or_1(self, tmp_path, flag):
+        # such a row used to read as no R-peak, and its two cycles as one
+        path = tmp_path / "flag.csv"
+        path.write_text(f"0,0.1,1,1\n10,0.2,0,-1\n20,0.3,{flag},-1\n30,0.4,1,-1\n")
+        with pytest.raises(ValidationError,
+                           match=f"^{path}:3: R-peak flag {flag} is not 0 or 1$"):
             dataio.read_stream(str(path))
 
     def test_label_code_off_an_r_peak(self, tmp_path):
@@ -475,3 +499,58 @@ class TestGenFiles:
                                   str(tmp_path / "k.csv"),
                                   lambda sid: str(tmp_path / f"s.{sid}"))
         assert os.listdir(tmp_path) == []
+
+
+# --- the time column's text, formatted once per column ---
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def fresh_gen(argv):
+    """cvsqi gen in a process of its own, whose cache holds no time column."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-m", "cvsqi.cli", *map(str, argv)], env=env,
+                   check=True, stdout=subprocess.DEVNULL, timeout=120)
+
+
+class TestTimeColumnCache:
+    def test_streams_of_different_time_columns_in_turn(self, tmp_path):
+        # the cache holds one column; each stream below either replaces it or
+        # finds it, and must be written as the reference writer writes it
+        base = synthesize_stream(SynthScenario(subject_seed=3, duration_ms=6_000,
+                                               rr_intervals_ms=(760, 840)))
+
+        def stream(t_ms, cvs=base.cvs, r_peaks=base.r_peaks):
+            return types.SimpleNamespace(t_ms=t_ms, cvs=cvs, r_peaks=r_peaks,
+                                         cycle_labels=base.cycle_labels)
+
+        streams = {
+            "first": base,
+            "offset-start": stream(base.t_ms + 20_000, r_peaks=base.r_peaks + 20_000),
+            # row 76 is the R-peak at 760 ms, which is then off the grid
+            "dropped-row": stream(np.delete(base.t_ms, 76), np.delete(base.cvs, 76)),
+            "off-grid-r-peaks": stream(base.t_ms, r_peaks=base.r_peaks + 5),
+            "first-again": base,
+        }
+        for name, s in streams.items():
+            got, want = tmp_path / f"{name}.got", tmp_path / f"{name}.want"
+            dataio.write_stream(s, str(got))
+            ref_write_stream(s, want)
+            assert got.read_bytes() == want.read_bytes(), name
+
+    def test_gen_at_two_durations_in_one_process(self, tmp_path):
+        def argv(out, duration_ms):
+            return ["gen", "--seed", 4, "--subjects", 2, "--duration-ms", duration_ms,
+                    *gen_argv(out, True, True)]
+
+        for duration_ms in (30_000, 21_000):
+            fresh = tmp_path / f"fresh-{duration_ms}"
+            fresh.mkdir()
+            fresh_gen(argv(fresh, duration_ms))
+        for i, duration_ms in enumerate((30_000, 21_000, 30_000)):
+            got = tmp_path / f"got-{i}"
+            got.mkdir()
+            assert run_cli(argv(got, duration_ms)) == 0
+            assert_same_files(got, tmp_path / f"fresh-{duration_ms}")
